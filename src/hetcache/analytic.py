@@ -1,4 +1,4 @@
-"""Coverage analysis by nested adaptive quadrature.
+"""Coverage analysis by quadrature over a tabulated interference exponent.
 
 For every tier the engine computes the expected number of that tier's base
 stations whose SIR at a typical user at the origin clears the tier's
@@ -8,17 +8,26 @@ which turns the probability into an alternating binomial sum of
 interference Laplace transforms; each tier's Laplace exponent is itself an
 integral over the interfering Poisson field under the two-mode path loss.
 
+That exponent is E_j(t) = 2*pi*lambda_j * e_j(t), where e_j depends only on
+tier j's radio. ``ExponentTable`` tabulates log e_j as a piecewise Chebyshev
+interpolant in log t: a piece is built the first time a t inside it is
+needed, by one batched adaptive quadrature at its nodes, and every later
+lookup, for any density, interpolates. The coverage integral then needs a
+single adaptive quadrature per tier. The table's relative error bound
+propagates into the reported error estimate.
+
 Weighting the per-tier values by caching probabilities and request
 popularity yields the content-aware coverage: an upper bound on the true
 coverage probability that is tight for thresholds >= 1 and exact when all
 fading shapes are 1. The per-tier values are independent of the requested
 content because interference does not depend on cache state.
 
-Both integration levels run in the log-distance variable s = log(1 + r),
-so sparse scenarios (support out to ~100 km) and dense ones (support of a
-few hundred meters) are resolved alike; the LOS kink at the near-field
-distance is an explicit breakpoint. Evaluation is deterministic: repeated
-runs produce bit-identical values.
+Both integrals run in the log-distance variable s = log(1 + r), so sparse
+scenarios (support out to ~100 km) and dense ones (support of a few
+hundred meters) are resolved alike; the LOS kink at the near-field
+distance is an explicit breakpoint. Evaluation is deterministic: a value
+depends only on its scenario, never on which tables were built before, so
+repeated runs produce bit-identical values.
 """
 from __future__ import annotations
 
@@ -34,6 +43,7 @@ from .scenario import AUTO, IntegrationSettings, ScenarioConfig
 
 __all__ = [
     "CoverageTable",
+    "ExponentTable",
     "alzer_coefficient",
     "interference_laplace_exponent",
     "tier_coverage_density",
@@ -138,6 +148,122 @@ def interference_laplace_exponent(t, radio: TierRadioParams, density_per_m2: flo
     return float(out[0]) if np.isscalar(t) else out
 
 
+# Exponent tables. A piece spans _PIECE_DECADES decades of t with edges at
+# multiples of it in log10 t, so a piece's content depends only on its
+# radio, its settings and its index, never on the order of requests. log e
+# is smooth in log t (slope 1 for small t, 2/alpha for large t); on both
+# default radios over t in [1e-3, 1e31], 16 first-kind Chebyshev nodes per
+# 2-decade piece leave the last two Chebyshev coefficients below 2e-9 and
+# the interpolant within 7e-10 of direct evaluation, the accuracy of the
+# node values themselves. Wider pieces need more nodes per decade (4
+# decades: 24 nodes for 7e-9), narrower ones build more pieces.
+_PIECE_DECADES = 2.0
+_PIECE_NODES = 16
+# Node values are computed to this fraction of the coverage rel_tol; with
+# the Lebesgue constant below (2.8 at 16 nodes) the table's error bound is
+# then about 0.18 rel_tol, under the rel_tol |rho| already reported.
+_NODE_TOL_FRACTION = 1.0 / 16.0
+_UNIT_DENSITY = 0.5 / math.pi  # 2*pi*lambda = 1: the call returns e_j itself
+_CHEB_X = np.cos(math.pi * (np.arange(_PIECE_NODES) + 0.5) / _PIECE_NODES)
+# Node values -> Chebyshev coefficients (discrete cosine transform).
+_CHEB_FIT = (2.0 / _PIECE_NODES) * np.cos(
+    np.outer(np.arange(_PIECE_NODES), math.pi * (np.arange(_PIECE_NODES) + 0.5)
+             / _PIECE_NODES))
+_CHEB_FIT[0] *= 0.5
+# Lebesgue-constant bound of first-kind Chebyshev interpolation: how much
+# node-value errors can grow between the nodes.
+_LEBESGUE = 2.0 / math.pi * math.log(_PIECE_NODES + 1.0) + 1.0
+
+
+def _exponent_lower_bound(t: float, radio: TierRadioParams, y_max: float) -> float:
+    """Closed-form lower bound on e(t), from the LOS near field alone.
+
+    On y <= D0 every link is LOS and 1 - (1 + u)^(-M) >= u / (1 + u), which
+    decreases with y, so e(t) >= r^2 / 2 * u(r) / (1 + u(r)), r = min(D0, y_max).
+    """
+    r = min(radio.near_field_dist, y_max)
+    u = (t * radio.tx_power * radio.intercept_los / radio.nakagami_los
+         * (1.0 + r) ** -radio.pathloss_exp_los)
+    return 0.5 * r * r * u / (1.0 + u)
+
+
+class ExponentTable:
+    """Density-free interference exponent e(t) = E(t) / (2 pi lambda) of one radio.
+
+    A piecewise Chebyshev interpolant of log e in log10 t. Each piece is
+    built on first use by one batched ``interference_laplace_exponent`` call
+    at its nodes; t outside the built pieces builds the missing ones, never
+    extrapolates. Calling the table returns e(t) and a bound on its relative
+    error: the node tolerance times the Lebesgue constant plus the size of
+    the last two Chebyshev coefficients.
+    """
+
+    def __init__(self, radio: TierRadioParams, settings: IntegrationSettings):
+        self.radio = radio
+        # Coverage tolerances past 1% gain nothing from a looser table (a
+        # piece costs milliseconds) and would void the log-error bound.
+        self.node_tol = _NODE_TOL_FRACTION * min(settings.rel_tol, 1e-2)
+        self.inner_truncation_radius = settings.inner_truncation_radius
+        self._pieces = {}  # index -> (Chebyshev coefficients, relative error bound)
+
+    def _build(self, index: int):
+        t = 10.0 ** (_PIECE_DECADES * (index + 0.5 * (1.0 + _CHEB_X)))
+        y_max = (math.inf if self.inner_truncation_radius == AUTO
+                 else float(self.inner_truncation_radius))
+        # At 2*pi*lambda = 1 the call's error is at most rel_tol/4 * e plus
+        # abs_tol (truncation and quadrature budgets of both modes). Each
+        # of the two is held to node_tol/2 of e, so every node value is
+        # within node_tol relative.
+        settings = IntegrationSettings(
+            rel_tol=2.0 * self.node_tol,
+            abs_tol=0.5 * self.node_tol * _exponent_lower_bound(
+                float(t.min()), self.radio, y_max),
+            inner_truncation_radius=self.inner_truncation_radius,
+        )
+        e = interference_laplace_exponent(t, self.radio, _UNIT_DENSITY, settings)
+        if not np.all((e > 0.0) & np.isfinite(e)):
+            raise QuadratureError("interference exponent not positive and finite")
+        coeffs = _CHEB_FIT @ np.log(e)
+        tail = abs(coeffs[-1]) + abs(coeffs[-2])
+        bound = math.expm1(_LEBESGUE * -math.log1p(-self.node_tol) + tail)
+        return coeffs, bound
+
+    def __call__(self, t: np.ndarray):
+        """``(e, rel_err)`` at every entry of ``t`` (positive and finite)."""
+        flat = np.asarray(t, dtype=np.float64).reshape(-1)
+        if not np.all((flat > 0.0) & np.isfinite(flat)):
+            raise QuadratureError("exponent table needs positive, finite t")
+        u = np.log10(flat) / _PIECE_DECADES
+        index = np.floor(u)
+        keys, inverse = np.unique(index, return_inverse=True)
+        pieces = []
+        for key in keys.astype(int).tolist():
+            if key not in self._pieces:
+                self._pieces[key] = self._build(key)
+            pieces.append(self._pieces[key])
+        coeffs = np.stack([c for c, _ in pieces], axis=1)[:, inverse]
+        bounds = np.array([b for _, b in pieces])[inverse]
+        x = 2.0 * (u - index) - 1.0
+        # Clenshaw recurrence, elementwise so a value never depends on the
+        # other entries of the batch.
+        b1 = b2 = 0.0
+        for c in coeffs[:0:-1]:
+            b1, b2 = c + 2.0 * x * b1 - b2, b1
+        log_e = coeffs[0] + x * b1 - b2
+        shape = np.shape(t)
+        return np.exp(log_e).reshape(shape), bounds.reshape(shape)
+
+
+def _exponent_table(exponents: dict, radio: TierRadioParams,
+                    settings: IntegrationSettings) -> ExponentTable:
+    """The table of ``radio`` for these settings, from the cache or new."""
+    key = (radio, settings.rel_tol, settings.inner_truncation_radius)
+    table = exponents.get(key)
+    if table is None:
+        table = exponents[key] = ExponentTable(radio, settings)
+    return table
+
+
 def _coverage_terms(radio: TierRadioParams, beta_eff: float):
     """Alternating-sum terms: (mode, binomial coefficient, t(x) prefactor, alpha).
 
@@ -156,14 +282,20 @@ def _coverage_terms(radio: TierRadioParams, beta_eff: float):
     return terms
 
 
-def _total_exponent(t_matrix: np.ndarray, interferers, settings: IntegrationSettings):
-    """Sum of every interfering tier's Laplace exponent at each t entry."""
-    total = np.zeros(t_matrix.shape)
-    flat = t_matrix.reshape(-1)
-    for radio_j, lam_j in interferers:
-        total += interference_laplace_exponent(flat, radio_j, lam_j,
-                                               settings).reshape(t_matrix.shape)
-    return total
+def _total_exponent(t: np.ndarray, interferers):
+    """Sum of every interfering tier's Laplace exponent at each t entry.
+
+    ``interferers`` lists ``(exponent table, 2*pi*lambda)``. Returns the
+    exponent and a bound on its absolute error.
+    """
+    total = np.zeros(t.shape)
+    slack = np.zeros(t.shape)
+    for table, two_pi_lambda in interferers:
+        e, rel_err = table(t)
+        exponent = two_pi_lambda * e
+        total += exponent
+        slack += exponent * rel_err
+    return total, slack
 
 
 def _outer_truncation(terms, interferers, radio_i: TierRadioParams,
@@ -186,7 +318,7 @@ def _outer_truncation(terms, interferers, radio_i: TierRadioParams,
         done = True
         for mode, (prefactor, alpha) in probes.items():
             t = prefactor * (1.0 + x) ** alpha
-            exponent = float(_total_exponent(np.array([[t]]), interferers, settings)[0, 0])
+            exponent = float(_total_exponent(np.array([t]), interferers)[0][0])
             if mode == LOS:
                 log_p = math.log(min(1.0, d0 / x + math.exp(-x / d1)))
             else:
@@ -201,15 +333,20 @@ def _outer_truncation(terms, interferers, radio_i: TierRadioParams,
 
 
 def tier_coverage_density(scenario: ScenarioConfig, tier_index: int,
-                          settings: IntegrationSettings | None = None):
+                          settings: IntegrationSettings | None = None,
+                          exponents: dict | None = None):
     """Expected number of covering tier-``tier_index`` stations, with error.
 
     Returns ``(value, error_estimate)``. The value folds the full angular
     2*pi*lambda factor, is zero for a zero-density tier, and does not depend
     on any tier's cache configuration. ``tier_index`` is 0-based.
+    ``exponents`` caches exponent tables across calls (keyed by radio and
+    settings); the value does not depend on what it already holds.
     """
     if settings is None:
         settings = scenario.integration
+    if exponents is None:
+        exponents = {}
     densities = scenario.densities_per_m2()
     lam_i = float(densities[tier_index])
     if lam_i == 0.0:
@@ -217,8 +354,10 @@ def tier_coverage_density(scenario: ScenarioConfig, tier_index: int,
     tier = scenario.tiers[tier_index]
     radio_i = tier.radio
     terms = _coverage_terms(radio_i, tier.effective_threshold())
-    interferers = [(scenario.tiers[j].radio, float(densities[j]))
-                   for j in range(scenario.num_tiers) if densities[j] > 0]
+    interferers = [
+        (_exponent_table(exponents, scenario.tiers[j].radio, settings),
+         2.0 * math.pi * float(densities[j]))
+        for j in range(scenario.num_tiers) if densities[j] > 0]
 
     if settings.outer_truncation_radius == AUTO:
         x_max = _outer_truncation(terms, interferers, radio_i, settings)
@@ -236,8 +375,11 @@ def tier_coverage_density(scenario: ScenarioConfig, tier_index: int,
         p_los = los_probability(x, d0, d1)
         p_mode = np.where(is_los_term, p_los, 1.0 - p_los)
         t_matrix = prefactors * np.exp(alphas * s)
-        exponent = _total_exponent(t_matrix, interferers, settings)
-        return (x * es) * p_mode * np.exp(-exponent)
+        exponent, slack = _total_exponent(t_matrix, interferers)
+        value = (x * es) * p_mode * np.exp(-exponent)
+        # The exact exponent lies within +-slack of the tabulated one, so
+        # e^(-E) is off by at most e^(-E) * expm1(slack): integrate that too.
+        return np.concatenate((value, value * np.expm1(slack)))
 
     two_pi_lambda = 2.0 * math.pi * lam_i
     coeff_scale = sum(abs(t[1]) for t in terms)
@@ -247,12 +389,17 @@ def tier_coverage_density(scenario: ScenarioConfig, tier_index: int,
         abs_tol=settings.abs_tol / (two_pi_lambda * coeff_scale),
         breakpoints=(math.log1p(d0),),
     )
+    n_terms = len(terms)
     coeffs = [t[1] for t in terms]
-    rho = two_pi_lambda * math.fsum(c * v for c, v in zip(coeffs, values))
+    rho = two_pi_lambda * math.fsum(c * v for c, v in zip(coeffs, values[:n_terms]))
     # Quadrature error of the alternating sum plus the (rel_tol-scaled)
-    # influence of the inner-integral tolerance on the outer integrand.
-    err = two_pi_lambda * math.fsum(abs(c) * e for c, e in zip(coeffs, errors))
+    # influence of the exponent's tolerance on the outer integrand, plus
+    # the propagated error bound of the exponent table.
+    err = two_pi_lambda * math.fsum(abs(c) * e for c, e in zip(coeffs, errors[:n_terms]))
     err += settings.rel_tol * abs(rho) + settings.abs_tol
+    err += two_pi_lambda * math.fsum(
+        abs(c) * (v + e)
+        for c, v, e in zip(coeffs, values[n_terms:], errors[n_terms:]))
     if rho < 0.0:
         # the alternating sum over fading terms must stay nonnegative
         if -rho > err:
@@ -279,12 +426,19 @@ class CoverageTable:
 
 
 def build_coverage_table(scenario: ScenarioConfig,
-                         settings: IntegrationSettings | None = None) -> CoverageTable:
-    """Evaluate every tier's coverage density for this scenario."""
+                         settings: IntegrationSettings | None = None,
+                         exponents: dict | None = None) -> CoverageTable:
+    """Evaluate every tier's coverage density for this scenario.
+
+    ``exponents`` is passed to ``tier_coverage_density``; without it the
+    tiers still share one set of exponent tables for this call.
+    """
+    if exponents is None:
+        exponents = {}
     values = []
     errors = []
     for i in range(scenario.num_tiers):
-        rho, err = tier_coverage_density(scenario, i, settings)
+        rho, err = tier_coverage_density(scenario, i, settings, exponents)
         values.append(rho)
         errors.append(err)
     q = np.stack([

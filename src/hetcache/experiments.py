@@ -190,19 +190,31 @@ def _report_cells(report: MetricReport | None) -> dict:
     return cells
 
 
+@dataclass
+class _SweepCache:
+    """Coverage tables of one sweep and the exponent tables they share.
+
+    One lives for one sweep, grid search or preset call, so every call
+    pays for its own tabulation and no state outlives it.
+    """
+
+    tables: dict = dataclasses.field(default_factory=dict)
+    exponents: dict = dataclasses.field(default_factory=dict)
+
+
 def _evaluate_row(scenario: ScenarioConfig, engine: str, workers: int,
-                  table_cache: dict | None = None):
+                  cache: _SweepCache | None = None):
     """One (grid point, engine) evaluation -> row dict."""
     row = {"engine": engine, "status": "ok", "error": ""}
+    if cache is None:
+        cache = _SweepCache()
     try:
         if engine == "analytic":
-            table = None
-            if table_cache is not None:
-                table = table_cache.get(scenario.radio_fingerprint())
+            key = scenario.radio_fingerprint()
+            table = cache.tables.get(key)
             if table is None:
-                table = build_coverage_table(scenario)
-                if table_cache is not None:
-                    table_cache[scenario.radio_fingerprint()] = table
+                table = build_coverage_table(scenario, exponents=cache.exponents)
+                cache.tables[key] = table
             report = analytic_report(scenario, table=table)
         else:
             report = run_simulation(scenario, workers=workers)
@@ -228,13 +240,13 @@ def run_experiment(config: ScenarioConfig, sweep: SweepSpec,
     """
     engine = _ENGINES[engines if engines is not None else sweep.engine]
     engine_list = ["analytic", "mc"] if engine == "both" else [engine]
-    table_cache: dict = {}
+    cache = _SweepCache()
     rows = []
     for value in sweep.grid:
         scenario = set_parameter(config, sweep.parameter_path, value)
         for eng in engine_list:
             row = {sweep.parameter_path: value}
-            row.update(_evaluate_row(scenario, eng, workers, table_cache))
+            row.update(_evaluate_row(scenario, eng, workers, cache))
             rows.append(row)
     if out_path is not None:
         write_csv(rows, out_path, config)
@@ -249,7 +261,8 @@ def grid_search(config: ScenarioConfig, variables: dict,
     are visited in lexicographic grid order and ties keep the first (i.e.
     lexicographically smallest) maximizer. Coverage tables are reused
     across points that share radio-side parameters, so cache- and
-    content-side searches cost one quadrature pass total.
+    content-side searches cost one quadrature pass total; every table of
+    the search shares one set of interference-exponent tables.
     """
     if not 1 <= len(variables) <= 3:
         raise ValueError("grid search supports 1 to 3 variables")
@@ -260,7 +273,7 @@ def grid_search(config: ScenarioConfig, variables: dict,
     grids = [tuple(variables[p]) for p in paths]
     if any(len(g) == 0 for g in grids):
         raise ValueError("grids must be non-empty")
-    table_cache: dict = {}
+    cache = _SweepCache()
     best_point = None
     best_eta = -np.inf
     surface = []
@@ -269,7 +282,7 @@ def grid_search(config: ScenarioConfig, variables: dict,
         for path, value in zip(paths, values):
             scenario = set_parameter(scenario, path, value)
         row = dict(zip(paths, values))
-        row.update(_evaluate_row(scenario, eng, workers, table_cache))
+        row.update(_evaluate_row(scenario, eng, workers, cache))
         surface.append(row)
         if row["status"] != "ok":
             raise QuadratureError(
@@ -334,14 +347,14 @@ def _preset_fig1(config, workers):
 def _preset_fig2(config, workers):
     """Backhaul use, hit ratio, ASE, cost, and efficiency vs small-cell density."""
     rows = []
-    table_cache: dict = {}
+    cache = _SweepCache()
     densities = np.logspace(-4, 2, 13)
     for kappa in (0.5, 1.0, 1.5):
         base = set_parameter(config, "content.popularity_exponent", kappa)
         for lam in densities:
             scenario = set_parameter(base, "tiers[2].density", lam)
             row = {"content.popularity_exponent": kappa, "tiers[2].density": lam}
-            row.update(_evaluate_row(scenario, "analytic", workers, table_cache))
+            row.update(_evaluate_row(scenario, "analytic", workers, cache))
             rows.append(row)
     return rows
 
@@ -349,7 +362,7 @@ def _preset_fig2(config, workers):
 def _preset_fig3(config, workers):
     """Efficiency over the (MPC fraction tier 1, MPC fraction tier 2) grid."""
     rows = []
-    table_cache: dict = {}
+    cache = _SweepCache()
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     for kappa in (0.5, 1.0, 1.5):
         base = set_parameter(config, "content.popularity_exponent", kappa)
@@ -360,7 +373,7 @@ def _preset_fig3(config, workers):
                 row = {"content.popularity_exponent": kappa,
                        "tiers[1].cache.mpc_fraction": phi1,
                        "tiers[2].cache.mpc_fraction": phi2}
-                row.update(_evaluate_row(scenario, "analytic", workers, table_cache))
+                row.update(_evaluate_row(scenario, "analytic", workers, cache))
                 rows.append(row)
     return rows
 
@@ -368,7 +381,7 @@ def _preset_fig3(config, workers):
 def _preset_fig4(config, workers):
     """Efficiency vs small-cell cache size for several macro cache sizes."""
     rows = []
-    table_cache: dict = {}
+    cache = _SweepCache()
     F = config.content.library_size
     s2_grid = range(1, F + 1, 3)
     for lam2 in (1e-1, 1e2):
@@ -383,7 +396,7 @@ def _preset_fig4(config, workers):
                            "content.popularity_exponent": kappa,
                            "tiers[1].cache.cache_size": s1,
                            "tiers[2].cache.cache_size": s2}
-                    row.update(_evaluate_row(scenario, "analytic", workers, table_cache))
+                    row.update(_evaluate_row(scenario, "analytic", workers, cache))
                     rows.append(row)
     return rows
 
@@ -395,16 +408,17 @@ def _preset_fig5(config, workers):
     where biasing can pay off at moderate densities.
     """
     rows = []
+    cache = _SweepCache()
     cheap = set_parameter(config, "costs.cache_unit_cost",
                           0.001 * config.costs.backhaul_unit_cost)
     for lam2 in (1e-2, 1e-1, 1.0, 1e2):
         base = set_parameter(cheap, "tiers[2].density", lam2)
-        baseline = _evaluate_row(base, "analytic", workers, None)
+        baseline = _evaluate_row(base, "analytic", workers, cache)
         for rho2 in np.arange(0.05, 1.0, 0.05):
             scenario = set_parameter(base, "tiers[1].rho", 1.0 - rho2)
             scenario = set_parameter(scenario, "tiers[2].rho", rho2)
             row = {"tiers[2].density": lam2, "rho_2": round(float(rho2), 10)}
-            row.update(_evaluate_row(scenario, "analytic", workers, None))
+            row.update(_evaluate_row(scenario, "analytic", workers, cache))
             if row["status"] == "ok" and baseline["status"] == "ok":
                 row["efficiency_ratio"] = row["efficiency"] / baseline["efficiency"]
             else:

@@ -30,13 +30,17 @@ class QuadratureError(RuntimeError):
 # Embedded pair: order-15 rule gives the value, |Q15 - Q7| the error estimate.
 _LO_NODES, _LO_WEIGHTS = leggauss(7)
 _HI_NODES, _HI_WEIGHTS = leggauss(15)
+# Both rules' nodes in one array, so a panel calls the integrand once.
+_NODES = np.concatenate((_HI_NODES, _LO_NODES))
+_N_HI = len(_HI_NODES)
 
 
 def _panel(f, lo: float, hi: float):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    q_hi = half * (np.asarray(f(mid + half * _HI_NODES), dtype=np.float64) @ _HI_WEIGHTS)
-    q_lo = half * (np.asarray(f(mid + half * _LO_NODES), dtype=np.float64) @ _LO_WEIGHTS)
+    values = np.asarray(f(mid + half * _NODES), dtype=np.float64)
+    q_hi = half * (values[..., :_N_HI] @ _HI_WEIGHTS)
+    q_lo = half * (values[..., _N_HI:] @ _LO_WEIGHTS)
     return q_hi, np.abs(q_hi - q_lo)
 
 

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from hetcache.analytic import (alzer_coefficient, build_coverage_table,
-                               coverage_probability,
+from hetcache import analytic
+from hetcache.analytic import (ExponentTable, alzer_coefficient,
+                               build_coverage_table, coverage_probability,
                                interference_laplace_exponent,
                                tier_coverage_density)
 from hetcache.channel import TierRadioParams
 from hetcache.content import TierCachePolicy
-from hetcache.experiments import set_parameter
+from hetcache.experiments import grid_search, set_parameter
 from hetcache.scenario import IntegrationSettings, default_scenario
 
 TIER2_RADIO_M1 = TierRadioParams(
@@ -247,3 +248,78 @@ def test_full_pipeline_against_independent_scipy_quadrature():
             reference = rho_reference(i)
             engine, _ = tier_coverage_density(s, i)
             assert engine == pytest.approx(reference, rel=1e-6)
+
+
+# --- tabulated interference exponent ------------------------------------------
+
+class _DirectExponent:
+    """The direct nested path: every lookup integrates e(t) afresh, exactly
+    what an ``ExponentTable`` tabulates, with no interpolation error."""
+
+    def __init__(self, radio, settings):
+        self.radio = radio
+        self.settings = settings
+
+    def __call__(self, t):
+        e = interference_laplace_exponent(
+            t.reshape(-1), self.radio, 0.5 / math.pi, self.settings)
+        return e.reshape(t.shape), np.zeros(t.shape)
+
+
+def test_exponent_table_matches_direct_evaluation():
+    settings = default_scenario().integration
+    edges = 10.0 ** np.arange(-2.0, 32.0, 2.0)
+    rng = np.random.default_rng(11)
+    fill = 10.0 ** rng.uniform(-3.0, 31.0, 200 - len(edges) - 2)
+    t = np.sort(np.concatenate(([1e-3, 1e31], edges, fill)))
+    tight = IntegrationSettings(rel_tol=1e-12, abs_tol=1e-16)
+    for tier in default_scenario().tiers:
+        table = ExponentTable(tier.radio, settings)
+        e, bound = table(t)
+        direct = np.array([interference_laplace_exponent(
+            x, tier.radio, 0.5 / math.pi, tight) for x in t])
+        assert np.all(np.abs(e / direct - 1.0) <= bound)
+        assert np.all(bound < settings.rel_tol)
+
+
+def test_table_rho_bit_identical_mid_sweep():
+    # the macro bias comes first, so the sweep's first exponent lookups
+    # differ from the fresh table's
+    base = default_scenario()
+    result = grid_search(base, {"tiers[1].rho": (0.5, 1.0),
+                                "tiers[2].density": (1e-3, 1.0, 100.0)})
+    middle = result.surface[4]
+    assert (middle["tiers[1].rho"], middle["tiers[2].density"]) == (1.0, 1.0)
+    fresh = build_coverage_table(set_parameter(base, "tiers[2].density", 1.0))
+    assert (middle["rho_1"], middle["rho_2"]) == fresh.per_tier_density
+
+
+def test_each_exponent_piece_built_once_per_sweep(monkeypatch):
+    builds = []
+    direct = analytic.interference_laplace_exponent
+
+    def counting(t, radio, density_per_m2, settings=None):
+        builds.append((radio, float(np.min(t)), float(np.max(t))))
+        return direct(t, radio, density_per_m2, settings)
+
+    monkeypatch.setattr(analytic, "interference_laplace_exponent", counting)
+    variables = {"content.popularity_exponent": (0.5, 1.0),
+                 "tiers[2].density": (1e-3, 1.0, 100.0)}
+    grid_search(default_scenario(), variables)
+    first = list(builds)
+    assert first and len(set(first)) == len(first)
+    # no exponent table outlives the call: the next search tabulates anew
+    builds.clear()
+    grid_search(default_scenario(), variables)
+    assert builds == first
+
+
+@pytest.mark.parametrize("density", [1e-4, 10.0, 100.0])
+def test_reported_error_covers_direct_reference(monkeypatch, density):
+    s = set_parameter(default_scenario(), "tiers[2].density", density)
+    reported = [tier_coverage_density(s, i) for i in range(s.num_tiers)]
+    monkeypatch.setattr(analytic, "ExponentTable", _DirectExponent)
+    reference = IntegrationSettings(rel_tol=1e-10, abs_tol=1e-12)
+    for i, (rho, err) in enumerate(reported):
+        rho_ref, _ = tier_coverage_density(s, i, reference)
+        assert err >= abs(rho - rho_ref)
