@@ -15,7 +15,6 @@ fixed config and seed reproduce byte-identical CSV files. A sidecar
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from .analytic import build_coverage_table
 from .metrics import MetricReport, analytic_report
 from .montecarlo import run_simulation
 from .quadrature import QuadratureError
-from .scenario import ConfigError, ScenarioConfig
+from .scenario import _INT_FIELDS, ConfigError, ScenarioConfig
 
 __all__ = [
     "SweepSpec",
@@ -82,13 +81,9 @@ class GridSearchResult:
 
 _PATH_RE = re.compile(r"^tiers\[(\d+|\*)\]\.(.+)$")
 
-# Fields that must stay integers when set through a parameter path.
-_INT_PARAMS = {"cache_size", "library_size", "num_snapshots", "master_seed",
-               "nakagami_los", "nakagami_nlos"}
-
 
 def _coerce_value(field_name: str, value):
-    if field_name in _INT_PARAMS:
+    if field_name in _INT_FIELDS:
         as_float = float(value)
         if not as_float.is_integer():
             raise ConfigError(field_name, "expected an integer value")
@@ -192,7 +187,8 @@ def _report_cells(report: MetricReport | None) -> dict:
 
 @dataclass
 class _SweepCache:
-    """Coverage tables of one sweep and the exponent tables they share.
+    """Coverage tables of one sweep, the exponent tables they share, and
+    the content vectors its reports share (``analytic_report``'s ``memo``).
 
     One lives for one sweep, grid search or preset call, so every call
     pays for its own tabulation and no state outlives it.
@@ -200,6 +196,7 @@ class _SweepCache:
 
     tables: dict = dataclasses.field(default_factory=dict)
     exponents: dict = dataclasses.field(default_factory=dict)
+    vectors: dict = dataclasses.field(default_factory=dict)
 
 
 def _evaluate_row(scenario: ScenarioConfig, engine: str, workers: int,
@@ -215,7 +212,7 @@ def _evaluate_row(scenario: ScenarioConfig, engine: str, workers: int,
             if table is None:
                 table = build_coverage_table(scenario, exponents=cache.exponents)
                 cache.tables[key] = table
-            report = analytic_report(scenario, table=table)
+            report = analytic_report(scenario, table=table, memo=cache.vectors)
         else:
             report = run_simulation(scenario, workers=workers)
         cells = _report_cells(report)
@@ -253,6 +250,28 @@ def run_experiment(config: ScenarioConfig, sweep: SweepSpec,
     return rows
 
 
+def _grid_rows(scenario: ScenarioConfig, axes, engine: str, workers: int,
+               cache: _SweepCache, point: dict | None = None):
+    """Yield one row per point of the product of ``axes``, in grid order.
+
+    ``axes`` is an ordered sequence of (path, grid) pairs; the last varies
+    fastest. Each point is built from the deepest prefix it shares with
+    the previous one, as nested loops would: ``set_parameter`` runs once
+    per changed value, in path order. Failed rows are yielded with status
+    ``error``; a bad parameter value raises where it is set.
+    """
+    point = {} if point is None else point
+    if len(point) == len(axes):
+        row = dict(point)
+        row.update(_evaluate_row(scenario, engine, workers, cache))
+        yield row
+        return
+    path, grid = axes[len(point)]
+    for value in grid:
+        yield from _grid_rows(set_parameter(scenario, path, value), axes, engine,
+                              workers, cache, {**point, path: value})
+
+
 def grid_search(config: ScenarioConfig, variables: dict,
                 engine: str = "analytic", workers: int = 1) -> GridSearchResult:
     """Exhaustive search for the caching-efficiency maximizer.
@@ -262,34 +281,28 @@ def grid_search(config: ScenarioConfig, variables: dict,
     lexicographically smallest) maximizer. Coverage tables are reused
     across points that share radio-side parameters, so cache- and
     content-side searches cost one quadrature pass total; every table of
-    the search shares one set of interference-exponent tables.
+    the search shares one set of interference-exponent tables, and every
+    report one set of content vectors.
     """
     if not 1 <= len(variables) <= 3:
         raise ValueError("grid search supports 1 to 3 variables")
     eng = _ENGINES[engine]
     if eng == "both":
         raise ValueError("grid search uses a single engine")
-    paths = list(variables)
-    grids = [tuple(variables[p]) for p in paths]
-    if any(len(g) == 0 for g in grids):
+    axes = [(path, tuple(grid)) for path, grid in variables.items()]
+    if any(len(grid) == 0 for _, grid in axes):
         raise ValueError("grids must be non-empty")
-    cache = _SweepCache()
     best_point = None
     best_eta = -np.inf
     surface = []
-    for values in itertools.product(*grids):
-        scenario = config
-        for path, value in zip(paths, values):
-            scenario = set_parameter(scenario, path, value)
-        row = dict(zip(paths, values))
-        row.update(_evaluate_row(scenario, eng, workers, cache))
+    for row in _grid_rows(config, axes, eng, workers, _SweepCache()):
         surface.append(row)
+        point = {path: row[path] for path in variables}
         if row["status"] != "ok":
-            raise QuadratureError(
-                f"grid point {dict(zip(paths, values))} failed: {row['error']}")
+            raise QuadratureError(f"grid point {point} failed: {row['error']}")
         if row["efficiency"] > best_eta:
             best_eta = row["efficiency"]
-            best_point = dict(zip(paths, values))
+            best_point = point
     return GridSearchResult(best_point=best_point, best_efficiency=best_eta,
                             surface=tuple(surface))
 
@@ -344,63 +357,6 @@ def _preset_fig1(config, workers):
     return run_experiment(config, sweep, workers=workers)
 
 
-def _preset_fig2(config, workers):
-    """Backhaul use, hit ratio, ASE, cost, and efficiency vs small-cell density."""
-    rows = []
-    cache = _SweepCache()
-    densities = np.logspace(-4, 2, 13)
-    for kappa in (0.5, 1.0, 1.5):
-        base = set_parameter(config, "content.popularity_exponent", kappa)
-        for lam in densities:
-            scenario = set_parameter(base, "tiers[2].density", lam)
-            row = {"content.popularity_exponent": kappa, "tiers[2].density": lam}
-            row.update(_evaluate_row(scenario, "analytic", workers, cache))
-            rows.append(row)
-    return rows
-
-
-def _preset_fig3(config, workers):
-    """Efficiency over the (MPC fraction tier 1, MPC fraction tier 2) grid."""
-    rows = []
-    cache = _SweepCache()
-    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
-    for kappa in (0.5, 1.0, 1.5):
-        base = set_parameter(config, "content.popularity_exponent", kappa)
-        for phi1 in grid:
-            with_phi1 = set_parameter(base, "tiers[1].cache.mpc_fraction", phi1)
-            for phi2 in grid:
-                scenario = set_parameter(with_phi1, "tiers[2].cache.mpc_fraction", phi2)
-                row = {"content.popularity_exponent": kappa,
-                       "tiers[1].cache.mpc_fraction": phi1,
-                       "tiers[2].cache.mpc_fraction": phi2}
-                row.update(_evaluate_row(scenario, "analytic", workers, cache))
-                rows.append(row)
-    return rows
-
-
-def _preset_fig4(config, workers):
-    """Efficiency vs small-cell cache size for several macro cache sizes."""
-    rows = []
-    cache = _SweepCache()
-    F = config.content.library_size
-    s2_grid = range(1, F + 1, 3)
-    for lam2 in (1e-1, 1e2):
-        with_lam = set_parameter(config, "tiers[2].density", lam2)
-        for kappa in (0.5, 1.2):
-            with_kappa = set_parameter(with_lam, "content.popularity_exponent", kappa)
-            for s1 in (10, 20, 50, 80):
-                with_s1 = set_parameter(with_kappa, "tiers[1].cache.cache_size", s1)
-                for s2 in s2_grid:
-                    scenario = set_parameter(with_s1, "tiers[2].cache.cache_size", s2)
-                    row = {"tiers[2].density": lam2,
-                           "content.popularity_exponent": kappa,
-                           "tiers[1].cache.cache_size": s1,
-                           "tiers[2].cache.cache_size": s2}
-                    row.update(_evaluate_row(scenario, "analytic", workers, cache))
-                    rows.append(row)
-    return rows
-
-
 def _preset_fig5(config, workers):
     """Efficiency ratio under macro-favoring bias (rho_1 = 1 - rho_2).
 
@@ -427,13 +383,38 @@ def _preset_fig5(config, workers):
     return rows
 
 
+# Presets that are one analytic grid over the caller's config: ordered
+# (path, grid) axes, run by ``_grid_rows``. A callable grid is made from
+# the config.
+_GRID_PRESETS = {
+    # fig2: backhaul use, hit ratio, ASE, cost and efficiency vs small-cell density
+    "fig2": (("content.popularity_exponent", (0.5, 1.0, 1.5)),
+             ("tiers[2].density", np.logspace(-4, 2, 13))),
+    # fig3: efficiency over the (MPC fraction tier 1, MPC fraction tier 2) grid
+    "fig3": (("content.popularity_exponent", (0.5, 1.0, 1.5)),
+             ("tiers[1].cache.mpc_fraction", (0.0, 0.25, 0.5, 0.75, 1.0)),
+             ("tiers[2].cache.mpc_fraction", (0.0, 0.25, 0.5, 0.75, 1.0))),
+    # fig4: efficiency vs small-cell cache size for several macro cache sizes
+    "fig4": (("tiers[2].density", (1e-1, 1e2)),
+             ("content.popularity_exponent", (0.5, 1.2)),
+             ("tiers[1].cache.cache_size", (10, 20, 50, 80)),
+             ("tiers[2].cache.cache_size",
+              lambda config: range(1, config.content.library_size + 1, 3))),
+}
+
+
 def run_preset(name: str, config: ScenarioConfig, out_path=None, workers: int = 1):
     """Run one canned experiment and optionally persist its rows."""
-    runners = {"fig1": _preset_fig1, "fig2": _preset_fig2, "fig3": _preset_fig3,
-               "fig4": _preset_fig4, "fig5": _preset_fig5}
-    if name not in runners:
+    if name in _GRID_PRESETS:
+        axes = [(path, grid(config) if callable(grid) else grid)
+                for path, grid in _GRID_PRESETS[name]]
+        rows = list(_grid_rows(config, axes, "analytic", workers, _SweepCache()))
+    elif name == "fig1":
+        rows = _preset_fig1(config, workers)
+    elif name == "fig5":
+        rows = _preset_fig5(config, workers)
+    else:
         raise ConfigError("preset", f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    rows = runners[name](config, workers)
     if out_path is not None:
         write_csv(rows, out_path, config)
     return rows

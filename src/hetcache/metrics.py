@@ -92,16 +92,17 @@ def _q_matrix(policies, library_size: int) -> np.ndarray:
     return np.stack([cache_probability_vector(p, library_size) for p in policies])
 
 
+def _hit_backhaul(rho: np.ndarray, q: np.ndarray):
+    return q.T @ rho, (1.0 - q[0]) * rho[0]
+
+
 def per_content_hit_backhaul(rho, policies, content: ContentModel):
     """Per-rank hit and backhaul quantities before popularity averaging.
 
     hit[c] = sum_i q_i[c] rho_i; backhaul[c] = (1 - q_1[c]) rho_1.
     """
     rho = np.asarray(rho, dtype=np.float64)
-    q = _q_matrix(policies, content.library_size)
-    hit = q.T @ rho
-    backhaul = (1.0 - q[0]) * rho[0]
-    return hit, backhaul
+    return _hit_backhaul(rho, _q_matrix(policies, content.library_size))
 
 
 def hit_and_backhaul(rho, policies, content: ContentModel):
@@ -109,6 +110,11 @@ def hit_and_backhaul(rho, policies, content: ContentModel):
     a = content.request_probabilities()
     hit, backhaul = per_content_hit_backhaul(rho, policies, content)
     return float(a @ hit), float(a @ backhaul)
+
+
+def _ase_per_rank(lam_rate: np.ndarray, cached: np.ndarray,
+                  backhaul: np.ndarray) -> np.ndarray:
+    return lam_rate @ cached + lam_rate[0] * backhaul
 
 
 def ase_from_components(cached_component: np.ndarray, backhaul_component: np.ndarray,
@@ -122,8 +128,7 @@ def ase_from_components(cached_component: np.ndarray, backhaul_component: np.nda
     a = content.request_probabilities()
     rates = np.asarray(rates, dtype=np.float64)
     lam = np.asarray(densities_per_m2, dtype=np.float64)
-    per_rank = (lam * rates) @ cached_component + lam[0] * rates[0] * backhaul_component
-    return float(a @ per_rank)
+    return float(a @ _ase_per_rank(lam * rates, cached_component, backhaul_component))
 
 
 def area_spectral_efficiency(rho, policies, content: ContentModel, rates,
@@ -131,9 +136,18 @@ def area_spectral_efficiency(rho, policies, content: ContentModel, rates,
     """ASE: cached deliveries at every tier plus macro backhaul deliveries."""
     rho = np.asarray(rho, dtype=np.float64)
     q = _q_matrix(policies, content.library_size)
-    cached = q * rho[:, None]
-    backhaul = (1.0 - q[0]) * rho[0]
-    return ase_from_components(cached, backhaul, rates, densities_per_m2, content)
+    _, backhaul = _hit_backhaul(rho, q)
+    return ase_from_components(q * rho[:, None], backhaul, rates, densities_per_m2,
+                               content)
+
+
+def _cost(lam: np.ndarray, library_size: int, cache_sizes, costs,
+          p_bh: float) -> float:
+    backhaul_term = (lam[0] * (library_size - cache_sizes[0])
+                     * costs.backhaul_unit_cost * p_bh)
+    storage_term = costs.cache_unit_cost * float(
+        np.sum(lam * np.array(cache_sizes)))
+    return backhaul_term + storage_term
 
 
 def cost_per_area(per_content_backhaul, policies, densities_per_m2,
@@ -145,15 +159,9 @@ def cost_per_area(per_content_backhaul, policies, densities_per_m2,
     backhaul usage; the storage term charges every deployed cache slot.
     """
     a = content.request_probabilities()
-    lam = np.asarray(densities_per_m2, dtype=np.float64)
-    s1 = policies[0].cache_size
-    backhaul_term = (lam[0] * (content.library_size - s1)
-                     * costs.backhaul_unit_cost
-                     * float(a @ np.asarray(per_content_backhaul)))
-    storage_term = costs.cache_unit_cost * float(
-        np.sum(lam * np.array([p.cache_size for p in policies]))
-    )
-    return backhaul_term + storage_term
+    p_bh = float(a @ np.asarray(per_content_backhaul))
+    return _cost(np.asarray(densities_per_m2, dtype=np.float64), content.library_size,
+                 [p.cache_size for p in policies], costs, p_bh)
 
 
 def caching_efficiency(ase: float, cost: float) -> float:
@@ -182,34 +190,51 @@ def apply_range_expansion(scenario: ScenarioConfig, rho_factors) -> ScenarioConf
     return dataclasses.replace(scenario, tiers=tiers)
 
 
+def _memoised(memo: dict, key, make, *args) -> np.ndarray:
+    """``make(*args)`` the first time ``key`` is seen, kept read-only after."""
+    value = memo.get(key)
+    if value is None:
+        value = make(*args)
+        value.flags.writeable = False
+        memo[key] = value
+    return value
+
+
 def analytic_report(scenario: ScenarioConfig,
                     settings: IntegrationSettings | None = None,
-                    table: CoverageTable | None = None) -> MetricReport:
+                    table: CoverageTable | None = None,
+                    memo: dict | None = None) -> MetricReport:
     """Evaluate every metric with the quadrature engine.
 
     A precomputed ``table`` may be supplied when only cache, content, or
     cost parameters changed since it was built (coverage densities do not
-    depend on those).
+    depend on those). ``memo`` is a dict shared by the reports of one
+    sweep: it keeps, read-only, the request probabilities of each content
+    model and the caching vector of each (cache policy, library size).
     """
     if table is None:
         table = build_coverage_table(scenario, settings)
+    if memo is None:
+        memo = {}
     content = scenario.content
+    library_size = content.library_size
     policies = [t.cache for t in scenario.tiers]
+    cache_sizes = [p.cache_size for p in policies]
+    a = _memoised(memo, content, content.request_probabilities)
+    q = np.stack([_memoised(memo, (p, library_size), cache_probability_vector,
+                            p, library_size) for p in policies])
     densities = scenario.densities_per_m2()
-    rates = tier_rates(scenario)
-    a = content.request_probabilities()
+    lam_rate = densities * np.asarray(tier_rates(scenario))
 
     rho = np.asarray(table.per_tier_density)
     errs = np.asarray(table.error_estimates)
-    q = _q_matrix(policies, content.library_size)
 
-    hit_c, bh_c = per_content_hit_backhaul(rho, policies, content)
+    hit_c, bh_c = _hit_backhaul(rho, q)
     p_hit = float(a @ hit_c)
     p_bh = float(a @ bh_c)
-    lam_rate = densities * np.asarray(rates)
-    ase_c = lam_rate @ (q * rho[:, None]) + lam_rate[0] * bh_c
+    ase_c = _ase_per_rank(lam_rate, q * rho[:, None], bh_c)
     ase = float(a @ ase_c)
-    cost = cost_per_area(bh_c, policies, densities, content, scenario.costs)
+    cost = _cost(densities, library_size, cache_sizes, scenario.costs, p_bh)
     efficiency = caching_efficiency(ase, cost)
 
     # First-order propagation of the per-tier quadrature error bounds.
@@ -217,9 +242,8 @@ def analytic_report(scenario: ScenarioConfig,
     bh_weight = float(a @ (1.0 - q[0]))
     err_hit = float(q_weights @ errs)
     err_bh = bh_weight * errs[0]
-    lam_r = densities * np.asarray(rates)
-    err_ase = float((q_weights * lam_r) @ errs) + lam_r[0] * bh_weight * errs[0]
-    err_cost = (densities[0] * (content.library_size - policies[0].cache_size)
+    err_ase = float((q_weights * lam_rate) @ errs) + lam_rate[0] * bh_weight * errs[0]
+    err_cost = (densities[0] * (library_size - cache_sizes[0])
                 * scenario.costs.backhaul_unit_cost * bh_weight * errs[0])
     err_eff = abs(efficiency) * (
         err_ase / ase if ase > 0 else 0.0) + abs(efficiency) * (err_cost / cost)

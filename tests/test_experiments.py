@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from hetcache.experiments import (SweepSpec, get_parameter, grid_search,
+from hetcache import experiments
+from hetcache.analytic import build_coverage_table
+from hetcache.experiments import (SweepSpec, _evaluate_row, _grid_rows,
+                                  _SweepCache, get_parameter, grid_search,
                                   run_experiment, run_preset, set_parameter,
                                   write_csv)
 from hetcache.metrics import analytic_report
@@ -157,3 +160,144 @@ def test_preset_fig1_smoke(tmp_path):
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError):
         run_preset("fig9", default_scenario())
+
+
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call to ``experiments.<name>``."""
+    calls = []
+    original = getattr(experiments, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+def test_grid_search_rows_equal_naive_evaluation(monkeypatch):
+    # a radio-side path (two coverage tables) between content and cache
+    # paths, so the content vectors of one sweep are shared across tables
+    s = default_scenario()
+    variables = {"content.popularity_exponent": (0.6, 1.1),
+                 "tiers[2].density": (3.0, 30.0),
+                 "tiers[1].cache.cache_size": (5, 20, 5)}
+    calls = _count_calls(monkeypatch, "set_parameter")
+    res = grid_search(s, variables)
+    # one call per changed value: 2 + 2*2 + 2*2*3, not 3 per row
+    assert len(calls) == 2 + 4 + 12
+    monkeypatch.undo()
+    assert len(res.surface) == 12
+    assert len({(r["rho_1"], r["rho_2"]) for r in res.surface}) == 2
+    for row in res.surface:
+        scenario = s
+        for path in variables:
+            scenario = set_parameter(scenario, path, row[path])
+        naive = {path: row[path] for path in variables}
+        naive.update(_evaluate_row(scenario, "analytic", 1, _SweepCache()))
+        assert row == naive
+
+
+def test_memoised_vectors_are_read_only_and_not_aliased():
+    s = default_scenario()
+    cache = _SweepCache()
+    axes = [("content.popularity_exponent", (0.5, 1.5)),
+            ("tiers[2].cache.mpc_fraction", (0.0, 1.0)),
+            ("tiers[2].cache.cache_size", (3, 9))]
+    rows = list(_grid_rows(s, axes, "analytic", 1, cache))
+    assert all(r["status"] == "ok" for r in rows)
+    # 2 content models, the macro policy, 2 x 2 small-cell policies
+    assert len(cache.vectors) == 2 + 1 + 4
+    assert not any(v.flags.writeable for v in cache.vectors.values())
+    with pytest.raises(ValueError):
+        next(iter(cache.vectors.values()))[0] = 1.0
+
+    table = build_coverage_table(s)
+    fresh = analytic_report(s, table=table)
+    memo = {}
+    first = analytic_report(s, table=table, memo=memo)
+    for array in (first.per_content_hit, first.per_content_backhaul,
+                  first.per_content_ase):
+        array[:] = -1.0
+    later = analytic_report(s, table=table, memo=memo)
+    for name in ("per_content_hit", "per_content_backhaul", "per_content_ase"):
+        assert np.array_equal(getattr(later, name), getattr(fresh, name))
+    for name in ("p_hit", "p_bh", "ase", "cost", "efficiency", "error_estimates"):
+        assert getattr(later, name) == getattr(fresh, name)
+
+
+def _fig3_loops(config):
+    rows = []
+    cache = _SweepCache()
+    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+    for kappa in (0.5, 1.0, 1.5):
+        base = set_parameter(config, "content.popularity_exponent", kappa)
+        for phi1 in grid:
+            with_phi1 = set_parameter(base, "tiers[1].cache.mpc_fraction", phi1)
+            for phi2 in grid:
+                scenario = set_parameter(with_phi1, "tiers[2].cache.mpc_fraction", phi2)
+                row = {"content.popularity_exponent": kappa,
+                       "tiers[1].cache.mpc_fraction": phi1,
+                       "tiers[2].cache.mpc_fraction": phi2}
+                row.update(_evaluate_row(scenario, "analytic", 1, cache))
+                rows.append(row)
+    return rows
+
+
+def _fig4_loops(config):
+    rows = []
+    cache = _SweepCache()
+    s2_grid = range(1, config.content.library_size + 1, 3)
+    for lam2 in (1e-1, 1e2):
+        with_lam = set_parameter(config, "tiers[2].density", lam2)
+        for kappa in (0.5, 1.2):
+            with_kappa = set_parameter(with_lam, "content.popularity_exponent", kappa)
+            for s1 in (10, 20, 50, 80):
+                with_s1 = set_parameter(with_kappa, "tiers[1].cache.cache_size", s1)
+                for s2 in s2_grid:
+                    scenario = set_parameter(with_s1, "tiers[2].cache.cache_size", s2)
+                    row = {"tiers[2].density": lam2,
+                           "content.popularity_exponent": kappa,
+                           "tiers[1].cache.cache_size": s1,
+                           "tiers[2].cache.cache_size": s2}
+                    row.update(_evaluate_row(scenario, "analytic", 1, cache))
+                    rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name, loops", [("fig3", _fig3_loops), ("fig4", _fig4_loops)])
+def test_grid_presets_equal_nested_loops(name, loops):
+    # a smaller library changes fig4's small-cell cache grid with it
+    config = set_parameter(default_scenario(), "content.library_size", 90)
+    rows = run_preset(name, config)
+    expected = loops(config)
+    assert len(rows) == len(expected)
+    for row, oracle in zip(rows, expected):
+        assert list(row) == list(oracle)
+        assert row == oracle
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (101, ValueError, "tiers[2].cache.cache_size must not exceed content.library_size (100)"),
+    (2.5, ConfigError, "cache_size: expected an integer value"),
+])
+def test_grid_search_bad_value_raises_where_set(monkeypatch, bad, error, message):
+    s = default_scenario()
+    variables = {"content.popularity_exponent": (0.5, 1.0),
+                 "tiers[2].cache.cache_size": (5, bad, 7)}
+    with pytest.raises(error) as naive:
+        set_parameter(set_parameter(s, "content.popularity_exponent", 0.5),
+                      "tiers[2].cache.cache_size", bad)
+    assert str(naive.value) == message
+    reports = _count_calls(monkeypatch, "analytic_report")
+    calls = _count_calls(monkeypatch, "set_parameter")
+    with pytest.raises(error) as raised:
+        grid_search(s, variables)
+    assert type(raised.value) is type(naive.value)
+    assert str(raised.value) == message
+    # the second point fails, after one row, at its own value
+    assert len(reports) == 1
+    assert [args[1:] for args in calls] == [
+        ("content.popularity_exponent", 0.5),
+        ("tiers[2].cache.cache_size", 5),
+        ("tiers[2].cache.cache_size", bad)]
