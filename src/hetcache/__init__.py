@@ -1,46 +1,42 @@
 """Coverage, caching, and cost analysis for multi-tier cellular networks.
 
 Two engines evaluate the same scenario description: an analytic engine
-(nested adaptive quadrature over the interference Laplace functional) and a
-snapshot Monte Carlo engine; both produce a MetricReport with coverage,
-cache-hit, backhaul-usage, area-spectral-efficiency, cost, and
-caching-efficiency metrics.
+(adaptive quadrature over a per-radio table of each tier's interference
+Laplace exponent) and a snapshot Monte Carlo engine. Both reduce the
+scenario to per-rank delivery components, and one metric path turns those
+into a MetricReport with coverage, cache-hit, backhaul-usage,
+area-spectral-efficiency, cost, and caching-efficiency metrics.
 """
 
 __version__ = "0.1.0"
 
-from .channel import (LOS, NLOS, LinkSample, TierRadioParams, los_probability,
-                      path_loss, sample_fading, sample_link)
-from .content import (MPC, RCS, ContentModel, PlacementRealization,
-                      TierCachePolicy, cache_probability,
-                      cache_probability_vector, sample_placement, zipf_pmf)
+from .channel import (LOS, NLOS, TierRadioParams, los_probability, path_loss,
+                      sample_fading)
+from .content import (MPC, RCS, ContentModel, TierCachePolicy,
+                      cache_probability_vector, zipf_pmf)
 from .quadrature import QuadratureError, integrate_adaptive
 from .scenario import (AUTO, ConfigError, CostModel, IntegrationSettings,
                        ScenarioConfig, SimulationProtocol, TierConfig,
                        default_scenario, desk_scale_protocol, load_config,
                        save_config, serialize_config)
 from .analytic import (CoverageTable, alzer_coefficient, build_coverage_table,
-                       coverage_probability, interference_laplace_exponent,
-                       tier_coverage_density)
+                       interference_laplace_exponent, tier_coverage_density)
 from .metrics import (MetricReport, UndefinedEfficiencyError,
                       analytic_report, apply_range_expansion,
-                      area_spectral_efficiency, caching_efficiency,
-                      cost_per_area, hit_and_backhaul, tier_rates)
+                      caching_efficiency, coverage_probability, tier_rates)
 from .montecarlo import (Snapshot, SnapshotEstimates, TierSnapshot,
-                         compute_sir, evaluate_snapshot, run_simulation,
-                         sample_network)
+                         evaluate_snapshot, run_simulation, sample_network)
 from .experiments import (GridSearchResult, SweepSpec, grid_search,
                           run_experiment, run_preset, set_parameter, write_csv)
 
 __all__ = [
     "__version__",
     # channel
-    "LOS", "NLOS", "LinkSample", "TierRadioParams", "los_probability",
-    "path_loss", "sample_fading", "sample_link",
+    "LOS", "NLOS", "TierRadioParams", "los_probability", "path_loss",
+    "sample_fading",
     # content
-    "MPC", "RCS", "ContentModel", "PlacementRealization", "TierCachePolicy",
-    "cache_probability", "cache_probability_vector", "sample_placement",
-    "zipf_pmf",
+    "MPC", "RCS", "ContentModel", "TierCachePolicy",
+    "cache_probability_vector", "zipf_pmf",
     # quadrature
     "QuadratureError", "integrate_adaptive",
     # scenario
@@ -49,15 +45,14 @@ __all__ = [
     "desk_scale_protocol", "load_config", "save_config", "serialize_config",
     # analytic
     "CoverageTable", "alzer_coefficient", "build_coverage_table",
-    "coverage_probability", "interference_laplace_exponent",
-    "tier_coverage_density",
+    "interference_laplace_exponent", "tier_coverage_density",
     # metrics
     "MetricReport", "UndefinedEfficiencyError", "analytic_report",
-    "apply_range_expansion", "area_spectral_efficiency", "caching_efficiency",
-    "cost_per_area", "hit_and_backhaul", "tier_rates",
+    "apply_range_expansion", "caching_efficiency", "coverage_probability",
+    "tier_rates",
     # monte carlo
-    "Snapshot", "SnapshotEstimates", "TierSnapshot", "compute_sir",
-    "evaluate_snapshot", "run_simulation", "sample_network",
+    "Snapshot", "SnapshotEstimates", "TierSnapshot", "evaluate_snapshot",
+    "run_simulation", "sample_network",
     # experiments
     "GridSearchResult", "SweepSpec", "grid_search", "run_experiment",
     "run_preset", "set_parameter", "write_csv",

@@ -17,10 +17,11 @@ single adaptive quadrature per tier. The table's relative error bound
 propagates into the reported error estimate.
 
 Weighting the per-tier values by caching probabilities and request
-popularity yields the content-aware coverage: an upper bound on the true
-coverage probability that is tight for thresholds >= 1 and exact when all
-fading shapes are 1. The per-tier values are independent of the requested
-content because interference does not depend on cache state.
+popularity (``metrics.coverage_probability``) yields the content-aware
+coverage: an upper bound on the true coverage probability that is tight
+for thresholds >= 1 and exact when all fading shapes are 1. The per-tier
+values are independent of the requested content because interference
+does not depend on cache state.
 
 Both integrals run in the log-distance variable s = log(1 + r), so sparse
 scenarios (support out to ~100 km) and dense ones (support of a few
@@ -32,12 +33,11 @@ repeated runs produce bit-identical values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import LOS, NLOS, TierRadioParams, los_probability
-from .content import ContentModel, TierCachePolicy, cache_probability_vector
 from .quadrature import QuadratureError, integrate_adaptive
 from .scenario import AUTO, IntegrationSettings, ScenarioConfig
 
@@ -48,7 +48,6 @@ __all__ = [
     "interference_laplace_exponent",
     "tier_coverage_density",
     "build_coverage_table",
-    "coverage_probability",
 ]
 
 
@@ -411,18 +410,15 @@ def tier_coverage_density(scenario: ScenarioConfig, tier_index: int,
 
 @dataclass(frozen=True, eq=False)
 class CoverageTable:
-    """Per-tier covering-station expectations and their cache-weighted split.
+    """Per-tier covering-station expectations and their error bounds.
 
     ``per_tier_density`` folds the 2*pi*lambda factor and is shared by every
-    content rank; ``per_content_weighted[i, c-1]`` is the caching probability
-    of rank c at tier i+1 times that tier's value, for the scenario's own
-    cache policies. ``fingerprint`` identifies the generating scenario.
+    content rank; it depends only on radio-side parameters, so one table
+    serves every cache, content and cost setting of its radio.
     """
 
     per_tier_density: tuple
     error_estimates: tuple
-    per_content_weighted: np.ndarray = field(repr=False)
-    fingerprint: str = ""
 
 
 def build_coverage_table(scenario: ScenarioConfig,
@@ -441,32 +437,4 @@ def build_coverage_table(scenario: ScenarioConfig,
         rho, err = tier_coverage_density(scenario, i, settings, exponents)
         values.append(rho)
         errors.append(err)
-    q = np.stack([
-        cache_probability_vector(t.cache, scenario.content.library_size)
-        for t in scenario.tiers
-    ])
-    weighted = q * np.asarray(values)[:, None]
-    return CoverageTable(
-        per_tier_density=tuple(values),
-        error_estimates=tuple(errors),
-        per_content_weighted=weighted,
-        fingerprint=scenario.fingerprint(),
-    )
-
-
-def coverage_probability(table: CoverageTable, content: ContentModel,
-                         policies) -> float:
-    """Popularity- and cache-weighted coverage: sum_c a_c sum_i q_i[c] rho_i.
-
-    Upper-bounds the true content-aware coverage probability; the bound is
-    tight for thresholds >= 1 (and exact at unit fading shapes), but as an
-    expected-count bound it may exceed 1.
-    """
-    a = content.request_probabilities()
-    rho = np.asarray(table.per_tier_density)
-    if len(policies) != rho.size:
-        raise ValueError("one cache policy per tier is required")
-    q = np.stack([
-        cache_probability_vector(p, content.library_size) for p in policies
-    ])
-    return float(a @ (q.T @ rho))
+    return CoverageTable(per_tier_density=tuple(values), error_estimates=tuple(errors))

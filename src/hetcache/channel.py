@@ -16,11 +16,9 @@ __all__ = [
     "LOS",
     "NLOS",
     "TierRadioParams",
-    "LinkSample",
     "los_probability",
     "path_loss",
     "sample_fading",
-    "sample_link",
     "sample_links",
 ]
 
@@ -78,15 +76,6 @@ class TierRadioParams:
         return self.nakagami_los if mode == LOS else self.nakagami_nlos
 
 
-@dataclass(frozen=True)
-class LinkSample:
-    """One realized link: propagation mode, fading power gain, path loss."""
-
-    mode: str
-    fading_gain: float
-    pathloss: float
-
-
 def los_probability(r, near_field_dist: float, far_field_dist: float):
     """Probability that a link of length ``r`` is line-of-sight.
 
@@ -115,14 +104,6 @@ def sample_fading(rng: np.random.Generator, nakagami: int, size=None):
     """Unit-mean Nakagami power gain: Gamma(M, 1/M)."""
     _check_positive_int("nakagami", nakagami)
     return rng.gamma(nakagami, 1.0 / nakagami, size=size)
-
-
-def sample_link(rng: np.random.Generator, r: float, params: TierRadioParams) -> LinkSample:
-    """Draw mode, fading, and path loss for a link of length ``r``."""
-    p_los = los_probability(r, params.near_field_dist, params.far_field_dist)
-    mode = LOS if rng.random() < p_los else NLOS
-    gain = float(sample_fading(rng, params.nakagami(mode)))
-    return LinkSample(mode, gain, path_loss(r, mode, params))
 
 
 def sample_links(rng: np.random.Generator, distances: np.ndarray,

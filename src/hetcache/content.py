@@ -19,15 +19,11 @@ import numpy as np
 __all__ = [
     "ContentModel",
     "TierCachePolicy",
-    "PlacementRealization",
     "MPC",
     "RCS",
     "zipf_pmf",
-    "cache_probability",
     "cache_probability_vector",
-    "sample_placement",
     "sample_placement_fields",
-    "placement_contains",
 ]
 
 MPC = "MPC"
@@ -68,18 +64,6 @@ class TierCachePolicy:
             raise ValueError("mpc_fraction must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class PlacementRealization:
-    """Concrete cache content of one base station."""
-
-    cached_indices: frozenset
-    strategy_label: str
-
-    def __post_init__(self):
-        if self.strategy_label not in (MPC, RCS):
-            raise ValueError("strategy_label must be MPC or RCS")
-
-
 def zipf_pmf(c, model: ContentModel):
     """Probability that content rank ``c`` is requested.
 
@@ -92,29 +76,13 @@ def zipf_pmf(c, model: ContentModel):
     return float(probs) if np.isscalar(c) else probs
 
 
-def cache_probability(c: int, policy: TierCachePolicy, library_size: int) -> float:
-    """Probability that rank ``c`` sits in one station's cache.
+def cache_probability_vector(policy: TierCachePolicy, library_size: int) -> np.ndarray:
+    """Probability that each rank 1..F sits in one station's cache.
 
     MPC contributes 1 for c <= S; RCS contributes (number of length-S
     windows containing c) / (F - S + 1). A size-S cache stores the window
     {start, ..., start + S - 1}, so the probabilities sum to S over c.
     """
-    if not 1 <= c <= library_size:
-        raise ValueError(f"content rank out of range [1, {library_size}]")
-    s = policy.cache_size
-    if s > library_size:
-        raise ValueError("cache_size exceeds library_size")
-    if s == 0:
-        return 0.0
-    n_windows = library_size - s + 1
-    count = min(c, n_windows) - max(1, c - s + 1) + 1
-    rcs = count / n_windows
-    mpc = 1.0 if c <= s else 0.0
-    return policy.mpc_fraction * mpc + (1.0 - policy.mpc_fraction) * rcs
-
-
-def cache_probability_vector(policy: TierCachePolicy, library_size: int) -> np.ndarray:
-    """Caching probability for every rank 1..F at once."""
     s = policy.cache_size
     if s > library_size:
         raise ValueError("cache_size exceeds library_size")
@@ -125,21 +93,6 @@ def cache_probability_vector(policy: TierCachePolicy, library_size: int) -> np.n
     count = np.minimum(c, n_windows) - np.maximum(1, c - s + 1) + 1
     phi = policy.mpc_fraction
     return phi * (c <= s) + (1.0 - phi) * count / n_windows
-
-
-def sample_placement(rng: np.random.Generator, policy: TierCachePolicy,
-                     library_size: int) -> PlacementRealization:
-    """Draw one station's cache realization (MPC prefix or RCS window)."""
-    s = policy.cache_size
-    if s > library_size:
-        raise ValueError("cache_size exceeds library_size")
-    use_mpc = rng.random() < policy.mpc_fraction
-    if s == 0:
-        return PlacementRealization(frozenset(), MPC if use_mpc else RCS)
-    if use_mpc:
-        return PlacementRealization(frozenset(range(1, s + 1)), MPC)
-    start = int(rng.integers(1, library_size - s + 2))
-    return PlacementRealization(frozenset(range(start, start + s)), RCS)
 
 
 def sample_placement_fields(rng: np.random.Generator, policy: TierCachePolicy,
@@ -158,13 +111,3 @@ def sample_placement_fields(rng: np.random.Generator, policy: TierCachePolicy,
         return is_mpc, np.ones(n, dtype=np.int64)
     starts = rng.integers(1, library_size - s + 2, size=n)
     return is_mpc, starts
-
-
-def placement_contains(c: int, is_mpc: np.ndarray, window_start: np.ndarray,
-                       cache_size: int) -> np.ndarray:
-    """Whether each station described by (is_mpc, window_start) caches rank c."""
-    if cache_size == 0:
-        return np.zeros(is_mpc.shape, dtype=bool)
-    in_mpc = is_mpc & (c <= cache_size)
-    in_window = ~is_mpc & (window_start <= c) & (c < window_start + cache_size)
-    return in_mpc | in_window

@@ -1,10 +1,16 @@
-"""Network-level metrics assembled from per-tier coverage quantities.
+"""Network-level metrics assembled from per-rank delivery components.
 
-Given per-tier covering-station expectations (from either engine), this
-module forms the cache-hit and backhaul-usage probabilities, the area
-spectral efficiency (ASE), the cost per unit area, and the caching
-efficiency (ASE per cost). Backhaul is attributed solely to tier 1, the
-macro tier: lower tiers without the requested content simply do not serve.
+Either engine reduces a scenario to per-rank delivery components: the
+cache-hit component ``hit[c]``, the cached deliveries ``cached[i, c]`` of
+each tier and the macro backhaul deliveries ``backhaul[c]``. One function,
+``_delivery_metrics``, weights them by request popularity into the
+cache-hit and backhaul-usage probabilities, the area spectral efficiency
+(ASE) and the cost per unit area; ``caching_efficiency`` divides the last
+two. ``analytic_report`` calls it with the quadrature engine's expected
+counts, the Monte Carlo engine once per snapshot and once on the pooled
+per-rank means, and ``coverage_probability`` for the hit component alone.
+Backhaul is attributed solely to tier 1, the macro tier: lower tiers
+without the requested content simply do not serve.
 
 Range expansion rescales each tier's association threshold to
 ``sir_threshold / rho`` while the rate credited per delivery stays
@@ -20,17 +26,13 @@ import numpy as np
 
 from .analytic import CoverageTable, build_coverage_table
 from .content import ContentModel, cache_probability_vector
-from .scenario import IntegrationSettings, ScenarioConfig
+from .scenario import CostModel, IntegrationSettings, ScenarioConfig
 
 __all__ = [
     "UndefinedEfficiencyError",
     "MetricReport",
     "tier_rates",
-    "hit_and_backhaul",
-    "per_content_hit_backhaul",
-    "ase_from_components",
-    "area_spectral_efficiency",
-    "cost_per_area",
+    "coverage_probability",
     "caching_efficiency",
     "apply_range_expansion",
     "analytic_report",
@@ -77,7 +79,6 @@ class MetricReport:
     per_tier_coverage_density_stderr: tuple | None = None
     stderr: dict | None = None
     error_estimates: dict | None = None
-    fingerprint: str = ""
 
 
 def tier_rates(scenario: ScenarioConfig) -> tuple:
@@ -88,80 +89,63 @@ def tier_rates(scenario: ScenarioConfig) -> tuple:
     )
 
 
-def _q_matrix(policies, library_size: int) -> np.ndarray:
-    return np.stack([cache_probability_vector(p, library_size) for p in policies])
+def _scenario_constants(scenario: ScenarioConfig):
+    """The scenario's inputs to ``_delivery_metrics``.
 
-
-def _hit_backhaul(rho: np.ndarray, q: np.ndarray):
-    return q.T @ rho, (1.0 - q[0]) * rho[0]
-
-
-def per_content_hit_backhaul(rho, policies, content: ContentModel):
-    """Per-rank hit and backhaul quantities before popularity averaging.
-
-    hit[c] = sum_i q_i[c] rho_i; backhaul[c] = (1 - q_1[c]) rho_1.
+    ``(lam, lam_rate, uncached_files, slots_per_m2, costs)``: per-tier
+    densities per m^2, densities times delivered rates, the F - S_1 files
+    the macro tier does not cache, the cache slots deployed per m^2 and the
+    unit costs.
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    return _hit_backhaul(rho, _q_matrix(policies, content.library_size))
+    lam = scenario.densities_per_m2()
+    cache_sizes = [t.cache.cache_size for t in scenario.tiers]
+    return (lam, lam * np.asarray(tier_rates(scenario)),
+            scenario.content.library_size - cache_sizes[0],
+            float(np.sum(lam * np.array(cache_sizes))), scenario.costs)
 
 
-def hit_and_backhaul(rho, policies, content: ContentModel):
-    """Popularity-averaged cache-hit and backhaul-usage probabilities."""
-    a = content.request_probabilities()
-    hit, backhaul = per_content_hit_backhaul(rho, policies, content)
-    return float(a @ hit), float(a @ backhaul)
+def _delivery_metrics(w: np.ndarray, hit: np.ndarray, cached: np.ndarray,
+                      backhaul: np.ndarray, constants):
+    """Hit, backhaul, ASE and cost from per-rank delivery components.
 
-
-def _ase_per_rank(lam_rate: np.ndarray, cached: np.ndarray,
-                  backhaul: np.ndarray) -> np.ndarray:
-    return lam_rate @ cached + lam_rate[0] * backhaul
-
-
-def ase_from_components(cached_component: np.ndarray, backhaul_component: np.ndarray,
-                        rates, densities_per_m2, content: ContentModel) -> float:
-    """ASE in bit/s/Hz/m^2 from per-rank delivery expectations.
-
-    ``cached_component[i, c-1]`` is the expected number of tier-(i+1)
-    stations delivering rank c from cache; ``backhaul_component[c-1]`` the
-    expected number of macro stations delivering it over the backhaul.
+    ``w[c]`` weights rank c+1 (request popularity, or a one-hot vector for
+    one sampled request); ``hit[c]`` is its cache-hit component,
+    ``cached[i, c]`` the expected number of tier-(i+1) stations delivering
+    it from cache and ``backhaul[c]`` the expected number of macro stations
+    delivering it over the backhaul. ``constants`` comes from
+    ``_scenario_constants``. Returns ``(p_hit, p_bh, ase_per_rank, ase,
+    cost)``: ASE in bit/s/Hz/m^2 counts cached deliveries at every tier plus
+    macro backhaul deliveries; cost per m^2 is the backhaul term (macro
+    density times the non-cached files times ``p_bh``) plus a storage
+    charge for every deployed cache slot.
     """
-    a = content.request_probabilities()
-    rates = np.asarray(rates, dtype=np.float64)
-    lam = np.asarray(densities_per_m2, dtype=np.float64)
-    return float(a @ _ase_per_rank(lam * rates, cached_component, backhaul_component))
+    lam, lam_rate, uncached_files, slots_per_m2, costs = constants
+    p_hit = float(w @ hit)
+    p_bh = float(w @ backhaul)
+    ase_per_rank = lam_rate @ cached + lam_rate[0] * backhaul
+    ase = float(w @ ase_per_rank)
+    cost = (lam[0] * uncached_files * costs.backhaul_unit_cost * p_bh
+            + costs.cache_unit_cost * slots_per_m2)
+    return p_hit, p_bh, ase_per_rank, ase, cost
 
 
-def area_spectral_efficiency(rho, policies, content: ContentModel, rates,
-                             densities_per_m2) -> float:
-    """ASE: cached deliveries at every tier plus macro backhaul deliveries."""
-    rho = np.asarray(rho, dtype=np.float64)
-    q = _q_matrix(policies, content.library_size)
-    _, backhaul = _hit_backhaul(rho, q)
-    return ase_from_components(q * rho[:, None], backhaul, rates, densities_per_m2,
-                               content)
+def coverage_probability(table: CoverageTable, content: ContentModel,
+                         policies) -> float:
+    """Popularity- and cache-weighted coverage: sum_c a_c sum_i q_i[c] rho_i.
 
-
-def _cost(lam: np.ndarray, library_size: int, cache_sizes, costs,
-          p_bh: float) -> float:
-    backhaul_term = (lam[0] * (library_size - cache_sizes[0])
-                     * costs.backhaul_unit_cost * p_bh)
-    storage_term = costs.cache_unit_cost * float(
-        np.sum(lam * np.array(cache_sizes)))
-    return backhaul_term + storage_term
-
-
-def cost_per_area(per_content_backhaul, policies, densities_per_m2,
-                  content: ContentModel, costs) -> float:
-    """Cost per m^2: backhaul term plus aggregated cache-storage term.
-
-    The backhaul term scales with the macro density, the number of
-    non-cached files (F - S_1), and the popularity-averaged per-content
-    backhaul usage; the storage term charges every deployed cache slot.
+    Upper-bounds the true content-aware coverage probability; the bound is
+    tight for thresholds >= 1 (and exact at unit fading shapes), but as an
+    expected-count bound it may exceed 1. It is ``p_hit``, which needs no
+    densities or costs, so those enter as zeros.
     """
-    a = content.request_probabilities()
-    p_bh = float(a @ np.asarray(per_content_backhaul))
-    return _cost(np.asarray(densities_per_m2, dtype=np.float64), content.library_size,
-                 [p.cache_size for p in policies], costs, p_bh)
+    rho = np.asarray(table.per_tier_density)
+    if len(policies) != rho.size:
+        raise ValueError("one cache policy per tier is required")
+    q = np.stack([cache_probability_vector(p, content.library_size) for p in policies])
+    zeros = np.zeros(rho.size)
+    constants = (zeros, zeros, 0, 0.0, CostModel())
+    return _delivery_metrics(content.request_probabilities(), q.T @ rho,
+                             q * rho[:, None], (1.0 - q[0]) * rho[0], constants)[0]
 
 
 def caching_efficiency(ase: float, cost: float) -> float:
@@ -218,23 +202,19 @@ def analytic_report(scenario: ScenarioConfig,
         memo = {}
     content = scenario.content
     library_size = content.library_size
-    policies = [t.cache for t in scenario.tiers]
-    cache_sizes = [p.cache_size for p in policies]
     a = _memoised(memo, content, content.request_probabilities)
-    q = np.stack([_memoised(memo, (p, library_size), cache_probability_vector,
-                            p, library_size) for p in policies])
-    densities = scenario.densities_per_m2()
-    lam_rate = densities * np.asarray(tier_rates(scenario))
+    q = np.stack([_memoised(memo, (t.cache, library_size), cache_probability_vector,
+                            t.cache, library_size) for t in scenario.tiers])
+    constants = _scenario_constants(scenario)
+    lam, lam_rate, uncached_files = constants[:3]
 
     rho = np.asarray(table.per_tier_density)
     errs = np.asarray(table.error_estimates)
 
-    hit_c, bh_c = _hit_backhaul(rho, q)
-    p_hit = float(a @ hit_c)
-    p_bh = float(a @ bh_c)
-    ase_c = _ase_per_rank(lam_rate, q * rho[:, None], bh_c)
-    ase = float(a @ ase_c)
-    cost = _cost(densities, library_size, cache_sizes, scenario.costs, p_bh)
+    hit_c = q.T @ rho
+    bh_c = (1.0 - q[0]) * rho[0]
+    p_hit, p_bh, ase_c, ase, cost = _delivery_metrics(
+        a, hit_c, q * rho[:, None], bh_c, constants)
     efficiency = caching_efficiency(ase, cost)
 
     # First-order propagation of the per-tier quadrature error bounds.
@@ -243,8 +223,8 @@ def analytic_report(scenario: ScenarioConfig,
     err_hit = float(q_weights @ errs)
     err_bh = bh_weight * errs[0]
     err_ase = float((q_weights * lam_rate) @ errs) + lam_rate[0] * bh_weight * errs[0]
-    err_cost = (densities[0] * (library_size - cache_sizes[0])
-                * scenario.costs.backhaul_unit_cost * bh_weight * errs[0])
+    err_cost = (lam[0] * uncached_files * scenario.costs.backhaul_unit_cost
+                * bh_weight * errs[0])
     err_eff = abs(efficiency) * (
         err_ase / ase if ase > 0 else 0.0) + abs(efficiency) * (err_cost / cost)
 
@@ -271,5 +251,4 @@ def analytic_report(scenario: ScenarioConfig,
             "cost": err_cost,
             "efficiency": err_eff,
         },
-        fingerprint=table.fingerprint,
     )

@@ -25,7 +25,8 @@ import numpy as np
 
 from .channel import sample_links
 from .content import cache_probability_vector, sample_placement_fields
-from .metrics import MONTE_CARLO, MetricReport, caching_efficiency, tier_rates
+from .metrics import (MONTE_CARLO, MetricReport, _delivery_metrics,
+                      _scenario_constants, caching_efficiency)
 from .scenario import ScenarioConfig, SimulationProtocol
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "SnapshotEstimates",
     "snapshot_rng",
     "sample_network",
-    "compute_sir",
     "evaluate_snapshot",
     "run_simulation",
 ]
@@ -125,23 +125,11 @@ def _sir_per_tier(snapshot: Snapshot, scenario: ScenarioConfig):
     powers = _received_powers(snapshot, scenario)
     total = float(sum(p.sum() for p in powers))
     sirs = []
-    for p in powers:
-        interference = total - p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sir = np.where(interference > 0.0, p / interference, np.inf)
-        sirs.append(sir)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p in powers:
+            interference = total - p
+            sirs.append(np.where(interference > 0.0, p / interference, np.inf))
     return sirs
-
-
-def compute_sir(snapshot: Snapshot, scenario: ScenarioConfig,
-                tier_index: int, bs_index: int) -> float:
-    """SIR of one station against all other stations of every tier.
-
-    Returns ``inf`` when no other station exists (zero interference); such
-    a station covers at any finite threshold.
-    """
-    sirs = _sir_per_tier(snapshot, scenario)
-    return float(sirs[tier_index][bs_index])
 
 
 def evaluate_snapshot(snapshot: Snapshot, scenario: ScenarioConfig) -> SnapshotEstimates:
@@ -186,26 +174,20 @@ def _chunk_stats(args):
 
     Integer sums are exactly order-independent; per-snapshot float metrics
     are returned as arrays in snapshot order so the final reduction is
-    deterministic for any worker count.
+    deterministic for any worker count. Each snapshot scores either every
+    rank (``all-weighted``) or one rank drawn by popularity (``sampled``);
+    the rank mask gates the integer counts and ``draw_counts``.
     """
     scenario, protocol, radius, start, stop = args
     F = scenario.content.library_size
     K = scenario.num_tiers
     a = scenario.content.request_probabilities()
     q1 = cache_probability_vector(scenario.tiers[0].cache, F)
-    one_minus_q1 = 1.0 - q1
-    w1 = float(a @ one_minus_q1)
-    lam = scenario.densities_per_m2()
-    rates = np.asarray(tier_rates(scenario))
-    lam_rate = lam * rates
-    s1 = scenario.tiers[0].cache.cache_size
-    bh_cost_scale = lam[0] * (F - s1) * scenario.costs.backhaul_unit_cost
-    storage_cost = scenario.costs.cache_unit_cost * float(
-        np.sum(lam * np.array([t.cache.cache_size for t in scenario.tiers]))
-    )
+    constants = _scenario_constants(scenario)
     sampled = protocol.content_evaluation == "sampled"
+    ranks = np.arange(F)
+    every_rank = np.ones(F, dtype=bool)
 
-    n_snap = stop - start
     hit_counts = np.zeros(F, dtype=np.int64)
     bh_op_counts = np.zeros(F, dtype=np.int64)
     cachcov_sums = np.zeros((K, F), dtype=np.int64)
@@ -213,39 +195,27 @@ def _chunk_stats(args):
     cov_sumsq = np.zeros(K, dtype=np.int64)
     draw_counts = np.zeros(F, dtype=np.int64)
     anycov_count = 0
-    metrics = np.empty((n_snap, 5))  # whit, wbh, wbh_op, ase, cost
+    metrics = np.empty((stop - start, 5))  # p_hit, p_bh, p_bh_op, ase, cost
 
     for k in range(start, stop):
         rng = snapshot_rng(protocol.master_seed, k)
         snapshot = sample_network(rng, scenario, radius)
         est = evaluate_snapshot(snapshot, scenario)
-        n1cov = float(est.covering[0])
         cov_sums += est.covering
         cov_sumsq += est.covering * est.covering
         anycov_count += int(est.any_coverage)
         if sampled:
-            c0 = int(rng.choice(F, p=a))
-            draw_counts[c0] += 1
-            hit_counts[c0] += int(est.hit[c0])
-            bh_op_counts[c0] += int(est.backhaul[c0])
-            cachcov_sums[:, c0] += est.caching_covering[:, c0]
-            whit = float(est.hit[c0])
-            wbh = one_minus_q1[c0] * n1cov
-            wbh_op = float(est.backhaul[c0])
-            ase = float(lam_rate @ est.caching_covering[:, c0]) \
-                + lam_rate[0] * one_minus_q1[c0] * n1cov
-            cost = bh_cost_scale * one_minus_q1[c0] * n1cov + storage_cost
+            mask = ranks == rng.choice(F, p=a)
+            w = mask.astype(np.float64)
         else:
-            hit_counts += est.hit
-            bh_op_counts += est.backhaul
-            cachcov_sums += est.caching_covering
-            whit = float(a @ est.hit)
-            wbh = w1 * n1cov
-            wbh_op = float(a @ est.backhaul)
-            ase = float(lam_rate @ (est.caching_covering @ a)) \
-                + lam_rate[0] * w1 * n1cov
-            cost = bh_cost_scale * w1 * n1cov + storage_cost
-        metrics[k - start] = (whit, wbh, wbh_op, ase, cost)
+            mask, w = every_rank, a
+        draw_counts += mask
+        hit_counts += est.hit & mask
+        bh_op_counts += est.backhaul & mask
+        cachcov_sums += est.caching_covering * mask
+        p_hit, p_bh, _, ase, cost = _delivery_metrics(
+            w, est.hit, est.caching_covering, (1.0 - q1) * est.covering[0], constants)
+        metrics[k - start] = (p_hit, p_bh, float(w @ est.backhaul), ase, cost)
 
     return (hit_counts, bh_op_counts, cachcov_sums, cov_sums, cov_sumsq,
             draw_counts, anycov_count, metrics)
@@ -295,28 +265,11 @@ def run_simulation(scenario: ScenarioConfig,
     else:
         results = [_chunk_stats(c) for c in chunks]
 
-    F = scenario.content.library_size
-    K = scenario.num_tiers
-    hit_counts = np.zeros(F, dtype=np.int64)
-    bh_op_counts = np.zeros(F, dtype=np.int64)
-    cachcov_sums = np.zeros((K, F), dtype=np.int64)
-    cov_sums = np.zeros(K, dtype=np.int64)
-    cov_sumsq = np.zeros(K, dtype=np.int64)
-    draw_counts = np.zeros(F, dtype=np.int64)
-    anycov_count = 0
-    metric_blocks = []
-    for res in results:
-        hit_counts += res[0]
-        bh_op_counts += res[1]
-        cachcov_sums += res[2]
-        cov_sums += res[3]
-        cov_sumsq += res[4]
-        draw_counts += res[5]
-        anycov_count += res[6]
-        metric_blocks.append(res[7])
+    *count_parts, metric_blocks = zip(*results)
+    (hit_counts, bh_op_counts, cachcov_sums, cov_sums, cov_sumsq, draw_counts,
+     anycov_count) = (sum(parts) for parts in count_parts)
     metrics = np.concatenate(metric_blocks, axis=0)
     whit, wbh, wbh_op, ase_arr, cost_arr = metrics.T
-    one_minus_q1 = 1.0 - cache_probability_vector(scenario.tiers[0].cache, F)
     p_hit = float(np.mean(whit))
     p_bh = float(np.mean(wbh))
     p_bh_op = float(np.mean(wbh_op))
@@ -324,23 +277,23 @@ def run_simulation(scenario: ScenarioConfig,
     cost = float(np.mean(cost_arr))
     efficiency = caching_efficiency(ase, cost)
 
+    K = scenario.num_tiers
     rho_mean = cov_sums / n
     rho_se = tuple(
         math.sqrt(max(cov_sumsq[i] / n - rho_mean[i] ** 2, 0.0) / max(n - 1, 1))
         for i in range(K)
     )
 
-    lam = scenario.densities_per_m2()
-    lam_rate = lam * np.asarray(tier_rates(scenario))
-    if proto.content_evaluation == "sampled":
-        draws_safe = np.maximum(draw_counts, 1)
-        per_hit = np.where(draw_counts > 0, hit_counts / draws_safe, np.nan)
-        cachcov_mean = np.where(draw_counts > 0, cachcov_sums / draws_safe, np.nan)
-    else:
-        per_hit = hit_counts / n
-        cachcov_mean = cachcov_sums / n
-    per_bh = one_minus_q1 * float(rho_mean[0])
-    per_ase = lam_rate @ cachcov_mean + lam_rate[0] * per_bh
+    # Per-rank means over the snapshots that scored each rank; a rank never
+    # drawn in sampled mode is 0/0, i.e. nan.
+    with np.errstate(invalid="ignore"):
+        per_hit = hit_counts / draw_counts
+        cachcov_mean = cachcov_sums / draw_counts
+    F = scenario.content.library_size
+    q1 = cache_probability_vector(scenario.tiers[0].cache, F)
+    per_bh = (1.0 - q1) * float(rho_mean[0])
+    per_ase = _delivery_metrics(scenario.content.request_probabilities(), per_hit,
+                                cachcov_mean, per_bh, _scenario_constants(scenario))[2]
 
     return MetricReport(
         provenance=MONTE_CARLO,
@@ -368,5 +321,4 @@ def run_simulation(scenario: ScenarioConfig,
             "cost": _stderr(cost_arr),
             "efficiency": _ratio_stderr(ase_arr, cost_arr),
         },
-        fingerprint=scenario.fingerprint(),
     )

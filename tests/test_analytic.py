@@ -7,12 +7,13 @@ import pytest
 
 from hetcache import analytic
 from hetcache.analytic import (ExponentTable, alzer_coefficient,
-                               build_coverage_table, coverage_probability,
+                               build_coverage_table,
                                interference_laplace_exponent,
                                tier_coverage_density)
 from hetcache.channel import TierRadioParams
 from hetcache.content import TierCachePolicy
 from hetcache.experiments import grid_search, set_parameter
+from hetcache.metrics import analytic_report, coverage_probability
 from hetcache.scenario import IntegrationSettings, default_scenario
 
 TIER2_RADIO_M1 = TierRadioParams(
@@ -151,15 +152,17 @@ def test_coverage_probability_weight_collapse():
     assert coverage_probability(table, s.content, none) == 0.0
 
 
-def test_coverage_table_weighted_matrix():
+def test_report_per_rank_hit_split():
     s = default_scenario()
     table = build_coverage_table(s)
-    assert table.per_content_weighted.shape == (2, 100)
-    # tier 2 caches top-5 under full MPC: weight equals rho_2 there, 0 after
-    assert table.per_content_weighted[1, 0] == pytest.approx(
-        table.per_tier_density[1])
-    assert table.per_content_weighted[1, 10] == 0.0
-    assert table.fingerprint == s.fingerprint()
+    hit = analytic_report(s, table=table).per_content_hit
+    rho1, rho2 = table.per_tier_density
+    assert hit.shape == (100,)
+    # full MPC: tier 2 caches the top 5 and the macro tier the top 20, so
+    # tier 2's weight is rho_2 on rank 1 and 0 from rank 6 on
+    assert hit[0] == pytest.approx(rho1 + rho2)
+    assert hit[10] == rho1
+    assert hit[20] == 0.0
 
 
 def test_bias_raises_effective_threshold_and_lowers_coverage():

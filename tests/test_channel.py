@@ -6,8 +6,7 @@ import pytest
 from scipy.stats import expon, kstest
 
 from hetcache.channel import (LOS, NLOS, TierRadioParams, los_probability,
-                              path_loss, sample_fading, sample_link,
-                              sample_links)
+                              path_loss, sample_fading, sample_links)
 
 
 def make_params(**kw):
@@ -117,8 +116,8 @@ def test_sample_link_near_field_always_los():
     rng = np.random.default_rng(13)
     params = make_params()
     for r in (0.0, 10.0, 80.0):
-        for _ in range(50):
-            assert sample_link(rng, r, params).mode == LOS
+        is_los, _, _ = sample_links(rng, np.full(50, r), params)
+        assert np.all(is_los)
 
 
 def test_sample_links_mode_fraction():
@@ -149,7 +148,8 @@ def test_sample_links_unit_mean_power():
 def test_sample_link_fields_consistent():
     rng = np.random.default_rng(16)
     params = make_params()
-    link = sample_link(rng, 200.0, params)
-    assert link.mode in (LOS, NLOS)
-    assert link.fading_gain >= 0.0
-    assert link.pathloss == path_loss(200.0, link.mode, params)
+    is_los, fading, pathloss = sample_links(rng, np.array([200.0]), params)
+    assert is_los.dtype == bool  # one of the two modes per link
+    mode = LOS if is_los[0] else NLOS
+    assert fading[0] >= 0.0
+    assert pathloss[0] == path_loss(200.0, mode, params)

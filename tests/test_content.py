@@ -2,10 +2,50 @@
 import numpy as np
 import pytest
 
-from hetcache.content import (MPC, RCS, ContentModel, TierCachePolicy,
-                              cache_probability, cache_probability_vector,
-                              placement_contains, sample_placement,
+from hetcache.content import (ContentModel, TierCachePolicy,
+                              cache_probability_vector,
                               sample_placement_fields, zipf_pmf)
+
+
+# Scalar oracles for ``cache_probability_vector`` and
+# ``sample_placement_fields``: one rank at a time, written independently.
+
+def cache_probability(c: int, policy: TierCachePolicy, library_size: int) -> float:
+    """Probability that rank ``c`` sits in one station's cache.
+
+    MPC contributes 1 for c <= S; RCS contributes (number of length-S
+    windows containing c) / (F - S + 1). A size-S cache stores the window
+    {start, ..., start + S - 1}, so the probabilities sum to S over c.
+    """
+    if not 1 <= c <= library_size:
+        raise ValueError(f"content rank out of range [1, {library_size}]")
+    s = policy.cache_size
+    if s > library_size:
+        raise ValueError("cache_size exceeds library_size")
+    if s == 0:
+        return 0.0
+    n_windows = library_size - s + 1
+    count = min(c, n_windows) - max(1, c - s + 1) + 1
+    rcs = count / n_windows
+    mpc = 1.0 if c <= s else 0.0
+    return policy.mpc_fraction * mpc + (1.0 - policy.mpc_fraction) * rcs
+
+
+def placement_contains(c: int, is_mpc: np.ndarray, window_start: np.ndarray,
+                       cache_size: int) -> np.ndarray:
+    """Whether each station described by (is_mpc, window_start) caches rank c."""
+    if cache_size == 0:
+        return np.zeros(is_mpc.shape, dtype=bool)
+    in_mpc = is_mpc & (c <= cache_size)
+    in_window = ~is_mpc & (window_start <= c) & (c < window_start + cache_size)
+    return in_mpc | in_window
+
+
+def cached_sets(is_mpc, window_start, cache_size, library_size):
+    """Each station's cached ranks, as a frozenset per station."""
+    flags = np.array([placement_contains(c, is_mpc, window_start, cache_size)
+                      for c in range(1, library_size + 1)])
+    return [frozenset(int(c) + 1 for c in np.nonzero(col)[0]) for col in flags.T]
 
 
 def test_zipf_uniform_limit():
@@ -105,29 +145,30 @@ def test_cache_probability_matches_vector():
 
 def test_sample_placement_mpc_deterministic():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        real = sample_placement(rng, TierCachePolicy(5, 1.0), 100)
-        assert real.cached_indices == frozenset(range(1, 6))
-        assert real.strategy_label == MPC
+    is_mpc, starts = sample_placement_fields(rng, TierCachePolicy(5, 1.0), 100, 20)
+    assert np.all(is_mpc)
+    for cached in cached_sets(is_mpc, starts, 5, 100):
+        assert cached == frozenset(range(1, 6))
 
 
 def test_sample_placement_full_library_window():
     rng = np.random.default_rng(1)
-    real = sample_placement(rng, TierCachePolicy(10, 0.0), 10)
-    assert real.cached_indices == frozenset(range(1, 11))
-    assert real.strategy_label == RCS
+    is_mpc, starts = sample_placement_fields(rng, TierCachePolicy(10, 0.0), 10, 1)
+    assert cached_sets(is_mpc, starts, 10, 10) == [frozenset(range(1, 11))]
+    assert not is_mpc[0]  # RCS
 
 
 def test_sample_placement_empty_cache():
     rng = np.random.default_rng(2)
-    assert sample_placement(rng, TierCachePolicy(0, 0.5), 10).cached_indices == frozenset()
+    is_mpc, starts = sample_placement_fields(rng, TierCachePolicy(0, 0.5), 10, 1)
+    assert cached_sets(is_mpc, starts, 0, 10) == [frozenset()]
 
 
 def test_sample_placement_window_shape():
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        real = sample_placement(rng, TierCachePolicy(4, 0.0), 12)
-        idx = sorted(real.cached_indices)
+    is_mpc, starts = sample_placement_fields(rng, TierCachePolicy(4, 0.0), 12, 200)
+    for cached in cached_sets(is_mpc, starts, 4, 12):
+        idx = sorted(cached)
         assert len(idx) == 4
         assert idx[-1] - idx[0] == 3  # contiguous
         assert 1 <= idx[0] and idx[-1] <= 12

@@ -5,78 +5,118 @@ import math
 import numpy as np
 import pytest
 
-from hetcache.analytic import build_coverage_table
+from hetcache import metrics
+from hetcache.analytic import CoverageTable, build_coverage_table
 from hetcache.content import ContentModel, TierCachePolicy
-from hetcache.metrics import (UndefinedEfficiencyError, analytic_report,
-                              apply_range_expansion, area_spectral_efficiency,
-                              caching_efficiency, cost_per_area,
-                              hit_and_backhaul, per_content_hit_backhaul,
-                              tier_rates)
-from hetcache.scenario import CostModel, default_scenario
+from hetcache.experiments import set_parameter
+from hetcache.metrics import (MetricReport, UndefinedEfficiencyError,
+                              analytic_report, apply_range_expansion,
+                              caching_efficiency, tier_rates)
+from hetcache.scenario import PER_M2, CostModel, default_scenario
 
 CONTENT = ContentModel(library_size=100, popularity_exponent=1.0)
 
 
+def hand_built(rho, policies, densities_per_m2=(1e-9, 1e-5), content=CONTENT,
+               costs=CostModel()):
+    """Default radios with the given caches and densities, and a table of ``rho``.
+
+    The first ``len(policies)`` default tiers are kept; the table carries
+    the given covering-station expectations with zero error bounds.
+    """
+    base = default_scenario()
+    tiers = tuple(dataclasses.replace(t, density=lam, cache=p)
+                  for t, lam, p in zip(base.tiers, densities_per_m2, policies))
+    scenario = dataclasses.replace(base, tiers=tiers, content=content, costs=costs,
+                                   density_unit=PER_M2)
+    return scenario, CoverageTable(tuple(rho), (0.0,) * len(rho))
+
+
+def hand_built_report(*args, **kwargs):
+    scenario, table = hand_built(*args, **kwargs)
+    return analytic_report(scenario, table=table)
+
+
+@pytest.fixture
+def no_efficiency(monkeypatch):
+    """Let ``analytic_report`` finish on a zero-cost network.
+
+    Such a network has no efficiency (``caching_efficiency`` raises), so
+    the division is stubbed out to read its ASE and cost.
+    """
+    monkeypatch.setattr(metrics, "caching_efficiency", lambda ase, cost: math.nan)
+    with np.errstate(invalid="ignore"):  # its error bound divides by the cost
+        yield
+
+
 def test_full_macro_cache_kills_backhaul():
     policies = [TierCachePolicy(100, 1.0), TierCachePolicy(5, 1.0)]
-    _, p_bh = hit_and_backhaul([0.4, 0.3], policies, CONTENT)
-    assert p_bh == 0.0
+    report = hand_built_report([0.4, 0.3], policies)
+    assert report.p_bh == 0.0
 
 
 def test_empty_caches_kill_hits():
     policies = [TierCachePolicy(0, 1.0), TierCachePolicy(0, 1.0)]
-    p_hit, p_bh = hit_and_backhaul([0.4, 0.3], policies, CONTENT)
-    assert p_hit == 0.0
-    assert p_bh == pytest.approx(0.4)  # every request goes over the backhaul
+    report = hand_built_report([0.4, 0.3], policies)
+    assert report.p_hit == 0.0
+    assert report.p_bh == pytest.approx(0.4)  # every request goes over the backhaul
 
 
 def test_hit_backhaul_decomposition_identity():
     # p_hit + p_bh equals the popularity average of the combined split
-    rho = [0.37, 0.22]
     policies = [TierCachePolicy(20, 0.6), TierCachePolicy(5, 0.3)]
-    p_hit, p_bh = hit_and_backhaul(rho, policies, CONTENT)
+    report = hand_built_report([0.37, 0.22], policies)
     a = CONTENT.request_probabilities()
-    hit_c, bh_c = per_content_hit_backhaul(rho, policies, CONTENT)
-    combined = float(a @ (hit_c + bh_c))
-    assert p_hit + p_bh == pytest.approx(combined, rel=1e-12)
+    combined = float(a @ (report.per_content_hit + report.per_content_backhaul))
+    assert report.p_hit + report.p_bh == pytest.approx(combined, rel=1e-12)
 
 
 def test_backhaul_decreases_with_popularity_exponent():
     s = default_scenario()
     table = build_coverage_table(s)
-    policies = [t.cache for t in s.tiers]
     values = []
     for kappa in (0.5, 1.0, 1.5):
         content = ContentModel(library_size=100, popularity_exponent=kappa)
-        values.append(hit_and_backhaul(table.per_tier_density, policies, content)[1])
+        values.append(analytic_report(dataclasses.replace(s, content=content),
+                                      table=table).p_bh)
     assert values[0] > values[1] > values[2]
 
 
 def test_ase_single_tier_collapse():
     policies = [TierCachePolicy(100, 1.0)]
     content = ContentModel(library_size=100)
-    ase = area_spectral_efficiency([0.5], policies, content, rates=[2.0],
-                                   densities_per_m2=[1e-5])
+    s, table = hand_built([0.5], policies, densities_per_m2=[1e-5], content=content)
+    # sir_threshold 3 delivers log2(1 + 3) = 2 bit/s/Hz
+    s = set_parameter(s, "tiers[1].radio.sir_threshold", 3.0)
+    assert tier_rates(s) == (2.0,)
+    ase = analytic_report(s, table=table).ase
     assert ase == pytest.approx(0.5 * 1e-5 * 2.0, rel=1e-12)
 
 
-def test_ase_zero_density_network():
+def test_ase_zero_density_network(no_efficiency):
     policies = [TierCachePolicy(20, 1.0), TierCachePolicy(5, 1.0)]
-    ase = area_spectral_efficiency([0.4, 0.3], policies, CONTENT,
-                                   rates=[1.0, 2.0], densities_per_m2=[0.0, 0.0])
-    assert ase == 0.0
+    report = hand_built_report([0.4, 0.3], policies, densities_per_m2=[0.0, 0.0])
+    assert report.ase == 0.0
 
 
-def test_cost_trivial_zeros():
+def test_cost_trivial_zeros(no_efficiency):
+    # full macro cache: no per-content backhaul, and storage is free
     policies = [TierCachePolicy(100, 1.0), TierCachePolicy(5, 1.0)]
     costs = CostModel(backhaul_unit_cost=1.0, cache_unit_cost=0.0)
-    bh_c = np.zeros(100)  # full macro cache: no per-content backhaul
-    omega = cost_per_area(bh_c, policies, [1e-9, 1e-5], CONTENT, costs)
-    assert omega == 0.0
-    omega = cost_per_area(np.full(100, 0.3),
-                          [TierCachePolicy(20, 1.0), TierCachePolicy(5, 1.0)],
-                          [0.0, 0.0], CONTENT, CostModel())
-    assert omega == 0.0
+    report = hand_built_report([0.3, 0.2], policies, costs=costs)
+    assert np.all(report.per_content_backhaul == 0.0)
+    assert report.cost == 0.0
+    # no stations at all
+    report = hand_built_report(
+        [0.3, 0.2], [TierCachePolicy(20, 1.0), TierCachePolicy(5, 1.0)],
+        densities_per_m2=[0.0, 0.0])
+    assert report.cost == 0.0
+
+
+def test_zero_cost_network_has_no_efficiency():
+    policies = [TierCachePolicy(20, 1.0), TierCachePolicy(5, 1.0)]
+    with pytest.raises(UndefinedEfficiencyError):
+        hand_built_report([0.4, 0.3], policies, densities_per_m2=[0.0, 0.0])
 
 
 def test_efficiency_trivials_and_homogeneity():
@@ -184,3 +224,23 @@ def test_tier_counts_other_than_two():
         mc = run_simulation(s)
         assert len(mc.per_tier_coverage_density) == s.num_tiers
         assert mc.p_hit + mc.p_bh_operational <= 1.0 + 1e-12
+
+
+def test_shared_table_reports_equal_fresh_table_reports():
+    # one table serves every row of a cache x content grid, as in a sweep;
+    # each row's report must be the one its own scenario's table gives
+    s = default_scenario()
+    table = build_coverage_table(s)
+    memo = {}
+    for cache_size in (5, 9):
+        for kappa in (1.0, 0.6):
+            row = set_parameter(s, "tiers[2].cache.cache_size", cache_size)
+            row = set_parameter(row, "content.popularity_exponent", kappa)
+            shared = analytic_report(row, table=table, memo=memo)
+            fresh = analytic_report(row, table=build_coverage_table(row))
+            for f in dataclasses.fields(MetricReport):
+                got, want = getattr(shared, f.name), getattr(fresh, f.name)
+                if isinstance(want, np.ndarray):
+                    assert np.array_equal(got, want), f.name
+                else:
+                    assert got == want, f.name

@@ -6,9 +6,11 @@ import pytest
 from scipy.stats import kstest
 
 from hetcache.channel import TierRadioParams
-from hetcache.content import ContentModel, TierCachePolicy
+from hetcache.content import (ContentModel, TierCachePolicy,
+                              cache_probability_vector)
 from hetcache.experiments import set_parameter
-from hetcache.montecarlo import (Snapshot, TierSnapshot, compute_sir,
+from hetcache.metrics import tier_rates
+from hetcache.montecarlo import (Snapshot, TierSnapshot, _sir_per_tier,
                                  evaluate_snapshot, run_simulation,
                                  sample_network, snapshot_rng)
 from hetcache.scenario import (CostModel, IntegrationSettings, ScenarioConfig,
@@ -87,7 +89,7 @@ def test_single_station_has_infinite_sir():
     s = single_tier_scenario()
     snap = Snapshot([manual_tier([1e-3], tx_power=4.0, cache_size=5,
                                  library_size=10)])
-    assert compute_sir(snap, s, 0, 0) == np.inf
+    assert _sir_per_tier(snap, s)[0][0] == np.inf
     est = evaluate_snapshot(snap, s)
     assert est.covering[0] == 1  # infinite SIR counts as covering
 
@@ -96,8 +98,9 @@ def test_two_identical_stations_sir_one():
     s = single_tier_scenario()
     snap = Snapshot([manual_tier([2e-4, 2e-4], tx_power=4.0, cache_size=5,
                                  library_size=10)])
-    assert compute_sir(snap, s, 0, 0) == pytest.approx(1.0, rel=1e-12)
-    assert compute_sir(snap, s, 0, 1) == pytest.approx(1.0, rel=1e-12)
+    sir = _sir_per_tier(snap, s)[0]
+    assert sir[0] == pytest.approx(1.0, rel=1e-12)
+    assert sir[1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_three_station_hand_computed_sir():
@@ -108,9 +111,10 @@ def test_three_station_hand_computed_sir():
     expected0 = 3.2e-3 / (9.6e-5 + 8e-6)
     expected1 = 9.6e-5 / (3.2e-3 + 8e-6)
     expected2 = 8e-6 / (3.2e-3 + 9.6e-5)
-    assert compute_sir(snap, s, 0, 0) == pytest.approx(expected0, rel=1e-12)
-    assert compute_sir(snap, s, 0, 1) == pytest.approx(expected1, rel=1e-12)
-    assert compute_sir(snap, s, 0, 2) == pytest.approx(expected2, rel=1e-12)
+    sir = _sir_per_tier(snap, s)[0]
+    assert sir[0] == pytest.approx(expected0, rel=1e-12)
+    assert sir[1] == pytest.approx(expected1, rel=1e-12)
+    assert sir[2] == pytest.approx(expected2, rel=1e-12)
 
 
 def test_evaluate_snapshot_pinned_two_tier():
@@ -207,6 +211,45 @@ def test_run_simulation_single_snapshot_reproduces_indicators():
     assert report.p_hit == pytest.approx(float(weights @ est.hit), abs=1e-15)
     assert report.per_tier_coverage_density == tuple(est.covering.astype(float))
     assert report.stderr["p_hit"] == 0.0
+
+
+@pytest.mark.parametrize("mode", ["all-weighted", "sampled"])
+def test_single_snapshot_metrics_match_closed_forms(mode):
+    # a denser macro tier, half-MPC macro caches and low thresholds, so that
+    # on a 2.5 km disk both tiers cover and every term of p_bh, ASE and
+    # cost is nonzero
+    s = set_parameter(default_scenario(), "tiers[1].density", 1.0)
+    s = set_parameter(s, "tiers[1].cache.mpc_fraction", 0.5)
+    s = set_parameter(s, "tiers[*].radio.sir_threshold", 0.02)
+    proto = SimulationProtocol(num_snapshots=1, region_radius=2500.0,
+                               master_seed=5, content_evaluation=mode)
+    report = run_simulation(s, protocol=proto)
+
+    rng = snapshot_rng(5, 0)
+    est = evaluate_snapshot(sample_network(rng, s, region_radius=2500.0), s)
+    F = s.content.library_size
+    a = s.content.request_probabilities()
+    if mode == "sampled":
+        a = np.eye(F)[rng.choice(F, p=a)]  # weight 1 on the one drawn rank
+    n1 = est.covering[0]
+    assert n1 > 0 and np.all(est.caching_covering.sum(axis=1) > 0)
+    q1 = cache_probability_vector(s.tiers[0].cache, F)
+    lam = s.densities_per_m2()
+    rate = tier_rates(s)
+    p_hit = sum(a[c] * est.hit[c] for c in range(F))
+    p_bh = sum(a[c] * (1.0 - q1[c]) * n1 for c in range(F))
+    ase = sum(a[c] * (lam[0] * rate[0] * est.caching_covering[0, c]
+                      + lam[1] * rate[1] * est.caching_covering[1, c]
+                      + lam[0] * rate[0] * (1.0 - q1[c]) * n1)
+              for c in range(F))
+    costs = s.costs
+    cost = (lam[0] * (F - 20) * costs.backhaul_unit_cost * p_bh
+            + costs.cache_unit_cost * (lam[0] * 20 + lam[1] * 5))
+    assert report.p_hit == pytest.approx(p_hit, rel=1e-12)
+    assert report.p_bh == pytest.approx(p_bh, rel=1e-12)
+    assert report.ase == pytest.approx(ase, rel=1e-12)
+    assert report.cost == pytest.approx(cost, rel=1e-12)
+    assert report.efficiency == pytest.approx(ase / cost, rel=1e-12)
 
 
 def test_run_simulation_worker_count_invariance():
