@@ -15,6 +15,7 @@ fixed config and seed reproduce byte-identical CSV files. A sidecar
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -23,7 +24,9 @@ import numpy as np
 
 from . import __version__
 from .analytic import build_coverage_table
-from .metrics import MetricReport, analytic_report
+from .metrics import MetricReport, analytic_columns
+# Grid rows do not call it; perfbench/tracing.py wraps it at this lookup site.
+from .metrics import analytic_report  # noqa: F401
 from .montecarlo import run_simulation
 from .quadrature import QuadratureError
 from .scenario import _INT_FIELDS, ConfigError, ScenarioConfig
@@ -161,11 +164,13 @@ def get_parameter(scenario: ScenarioConfig, path: str):
     return node
 
 
-def _report_cells(report: MetricReport | None) -> dict:
-    cells = dict.fromkeys(_METRIC_COLUMNS + _SE_COLUMNS + _ERR_COLUMNS
-                          + ["provenance"], "")
-    if report is None:
-        return cells
+# Every metric cell of a row, blank, in row order.
+_BLANK_CELLS = dict.fromkeys(_METRIC_COLUMNS + _SE_COLUMNS + _ERR_COLUMNS
+                             + ["provenance"], "")
+
+
+def _report_cells(report: MetricReport) -> dict:
+    cells = dict(_BLANK_CELLS)
     cells["provenance"] = report.provenance
     for name in ("coverage", "p_hit", "p_bh", "ase", "cost", "efficiency"):
         cells[name] = getattr(report, name)
@@ -178,17 +183,13 @@ def _report_cells(report: MetricReport | None) -> dict:
         for key, value in report.stderr.items():
             if f"se_{key}" in _SE_COLUMNS:
                 cells[f"se_{key}"] = value
-    if report.error_estimates:
-        for key, value in report.error_estimates.items():
-            if f"err_{key}" in _ERR_COLUMNS:
-                cells[f"err_{key}"] = value
     return cells
 
 
 @dataclass
 class _SweepCache:
     """Coverage tables of one sweep, the exponent tables they share, and
-    the content vectors its reports share (``analytic_report``'s ``memo``).
+    the content vectors its rows share (``analytic_columns``'s ``memo``).
 
     One lives for one sweep, grid search or preset call, so every call
     pays for its own tabulation and no state outlives it.
@@ -199,30 +200,83 @@ class _SweepCache:
     vectors: dict = dataclasses.field(default_factory=dict)
 
 
+def _error_row(engine: str, message: str) -> dict:
+    return {"engine": engine, "status": "error", "error": message, **_BLANK_CELLS}
+
+
+# The cells every ok analytic row shares, in row order.
+_ANALYTIC_ROW = {"engine": "analytic", "status": "ok", "error": "", **_BLANK_CELLS,
+                 "provenance": "analytic", "p_bh_operational": None,
+                 "coverage_all_bs": None}
+
+
+# Most rows x ranks in one ``analytic_columns`` call. A block of a cache-size
+# axis has up to F rows, so its (rows, tiers, ranks) arrays would otherwise
+# grow as F^2; this keeps each near 1 MB at two tiers, and leaves blocks of
+# a 100-file library whole. Rows do not depend on the split.
+_BATCH_ROW_RANKS = 1 << 16
+
+
+def _analytic_rows(scenarios, cache: _SweepCache) -> list:
+    """Analytic row dicts of ``scenarios``, in order.
+
+    Each row's coverage table comes from ``cache`` by radio fingerprint
+    (built on a miss), so one batch may span several tables. Each run of
+    rows with one library size is one ``analytic_columns`` call, split
+    only past ``_BATCH_ROW_RANKS``. A row whose table fails or whose cost
+    is zero gets status ``error``.
+    """
+    rows = [None] * len(scenarios)
+    ready = []
+    for b, scenario in enumerate(scenarios):
+        key = scenario.radio_fingerprint()
+        table = cache.tables.get(key)
+        if table is None:
+            try:
+                table = build_coverage_table(scenario, exponents=cache.exponents)
+            except (QuadratureError, ValueError) as exc:
+                rows[b] = _error_row("analytic", str(exc))
+                continue
+            cache.tables[key] = table
+        ready.append((b, scenario, table))
+    batches = []
+    for library_size, run in itertools.groupby(
+            ready, lambda item: item[1].content.library_size):
+        run = list(run)
+        step = max(1, _BATCH_ROW_RANKS // library_size)
+        batches += (run[lo:lo + step] for lo in range(0, len(run), step))
+    for batch_rows in batches:
+        index, batch, tables = zip(*batch_rows)
+        columns = analytic_columns(batch, tables, cache.vectors)
+        values, errors = columns.scalars()
+        names = [*values, "cost_over_backhaul_unit", *(f"err_{k}" for k in errors),
+                 *(f"rho_{i}" for i in range(1, columns.rho.shape[1] + 1))]
+        cost_per_unit = list(columns.values["cost"]
+                             / [s.costs.backhaul_unit_cost for s in batch])
+        cells = zip(*values.values(), cost_per_unit, *errors.values(),
+                    *columns.rho.T.tolist())
+        for b, failure, row_cells in zip(index, columns.failures, cells):
+            if failure is None:
+                rows[b] = {**_ANALYTIC_ROW, **dict(zip(names, row_cells))}
+            else:
+                rows[b] = _error_row("analytic", failure)
+    return rows
+
+
 def _evaluate_row(scenario: ScenarioConfig, engine: str, workers: int,
                   cache: _SweepCache | None = None):
     """One (grid point, engine) evaluation -> row dict."""
-    row = {"engine": engine, "status": "ok", "error": ""}
     if cache is None:
         cache = _SweepCache()
+    if engine == "analytic":
+        return _analytic_rows([scenario], cache)[0]
     try:
-        if engine == "analytic":
-            key = scenario.radio_fingerprint()
-            table = cache.tables.get(key)
-            if table is None:
-                table = build_coverage_table(scenario, exponents=cache.exponents)
-                cache.tables[key] = table
-            report = analytic_report(scenario, table=table, memo=cache.vectors)
-        else:
-            report = run_simulation(scenario, workers=workers)
-        cells = _report_cells(report)
-        cells["cost_over_backhaul_unit"] = (
-            report.cost / scenario.costs.backhaul_unit_cost)
-        row.update(cells)
+        report = run_simulation(scenario, workers=workers)
     except (QuadratureError, ValueError) as exc:
-        row["status"] = "error"
-        row["error"] = str(exc)
-        row.update(_report_cells(None))
+        return _error_row(engine, str(exc))
+    row = {"engine": engine, "status": "ok", "error": ""}
+    row.update(_report_cells(report))
+    row["cost_over_backhaul_unit"] = report.cost / scenario.costs.backhaul_unit_cost
     return row
 
 
@@ -257,19 +311,33 @@ def _grid_rows(scenario: ScenarioConfig, axes, engine: str, workers: int,
     ``axes`` is an ordered sequence of (path, grid) pairs; the last varies
     fastest. Each point is built from the deepest prefix it shares with
     the previous one, as nested loops would: ``set_parameter`` runs once
-    per changed value, in path order. Failed rows are yielded with status
-    ``error``; a bad parameter value raises where it is set.
+    per changed value, in path order. The points of one innermost grid
+    form a block that the analytic engine evaluates in one batch. Failed
+    rows are yielded with status ``error``; a bad parameter value raises
+    where it is set, after the rows of its block before it.
     """
     point = {} if point is None else point
-    if len(point) == len(axes):
-        row = dict(point)
-        row.update(_evaluate_row(scenario, engine, workers, cache))
-        yield row
-        return
     path, grid = axes[len(point)]
+    if len(point) < len(axes) - 1:
+        for value in grid:
+            yield from _grid_rows(set_parameter(scenario, path, value), axes, engine,
+                                  workers, cache, {**point, path: value})
+        return
+    scenarios, failure = [], None
     for value in grid:
-        yield from _grid_rows(set_parameter(scenario, path, value), axes, engine,
-                              workers, cache, {**point, path: value})
+        try:
+            scenarios.append(set_parameter(scenario, path, value))
+        except (ValueError, TypeError) as exc:  # raised once the rows before it are out
+            failure = exc
+            break
+    if engine == "analytic":
+        rows = _analytic_rows(scenarios, cache)
+    else:
+        rows = [_evaluate_row(s, engine, workers, cache) for s in scenarios]
+    for value, cells in zip(grid, rows):
+        yield {**point, path: value, **cells}
+    if failure is not None:
+        raise failure
 
 
 def grid_search(config: ScenarioConfig, variables: dict,

@@ -6,9 +6,15 @@ each tier and the macro backhaul deliveries ``backhaul[c]``. One function,
 ``_delivery_metrics``, weights them by request popularity into the
 cache-hit and backhaul-usage probabilities, the area spectral efficiency
 (ASE) and the cost per unit area; ``caching_efficiency`` divides the last
-two. ``analytic_report`` calls it with the quadrature engine's expected
-counts, the Monte Carlo engine once per snapshot and once on the pooled
-per-rank means, and ``coverage_probability`` for the hit component alone.
+two.
+
+Every input of ``_delivery_metrics`` carries a leading batch axis, one row
+per evaluation: ``analytic_columns`` evaluates B scenarios (a block of
+grid rows) in one call, ``analytic_report`` is its batch of one, the Monte
+Carlo engine makes one call per chunk of snapshots and one on the pooled
+per-rank means, and ``coverage_probability`` one for the hit component
+alone. Each row's reductions run in the order of the unbatched vector
+products, so a row's figures do not depend on the batch it is in.
 Backhaul is attributed solely to tier 1, the macro tier: lower tiers
 without the requested content simply do not serve.
 
@@ -26,7 +32,7 @@ import numpy as np
 
 from .analytic import CoverageTable, build_coverage_table
 from .content import ContentModel, cache_probability_vector
-from .scenario import CostModel, IntegrationSettings, ScenarioConfig
+from .scenario import IntegrationSettings, ScenarioConfig
 
 __all__ = [
     "UndefinedEfficiencyError",
@@ -35,6 +41,8 @@ __all__ = [
     "coverage_probability",
     "caching_efficiency",
     "apply_range_expansion",
+    "AnalyticColumns",
+    "analytic_columns",
     "analytic_report",
 ]
 
@@ -89,43 +97,58 @@ def tier_rates(scenario: ScenarioConfig) -> tuple:
     )
 
 
-def _scenario_constants(scenario: ScenarioConfig):
-    """The scenario's inputs to ``_delivery_metrics``.
+def _scenario_constants(scenarios):
+    """The inputs to ``_delivery_metrics`` of B scenarios, one row each.
 
-    ``(lam, lam_rate, uncached_files, slots_per_m2, costs)``: per-tier
-    densities per m^2, densities times delivered rates, the F - S_1 files
-    the macro tier does not cache, the cache slots deployed per m^2 and the
-    unit costs.
+    ``(lam, lam_rate, uncached_files, slots_per_m2, backhaul_unit_cost,
+    cache_unit_cost)``: (B, K) per-tier densities per m^2 and densities
+    times delivered rates; (B,) the F - S_1 files the macro tier does not
+    cache, the cache slots deployed per m^2 and the two unit costs.
     """
-    lam = scenario.densities_per_m2()
-    cache_sizes = [t.cache.cache_size for t in scenario.tiers]
-    return (lam, lam * np.asarray(tier_rates(scenario)),
-            scenario.content.library_size - cache_sizes[0],
-            float(np.sum(lam * np.array(cache_sizes))), scenario.costs)
+    lam = np.stack([s.densities_per_m2() for s in scenarios])
+    cache_sizes = np.array([[t.cache.cache_size for t in s.tiers] for s in scenarios])
+    return (lam, lam * np.array([tier_rates(s) for s in scenarios]),
+            np.array([s.content.library_size for s in scenarios]) - cache_sizes[:, 0],
+            np.sum(lam * cache_sizes, axis=1),
+            np.array([s.costs.backhaul_unit_cost for s in scenarios]),
+            np.array([s.costs.cache_unit_cost for s in scenarios]))
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (B, n) stacks (either may broadcast).
+
+    Row b is summed exactly as the vector product ``x[b] @ y[b]``: each
+    stacked (1, n) @ (n, 1) product runs the same BLAS dot. A plain
+    ``(x * y).sum(1)``, ``einsum`` or matrix-vector product does not, and
+    CSV cells are printed to 17 digits.
+    """
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def _delivery_metrics(w: np.ndarray, hit: np.ndarray, cached: np.ndarray,
                       backhaul: np.ndarray, constants):
     """Hit, backhaul, ASE and cost from per-rank delivery components.
 
-    ``w[c]`` weights rank c+1 (request popularity, or a one-hot vector for
-    one sampled request); ``hit[c]`` is its cache-hit component,
-    ``cached[i, c]`` the expected number of tier-(i+1) stations delivering
-    it from cache and ``backhaul[c]`` the expected number of macro stations
-    delivering it over the backhaul. ``constants`` comes from
-    ``_scenario_constants``. Returns ``(p_hit, p_bh, ase_per_rank, ase,
-    cost)``: ASE in bit/s/Hz/m^2 counts cached deliveries at every tier plus
+    Row b of every argument is one evaluation. ``w[b, c]`` weights rank
+    c+1 (request popularity, or a one-hot vector for one sampled request);
+    ``hit[b, c]`` is its cache-hit component, ``cached[b, i, c]`` the
+    expected number of tier-(i+1) stations delivering it from cache and
+    ``backhaul[b, c]`` the expected number of macro stations delivering it
+    over the backhaul. ``constants`` comes from ``_scenario_constants``;
+    a batch of one scenario broadcasts over every row. Returns ``(p_hit,
+    p_bh, ase_per_rank, ase, cost)``, (B,) arrays and the (B, F) ASE per
+    rank: ASE in bit/s/Hz/m^2 counts cached deliveries at every tier plus
     macro backhaul deliveries; cost per m^2 is the backhaul term (macro
     density times the non-cached files times ``p_bh``) plus a storage
     charge for every deployed cache slot.
     """
-    lam, lam_rate, uncached_files, slots_per_m2, costs = constants
-    p_hit = float(w @ hit)
-    p_bh = float(w @ backhaul)
-    ase_per_rank = lam_rate @ cached + lam_rate[0] * backhaul
-    ase = float(w @ ase_per_rank)
-    cost = (lam[0] * uncached_files * costs.backhaul_unit_cost * p_bh
-            + costs.cache_unit_cost * slots_per_m2)
+    lam, lam_rate, uncached_files, slots_per_m2, backhaul_cost, cache_cost = constants
+    p_hit = _dot(w, hit)
+    p_bh = _dot(w, backhaul)
+    ase_per_rank = (lam_rate[:, None, :] @ cached)[:, 0] + lam_rate[:, :1] * backhaul
+    ase = _dot(w, ase_per_rank)
+    cost = (lam[:, 0] * uncached_files * backhaul_cost * p_bh
+            + cache_cost * slots_per_m2)
     return p_hit, p_bh, ase_per_rank, ase, cost
 
 
@@ -142,17 +165,20 @@ def coverage_probability(table: CoverageTable, content: ContentModel,
     if len(policies) != rho.size:
         raise ValueError("one cache policy per tier is required")
     q = np.stack([cache_probability_vector(p, content.library_size) for p in policies])
-    zeros = np.zeros(rho.size)
-    constants = (zeros, zeros, 0, 0.0, CostModel())
-    return _delivery_metrics(content.request_probabilities(), q.T @ rho,
-                             q * rho[:, None], (1.0 - q[0]) * rho[0], constants)[0]
+    zeros = np.zeros((1, rho.size))
+    constants = (zeros, zeros, 0, 0.0, 0.0, 0.0)
+    return float(_delivery_metrics(
+        content.request_probabilities()[None], (q.T @ rho)[None],
+        (q * rho[:, None])[None], ((1.0 - q[0]) * rho[0])[None], constants)[0][0])
+
+
+_ZERO_COST = "cost per area is zero (empty network); efficiency is undefined"
 
 
 def caching_efficiency(ase: float, cost: float) -> float:
     """ASE per unit cost; undefined (raises) for a zero-cost network."""
     if cost == 0.0:
-        raise UndefinedEfficiencyError(
-            "cost per area is zero (empty network); efficiency is undefined")
+        raise UndefinedEfficiencyError(_ZERO_COST)
     return ase / cost
 
 
@@ -184,6 +210,90 @@ def _memoised(memo: dict, key, make, *args) -> np.ndarray:
     return value
 
 
+@dataclass(frozen=True, eq=False)
+class AnalyticColumns:
+    """Analytic metrics of B scenarios as columns; row b is scenario b.
+
+    ``values`` maps ``coverage``, ``bound_value``, ``p_hit``, ``p_bh``,
+    ``ase``, ``cost`` and ``efficiency`` to (B,) arrays, and
+    ``error_estimates`` maps the first-order error bound of each metric
+    (``coverage`` to ``efficiency``) to (B,) arrays. ``rho`` holds the
+    (B, K) coverage densities, ``per_rank`` the (B, F) per-rank hit,
+    backhaul and ASE components. ``failures[b]`` is the
+    ``UndefinedEfficiencyError`` message of a row whose cost is 0, whose
+    efficiency and its error are then meaningless, else None.
+    """
+
+    values: dict
+    error_estimates: dict
+    rho: np.ndarray
+    per_rank: tuple
+    failures: tuple
+
+    def scalars(self):
+        """``values`` and ``error_estimates`` as lists of report scalars.
+
+        Cost, efficiency and the errors other than those of coverage and
+        ``p_hit`` are numpy float64, the rest Python floats: the types an
+        analytic ``MetricReport`` has always held, which row digests see
+        through ``repr``.
+        """
+        return ({name: list(column) if name in ("cost", "efficiency") else column.tolist()
+                 for name, column in self.values.items()},
+                {name: column.tolist() if name in ("coverage", "p_hit") else list(column)
+                 for name, column in self.error_estimates.items()})
+
+
+def analytic_columns(scenarios, tables, memo: dict | None = None) -> AnalyticColumns:
+    """Evaluate every metric of B scenarios with the quadrature engine at once.
+
+    ``tables[b]`` is the coverage table of ``scenarios[b]``'s radio side;
+    every scenario must have the same library size. ``memo`` is a dict
+    shared by the evaluations of one sweep: it keeps, read-only, the
+    request probabilities of each content model and the caching vector of
+    each (cache policy, library size). Each row equals the batch of one.
+    """
+    if memo is None:
+        memo = {}
+    a = np.stack([_memoised(memo, s.content, s.content.request_probabilities)
+                  for s in scenarios])
+    q = np.stack([_memoised(memo, (t.cache, s.content.library_size),
+                            cache_probability_vector, t.cache, s.content.library_size)
+                  for s in scenarios for t in s.tiers]).reshape(len(scenarios), -1, a.shape[1])
+    constants = _scenario_constants(scenarios)
+    lam, lam_rate, uncached_files, _, backhaul_cost, _ = constants
+    rho = np.array([t.per_tier_density for t in tables])
+    errs = np.array([t.error_estimates for t in tables])
+
+    hit_c = (q.transpose(0, 2, 1) @ rho[:, :, None])[:, :, 0]
+    bh_c = (1.0 - q[:, 0]) * rho[:, :1]
+    p_hit, p_bh, ase_c, ase, cost = _delivery_metrics(
+        a, hit_c, q * rho[:, :, None], bh_c, constants)
+
+    # First-order propagation of the per-tier quadrature error bounds.
+    q_weights = (q @ a[:, :, None])[:, :, 0]  # popularity mass cached per tier
+    bh_weight = _dot(a, 1.0 - q[:, 0])
+    err_hit = _dot(q_weights, errs)
+    err_bh = bh_weight * errs[:, 0]
+    err_ase = _dot(q_weights * lam_rate, errs) + lam_rate[:, 0] * bh_weight * errs[:, 0]
+    err_cost = lam[:, 0] * uncached_files * backhaul_cost * bh_weight * errs[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero-cost rows
+        efficiency = ase / cost
+        err_eff = np.abs(efficiency) * np.where(ase > 0, err_ase / ase, 0.0) + (
+            np.abs(efficiency) * (err_cost / cost))
+
+    return AnalyticColumns(
+        values={"coverage": np.minimum(1.0, p_hit), "bound_value": p_hit,
+                "p_hit": p_hit, "p_bh": p_bh, "ase": ase, "cost": cost,
+                "efficiency": efficiency},
+        error_estimates={"coverage": err_hit, "p_hit": err_hit, "p_bh": err_bh,
+                         "ase": err_ase, "cost": err_cost, "efficiency": err_eff},
+        rho=rho,
+        per_rank=(hit_c, bh_c, ase_c),
+        failures=tuple(_ZERO_COST if c == 0.0 else None for c in cost.tolist()),
+    )
+
+
 def analytic_report(scenario: ScenarioConfig,
                     settings: IntegrationSettings | None = None,
                     table: CoverageTable | None = None,
@@ -192,63 +302,23 @@ def analytic_report(scenario: ScenarioConfig,
 
     A precomputed ``table`` may be supplied when only cache, content, or
     cost parameters changed since it was built (coverage densities do not
-    depend on those). ``memo`` is a dict shared by the reports of one
-    sweep: it keeps, read-only, the request probabilities of each content
-    model and the caching vector of each (cache policy, library size).
+    depend on those). ``memo`` is ``analytic_columns``'s: this report is
+    its batch of one. Raises ``UndefinedEfficiencyError`` at zero cost.
     """
     if table is None:
         table = build_coverage_table(scenario, settings)
-    if memo is None:
-        memo = {}
-    content = scenario.content
-    library_size = content.library_size
-    a = _memoised(memo, content, content.request_probabilities)
-    q = np.stack([_memoised(memo, (t.cache, library_size), cache_probability_vector,
-                            t.cache, library_size) for t in scenario.tiers])
-    constants = _scenario_constants(scenario)
-    lam, lam_rate, uncached_files = constants[:3]
-
-    rho = np.asarray(table.per_tier_density)
-    errs = np.asarray(table.error_estimates)
-
-    hit_c = q.T @ rho
-    bh_c = (1.0 - q[0]) * rho[0]
-    p_hit, p_bh, ase_c, ase, cost = _delivery_metrics(
-        a, hit_c, q * rho[:, None], bh_c, constants)
-    efficiency = caching_efficiency(ase, cost)
-
-    # First-order propagation of the per-tier quadrature error bounds.
-    q_weights = q @ a  # popularity mass cached per tier
-    bh_weight = float(a @ (1.0 - q[0]))
-    err_hit = float(q_weights @ errs)
-    err_bh = bh_weight * errs[0]
-    err_ase = float((q_weights * lam_rate) @ errs) + lam_rate[0] * bh_weight * errs[0]
-    err_cost = (lam[0] * uncached_files * scenario.costs.backhaul_unit_cost
-                * bh_weight * errs[0])
-    err_eff = abs(efficiency) * (
-        err_ase / ase if ase > 0 else 0.0) + abs(efficiency) * (err_cost / cost)
-
-    bound = p_hit
+    columns = analytic_columns([scenario], [table], memo)
+    values, errors = columns.scalars()
+    fields = {name: column[0] for name, column in values.items()}
+    fields["efficiency"] = caching_efficiency(fields["ase"], fields["cost"])
+    hit_c, bh_c, ase_c = (x[0] for x in columns.per_rank)
     return MetricReport(
         provenance=ANALYTIC,
-        coverage=min(1.0, bound),
-        bound_value=bound,
         coverage_is_bound=True,
-        p_hit=p_hit,
-        p_bh=p_bh,
-        ase=ase,
-        cost=cost,
-        efficiency=efficiency,
-        per_tier_coverage_density=tuple(float(x) for x in rho),
+        **fields,
+        per_tier_coverage_density=tuple(columns.rho[0].tolist()),
         per_content_hit=hit_c,
         per_content_backhaul=bh_c,
         per_content_ase=ase_c,
-        error_estimates={
-            "coverage": err_hit,
-            "p_hit": err_hit,
-            "p_bh": err_bh,
-            "ase": err_ase,
-            "cost": err_cost,
-            "efficiency": err_eff,
-        },
+        error_estimates={name: column[0] for name, column in errors.items()},
     )

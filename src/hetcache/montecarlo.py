@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import sample_links
 from .content import cache_probability_vector, sample_placement_fields
-from .metrics import (MONTE_CARLO, MetricReport, _delivery_metrics,
+from .metrics import (MONTE_CARLO, MetricReport, _delivery_metrics, _dot,
                       _scenario_constants, caching_efficiency)
 from .scenario import ScenarioConfig, SimulationProtocol
 
@@ -76,15 +76,12 @@ class SnapshotEstimates:
 
     ``caching_covering[i, c-1]`` counts tier-(i+1) stations that cache rank
     c and clear their threshold; ``covering[i]`` ignores caching.
-    ``serving_tier`` holds the 0-based tier of the strongest covering
-    caching station per rank, -1 when none.
     """
 
     hit: np.ndarray  # (F,) bool
     backhaul: np.ndarray  # (F,) bool, operational event
     caching_covering: np.ndarray  # (K, F) int
     covering: np.ndarray  # (K,) int
-    serving_tier: np.ndarray  # (F,) int
     any_coverage: bool  # some station of any tier covers, cache-agnostic
 
 
@@ -140,8 +137,6 @@ def evaluate_snapshot(snapshot: Snapshot, scenario: ScenarioConfig) -> SnapshotE
 
     covering = np.zeros(K, dtype=np.int64)
     caching_covering = np.zeros((K, F), dtype=np.int64)
-    best_sir = np.full(F, -np.inf)
-    serving_tier = np.full(F, -1, dtype=np.int64)
     any_coverage = False
 
     for i, (tier, ts) in enumerate(zip(scenario.tiers, snapshot.tiers)):
@@ -155,70 +150,58 @@ def evaluate_snapshot(snapshot: Snapshot, scenario: ScenarioConfig) -> SnapshotE
             continue
         for b in np.nonzero(mask)[0]:
             lo = 0 if ts.is_mpc[b] else int(ts.window_start[b]) - 1
-            hi = lo + s
-            caching_covering[i, lo:hi] += 1
-            sir_b = sirs[i][b]
-            better = sir_b > best_sir[lo:hi]
-            best_sir[lo:hi][better] = sir_b
-            serving_tier[lo:hi][better] = i
+            caching_covering[i, lo:lo + s] += 1
 
     hit = caching_covering.sum(axis=0) > 0
     macro_non_caching = covering[0] - caching_covering[0]
     backhaul = ~hit & (macro_non_caching > 0)
-    return SnapshotEstimates(hit, backhaul, caching_covering, covering,
-                             serving_tier, any_coverage)
+    return SnapshotEstimates(hit, backhaul, caching_covering, covering, any_coverage)
 
 
 def _chunk_stats(args):
     """Accumulate one chunk of snapshots (worker function).
 
+    The chunk's per-snapshot indicators and counts are stacked along a
+    leading snapshot axis and scored by one ``_delivery_metrics`` call.
     Integer sums are exactly order-independent; per-snapshot float metrics
     are returned as arrays in snapshot order so the final reduction is
     deterministic for any worker count. Each snapshot scores either every
-    rank (``all-weighted``) or one rank drawn by popularity (``sampled``);
-    the rank mask gates the integer counts and ``draw_counts``.
+    rank (``all-weighted``) or one rank drawn by popularity (``sampled``,
+    drawn right after the snapshot from its own stream); the rank mask
+    gates the integer counts and ``draw_counts``.
     """
     scenario, protocol, radius, start, stop = args
     F = scenario.content.library_size
-    K = scenario.num_tiers
     a = scenario.content.request_probabilities()
     q1 = cache_probability_vector(scenario.tiers[0].cache, F)
-    constants = _scenario_constants(scenario)
     sampled = protocol.content_evaluation == "sampled"
-    ranks = np.arange(F)
-    every_rank = np.ones(F, dtype=bool)
 
-    hit_counts = np.zeros(F, dtype=np.int64)
-    bh_op_counts = np.zeros(F, dtype=np.int64)
-    cachcov_sums = np.zeros((K, F), dtype=np.int64)
-    cov_sums = np.zeros(K, dtype=np.int64)
-    cov_sumsq = np.zeros(K, dtype=np.int64)
-    draw_counts = np.zeros(F, dtype=np.int64)
-    anycov_count = 0
-    metrics = np.empty((stop - start, 5))  # p_hit, p_bh, p_bh_op, ase, cost
-
+    estimates = []
+    drawn = []
     for k in range(start, stop):
         rng = snapshot_rng(protocol.master_seed, k)
-        snapshot = sample_network(rng, scenario, radius)
-        est = evaluate_snapshot(snapshot, scenario)
-        cov_sums += est.covering
-        cov_sumsq += est.covering * est.covering
-        anycov_count += int(est.any_coverage)
+        estimates.append(evaluate_snapshot(sample_network(rng, scenario, radius), scenario))
         if sampled:
-            mask = ranks == rng.choice(F, p=a)
-            w = mask.astype(np.float64)
-        else:
-            mask, w = every_rank, a
-        draw_counts += mask
-        hit_counts += est.hit & mask
-        bh_op_counts += est.backhaul & mask
-        cachcov_sums += est.caching_covering * mask
-        p_hit, p_bh, _, ase, cost = _delivery_metrics(
-            w, est.hit, est.caching_covering, (1.0 - q1) * est.covering[0], constants)
-        metrics[k - start] = (p_hit, p_bh, float(w @ est.backhaul), ase, cost)
+            drawn.append(rng.choice(F, p=a))
+    hit = np.stack([est.hit for est in estimates])  # (S, F)
+    backhaul = np.stack([est.backhaul for est in estimates])  # (S, F)
+    caching_covering = np.stack([est.caching_covering for est in estimates])  # (S, K, F)
+    covering = np.stack([est.covering for est in estimates])  # (S, K)
+    if sampled:
+        mask = np.arange(F) == np.array(drawn)[:, None]
+        w = mask.astype(np.float64)
+    else:
+        mask = np.ones((len(estimates), F), dtype=bool)
+        w = a[None]
 
-    return (hit_counts, bh_op_counts, cachcov_sums, cov_sums, cov_sumsq,
-            draw_counts, anycov_count, metrics)
+    p_hit, p_bh, _, ase, cost = _delivery_metrics(
+        w, hit, caching_covering, (1.0 - q1) * covering[:, :1],
+        _scenario_constants([scenario]))
+    metrics = np.column_stack((p_hit, p_bh, _dot(w, backhaul), ase, cost))
+    return ((hit & mask).sum(axis=0), (backhaul & mask).sum(axis=0),
+            (caching_covering * mask[:, None]).sum(axis=0), covering.sum(axis=0),
+            (covering * covering).sum(axis=0), mask.sum(axis=0),
+            sum(est.any_coverage for est in estimates), metrics)
 
 
 def _stderr(values: np.ndarray) -> float:
@@ -292,8 +275,9 @@ def run_simulation(scenario: ScenarioConfig,
     F = scenario.content.library_size
     q1 = cache_probability_vector(scenario.tiers[0].cache, F)
     per_bh = (1.0 - q1) * float(rho_mean[0])
-    per_ase = _delivery_metrics(scenario.content.request_probabilities(), per_hit,
-                                cachcov_mean, per_bh, _scenario_constants(scenario))[2]
+    per_ase = _delivery_metrics(scenario.content.request_probabilities()[None],
+                                per_hit[None], cachcov_mean[None], per_bh[None],
+                                _scenario_constants([scenario]))[2][0]
 
     return MetricReport(
         provenance=MONTE_CARLO,

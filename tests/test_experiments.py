@@ -11,7 +11,8 @@ from hetcache.experiments import (SweepSpec, _evaluate_row, _grid_rows,
                                   _SweepCache, get_parameter, grid_search,
                                   run_experiment, run_preset, set_parameter,
                                   write_csv)
-from hetcache.metrics import analytic_report
+from hetcache.metrics import (UndefinedEfficiencyError, analytic_report,
+                              caching_efficiency)
 from hetcache.scenario import (ConfigError, SimulationProtocol,
                                default_scenario)
 
@@ -289,15 +290,94 @@ def test_grid_search_bad_value_raises_where_set(monkeypatch, bad, error, message
         set_parameter(set_parameter(s, "content.popularity_exponent", 0.5),
                       "tiers[2].cache.cache_size", bad)
     assert str(naive.value) == message
-    reports = _count_calls(monkeypatch, "analytic_report")
+    batches = _count_calls(monkeypatch, "analytic_columns")
     calls = _count_calls(monkeypatch, "set_parameter")
     with pytest.raises(error) as raised:
         grid_search(s, variables)
     assert type(raised.value) is type(naive.value)
     assert str(raised.value) == message
     # the second point fails, after one row, at its own value
-    assert len(reports) == 1
+    assert sum(len(args[0]) for args in batches) == 1
     assert [args[1:] for args in calls] == [
         ("content.popularity_exponent", 0.5),
         ("tiers[2].cache.cache_size", 5),
         ("tiers[2].cache.cache_size", bad)]
+
+
+def _row_alone(scenario, tables):
+    """``_evaluate_row`` of one scenario on a new ``_SweepCache``.
+
+    The cache starts with only this radio's coverage table, built alone
+    (a table does not depend on the sweep that builds it), so no content
+    vector, exponent table or batch is shared with any other row.
+    """
+    key = scenario.radio_fingerprint()
+    if key not in tables:
+        tables[key] = build_coverage_table(scenario)
+    return _evaluate_row(scenario, "analytic", 1, _SweepCache(tables={key: tables[key]}))
+
+
+def _assert_rows_alone(config, axes, rows):
+    """Every row equals, cell for cell and in key order, its own lone evaluation."""
+    tables = {}
+    assert len(rows) == int(np.prod([len(grid) for _, grid in axes]))
+    for row in rows:
+        scenario = config
+        for path, _ in axes:
+            scenario = set_parameter(scenario, path, row[path])
+        alone = {path: row[path] for path, _ in axes}
+        alone.update(_row_alone(scenario, tables))
+        assert list(row) == list(alone)
+        assert row == alone
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
+def test_grid_preset_rows_equal_rows_alone(name):
+    config = set_parameter(default_scenario(), "content.library_size", 90)
+    axes = [(path, grid(config) if callable(grid) else grid)
+            for path, grid in experiments._GRID_PRESETS[name]]
+    rows = run_preset(name, config)
+    assert all(r["status"] == "ok" for r in rows)
+    _assert_rows_alone(config, axes, rows)
+
+
+def test_block_spanning_tables_equals_rows_alone(monkeypatch):
+    # a radio path innermost: each block of three rows needs three tables
+    s = default_scenario()
+    axes = [("tiers[2].cache.cache_size", (3, 9)),
+            ("tiers[2].density", (1.0, 10.0, 100.0))]
+    batches = _count_calls(monkeypatch, "analytic_columns")
+    cache = _SweepCache()
+    rows = list(_grid_rows(s, axes, "analytic", 1, cache))
+    assert [len(args[0]) for args in batches] == [3, 3]
+    assert len(cache.tables) == 3
+    assert len({(r["rho_1"], r["rho_2"]) for r in rows}) == 3
+    _assert_rows_alone(s, axes, rows)
+
+
+def test_split_block_equals_whole_block(monkeypatch):
+    # a large library splits a block; here a cap of two rows forces it
+    s = default_scenario()
+    axes = [("tiers[2].cache.cache_size", (1, 2, 3, 4, 5))]
+    whole = list(_grid_rows(s, axes, "analytic", 1, _SweepCache()))
+    monkeypatch.setattr(experiments, "_BATCH_ROW_RANKS", 2 * s.content.library_size)
+    batches = _count_calls(monkeypatch, "analytic_columns")
+    split = list(_grid_rows(s, axes, "analytic", 1, _SweepCache()))
+    assert [len(args[0]) for args in batches] == [2, 2, 1]
+    assert [list(row) for row in split] == [list(row) for row in whole]
+    assert split == whole
+
+
+def test_zero_cost_row_fails_alone_in_its_block():
+    # free cache slots and a macro cache holding the whole library: no cost
+    s = set_parameter(default_scenario(), "costs.cache_unit_cost", 0.0)
+    axes = [("content.popularity_exponent", (0.8,)),
+            ("tiers[1].cache.cache_size", (20, 100, 50))]
+    rows = list(_grid_rows(s, axes, "analytic", 1, _SweepCache()))
+    with pytest.raises(UndefinedEfficiencyError) as undefined:
+        caching_efficiency(1.0, 0.0)
+    assert [r["status"] for r in rows] == ["ok", "error", "ok"]
+    assert rows[1]["error"] == str(undefined.value)
+    assert rows[1]["efficiency"] == "" and "rho_1" not in rows[1]
+    assert rows[0]["efficiency"] > 0 and rows[2]["efficiency"] > 0
+    _assert_rows_alone(s, axes, rows)

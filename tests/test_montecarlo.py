@@ -9,7 +9,7 @@ from hetcache.channel import TierRadioParams
 from hetcache.content import (ContentModel, TierCachePolicy,
                               cache_probability_vector)
 from hetcache.experiments import set_parameter
-from hetcache.metrics import tier_rates
+from hetcache.metrics import _delivery_metrics, _scenario_constants, tier_rates
 from hetcache.montecarlo import (Snapshot, TierSnapshot, _sir_per_tier,
                                  evaluate_snapshot, run_simulation,
                                  sample_network, snapshot_rng)
@@ -128,8 +128,6 @@ def test_evaluate_snapshot_pinned_two_tier():
     assert not np.any(est.backhaul)  # macro does not cover anything
     assert np.all(est.caching_covering[1, :5] == 1)
     assert np.all(est.caching_covering[1, 5:] == 0)
-    assert np.all(est.serving_tier[:5] == 1)
-    assert np.all(est.serving_tier[5:] == -1)
 
 
 def test_evaluate_snapshot_backhaul_event():
@@ -303,3 +301,28 @@ def test_region_doubling_within_two_stderr():
     for key in ("p_hit", "ase"):
         se = math.hypot(base.stderr[key], double.stderr[key])
         assert abs(getattr(base, key) - getattr(double, key)) < 2.0 * se
+
+
+@pytest.mark.parametrize("mode", ["all-weighted", "sampled"])
+def test_chunked_metrics_equal_snapshot_rows(mode):
+    # 70 snapshots: a full chunk and a ragged one of 6
+    s = default_scenario()
+    proto = SimulationProtocol(num_snapshots=70, region_radius=2500.0,
+                               master_seed=23, content_evaluation=mode)
+    report = run_simulation(s, protocol=proto)
+
+    F = s.content.library_size
+    a = s.content.request_probabilities()
+    q1 = cache_probability_vector(s.tiers[0].cache, F)
+    constants = _scenario_constants([s])
+    rows = np.empty((70, 5))
+    for k in range(70):
+        rng = snapshot_rng(23, k)
+        est = evaluate_snapshot(sample_network(rng, s, region_radius=2500.0), s)
+        w = a if mode == "all-weighted" else np.eye(F)[rng.choice(F, p=a)]
+        p_hit, p_bh, _, ase, cost = _delivery_metrics(
+            w[None], est.hit[None], est.caching_covering[None],
+            ((1.0 - q1) * est.covering[0])[None], constants)
+        rows[k] = (p_hit[0], p_bh[0], float(w @ est.backhaul), ase[0], cost[0])
+    for j, name in enumerate(("p_hit", "p_bh", "p_bh_operational", "ase", "cost")):
+        assert getattr(report, name) == float(np.mean(rows[:, j])), name
