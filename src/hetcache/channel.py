@@ -84,10 +84,11 @@ def los_probability(r, near_field_dist: float, far_field_dist: float):
     r_arr = np.asarray(r, dtype=np.float64)
     if r_arr.size and np.any(r_arr < 0):
         raise ValueError("distance must be nonnegative")
-    decay = np.exp(-r_arr / far_field_dist)
-    safe_r = np.where(r_arr > 0, r_arr, 1.0)
-    clamped = np.minimum(near_field_dist / safe_r, 1.0)
-    p = np.where(r_arr <= near_field_dist, 1.0, clamped * (1.0 - decay) + decay)
+    p = np.ones(r_arr.shape)
+    far = ~(r_arr <= near_field_dist)  # r > D0, where min(D0/r, 1) = D0/r, or NaN
+    r_far = r_arr[far]
+    decay = np.exp(-r_far / far_field_dist)
+    p[far] = near_field_dist / r_far * (1.0 - decay) + decay
     return float(p) if np.isscalar(r) else p
 
 
@@ -116,13 +117,9 @@ def sample_links(rng: np.random.Generator, distances: np.ndarray,
     n = len(distances)
     p_los = los_probability(distances, params.near_field_dist, params.far_field_dist)
     is_los = rng.random(n) < p_los
-    fading = np.empty(n)
-    n_los = int(np.count_nonzero(is_los))
-    fading[is_los] = rng.gamma(params.nakagami_los, 1.0 / params.nakagami_los, n_los)
-    fading[~is_los] = rng.gamma(params.nakagami_nlos, 1.0 / params.nakagami_nlos, n - n_los)
-    pathloss = np.where(
-        is_los,
-        params.intercept_los * (1.0 + distances) ** -params.pathloss_exp_los,
-        params.intercept_nlos * (1.0 + distances) ** -params.pathloss_exp_nlos,
-    )
+    fading, pathloss = np.empty(n), np.empty(n)
+    for mode, mask in ((LOS, is_los), (NLOS, ~is_los)):
+        fading[mask] = sample_fading(rng, params.nakagami(mode),
+                                     int(np.count_nonzero(mask)))
+        pathloss[mask] = path_loss(distances[mask], mode, params)
     return is_los, fading, pathloss

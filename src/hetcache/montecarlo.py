@@ -1,13 +1,13 @@
 """Snapshot-based Monte Carlo engine.
 
 Each snapshot drops every tier's stations as a Poisson point process on a
-disk around a typical user at the origin, draws link modes, fading, and
-cache placements, and computes each station's SIR against the total
-received power of all other stations (all tiers interfere; no noise). A
-station covers when its SIR clears its tier's bias-scaled threshold; a
-content rank scores a hit when some covering station caches it, and uses
-the backhaul when no cache hit exists but a non-caching macro station
-covers.
+disk around a typical user at the origin, keeping only their distances to
+it, draws link modes, fading, and cache placements, and computes each
+station's SIR against the total received power of all other stations (all
+tiers interfere; no noise). A station covers when its SIR clears its tier's
+bias-scaled threshold; a content rank scores a hit when some covering
+station caches it, and uses the backhaul when no cache hit exists but a
+non-caching macro station covers.
 
 Snapshots are independent work units: snapshot ``k`` draws from a stream
 derived from ``(master_seed, k)`` by splittable seeding, and reductions use
@@ -48,7 +48,6 @@ CHUNK_SNAPSHOTS = 64
 class TierSnapshot:
     """All stations of one tier in one snapshot (struct-of-arrays)."""
 
-    positions: np.ndarray  # (n, 2) meters
     distances: np.ndarray  # (n,) meters from the origin
     is_los: np.ndarray  # (n,) bool
     fading: np.ndarray  # (n,) unit-mean power gains
@@ -94,20 +93,23 @@ def snapshot_rng(master_seed: int, snapshot_index: int) -> np.random.Generator:
 
 def sample_network(rng: np.random.Generator, scenario: ScenarioConfig,
                    region_radius: float | None = None) -> Snapshot:
-    """Draw one snapshot: Poisson counts, uniform disk positions, links, caches."""
+    """Draw one snapshot: Poisson counts, uniform disk distances, links, caches."""
     radius = scenario.region_radius_m() if region_radius is None else region_radius
     area = math.pi * radius * radius
     tiers = []
     for tier, lam in zip(scenario.tiers, scenario.densities_per_m2()):
         n = int(rng.poisson(lam * area)) if lam > 0 else 0
+        if n == 0:  # size-0 draws consume no state: skipping them keeps the stream
+            f, b = np.empty(0), np.empty(0, dtype=bool)
+            tiers.append(TierSnapshot(f, b, f, f, b, np.empty(0, dtype=np.int64)))
+            continue
         r = radius * np.sqrt(rng.random(n))
-        theta = 2.0 * math.pi * rng.random(n)
-        positions = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+        rng.random(n)  # the angles: unread, drawn only to keep the stream
         is_los, fading, pathloss = sample_links(rng, r, tier.radio)
         is_mpc, window_start = sample_placement_fields(
             rng, tier.cache, scenario.content.library_size, n)
-        tiers.append(TierSnapshot(positions, r, is_los, fading, pathloss,
-                                  is_mpc, window_start))
+        tiers.append(TierSnapshot(r, is_los, fading, pathloss, is_mpc,
+                                  window_start))
     return Snapshot(tiers)
 
 

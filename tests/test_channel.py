@@ -153,3 +153,58 @@ def test_sample_link_fields_consistent():
     mode = LOS if is_los[0] else NLOS
     assert fading[0] >= 0.0
     assert pathloss[0] == path_loss(200.0, mode, params)
+
+
+def old_los_probability(r, d0, d1):
+    """The closed form as once written, evaluating both branches everywhere."""
+    r = np.asarray(r, dtype=np.float64)
+    decay = np.exp(-r / d1)
+    clamped = np.minimum(d0 / np.where(r > 0, r, 1.0), 1.0)
+    return np.where(r <= d0, 1.0, clamped * (1.0 - decay) + decay)
+
+
+@pytest.mark.parametrize("d0, d1", [(80.0, 164.0), (16.0, 36.0), (200.0, 50.0)])
+def test_los_probability_bits_match_closed_form(d0, d1):
+    # the default radios' critical distances, and d0 > d1
+    r = np.array([0.0, d0, np.nextafter(d0, np.inf), 1.5 * d0, 720.0 * d1,
+                  745.5 * d1, 1e6, np.inf, np.nan])
+    assert np.array_equal(los_probability(r, d0, d1),
+                          old_los_probability(r, d0, d1), equal_nan=True)
+    grid = np.linspace(0.0, 60.0 * d1, 600).reshape(20, 30)
+    p = los_probability(grid, d0, d1)
+    assert p.shape == (20, 30)
+    assert np.array_equal(p, old_los_probability(grid, d0, d1))
+
+
+def test_los_probability_scalar_and_empty():
+    got = los_probability(160.0, 80.0, 164.0)
+    assert type(got) is float
+    assert got == float(old_los_probability(160.0, 80.0, 164.0))
+    empty = los_probability(np.empty(0), 80.0, 164.0)
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+def test_sample_links_bits_match_closed_form():
+    params = make_params()
+    r = np.random.default_rng(17).uniform(0.0, 2000.0, 5000)
+    is_los, fading, pathloss = sample_links(np.random.default_rng(18), r, params)
+    # the same draws and both modes' path loss over every station, as once written
+    rng = np.random.default_rng(18)
+    want_los = rng.random(len(r)) < old_los_probability(r, 80.0, 164.0)
+    want_fading = np.empty(len(r))
+    want_fading[want_los] = rng.gamma(2, 0.5, int(want_los.sum()))
+    want_fading[~want_los] = rng.gamma(1, 1.0, int((~want_los).sum()))
+    want_pathloss = np.where(want_los, 1.0 * (1.0 + r) ** -2.4,
+                             1.0 * (1.0 + r) ** -4.0)
+    assert np.array_equal(is_los, want_los)
+    assert np.array_equal(fading, want_fading)
+    assert np.array_equal(pathloss, want_pathloss)
+
+
+def test_sample_links_on_no_stations():
+    rng = np.random.default_rng(19)
+    state = rng.bit_generator.state
+    is_los, fading, pathloss = sample_links(rng, np.empty(0), make_params())
+    assert is_los.shape == fading.shape == pathloss.shape == (0,)
+    assert is_los.dtype == bool
+    assert rng.bit_generator.state == state  # size-0 draws consume no state

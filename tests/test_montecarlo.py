@@ -40,7 +40,6 @@ def manual_tier(powers_as_pathloss, tx_power, cache_size, library_size,
     n = len(powers_as_pathloss)
     pathloss = np.asarray(powers_as_pathloss, dtype=float) / tx_power
     return TierSnapshot(
-        positions=np.zeros((n, 2)),
         distances=np.zeros(n),
         is_los=np.ones(n, dtype=bool),
         fading=np.ones(n),
@@ -70,7 +69,7 @@ def test_poisson_count_mean():
     assert abs(counts.mean() - mean_target) < 3.0 * se
 
 
-def test_positions_uniform_on_disk():
+def test_distances_uniform_on_disk():
     # radial CDF of uniform disk points is (r/R)^2
     s = single_tier_scenario(density_per_km2=10.0, region_radius=1784.124)
     rng = np.random.default_rng(22)
@@ -80,9 +79,24 @@ def test_positions_uniform_on_disk():
     r = np.concatenate(radii)
     stat = kstest(r, lambda x: (x / 1784.124) ** 2)
     assert stat.pvalue > 0.01
-    xy = sample_network(rng, s).tiers[0]
-    assert np.allclose(np.hypot(xy.positions[:, 0], xy.positions[:, 1]),
-                       xy.distances)
+
+
+def test_empty_tier_keeps_dtypes_and_never_covers():
+    # ~3e-9 macro stations expected on a 1 km disk: the Poisson draw gives 0
+    s = set_parameter(default_scenario(), "tiers[1].density", 1e-9)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        snap = sample_network(rng, s, region_radius=1000.0)
+        macro = snap.tiers[0]
+        assert len(macro) == 0 and len(snap.tiers[1]) > 0
+        for name, dtype in (("distances", np.float64), ("is_los", bool),
+                            ("fading", np.float64), ("pathloss", np.float64),
+                            ("is_mpc", bool), ("window_start", np.int64)):
+            field = getattr(macro, name)
+            assert field.shape == (0,) and field.dtype == dtype, name
+        est = evaluate_snapshot(snap, s)
+        assert est.covering[0] == 0
+        assert not np.any(est.caching_covering[0])
 
 
 def test_single_station_has_infinite_sir():
@@ -326,3 +340,58 @@ def test_chunked_metrics_equal_snapshot_rows(mode):
         rows[k] = (p_hit[0], p_bh[0], float(w @ est.backhaul), ase[0], cost[0])
     for j, name in enumerate(("p_hit", "p_bh", "p_bh_operational", "ase", "cost")):
         assert getattr(report, name) == float(np.mean(rows[:, j])), name
+
+
+def unit_shape_scenario():
+    s = default_scenario()
+    for field in ("nakagami_los", "nakagami_nlos"):
+        s = set_parameter(s, f"tiers[*].radio.{field}", 1)
+    return s
+
+
+# Integer counts of the sampling stream at master seed 1234, recorded while
+# sampling still computed station positions. Integers, so no libm or BLAS
+# difference can move them: a failure here means the stream itself changed,
+# which must be a deliberate change. Each case is (scenario, disk radius m,
+# snapshots, content mode, covering count per tier, coverage_all_bs count,
+# hit count of ranks 1-5 (the rest never hit), draws per rank or None when
+# every snapshot scores every rank). 130 snapshots are two full chunks and
+# a ragged one; on the 2.5 km disk the macro tier is empty in most snapshots.
+STREAM_PINS = [
+    (default_scenario, 2500.0, 130, "all-weighted", [0, 75], 75,
+     [75, 75, 75, 75, 75], None),
+    (default_scenario, 2500.0, 130, "sampled", [0, 75], 75, [13, 8, 3, 3, 5],
+     [27, 9, 3, 6, 9, 4, 5, 2, 4, 0, 3, 1, 2, 4, 0, 1, 1, 1, 1, 1,
+      1, 2, 3, 2, 0, 2, 1, 2, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 3,
+      0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2,
+      1, 0, 1, 0, 2, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 3, 1,
+      0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 0, 0, 0, 0, 1, 0, 0]),
+    (unit_shape_scenario, 20000.0, 70, "all-weighted", [0, 33], 33,
+     [33, 33, 33, 33, 33], None),
+    (unit_shape_scenario, 20000.0, 70, "sampled", [0, 33], 33, [6, 5, 1, 0, 2],
+     [11, 7, 3, 3, 5, 4, 1, 5, 1, 0, 1, 2, 0, 0, 2, 1, 0, 0, 0, 0,
+      0, 2, 0, 1, 0, 1, 3, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 2,
+      0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1,
+      2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0,
+      0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+]
+
+
+@pytest.mark.parametrize(
+    "make, radius, n, mode, covering, any_count, hits, draws", STREAM_PINS,
+    ids=["default-weighted", "default-sampled", "unit-20km-weighted",
+         "unit-20km-sampled"])
+def test_sampling_stream_is_pinned(make, radius, n, mode, covering, any_count,
+                                   hits, draws):
+    report = run_simulation(make(), protocol=SimulationProtocol(
+        num_snapshots=n, region_radius=radius, master_seed=1234,
+        content_evaluation=mode))
+    assert [round(x * n) for x in report.per_tier_coverage_density] == covering
+    assert round(report.coverage_all_bs * n) == any_count
+    hit_counts = np.zeros(100, dtype=np.int64)
+    hit_counts[:5] = hits
+    draw_counts = np.full(100, n) if draws is None else np.array(draws)
+    # a count ratio is one correctly rounded division, the same on any host
+    with np.errstate(invalid="ignore"):
+        expected = hit_counts / draw_counts
+    assert np.array_equal(report.per_content_hit, expected, equal_nan=True)
