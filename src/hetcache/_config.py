@@ -1,0 +1,97 @@
+"""``ConfigError``, ``AUTO``, and the field check every config record runs.
+
+Each config record calls ``check_fields(self)`` first in ``__post_init__``.
+A field's annotation says what it accepts: ``float`` a real number other
+than a bool, stored as float; ``int`` an integer or an integral float, not a
+bool; ``float | str`` also the string ``"auto"``; ``str`` a string; a record
+class an instance of it; ``tuple[C, ...]`` a sequence of ``C``, stored as a
+tuple. A rejection raises ``ConfigError`` with the field name as its path.
+"""
+from __future__ import annotations
+
+import functools
+import numbers
+import typing
+
+AUTO = "auto"
+
+
+class ConfigError(ValueError):
+    """Config rejected; ``path`` locates the offending field."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
+def _float(name, value, reason="expected a number"):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(name, reason)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(name, "number out of range") from None
+
+
+def _int(name, value):
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ConfigError(name, "expected an integer value")
+
+
+def _float_or_auto(name, value):
+    if isinstance(value, str) and value == AUTO:
+        return value
+    return _float(name, value, "expected a number or 'auto'")
+
+
+def _str(name, value):
+    if not isinstance(value, str):
+        raise ConfigError(name, "expected a string")
+    return value
+
+
+def _checker(kind):
+    """``(name, value) -> stored value`` for one resolved annotation."""
+    simple = {float: _float, int: _int, str: _str, float | str: _float_or_auto}
+    if kind in simple:
+        return simple[kind]
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+
+        def check_tuple(name, value):
+            if isinstance(value, (tuple, list)):
+                for v in value:
+                    if not isinstance(v, item):
+                        break
+                else:
+                    return tuple(value)
+            raise ConfigError(name, f"expected a sequence of {item.__name__}")
+        return check_tuple
+
+    def check_record(name, value):
+        if not isinstance(value, kind):
+            raise ConfigError(name, f"expected a {kind.__name__}")
+        return value
+    return check_record
+
+
+@functools.cache
+def _field_table(cls):
+    """Per field of ``cls``: its name, the one type it may skip the check
+    with (None for tuples, whose items are always checked), and its check."""
+    return tuple((name, None if typing.get_origin(kind) is tuple
+                  else {float | str: float}.get(kind, kind), _checker(kind))
+                 for name, kind in typing.get_type_hints(cls).items())
+
+
+def check_fields(record) -> None:
+    """Check every field of ``record`` by its annotation, storing the normal form."""
+    for name, exact, check in _field_table(type(record)):
+        value = getattr(record, name)
+        if type(value) is not exact:
+            stored = check(name, value)
+            if stored is not value:
+                object.__setattr__(record, name, stored)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._config import check_fields
+
 __all__ = [
     "LOS",
     "NLOS",
@@ -24,11 +26,6 @@ __all__ = [
 
 LOS = "LOS"
 NLOS = "NLOS"
-
-
-def _check_positive_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -47,6 +44,7 @@ class TierRadioParams:
     nakagami_nlos: int = 1
 
     def __post_init__(self):
+        check_fields(self)
         if not self.tx_power > 0:
             raise ValueError("tx_power must be positive")
         if not 2.0 < self.pathloss_exp_los:
@@ -61,8 +59,8 @@ class TierRadioParams:
             raise ValueError("sir_threshold must be positive")
         if not (self.intercept_los > 0 and self.intercept_nlos > 0):
             raise ValueError("intercepts must be positive")
-        _check_positive_int("nakagami_los", self.nakagami_los)
-        _check_positive_int("nakagami_nlos", self.nakagami_nlos)
+        if self.nakagami_nlos < 1:
+            raise ValueError("nakagami_nlos must be a positive integer")
         if self.nakagami_los < self.nakagami_nlos:
             raise ValueError("nakagami_los must be >= nakagami_nlos")
 
@@ -103,7 +101,8 @@ def path_loss(r, mode: str, params: TierRadioParams):
 
 def sample_fading(rng: np.random.Generator, nakagami: int, size=None):
     """Unit-mean Nakagami power gain: Gamma(M, 1/M)."""
-    _check_positive_int("nakagami", nakagami)
+    if isinstance(nakagami, bool) or not isinstance(nakagami, (int, np.integer)) or nakagami < 1:
+        raise ValueError("nakagami must be a positive integer")
     return rng.gamma(nakagami, 1.0 / nakagami, size=size)
 
 

@@ -14,7 +14,6 @@ any failed sweep row).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -23,7 +22,8 @@ from .experiments import (PRESET_NAMES, SweepSpec, grid_search, run_experiment,
                           run_preset, write_csv, _evaluate_row)
 from .metrics import UndefinedEfficiencyError
 from .quadrature import QuadratureError
-from .scenario import ConfigError, default_scenario, load_config
+from .scenario import (ConfigError, default_scenario, load_config,
+                       scenario_from_mapping, scenario_to_mapping)
 
 _SUMMARY_FIELDS = ("coverage", "p_hit", "p_bh", "ase", "cost", "efficiency")
 
@@ -76,13 +76,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_scenario(args):
+    """The config file's scenario, with ``--seed`` and ``--snapshots`` written
+    into its protocol section and checked as YAML values."""
     scenario = load_config(args.config) if args.config else default_scenario()
-    protocol = scenario.protocol
-    if args.seed is not None:
-        protocol = dataclasses.replace(protocol, master_seed=args.seed)
-    if args.snapshots is not None:
-        protocol = dataclasses.replace(protocol, num_snapshots=args.snapshots)
-    return dataclasses.replace(scenario, protocol=protocol)
+    mapping = scenario_to_mapping(scenario)
+    for key, value in (("master_seed", args.seed), ("num_snapshots", args.snapshots)):
+        if value is not None:
+            mapping["protocol"][key] = value
+    return scenario_from_mapping(mapping)
 
 
 def _sweep_grid(args):

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._config import check_fields
+
 __all__ = [
     "ContentModel",
     "TierCachePolicy",
@@ -38,7 +40,8 @@ class ContentModel:
     popularity_exponent: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.library_size, (int, np.integer)) or self.library_size < 1:
+        check_fields(self)
+        if self.library_size < 1:
             raise ValueError("library_size must be a positive integer")
         if not self.popularity_exponent >= 0:
             raise ValueError("popularity_exponent must be >= 0")
@@ -58,7 +61,8 @@ class TierCachePolicy:
     mpc_fraction: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.cache_size, (int, np.integer)) or self.cache_size < 0:
+        check_fields(self)
+        if self.cache_size < 0:
             raise ValueError("cache_size must be a nonnegative integer")
         if not 0.0 <= self.mpc_fraction <= 1.0:
             raise ValueError("mpc_fraction must lie in [0, 1]")

@@ -7,7 +7,9 @@ Swept parameters are addressed by dotted paths into the scenario, with
     tiers[2].radio.sir_threshold tiers[*].rho
     content.popularity_exponent  costs.cache_unit_cost
 
-``tiers[*]`` applies the value to every tier. Result rows are flattened
+``tiers[*]`` applies the value to every tier. Every YAML field is a sweep
+path: ``set_parameter`` rebuilds each record on the path, so the record
+checks the value exactly as YAML loading does. Result rows are flattened
 metric reports; float cells are printed with 17 significant digits so a
 fixed config and seed reproduce byte-identical CSV files. A sidecar
 ``<out>.meta.json`` records the config hash, seed, and engine versions.
@@ -15,6 +17,7 @@ fixed config and seed reproduce byte-identical CSV files. A sidecar
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import re
@@ -29,7 +32,7 @@ from .metrics import MetricReport, analytic_columns
 from .metrics import analytic_report  # noqa: F401
 from .montecarlo import run_simulation
 from .quadrature import QuadratureError
-from .scenario import _INT_FIELDS, ConfigError, ScenarioConfig
+from .scenario import ConfigError, ScenarioConfig
 
 __all__ = [
     "SweepSpec",
@@ -82,85 +85,68 @@ class GridSearchResult:
     surface: tuple
 
 
-_PATH_RE = re.compile(r"^tiers\[(\d+|\*)\]\.(.+)$")
+_TIER_RE = re.compile(r"tiers\[(\d+|\*)\]")
 
 
-def _coerce_value(field_name: str, value):
-    if field_name in _INT_FIELDS:
-        as_float = float(value)
-        if not as_float.is_integer():
-            raise ConfigError(field_name, "expected an integer value")
-        return int(as_float)
-    return float(value)
+@functools.lru_cache(maxsize=256)
+def _parse(path: str):
+    """``path`` as (tier, field names). The tier is None outside ``tiers``,
+    ``"*"`` for every tier, else its 1-based index."""
+    head, *names = path.split(".")
+    m = _TIER_RE.fullmatch(head)
+    if m is None:
+        return None, (head, *names)
+    return ("*" if m.group(1) == "*" else int(m.group(1))), tuple(names)
 
 
-def _replace_tier(scenario: ScenarioConfig, index: int, rest: str, value):
-    tier = scenario.tiers[index]
-    parts = rest.split(".")
-    try:
-        if parts[0] in ("density", "rho") and len(parts) == 1:
-            new_tier = dataclasses.replace(tier, **{parts[0]: float(value)})
-        elif parts[0] == "radio" and len(parts) == 2:
-            radio = dataclasses.replace(
-                tier.radio, **{parts[1]: _coerce_value(parts[1], value)})
-            new_tier = dataclasses.replace(tier, radio=radio)
-        elif parts[0] == "cache" and len(parts) == 2:
-            cache = dataclasses.replace(
-                tier.cache, **{parts[1]: _coerce_value(parts[1], value)})
-            new_tier = dataclasses.replace(tier, cache=cache)
-        else:
-            raise ConfigError(rest, "unknown tier parameter path")
-    except TypeError as exc:  # unknown dataclass field
-        raise ConfigError(rest, str(exc)) from exc
-    tiers = list(scenario.tiers)
-    tiers[index] = new_tier
-    return dataclasses.replace(scenario, tiers=tuple(tiers))
+def _tier_positions(scenario: ScenarioConfig, tier, path: str):
+    count = len(scenario.tiers)
+    if tier == "*":
+        return range(count)
+    if not 1 <= tier <= count:
+        raise ConfigError(path, f"tier index out of range 1..{count}")
+    return (tier - 1,)
+
+
+def _field(record, name: str, path: str):
+    if name not in getattr(record, "__dataclass_fields__", ()):
+        raise ConfigError(path, "parameter path does not resolve")
+    return getattr(record, name)
+
+
+def _rebuilt(record, name: str, value):
+    """``record`` with field ``name`` set to ``value``, through its constructor,
+    so the record checks the value as YAML loading would."""
+    return type(record)(**{**record.__dict__, name: value})
+
+
+def _replaced(record, names, value, path: str):
+    """``record`` with the field at ``names`` set, each record on the way rebuilt."""
+    if not names:
+        return value
+    name = names[0]
+    return _rebuilt(record, name, _replaced(_field(record, name, path), names[1:], value, path))
 
 
 def set_parameter(scenario: ScenarioConfig, path: str, value) -> ScenarioConfig:
     """Return a copy of ``scenario`` with the addressed parameter replaced."""
-    m = _PATH_RE.match(path)
-    if m:
-        rest = m.group(2)
-        if m.group(1) == "*":
-            for i in range(scenario.num_tiers):
-                scenario = _replace_tier(scenario, i, rest, value)
-            return scenario
-        index = int(m.group(1)) - 1
-        if not 0 <= index < scenario.num_tiers:
-            raise ConfigError(path, f"tier index out of range 1..{scenario.num_tiers}")
-        return _replace_tier(scenario, index, rest, value)
-    parts = path.split(".")
-    if len(parts) == 2 and parts[0] in ("content", "costs", "protocol", "integration"):
-        section = getattr(scenario, parts[0])
-        try:
-            replaced = dataclasses.replace(
-                section, **{parts[1]: _coerce_value(parts[1], value)})
-            return dataclasses.replace(scenario, **{parts[0]: replaced})
-        except TypeError as exc:
-            raise ConfigError(path, str(exc)) from exc
-    if len(parts) == 1 and parts[0] == "rate_log_base":
-        return dataclasses.replace(scenario, rate_log_base=float(value))
-    raise ConfigError(path, "parameter path does not resolve")
+    tier, names = _parse(path)
+    if tier is None:
+        return _replaced(scenario, names, value, path)
+    tiers = list(scenario.tiers)
+    for k in _tier_positions(scenario, tier, path):
+        tiers[k] = _replaced(tiers[k], names, value, path)
+    return _rebuilt(scenario, "tiers", tuple(tiers))
 
 
 def get_parameter(scenario: ScenarioConfig, path: str):
     """Read the parameter addressed by ``path``."""
-    m = _PATH_RE.match(path)
-    if m:
-        if m.group(1) == "*":
-            raise ConfigError(path, "cannot read a wildcard path")
-        tier = scenario.tiers[int(m.group(1)) - 1]
-        node = tier
-        for part in m.group(2).split("."):
-            node = getattr(node, part)
-        return node
-    node = scenario
-    try:
-        for part in path.split("."):
-            node = getattr(node, part)
-    except AttributeError as exc:
-        raise ConfigError(path, "parameter path does not resolve") from exc
+    tier, names = _parse(path)
+    if tier == "*":
+        raise ConfigError(path, "cannot read a wildcard path")
+    node = scenario if tier is None else scenario.tiers[_tier_positions(scenario, tier, path)[0]]
+    for name in names:
+        node = _field(node, name, path)
     return node
 
 
@@ -248,13 +234,12 @@ def _analytic_rows(scenarios, cache: _SweepCache) -> list:
     for batch_rows in batches:
         index, batch, tables = zip(*batch_rows)
         columns = analytic_columns(batch, tables, cache.vectors)
-        values, errors = columns.scalars()
+        values, errors = columns.values, columns.error_estimates
         names = [*values, "cost_over_backhaul_unit", *(f"err_{k}" for k in errors),
                  *(f"rho_{i}" for i in range(1, columns.rho.shape[1] + 1))]
-        cost_per_unit = list(columns.values["cost"]
-                             / [s.costs.backhaul_unit_cost for s in batch])
-        cells = zip(*values.values(), cost_per_unit, *errors.values(),
-                    *columns.rho.T.tolist())
+        cost_per_unit = values["cost"] / [s.costs.backhaul_unit_cost for s in batch]
+        cells = np.column_stack([*values.values(), cost_per_unit, *errors.values(),
+                                 columns.rho]).tolist()
         for b, failure, row_cells in zip(index, columns.failures, cells):
             if failure is None:
                 rows[b] = {**_ANALYTIC_ROW, **dict(zip(names, row_cells))}

@@ -190,11 +190,8 @@ def apply_range_expansion(scenario: ScenarioConfig, rho_factors) -> ScenarioConf
     """
     if len(rho_factors) != scenario.num_tiers:
         raise ValueError("one bias factor per tier is required")
-    for r in rho_factors:
-        if not 0.0 < r <= 1.0:
-            raise ValueError("bias factors must lie in (0, 1]")
     tiers = tuple(
-        dataclasses.replace(t, rho=float(r))
+        dataclasses.replace(t, rho=r)
         for t, r in zip(scenario.tiers, rho_factors)
     )
     return dataclasses.replace(scenario, tiers=tiers)
@@ -229,19 +226,6 @@ class AnalyticColumns:
     rho: np.ndarray
     per_rank: tuple
     failures: tuple
-
-    def scalars(self):
-        """``values`` and ``error_estimates`` as lists of report scalars.
-
-        Cost, efficiency and the errors other than those of coverage and
-        ``p_hit`` are numpy float64, the rest Python floats: the types an
-        analytic ``MetricReport`` has always held, which row digests see
-        through ``repr``.
-        """
-        return ({name: list(column) if name in ("cost", "efficiency") else column.tolist()
-                 for name, column in self.values.items()},
-                {name: column.tolist() if name in ("coverage", "p_hit") else list(column)
-                 for name, column in self.error_estimates.items()})
 
 
 def analytic_columns(scenarios, tables, memo: dict | None = None) -> AnalyticColumns:
@@ -308,8 +292,7 @@ def analytic_report(scenario: ScenarioConfig,
     if table is None:
         table = build_coverage_table(scenario, settings)
     columns = analytic_columns([scenario], [table], memo)
-    values, errors = columns.scalars()
-    fields = {name: column[0] for name, column in values.items()}
+    fields = {name: column.tolist()[0] for name, column in columns.values.items()}
     fields["efficiency"] = caching_efficiency(fields["ase"], fields["cost"])
     hit_c, bh_c, ase_c = (x[0] for x in columns.per_rank)
     return MetricReport(
@@ -320,5 +303,6 @@ def analytic_report(scenario: ScenarioConfig,
         per_content_hit=hit_c,
         per_content_backhaul=bh_c,
         per_content_ase=ase_c,
-        error_estimates={name: column[0] for name, column in errors.items()},
+        error_estimates={name: column.tolist()[0]
+                         for name, column in columns.error_estimates.items()},
     )

@@ -10,6 +10,11 @@ or key left out falls back to the two-tier default scenario below, and
 unknown keys are rejected with their full path. ``region_radius`` and the
 truncation radii accept the string ``"auto"``.
 
+Every record checks its own fields in ``__post_init__``: first their types,
+by annotation (``hetcache._config.check_fields``), then their ranges. YAML
+loading and ``experiments.set_parameter`` both build records, so every YAML
+field is also a sweep path, checked the same way.
+
 The default scenario: a sparse 40 W macro tier (density 1e-3 per km^2,
 threshold 2, 20-slot caches) over a denser 4 W small-cell tier (density 10
 per km^2, threshold 4, 5-slot caches), a 100-file library with Zipf
@@ -29,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
+from ._config import AUTO, ConfigError, check_fields
 from .channel import TierRadioParams
 from .content import ContentModel, TierCachePolicy
 
@@ -52,18 +58,8 @@ __all__ = [
     "scenario_to_mapping",
 ]
 
-AUTO = "auto"
 PER_KM2 = "per-km2"
 PER_M2 = "per-m2"
-
-
-class ConfigError(ValueError):
-    """Config rejected; ``path`` locates the offending field."""
-
-    def __init__(self, path: str, reason: str):
-        super().__init__(f"{path}: {reason}")
-        self.path = path
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -74,10 +70,11 @@ class CostModel:
     cache_unit_cost: float = 0.01
 
     def __post_init__(self):
+        check_fields(self)
         if not self.backhaul_unit_cost > 0:
             raise ValueError("backhaul_unit_cost must be positive")
-        if self.cache_unit_cost < 0:
-            raise ValueError("cache_unit_cost must be nonnegative")
+        if not 0 <= self.cache_unit_cost < math.inf:
+            raise ConfigError("cache_unit_cost", "must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -90,13 +87,13 @@ class SimulationProtocol:
     content_evaluation: str = "all-weighted"
 
     def __post_init__(self):
-        if not isinstance(self.num_snapshots, (int, np.integer)) or self.num_snapshots < 1:
-            raise ValueError("num_snapshots must be a positive integer")
-        if isinstance(self.region_radius, str):
-            if self.region_radius != AUTO:
-                raise ValueError("region_radius must be a positive number or 'auto'")
-        elif not self.region_radius > 0:
+        check_fields(self)
+        if self.num_snapshots < 1:
+            raise ConfigError("num_snapshots", "must be a positive integer")
+        if self.region_radius != AUTO and not self.region_radius > 0:
             raise ValueError("region_radius must be a positive number or 'auto'")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed", "must be a nonnegative integer")
         if self.content_evaluation not in ("all-weighted", "sampled"):
             raise ValueError("content_evaluation must be 'all-weighted' or 'sampled'")
 
@@ -111,14 +108,12 @@ class IntegrationSettings:
     inner_truncation_radius: float | str = AUTO
 
     def __post_init__(self):
+        check_fields(self)
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         for name in ("outer_truncation_radius", "inner_truncation_radius"):
             value = getattr(self, name)
-            if isinstance(value, str):
-                if value != AUTO:
-                    raise ValueError(f"{name} must be a positive number or 'auto'")
-            elif not value > 0:
+            if value != AUTO and not value > 0:
                 raise ValueError(f"{name} must be a positive number or 'auto'")
 
 
@@ -136,8 +131,9 @@ class TierConfig:
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.density < 0:
-            raise ValueError("density must be nonnegative")
+        check_fields(self)
+        if not 0 <= self.density < math.inf:
+            raise ConfigError("density", "must be finite and nonnegative")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
 
@@ -158,8 +154,7 @@ class ScenarioConfig:
     rate_log_base: float = 2.0
 
     def __post_init__(self):
-        if not isinstance(self.tiers, tuple):
-            object.__setattr__(self, "tiers", tuple(self.tiers))
+        check_fields(self)
         if len(self.tiers) < 1:
             raise ValueError("at least one tier is required")
         if self.density_unit not in (PER_KM2, PER_M2):
@@ -297,65 +292,27 @@ def _merge(defaults, override, path):
     """Deep merge ``override`` onto ``defaults``, rejecting unknown keys."""
     if override is None:
         return defaults
-    _require_mapping(override, path)
+    _require_mapping(override, path or "<config>")
     merged = dict(defaults)
     for key, value in override.items():
+        key_path = f"{path}.{key}" if path else str(key)
         if key not in defaults:
-            raise ConfigError(f"{path}.{key}" if path else str(key), "unknown key")
+            raise ConfigError(key_path, "unknown key")
         if isinstance(defaults[key], dict):
-            merged[key] = _merge(defaults[key], value, f"{path}.{key}" if path else str(key))
+            merged[key] = _merge(defaults[key], value, key_path)
         else:
             merged[key] = value
     return merged
 
 
-_INT_FIELDS = {
-    "cache_size", "library_size", "num_snapshots", "master_seed",
-    "nakagami_los", "nakagami_nlos",
-}
-_STR_FIELDS = {"content_evaluation", "density_unit"}
-_NUM_OR_AUTO_FIELDS = {
-    "region_radius", "outer_truncation_radius", "inner_truncation_radius",
-}
-
-
-def _coerce_scalar(key, value, path):
-    if key in _STR_FIELDS:
-        if not isinstance(value, str):
-            raise ConfigError(path, "expected a string")
-        return value
-    if key in _NUM_OR_AUTO_FIELDS:
-        if isinstance(value, str):
-            if value != AUTO:
-                raise ConfigError(path, "expected a number or 'auto'")
-            return value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(path, "expected a number or 'auto'")
-        return float(value)
-    if key in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            if isinstance(value, float) and value.is_integer():
-                return int(value)
-            raise ConfigError(path, "expected an integer")
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, "expected a number")
-    return float(value)
-
-
-def _coerce_tree(node, path):
-    if isinstance(node, dict):
-        return {k: _coerce_tree(v, f"{path}.{k}" if path else str(k))
-                for k, v in node.items()}
-    key = path.rsplit(".", 1)[-1]
-    return _coerce_scalar(key, node, path)
-
-
-def _build(cls, mapping, path):
+def _build(cls, fields, path):
+    """``cls(**fields)``, with any rejection located under ``path``."""
     try:
-        return cls(**mapping)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+        return cls(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.path}" if path else exc.path, exc.reason) from exc
+    except ValueError as exc:
+        raise ConfigError(path or "<config>", str(exc)) from exc
 
 
 def scenario_from_mapping(mapping: dict | None) -> ScenarioConfig:
@@ -363,58 +320,26 @@ def scenario_from_mapping(mapping: dict | None) -> ScenarioConfig:
 
     Missing sections and keys fall back to the default scenario. Tier
     entries merge positionally onto the default tiers; entries past the
-    default count inherit from the last default tier.
+    default count inherit from the last default tier. Each record checks
+    its own fields.
     """
     defaults = scenario_to_mapping(default_scenario())
-    if mapping is None:
-        mapping = {}
-    _require_mapping(mapping, "<config>")
-
-    top_unknown = set(mapping) - set(defaults)
-    if top_unknown:
-        raise ConfigError(sorted(top_unknown)[0], "unknown key")
-
-    tiers_node = mapping.get("tiers", defaults["tiers"])
-    if not isinstance(tiers_node, list) or not tiers_node:
+    merged = _merge(defaults, {} if mapping is None else mapping, "")
+    if not isinstance(merged["tiers"], list) or not merged["tiers"]:
         raise ConfigError("tiers", "expected a non-empty list of tier mappings")
-
     tiers = []
-    for k, entry in enumerate(tiers_node):
-        template = defaults["tiers"][min(k, len(defaults["tiers"]) - 1)]
-        merged = _merge(template, entry, f"tiers[{k + 1}]")
-        merged = _coerce_tree(merged, f"tiers[{k + 1}]")
-        radio = _build(TierRadioParams, merged["radio"], f"tiers[{k + 1}].radio")
-        cache = _build(TierCachePolicy, merged["cache"], f"tiers[{k + 1}].cache")
-        tiers.append(_build(
-            TierConfig,
-            {"density": merged["density"], "rho": merged["rho"],
-             "radio": radio, "cache": cache},
-            f"tiers[{k + 1}]",
-        ))
-
-    def section(name, cls):
-        merged = _coerce_tree(_merge(defaults[name], mapping.get(name), name), name)
-        return _build(cls, merged, name)
-
-    content = section("content", ContentModel)
-    costs = section("costs", CostModel)
-    protocol = section("protocol", SimulationProtocol)
-    integration = section("integration", IntegrationSettings)
-
-    density_unit = _coerce_scalar(
-        "density_unit", mapping.get("density_unit", defaults["density_unit"]),
-        "density_unit")
-    rate_log_base = _coerce_scalar(
-        "rate_log_base", mapping.get("rate_log_base", defaults["rate_log_base"]),
-        "rate_log_base")
-
-    return _build(
-        ScenarioConfig,
-        {"tiers": tuple(tiers), "content": content, "costs": costs,
-         "protocol": protocol, "integration": integration,
-         "density_unit": density_unit, "rate_log_base": rate_log_base},
-        "<config>",
-    )
+    for k, entry in enumerate(merged["tiers"]):
+        path = f"tiers[{k + 1}]"
+        tier = _merge(defaults["tiers"][min(k, len(defaults["tiers"]) - 1)], entry, path)
+        tiers.append(_build(TierConfig, {
+            **tier,
+            "radio": _build(TierRadioParams, tier["radio"], f"{path}.radio"),
+            "cache": _build(TierCachePolicy, tier["cache"], f"{path}.cache"),
+        }, path))
+    sections = {name: _build(cls, merged[name], name) for name, cls in (
+        ("content", ContentModel), ("costs", CostModel),
+        ("protocol", SimulationProtocol), ("integration", IntegrationSettings))}
+    return _build(ScenarioConfig, {**merged, **sections, "tiers": tiers}, "")
 
 
 def serialize_config(config: ScenarioConfig) -> str:

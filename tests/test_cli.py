@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, overrides, exit codes."""
 import json
 
+import pytest
+
 from hetcache.cli import main
 
 
@@ -47,6 +49,25 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     cfg.write_text("tiers:\n  - radio: {pathloss_exp_los: 9.0}\n")
     assert main(["run", "--config", str(cfg), "--out",
                  str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize("text, flags, path", [
+    ("tiers:\n  - {}\n  - density: .nan\n", [], "tiers[2].density"),
+    ("tiers:\n  - density: .inf\n", [], "tiers[1].density"),
+    ("tiers:\n  - density: true\n", [], "tiers[1].density"),
+    ("costs: {cache_unit_cost: .nan}\n", [], "costs.cache_unit_cost"),
+    ("protocol: {master_seed: -1}\n", [], "protocol.master_seed"),
+    ("", ["--seed", "-1"], "protocol.master_seed"),
+    ("", ["--snapshots", "0"], "protocol.num_snapshots"),
+])
+def test_bad_value_exits_one_with_its_path(tmp_path, capsys, text, flags, path):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    code = main(["run", "--config", str(cfg), *flags, "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: {path}: ")
+    assert "Traceback" not in err
 
 
 def test_unknown_key_exits_one(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Sweeps, grid search, CSV persistence, presets."""
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,26 @@ def test_set_parameter_bad_paths():
         set_parameter(s, "nonsense.path", 1.0)
     with pytest.raises(ConfigError):
         set_parameter(s, "tiers[1].cache.cache_size", 2.5)  # non-integer
+
+
+def test_get_parameter_bad_paths():
+    s = default_scenario()
+    for path in ("tiers[0].density", "tiers[3].density", "tiers[*].rho",
+                 "tiers[1].antenna", "tiers[1].effective_threshold",
+                 "content.nothing", "tiers[1].density.real"):
+        with pytest.raises(ConfigError):
+            get_parameter(s, path)
+
+
+@pytest.mark.parametrize("path, bad", [
+    ("tiers[2].density", math.nan), ("tiers[2].density", math.inf),
+    ("tiers[*].density", -1.0), ("costs.cache_unit_cost", math.nan),
+    ("costs.cache_unit_cost", math.inf), ("protocol.master_seed", -1),
+])
+def test_set_parameter_rejects_out_of_range(path, bad):
+    field = path.rsplit(".", 1)[1]
+    with pytest.raises(ConfigError, match=f"^{field}: must be"):
+        set_parameter(default_scenario(), path, bad)
 
 
 def test_degenerate_sweep_equals_direct_call():

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hetcache.scenario import (AUTO, PER_M2, ConfigError, IntegrationSettings,
-                               SimulationProtocol, auto_region_radius,
-                               default_scenario, desk_scale_protocol,
-                               load_config, save_config, scenario_from_mapping,
+from hetcache.content import TierCachePolicy
+from hetcache.experiments import set_parameter
+from hetcache.scenario import (AUTO, PER_M2, ConfigError, CostModel,
+                               IntegrationSettings, SimulationProtocol,
+                               auto_region_radius, default_scenario,
+                               desk_scale_protocol, load_config, save_config,
+                               scenario_from_mapping, scenario_to_mapping,
                                serialize_config)
 
 
@@ -175,3 +180,66 @@ def test_serialized_form_is_plain_yaml(tmp_path):
     text = serialize_config(default_scenario())
     assert "tiers:" in text and "radio:" in text
     assert "!!" not in text  # no python-specific tags
+
+
+def test_records_check_field_types():
+    policy = TierCachePolicy(cache_size=5.0, mpc_fraction=1)
+    assert type(policy.cache_size) is int and type(policy.mpc_fraction) is float
+    assert type(CostModel(cache_unit_cost=np.float64(0.5)).cache_unit_cost) is float
+    s = default_scenario()
+    assert dataclasses.replace(s, tiers=list(s.tiers)).tiers == s.tiers
+    for make in (lambda: TierCachePolicy(cache_size=True),
+                 lambda: TierCachePolicy(cache_size=5, mpc_fraction="1"),
+                 lambda: CostModel(backhaul_unit_cost=False),
+                 lambda: SimulationProtocol(region_radius="10"),
+                 lambda: SimulationProtocol(content_evaluation=1),
+                 lambda: dataclasses.replace(s, tiers=(s.tiers[0], "tier")),
+                 lambda: dataclasses.replace(s, costs=None)):
+        with pytest.raises(ConfigError):
+            make()
+
+
+def _leaf_paths(node, prefix=""):
+    """Dotted paths, with 1-based ``tiers[k]``, of every leaf of a mapping."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, f"{prefix}.{key}" if prefix else key)
+    elif isinstance(node, list):
+        for k, entry in enumerate(node, start=1):
+            yield from _leaf_paths(entry, f"{prefix}[{k}]")
+    else:
+        yield prefix
+
+
+def _with_leaf(mapping, path, value):
+    *parents, leaf = path.split(".")
+    node = mapping
+    for part in parents:
+        name, _, index = part.partition("[")
+        node = node[name][int(index[:-1]) - 1] if index else node[name]
+    node[leaf] = value
+    return mapping
+
+
+LEAF_PATHS = sorted(_leaf_paths(scenario_to_mapping(default_scenario())))
+VALUES = st.one_of(
+    st.integers(), st.integers(-5, 200).map(float), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, AUTO, "10",
+                     PER_M2, "sampled", None]),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(LEAF_PATHS), value=VALUES)
+def test_set_parameter_and_yaml_agree(path, value):
+    """Every YAML leaf is a sweep path that accepts and rejects the same values."""
+    base = default_scenario()
+    outcomes = []
+    for build in (lambda: set_parameter(base, path, value),
+                  lambda: scenario_from_mapping(
+                      _with_leaf(scenario_to_mapping(base), path, value))):
+        try:
+            outcomes.append(serialize_config(build()))
+        except ValueError:
+            outcomes.append(ValueError)
+    assert outcomes[0] == outcomes[1]
