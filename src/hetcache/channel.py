@@ -8,11 +8,12 @@ normalized to unit mean. Distances are meters; gains are unitless.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import check_fields
+from ._config import ConfigError, check_fields
 
 __all__ = [
     "LOS",
@@ -45,20 +46,16 @@ class TierRadioParams:
 
     def __post_init__(self):
         check_fields(self)
-        if not self.tx_power > 0:
-            raise ValueError("tx_power must be positive")
+        for name in ("tx_power", "near_field_dist", "far_field_dist", "sir_threshold",
+                     "intercept_los", "intercept_nlos"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(name, "must be finite and positive")
         if not 2.0 < self.pathloss_exp_los:
             raise ValueError("pathloss_exp_los must exceed 2")
         if not self.pathloss_exp_los < self.pathloss_exp_nlos:
             raise ValueError("pathloss_exp_nlos must exceed pathloss_exp_los")
         if not self.pathloss_exp_nlos <= 8.0:
             raise ValueError("pathloss_exp_nlos must not exceed 8")
-        if not (self.near_field_dist > 0 and self.far_field_dist > 0):
-            raise ValueError("critical distances must be positive")
-        if not self.sir_threshold > 0:
-            raise ValueError("sir_threshold must be positive")
-        if not (self.intercept_los > 0 and self.intercept_nlos > 0):
-            raise ValueError("intercepts must be positive")
         if self.nakagami_nlos < 1:
             raise ValueError("nakagami_nlos must be a positive integer")
         if self.nakagami_los < self.nakagami_nlos:

@@ -18,8 +18,8 @@ import sys
 
 import numpy as np
 
-from .experiments import (PRESET_NAMES, SweepSpec, grid_search, run_experiment,
-                          run_preset, write_csv, _evaluate_row)
+from .experiments import (PRESET_NAMES, SweepSpec, _grid_rows, grid_search,
+                          run_experiment, run_preset, write_csv)
 from .metrics import UndefinedEfficiencyError
 from .quadrature import QuadratureError
 from .scenario import (ConfigError, default_scenario, load_config,
@@ -46,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--snapshots", type=int, metavar="N",
                        help="override protocol.num_snapshots")
         p.add_argument("--out", metavar="PATH", default="hetcache_results.csv")
-        p.add_argument("--format", choices=("csv",), default="csv")
         p.add_argument("--workers", type=int, default=1)
 
     add_common(sub.add_parser("run", help="evaluate a single scenario"))
@@ -119,17 +118,14 @@ def main(argv=None) -> int:
     try:
         scenario = _load_scenario(args)
         if args.command == "run":
-            engines = ["analytic", "mc"] if args.engine == "both" else [args.engine]
-            rows = [dict(_evaluate_row(scenario, eng, args.workers))
-                    for eng in engines]
+            engines = ("analytic", "mc") if args.engine == "both" else (args.engine,)
+            rows = list(_grid_rows(scenario, (), engines, args.workers))
             write_csv(rows, args.out, scenario)
         elif args.command == "sweep":
             spec = SweepSpec(args.param, _sweep_grid(args), engine=args.engine)
             rows = run_experiment(scenario, spec, out_path=args.out,
                                   workers=args.workers)
         elif args.command == "search":
-            if len(args.var) > 3:
-                raise ConfigError("search", "at most 3 variables")
             variables = {}
             for spec in args.var:
                 path, _, values = spec.partition("=")
@@ -152,9 +148,6 @@ def main(argv=None) -> int:
         if any(row.get("status") == "error" for row in rows):
             return 2
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except (QuadratureError, UndefinedEfficiencyError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2

@@ -9,10 +9,18 @@ Swept parameters are addressed by dotted paths into the scenario, with
 
 ``tiers[*]`` applies the value to every tier. Every YAML field is a sweep
 path: ``set_parameter`` rebuilds each record on the path, so the record
-checks the value exactly as YAML loading does. Result rows are flattened
-metric reports; float cells are printed with 17 significant digits so a
-fixed config and seed reproduce byte-identical CSV files. A sidecar
-``<out>.meta.json`` records the config hash, seed, and engine versions.
+checks the value exactly as YAML loading does, and a rejection names the
+swept path. An axis of a grid is a path and its grid of values, or a tuple
+of paths set together from a grid of tuples, such as
+``("tiers[1].rho", "tiers[2].rho")``.
+
+One driver, ``_grid_rows``, turns every sweep, grid search, single run and
+canned experiment into rows: one per grid point per engine. The canned
+experiments (``PRESET_NAMES``) are data, a table of axes and engines.
+Result rows are flattened metric reports; float cells are printed with 17
+significant digits so a fixed config and seed reproduce byte-identical CSV
+files. A sidecar ``<out>.meta.json`` records the config hash, seed, and
+engine versions.
 """
 from __future__ import annotations
 
@@ -22,12 +30,13 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .analytic import build_coverage_table
-from .metrics import MetricReport, analytic_columns
+from .metrics import analytic_columns
 # Grid rows do not call it; perfbench/tracing.py wraps it at this lookup site.
 from .metrics import analytic_report  # noqa: F401
 from .montecarlo import run_simulation
@@ -49,23 +58,15 @@ __all__ = [
 
 CSV_SCHEMA_VERSION = 1
 
-_ENGINES = {"analytic": "analytic", "mc": "mc", "monte-carlo": "mc", "both": "both"}
-
-_METRIC_COLUMNS = [
-    "coverage", "bound_value", "p_hit", "p_bh", "p_bh_operational",
-    "coverage_all_bs", "ase", "cost", "cost_over_backhaul_unit", "efficiency",
-]
-_SE_COLUMNS = ["se_coverage", "se_p_hit", "se_p_bh", "se_ase", "se_cost",
-               "se_efficiency"]
-_ERR_COLUMNS = ["err_coverage", "err_p_hit", "err_p_bh", "err_ase", "err_cost",
-                "err_efficiency"]
+_ENGINES = {"analytic": ("analytic",), "mc": ("mc",), "both": ("analytic", "mc")}
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter: a path into the scenario plus its value grid."""
+    """One swept parameter: a path into the scenario plus its value grid.
+    A tuple of paths is set together from a grid of tuples."""
 
-    parameter_path: str
+    parameter_path: str | tuple
     grid: tuple
     engine: str = "analytic"
 
@@ -129,14 +130,21 @@ def _replaced(record, names, value, path: str):
 
 
 def set_parameter(scenario: ScenarioConfig, path: str, value) -> ScenarioConfig:
-    """Return a copy of ``scenario`` with the addressed parameter replaced."""
+    """Return a copy of ``scenario`` with the addressed parameter replaced.
+
+    A ``ConfigError`` names ``path``, not the field of the record that
+    rejected the value.
+    """
     tier, names = _parse(path)
-    if tier is None:
-        return _replaced(scenario, names, value, path)
-    tiers = list(scenario.tiers)
-    for k in _tier_positions(scenario, tier, path):
-        tiers[k] = _replaced(tiers[k], names, value, path)
-    return _rebuilt(scenario, "tiers", tuple(tiers))
+    try:
+        if tier is None:
+            return _replaced(scenario, names, value, path)
+        tiers = list(scenario.tiers)
+        for k in _tier_positions(scenario, tier, path):
+            tiers[k] = _replaced(tiers[k], names, value, path)
+        return _rebuilt(scenario, "tiers", tuple(tiers))
+    except ConfigError as exc:
+        raise ConfigError(path, exc.reason) from exc
 
 
 def get_parameter(scenario: ScenarioConfig, path: str):
@@ -150,26 +158,14 @@ def get_parameter(scenario: ScenarioConfig, path: str):
     return node
 
 
-# Every metric cell of a row, blank, in row order.
-_BLANK_CELLS = dict.fromkeys(_METRIC_COLUMNS + _SE_COLUMNS + _ERR_COLUMNS
-                             + ["provenance"], "")
-
-
-def _report_cells(report: MetricReport) -> dict:
-    cells = dict(_BLANK_CELLS)
-    cells["provenance"] = report.provenance
-    for name in ("coverage", "p_hit", "p_bh", "ase", "cost", "efficiency"):
-        cells[name] = getattr(report, name)
-    cells["bound_value"] = report.bound_value
-    cells["p_bh_operational"] = report.p_bh_operational
-    cells["coverage_all_bs"] = report.coverage_all_bs
-    for i, rho in enumerate(report.per_tier_coverage_density, start=1):
-        cells[f"rho_{i}"] = rho
-    if report.stderr:
-        for key, value in report.stderr.items():
-            if f"se_{key}" in _SE_COLUMNS:
-                cells[f"se_{key}"] = value
-    return cells
+# Every metric cell of a row, blank, in row order: the metrics, their
+# Monte Carlo standard errors, their analytic error estimates.
+_ESTIMATED = ("coverage", "p_hit", "p_bh", "ase", "cost", "efficiency")
+_BLANK_CELLS = dict.fromkeys([
+    "coverage", "bound_value", "p_hit", "p_bh", "p_bh_operational", "coverage_all_bs",
+    "ase", "cost", "cost_over_backhaul_unit", "efficiency",
+    *(f"se_{name}" for name in _ESTIMATED), *(f"err_{name}" for name in _ESTIMATED),
+    "provenance"], "")
 
 
 @dataclass
@@ -248,81 +244,88 @@ def _analytic_rows(scenarios, cache: _SweepCache) -> list:
     return rows
 
 
-def _evaluate_row(scenario: ScenarioConfig, engine: str, workers: int,
-                  cache: _SweepCache | None = None):
-    """One (grid point, engine) evaluation -> row dict."""
-    if cache is None:
-        cache = _SweepCache()
-    if engine == "analytic":
-        return _analytic_rows([scenario], cache)[0]
+def _mc_row(scenario: ScenarioConfig, workers: int) -> dict:
+    """The Monte Carlo row dict of ``scenario``."""
     try:
         report = run_simulation(scenario, workers=workers)
     except (QuadratureError, ValueError) as exc:
-        return _error_row(engine, str(exc))
-    row = {"engine": engine, "status": "ok", "error": ""}
-    row.update(_report_cells(report))
+        return _error_row("mc", str(exc))
+    row = {"engine": "mc", "status": "ok", "error": "", **_BLANK_CELLS}
+    row.update((name, getattr(report, name)) for name in _BLANK_CELLS
+               if hasattr(report, name))
     row["cost_over_backhaul_unit"] = report.cost / scenario.costs.backhaul_unit_cost
+    row.update((f"se_{k}", v) for k, v in report.stderr.items() if f"se_{k}" in row)
+    row.update((f"rho_{i}", rho) for i, rho in enumerate(report.per_tier_coverage_density, 1))
     return row
 
 
-def run_experiment(config: ScenarioConfig, sweep: SweepSpec,
-                   engines: str | None = None, out_path=None,
-                   workers: int = 1):
-    """Evaluate every grid point with the selected engine(s).
-
-    Returns the rows in grid order (one per grid point per engine) and, when
-    ``out_path`` is given, persists them as CSV plus a metadata sidecar.
-    Rows that fail keep the run going; their status column reads ``error``.
-    """
-    engine = _ENGINES[engines if engines is not None else sweep.engine]
-    engine_list = ["analytic", "mc"] if engine == "both" else [engine]
-    cache = _SweepCache()
-    rows = []
-    for value in sweep.grid:
-        scenario = set_parameter(config, sweep.parameter_path, value)
-        for eng in engine_list:
-            row = {sweep.parameter_path: value}
-            row.update(_evaluate_row(scenario, eng, workers, cache))
-            rows.append(row)
-    if out_path is not None:
-        write_csv(rows, out_path, config)
-    return rows
+def _cells(path, value) -> dict:
+    """The row cells of one axis value; a tuple of paths takes a tuple of values."""
+    return {path: value} if isinstance(path, str) else dict(zip(path, value))
 
 
-def _grid_rows(scenario: ScenarioConfig, axes, engine: str, workers: int,
-               cache: _SweepCache, point: dict | None = None):
-    """Yield one row per point of the product of ``axes``, in grid order.
+def _set_point(scenario: ScenarioConfig, path, value) -> ScenarioConfig:
+    if isinstance(path, str):
+        return set_parameter(scenario, path, value)
+    for name, v in zip(path, value):
+        scenario = set_parameter(scenario, name, v)
+    return scenario
+
+
+def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
+               cache: _SweepCache | None = None, point: dict | None = None):
+    """Yield the rows of every point of the product of ``axes``, in grid order.
 
     ``axes`` is an ordered sequence of (path, grid) pairs; the last varies
-    fastest. Each point is built from the deepest prefix it shares with
-    the previous one, as nested loops would: ``set_parameter`` runs once
-    per changed value, in path order. The points of one innermost grid
-    form a block that the analytic engine evaluates in one batch. Failed
-    rows are yielded with status ``error``; a bad parameter value raises
-    where it is set, after the rows of its block before it.
+    fastest, and no axes means the one point ``scenario``. A path may be a
+    tuple of paths, set together, in order, from a grid of tuples. Each
+    point yields one row per engine of ``engines``, in that order; a row's
+    first cells are the point's values, one per path. Each point is built
+    from the deepest prefix it shares with the previous one, as nested
+    loops would: ``set_parameter`` runs once per changed value, in path
+    order. The points of one innermost grid form a block whose analytic
+    rows are scored in one batch. Failed rows are yielded with status
+    ``error``; a bad parameter value raises where it is set, after the
+    rows of its block before it.
     """
+    cache = _SweepCache() if cache is None else cache
     point = {} if point is None else point
-    path, grid = axes[len(point)]
-    if len(point) < len(axes) - 1:
+    path, grid = axes[0] if axes else ((), ((),))
+    if len(axes) > 1:
         for value in grid:
-            yield from _grid_rows(set_parameter(scenario, path, value), axes, engine,
-                                  workers, cache, {**point, path: value})
+            yield from _grid_rows(_set_point(scenario, path, value), axes[1:], engines,
+                                  workers, cache, {**point, **_cells(path, value)})
         return
     scenarios, failure = [], None
     for value in grid:
         try:
-            scenarios.append(set_parameter(scenario, path, value))
+            scenarios.append(_set_point(scenario, path, value))
         except (ValueError, TypeError) as exc:  # raised once the rows before it are out
             failure = exc
             break
-    if engine == "analytic":
-        rows = _analytic_rows(scenarios, cache)
-    else:
-        rows = [_evaluate_row(s, engine, workers, cache) for s in scenarios]
-    for value, cells in zip(grid, rows):
-        yield {**point, path: value, **cells}
+    blocks = [_analytic_rows(scenarios, cache) if engine == "analytic"
+              else [_mc_row(s, workers) for s in scenarios] for engine in engines]
+    for value, cells in zip(grid, zip(*blocks)):
+        for engine_cells in cells:
+            yield {**point, **_cells(path, value), **engine_cells}
     if failure is not None:
         raise failure
+
+
+def run_experiment(config: ScenarioConfig, sweep: SweepSpec, out_path=None,
+                   workers: int = 1):
+    """Evaluate every grid point with the sweep's engine(s).
+
+    Returns the rows in grid order (one per grid point per engine, analytic
+    first) and, when ``out_path`` is given, persists them as CSV plus a
+    metadata sidecar. Rows that fail keep the run going; their status
+    column reads ``error``.
+    """
+    rows = list(_grid_rows(config, [(sweep.parameter_path, sweep.grid)],
+                           _ENGINES[sweep.engine], workers))
+    if out_path is not None:
+        write_csv(rows, out_path, config)
+    return rows
 
 
 def grid_search(config: ScenarioConfig, variables: dict,
@@ -339,8 +342,8 @@ def grid_search(config: ScenarioConfig, variables: dict,
     """
     if not 1 <= len(variables) <= 3:
         raise ValueError("grid search supports 1 to 3 variables")
-    eng = _ENGINES[engine]
-    if eng == "both":
+    engines = _ENGINES[engine]
+    if len(engines) > 1:
         raise ValueError("grid search uses a single engine")
     axes = [(path, tuple(grid)) for path, grid in variables.items()]
     if any(len(grid) == 0 for _, grid in axes):
@@ -348,14 +351,14 @@ def grid_search(config: ScenarioConfig, variables: dict,
     best_point = None
     best_eta = -np.inf
     surface = []
-    for row in _grid_rows(config, axes, eng, workers, _SweepCache()):
+    for row in _grid_rows(config, axes, engines, workers):
         surface.append(row)
-        point = {path: row[path] for path in variables}
         if row["status"] != "ok":
+            point = {path: row[path] for path in variables}
             raise QuadratureError(f"grid point {point} failed: {row['error']}")
         if row["efficiency"] > best_eta:
             best_eta = row["efficiency"]
-            best_point = point
+            best_point = {path: row[path] for path in variables}
     return GridSearchResult(best_point=best_point, best_efficiency=best_eta,
                             surface=tuple(surface))
 
@@ -403,71 +406,62 @@ def write_csv(rows, out_path, config: ScenarioConfig | None = None) -> None:
 PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 
 
-def _preset_fig1(config, workers):
-    """Analytic coverage bound next to Monte Carlo coverage over a threshold grid."""
-    sweep = SweepSpec("tiers[2].radio.sir_threshold",
-                      (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0), engine="both")
-    return run_experiment(config, sweep, workers=workers)
+class _Preset(NamedTuple):
+    """One canned experiment: a grid over the caller's config, run by
+    ``_grid_rows``. A callable grid is made from the config. With
+    ``efficiency_ratio`` each row also gets its efficiency over that of
+    its baseline: the row of the same engine at its point of the grid
+    without the last axis."""
+
+    axes: tuple
+    engines: tuple = ("analytic",)
+    efficiency_ratio: bool = False
 
 
-def _preset_fig5(config, workers):
-    """Efficiency ratio under macro-favoring bias (rho_1 = 1 - rho_2).
-
-    Cache slots are priced at a tenth of the usual default here, the regime
-    where biasing can pay off at moderate densities.
-    """
-    rows = []
-    cache = _SweepCache()
-    cheap = set_parameter(config, "costs.cache_unit_cost",
-                          0.001 * config.costs.backhaul_unit_cost)
-    for lam2 in (1e-2, 1e-1, 1.0, 1e2):
-        base = set_parameter(cheap, "tiers[2].density", lam2)
-        baseline = _evaluate_row(base, "analytic", workers, cache)
-        for rho2 in np.arange(0.05, 1.0, 0.05):
-            scenario = set_parameter(base, "tiers[1].rho", 1.0 - rho2)
-            scenario = set_parameter(scenario, "tiers[2].rho", rho2)
-            row = {"tiers[2].density": lam2, "rho_2": round(float(rho2), 10)}
-            row.update(_evaluate_row(scenario, "analytic", workers, cache))
-            if row["status"] == "ok" and baseline["status"] == "ok":
-                row["efficiency_ratio"] = row["efficiency"] / baseline["efficiency"]
-            else:
-                row["efficiency_ratio"] = ""
-            rows.append(row)
-    return rows
-
-
-# Presets that are one analytic grid over the caller's config: ordered
-# (path, grid) axes, run by ``_grid_rows``. A callable grid is made from
-# the config.
-_GRID_PRESETS = {
+_PRESETS = {
+    # fig1: analytic coverage bound next to Monte Carlo coverage vs threshold
+    "fig1": _Preset((("tiers[2].radio.sir_threshold", (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)),),
+                    engines=("analytic", "mc")),
     # fig2: backhaul use, hit ratio, ASE, cost and efficiency vs small-cell density
-    "fig2": (("content.popularity_exponent", (0.5, 1.0, 1.5)),
-             ("tiers[2].density", np.logspace(-4, 2, 13))),
+    "fig2": _Preset((("content.popularity_exponent", (0.5, 1.0, 1.5)),
+                     ("tiers[2].density", np.logspace(-4, 2, 13)))),
     # fig3: efficiency over the (MPC fraction tier 1, MPC fraction tier 2) grid
-    "fig3": (("content.popularity_exponent", (0.5, 1.0, 1.5)),
-             ("tiers[1].cache.mpc_fraction", (0.0, 0.25, 0.5, 0.75, 1.0)),
-             ("tiers[2].cache.mpc_fraction", (0.0, 0.25, 0.5, 0.75, 1.0))),
+    "fig3": _Preset((("content.popularity_exponent", (0.5, 1.0, 1.5)),
+                     ("tiers[1].cache.mpc_fraction", (0.0, 0.25, 0.5, 0.75, 1.0)),
+                     ("tiers[2].cache.mpc_fraction", (0.0, 0.25, 0.5, 0.75, 1.0)))),
     # fig4: efficiency vs small-cell cache size for several macro cache sizes
-    "fig4": (("tiers[2].density", (1e-1, 1e2)),
-             ("content.popularity_exponent", (0.5, 1.2)),
-             ("tiers[1].cache.cache_size", (10, 20, 50, 80)),
-             ("tiers[2].cache.cache_size",
-              lambda config: range(1, config.content.library_size + 1, 3))),
+    "fig4": _Preset((("tiers[2].density", (1e-1, 1e2)),
+                     ("content.popularity_exponent", (0.5, 1.2)),
+                     ("tiers[1].cache.cache_size", (10, 20, 50, 80)),
+                     ("tiers[2].cache.cache_size",
+                      lambda config: range(1, config.content.library_size + 1, 3)))),
+    # fig5: efficiency under macro-favoring bias (rho_1 = 1 - rho_2), over the
+    # unbiased efficiency at each density. Cache slots cost a tenth of the
+    # usual default, the regime where biasing can pay at moderate densities.
+    "fig5": _Preset((("costs.cache_unit_cost",
+                      lambda config: (0.001 * config.costs.backhaul_unit_cost,)),
+                     ("tiers[2].density", (1e-2, 1e-1, 1.0, 1e2)),
+                     (("tiers[1].rho", "tiers[2].rho"),
+                      tuple((1.0 - rho2, rho2) for rho2 in np.arange(0.05, 1.0, 0.05)))),
+                    efficiency_ratio=True),
 }
 
 
 def run_preset(name: str, config: ScenarioConfig, out_path=None, workers: int = 1):
     """Run one canned experiment and optionally persist its rows."""
-    if name in _GRID_PRESETS:
-        axes = [(path, grid(config) if callable(grid) else grid)
-                for path, grid in _GRID_PRESETS[name]]
-        rows = list(_grid_rows(config, axes, "analytic", workers, _SweepCache()))
-    elif name == "fig1":
-        rows = _preset_fig1(config, workers)
-    elif name == "fig5":
-        rows = _preset_fig5(config, workers)
-    else:
+    if name not in _PRESETS:
         raise ConfigError("preset", f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    preset = _PRESETS[name]
+    axes = [(path, grid(config) if callable(grid) else grid) for path, grid in preset.axes]
+    cache = _SweepCache()
+    rows = list(_grid_rows(config, axes, preset.engines, workers, cache))
+    if preset.efficiency_ratio:
+        baselines = list(_grid_rows(config, axes[:-1], preset.engines, workers, cache))
+        engines, last = len(preset.engines), len(axes[-1][1])
+        for k, row in enumerate(rows):
+            base = baselines[k // (last * engines) * engines + k % engines]
+            ok = row["status"] == "ok" and base["status"] == "ok"
+            row["efficiency_ratio"] = row["efficiency"] / base["efficiency"] if ok else ""
     if out_path is not None:
         write_csv(rows, out_path, config)
     return rows

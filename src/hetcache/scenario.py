@@ -71,8 +71,8 @@ class CostModel:
 
     def __post_init__(self):
         check_fields(self)
-        if not self.backhaul_unit_cost > 0:
-            raise ValueError("backhaul_unit_cost must be positive")
+        if not 0 < self.backhaul_unit_cost < math.inf:
+            raise ConfigError("backhaul_unit_cost", "must be finite and positive")
         if not 0 <= self.cache_unit_cost < math.inf:
             raise ConfigError("cache_unit_cost", "must be finite and nonnegative")
 
@@ -90,8 +90,8 @@ class SimulationProtocol:
         check_fields(self)
         if self.num_snapshots < 1:
             raise ConfigError("num_snapshots", "must be a positive integer")
-        if self.region_radius != AUTO and not self.region_radius > 0:
-            raise ValueError("region_radius must be a positive number or 'auto'")
+        if self.region_radius != AUTO and not 0 < self.region_radius < math.inf:
+            raise ConfigError("region_radius", "must be finite and positive, or 'auto'")
         if self.master_seed < 0:
             raise ConfigError("master_seed", "must be a nonnegative integer")
         if self.content_evaluation not in ("all-weighted", "sampled"):
@@ -109,12 +109,13 @@ class IntegrationSettings:
 
     def __post_init__(self):
         check_fields(self)
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+        for name in ("rel_tol", "abs_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(name, "must be finite and positive")
         for name in ("outer_truncation_radius", "inner_truncation_radius"):
             value = getattr(self, name)
-            if value != AUTO and not value > 0:
-                raise ValueError(f"{name} must be a positive number or 'auto'")
+            if value != AUTO and not 0 < value < math.inf:
+                raise ConfigError(name, "must be finite and positive, or 'auto'")
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ class TierConfig:
         if not 0 <= self.density < math.inf:
             raise ConfigError("density", "must be finite and nonnegative")
         if not 0.0 < self.rho <= 1.0:
-            raise ValueError("rho must lie in (0, 1]")
+            raise ConfigError("rho", "must be in (0, 1]")
 
     def effective_threshold(self) -> float:
         return self.radio.sir_threshold / self.rho
@@ -159,8 +160,8 @@ class ScenarioConfig:
             raise ValueError("at least one tier is required")
         if self.density_unit not in (PER_KM2, PER_M2):
             raise ValueError(f"density_unit must be '{PER_KM2}' or '{PER_M2}'")
-        if not self.rate_log_base > 1:
-            raise ValueError("rate_log_base must exceed 1")
+        if not 1 < self.rate_log_base < math.inf:
+            raise ConfigError("rate_log_base", "must be finite and exceed 1")
         for k, tier in enumerate(self.tiers):
             if tier.cache.cache_size > self.content.library_size:
                 raise ValueError(

@@ -59,6 +59,15 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     ("protocol: {master_seed: -1}\n", [], "protocol.master_seed"),
     ("", ["--seed", "-1"], "protocol.master_seed"),
     ("", ["--snapshots", "0"], "protocol.num_snapshots"),
+    ("costs: {backhaul_unit_cost: .inf}\n", [], "costs.backhaul_unit_cost"),
+    ("rate_log_base: .inf\n", [], "rate_log_base"),
+    ("integration: {rel_tol: .inf}\n", [], "integration.rel_tol"),
+    ("protocol: {region_radius: .inf}\n", [], "protocol.region_radius"),
+    ("tiers:\n  - radio: {tx_power: .inf}\n", [], "tiers[1].radio.tx_power"),
+    ("tiers:\n  - {}\n  - radio: {near_field_dist: .inf}\n", [],
+     "tiers[2].radio.near_field_dist"),
+    ("tiers:\n  - radio: {sir_threshold: .inf}\n", [], "tiers[1].radio.sir_threshold"),
+    ("tiers:\n  - rho: 1.5\n", [], "tiers[1].rho"),
 ])
 def test_bad_value_exits_one_with_its_path(tmp_path, capsys, text, flags, path):
     cfg = tmp_path / "bad.yaml"
@@ -68,6 +77,17 @@ def test_bad_value_exits_one_with_its_path(tmp_path, capsys, text, flags, path):
     assert code == 1
     assert err.startswith(f"config error: {path}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("param, values", [
+    ("tiers[2].density", "nan"), ("tiers[*].rho", "1.5"),
+    ("tiers[1].cache.cache_size", "2.5"),
+])
+def test_bad_sweep_value_exits_one_with_its_path(tmp_path, capsys, param, values):
+    code = main(["sweep", "--param", param, "--values", values,
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: {param}: ")
 
 
 def test_unknown_key_exits_one(tmp_path, capsys):
@@ -87,3 +107,13 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
 
 def test_bad_usage_exits_one(tmp_path, capsys):
     assert main(["sweep", "--param", "tiers[2].density"]) == 1  # no grid given
+    assert main(["run", "--format", "csv"]) == 1  # no such flag
+
+
+def test_search_of_four_variables_exits_one(tmp_path, capsys):
+    variables = ["tiers[1].rho=0.5", "tiers[2].rho=0.5",
+                 "content.popularity_exponent=1", "costs.cache_unit_cost=0.01"]
+    code = main(["search", *(a for v in variables for a in ("--var", v)),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "1 to 3 variables" in capsys.readouterr().err

@@ -2,16 +2,16 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hetcache import experiments
 from hetcache.analytic import build_coverage_table
-from hetcache.experiments import (SweepSpec, _evaluate_row, _grid_rows,
-                                  _SweepCache, get_parameter, grid_search,
-                                  run_experiment, run_preset, set_parameter,
-                                  write_csv)
+from hetcache.experiments import (SweepSpec, _grid_rows, _SweepCache,
+                                  get_parameter, grid_search, run_experiment,
+                                  run_preset, set_parameter, write_csv)
 from hetcache.metrics import (UndefinedEfficiencyError, analytic_report,
                               caching_efficiency)
 from hetcache.scenario import (ConfigError, SimulationProtocol,
@@ -65,10 +65,15 @@ def test_get_parameter_bad_paths():
     ("tiers[2].density", math.nan), ("tiers[2].density", math.inf),
     ("tiers[*].density", -1.0), ("costs.cache_unit_cost", math.nan),
     ("costs.cache_unit_cost", math.inf), ("protocol.master_seed", -1),
+    ("tiers[*].rho", 1.5), ("costs.backhaul_unit_cost", math.inf),
+    ("rate_log_base", math.inf), ("integration.rel_tol", math.inf),
+    ("integration.abs_tol", math.inf), ("integration.outer_truncation_radius", math.inf),
+    ("protocol.region_radius", math.inf), ("tiers[1].radio.tx_power", math.inf),
+    ("tiers[2].radio.near_field_dist", math.inf), ("tiers[2].radio.far_field_dist", math.nan),
+    ("tiers[2].radio.sir_threshold", math.inf), ("tiers[2].radio.intercept_nlos", 0.0),
 ])
 def test_set_parameter_rejects_out_of_range(path, bad):
-    field = path.rsplit(".", 1)[1]
-    with pytest.raises(ConfigError, match=f"^{field}: must be"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: must be "):
         set_parameter(default_scenario(), path, bad)
 
 
@@ -86,7 +91,7 @@ def test_sweep_rows_in_grid_order_both_engines():
     # 20 km region: the LOS tail reaches km scales, smaller disks bias MC up
     s = desk_config(snapshots=150, radius=20000.0)
     grid = (5.0, 10.0)
-    rows = run_experiment(s, SweepSpec("tiers[2].density", grid), engines="both")
+    rows = run_experiment(s, SweepSpec("tiers[2].density", grid, engine="both"))
     assert len(rows) == 4
     assert [r["tiers[2].density"] for r in rows] == [5.0, 5.0, 10.0, 10.0]
     assert [r["engine"] for r in rows] == ["analytic", "mc", "analytic", "mc"]
@@ -215,9 +220,8 @@ def test_grid_search_rows_equal_naive_evaluation(monkeypatch):
         scenario = s
         for path in variables:
             scenario = set_parameter(scenario, path, row[path])
-        naive = {path: row[path] for path in variables}
-        naive.update(_evaluate_row(scenario, "analytic", 1, _SweepCache()))
-        assert row == naive
+        (naive,) = _grid_rows(scenario, (), ("analytic",), 1)
+        assert row == {**{path: row[path] for path in variables}, **naive}
 
 
 def test_memoised_vectors_are_read_only_and_not_aliased():
@@ -226,7 +230,7 @@ def test_memoised_vectors_are_read_only_and_not_aliased():
     axes = [("content.popularity_exponent", (0.5, 1.5)),
             ("tiers[2].cache.mpc_fraction", (0.0, 1.0)),
             ("tiers[2].cache.cache_size", (3, 9))]
-    rows = list(_grid_rows(s, axes, "analytic", 1, cache))
+    rows = list(_grid_rows(s, axes, ("analytic",), 1, cache))
     assert all(r["status"] == "ok" for r in rows)
     # 2 content models, the macro policy, 2 x 2 small-cell policies
     assert len(cache.vectors) == 2 + 1 + 4
@@ -248,6 +252,21 @@ def test_memoised_vectors_are_read_only_and_not_aliased():
         assert getattr(later, name) == getattr(fresh, name)
 
 
+def _lone(scenario, cache, engines=("analytic",)):
+    """The rows of one scenario: a zero-axis grid, a block of one."""
+    return list(_grid_rows(scenario, (), engines, 1, cache))
+
+
+def _fig1_loops(config):
+    rows = []
+    cache = _SweepCache()
+    for threshold in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0):
+        scenario = set_parameter(config, "tiers[2].radio.sir_threshold", threshold)
+        for cells in _lone(scenario, cache, ("analytic", "mc")):
+            rows.append({"tiers[2].radio.sir_threshold": threshold, **cells})
+    return rows
+
+
 def _fig3_loops(config):
     rows = []
     cache = _SweepCache()
@@ -261,7 +280,7 @@ def _fig3_loops(config):
                 row = {"content.popularity_exponent": kappa,
                        "tiers[1].cache.mpc_fraction": phi1,
                        "tiers[2].cache.mpc_fraction": phi2}
-                row.update(_evaluate_row(scenario, "analytic", 1, cache))
+                row.update(*_lone(scenario, cache))
                 rows.append(row)
     return rows
 
@@ -282,15 +301,43 @@ def _fig4_loops(config):
                            "content.popularity_exponent": kappa,
                            "tiers[1].cache.cache_size": s1,
                            "tiers[2].cache.cache_size": s2}
-                    row.update(_evaluate_row(scenario, "analytic", 1, cache))
+                    row.update(*_lone(scenario, cache))
                     rows.append(row)
     return rows
 
 
-@pytest.mark.parametrize("name, loops", [("fig3", _fig3_loops), ("fig4", _fig4_loops)])
+def _fig5_loops(config):
+    rows = []
+    cache = _SweepCache()
+    cost = 0.001 * config.costs.backhaul_unit_cost
+    cheap = set_parameter(config, "costs.cache_unit_cost", cost)
+    for lam2 in (1e-2, 1e-1, 1.0, 1e2):
+        base = set_parameter(cheap, "tiers[2].density", lam2)
+        (baseline,) = _lone(base, cache)
+        for rho2 in np.arange(0.05, 1.0, 0.05):
+            scenario = set_parameter(base, "tiers[1].rho", 1.0 - rho2)
+            scenario = set_parameter(scenario, "tiers[2].rho", rho2)
+            row = {"costs.cache_unit_cost": cost, "tiers[2].density": lam2,
+                   "tiers[1].rho": 1.0 - rho2, "tiers[2].rho": rho2}
+            row.update(*_lone(scenario, cache))
+            if row["status"] == "ok" and baseline["status"] == "ok":
+                row["efficiency_ratio"] = row["efficiency"] / baseline["efficiency"]
+            else:
+                row["efficiency_ratio"] = ""
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name, loops", [
+    ("fig1", _fig1_loops), ("fig3", _fig3_loops), ("fig4", _fig4_loops),
+    ("fig5", _fig5_loops)])
 def test_grid_presets_equal_nested_loops(name, loops):
+    # fig1 runs Monte Carlo at every point, so it gets a small desk protocol;
     # a smaller library changes fig4's small-cell cache grid with it
-    config = set_parameter(default_scenario(), "content.library_size", 90)
+    if name == "fig1":
+        config = desk_config(snapshots=40, radius=3000.0)
+    else:
+        config = set_parameter(default_scenario(), "content.library_size", 90)
     rows = run_preset(name, config)
     expected = loops(config)
     assert len(rows) == len(expected)
@@ -299,9 +346,27 @@ def test_grid_presets_equal_nested_loops(name, loops):
         assert row == oracle
 
 
+def test_fig5_records_each_bias():
+    config = default_scenario()
+    rows = run_preset("fig5", config)
+    biases = np.arange(0.05, 1.0, 0.05)
+    assert len(rows) == 4 * len(biases)
+    for k in range(4):
+        block = rows[k * len(biases):(k + 1) * len(biases)]
+        assert np.array_equal([r["tiers[2].rho"] for r in block], biases)
+        assert np.array_equal([r["tiers[1].rho"] for r in block], 1.0 - biases)
+    # rho_2 is the tier-2 coverage density of the row's own scenario
+    for row in rows[::25]:
+        scenario = config
+        for path in ("costs.cache_unit_cost", "tiers[2].density", "tiers[1].rho",
+                     "tiers[2].rho"):
+            scenario = set_parameter(scenario, path, row[path])
+        assert row["rho_2"] == analytic_report(scenario).per_tier_coverage_density[1]
+
+
 @pytest.mark.parametrize("bad, error, message", [
     (101, ValueError, "tiers[2].cache.cache_size must not exceed content.library_size (100)"),
-    (2.5, ConfigError, "cache_size: expected an integer value"),
+    (2.5, ConfigError, "tiers[2].cache.cache_size: expected an integer value"),
 ])
 def test_grid_search_bad_value_raises_where_set(monkeypatch, bad, error, message):
     s = default_scenario()
@@ -326,7 +391,7 @@ def test_grid_search_bad_value_raises_where_set(monkeypatch, bad, error, message
 
 
 def _row_alone(scenario, tables):
-    """``_evaluate_row`` of one scenario on a new ``_SweepCache``.
+    """The analytic row of one scenario, a block of one on a new ``_SweepCache``.
 
     The cache starts with only this radio's coverage table, built alone
     (a table does not depend on the sweep that builds it), so no content
@@ -335,7 +400,8 @@ def _row_alone(scenario, tables):
     key = scenario.radio_fingerprint()
     if key not in tables:
         tables[key] = build_coverage_table(scenario)
-    return _evaluate_row(scenario, "analytic", 1, _SweepCache(tables={key: tables[key]}))
+    (row,) = _grid_rows(scenario, (), ("analytic",), 1, _SweepCache(tables={key: tables[key]}))
+    return row
 
 
 def _assert_rows_alone(config, axes, rows):
@@ -356,7 +422,7 @@ def _assert_rows_alone(config, axes, rows):
 def test_grid_preset_rows_equal_rows_alone(name):
     config = set_parameter(default_scenario(), "content.library_size", 90)
     axes = [(path, grid(config) if callable(grid) else grid)
-            for path, grid in experiments._GRID_PRESETS[name]]
+            for path, grid in experiments._PRESETS[name].axes]
     rows = run_preset(name, config)
     assert all(r["status"] == "ok" for r in rows)
     _assert_rows_alone(config, axes, rows)
@@ -369,7 +435,7 @@ def test_block_spanning_tables_equals_rows_alone(monkeypatch):
             ("tiers[2].density", (1.0, 10.0, 100.0))]
     batches = _count_calls(monkeypatch, "analytic_columns")
     cache = _SweepCache()
-    rows = list(_grid_rows(s, axes, "analytic", 1, cache))
+    rows = list(_grid_rows(s, axes, ("analytic",), 1, cache))
     assert [len(args[0]) for args in batches] == [3, 3]
     assert len(cache.tables) == 3
     assert len({(r["rho_1"], r["rho_2"]) for r in rows}) == 3
@@ -380,10 +446,10 @@ def test_split_block_equals_whole_block(monkeypatch):
     # a large library splits a block; here a cap of two rows forces it
     s = default_scenario()
     axes = [("tiers[2].cache.cache_size", (1, 2, 3, 4, 5))]
-    whole = list(_grid_rows(s, axes, "analytic", 1, _SweepCache()))
+    whole = list(_grid_rows(s, axes, ("analytic",), 1, _SweepCache()))
     monkeypatch.setattr(experiments, "_BATCH_ROW_RANKS", 2 * s.content.library_size)
     batches = _count_calls(monkeypatch, "analytic_columns")
-    split = list(_grid_rows(s, axes, "analytic", 1, _SweepCache()))
+    split = list(_grid_rows(s, axes, ("analytic",), 1, _SweepCache()))
     assert [len(args[0]) for args in batches] == [2, 2, 1]
     assert [list(row) for row in split] == [list(row) for row in whole]
     assert split == whole
@@ -394,7 +460,7 @@ def test_zero_cost_row_fails_alone_in_its_block():
     s = set_parameter(default_scenario(), "costs.cache_unit_cost", 0.0)
     axes = [("content.popularity_exponent", (0.8,)),
             ("tiers[1].cache.cache_size", (20, 100, 50))]
-    rows = list(_grid_rows(s, axes, "analytic", 1, _SweepCache()))
+    rows = list(_grid_rows(s, axes, ("analytic",), 1, _SweepCache()))
     with pytest.raises(UndefinedEfficiencyError) as undefined:
         caching_efficiency(1.0, 0.0)
     assert [r["status"] for r in rows] == ["ok", "error", "ok"]
