@@ -6,7 +6,7 @@ drawn station by station reproduce that closed form.
 """
 import numpy as np
 
-from hetcache import ContentModel, TierCachePolicy, cache_probability_vector, zipf_pmf
+from hetcache import ContentModel, TierCachePolicy, cache_probability_vector
 from hetcache.content import sample_placement_fields
 
 F = 100
@@ -17,8 +17,8 @@ for kappa in (0.0, 0.5, 1.0, 2.0):
     a = model.request_probabilities()
     print(f"kappa={kappa}: a_1={a[0]:.4f}  a_10={a[9]:.4f}  "
           f"top-10 mass={a[:10].sum():.3f}  (sum={a.sum():.12f})")
-print(f"single rank lookup: zipf_pmf(3, kappa=1) = "
-      f"{zipf_pmf(3, ContentModel(F, 1.0)):.5f}")
+print(f"single rank lookup: request_probabilities()[3 - 1] at kappa=1 = "
+      f"{ContentModel(F, 1.0).request_probabilities()[3 - 1]:.5f}")
 
 print()
 print("=== Caching probability: MPC weight vs RCS window ===")

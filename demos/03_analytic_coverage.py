@@ -7,9 +7,8 @@ the SIR threshold but not to cache contents.
 """
 import numpy as np
 
-from hetcache import (alzer_coefficient, build_coverage_table,
-                      coverage_probability, default_scenario,
-                      interference_laplace_exponent)
+from hetcache import (alzer_coefficient, analytic_report, build_coverage_table,
+                      default_scenario, interference_laplace_exponent)
 from hetcache.content import TierCachePolicy
 from hetcache.experiments import set_parameter
 
@@ -34,14 +33,18 @@ for i, (rho, err) in enumerate(zip(table.per_tier_density, table.error_estimates
     print(f"tier {i}: rho = {rho:.6f}  (error estimate {err:.1e})")
 
 print()
-print("=== Weighted coverage for different cache configurations ===")
-policies = [t.cache for t in scenario.tiers]
-print(f"scenario policies      : {coverage_probability(table, scenario.content, policies):.5f}")
-full = [TierCachePolicy(100, 1.0)] * 2
-print(f"everything cached      : {coverage_probability(table, scenario.content, full):.5f}"
-      f"  (= rho_1 + rho_2)")
-empty = [TierCachePolicy(0, 1.0)] * 2
-print(f"nothing cached         : {coverage_probability(table, scenario.content, empty):.5f}")
+print("=== Weighted coverage (p_hit) for different cache configurations ===")
+print("(one coverage table serves all three: caches only reweight it)")
+
+
+def p_hit(policy=None):
+    s = scenario if policy is None else set_parameter(scenario, "tiers[*].cache", policy)
+    return analytic_report(s, table=table).p_hit
+
+
+print(f"scenario policies      : {p_hit():.5f}")
+print(f"everything cached      : {p_hit(TierCachePolicy(100, 1.0)):.5f}  (= rho_1 + rho_2)")
+print(f"nothing cached         : {p_hit(TierCachePolicy(0, 1.0)):.5f}")
 
 print()
 print("=== Threshold dependence (cache-independence of rho) ===")

@@ -5,7 +5,7 @@ cache-independent, so cache-side searches reuse a single quadrature pass.
 """
 import numpy as np
 
-from hetcache import analytic_report, apply_range_expansion, default_scenario
+from hetcache import analytic_report, default_scenario
 from hetcache.experiments import grid_search, set_parameter
 
 base = default_scenario()
@@ -35,7 +35,8 @@ for lam2, label in ((0.1, "moderate (0.1 per km^2)"), (100.0, "dense (100 per km
     eta0 = analytic_report(s).efficiency
     ratios = {}
     for rho2 in np.arange(0.1, 1.0, 0.1):
-        biased = apply_range_expansion(s, (1.0 - rho2, rho2))
+        biased = set_parameter(set_parameter(s, "tiers[1].rho", 1.0 - rho2),
+                               "tiers[2].rho", rho2)
         ratios[round(float(rho2), 1)] = float(
             analytic_report(biased).efficiency / eta0)
     best = max(ratios, key=ratios.get)

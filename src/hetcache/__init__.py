@@ -4,8 +4,9 @@ Two engines evaluate the same scenario description: an analytic engine
 (adaptive quadrature over a per-radio table of each tier's interference
 Laplace exponent) and a snapshot Monte Carlo engine. Both reduce the
 scenario to per-rank delivery components, and one metric path turns those
-into a MetricReport with coverage, cache-hit, backhaul-usage,
-area-spectral-efficiency, cost, and caching-efficiency metrics.
+into a MetricReport with cache-hit (content-aware coverage),
+backhaul-usage, area-spectral-efficiency, cost, and caching-efficiency
+metrics.
 """
 
 __version__ = "0.1.0"
@@ -13,7 +14,7 @@ __version__ = "0.1.0"
 from .channel import (LOS, NLOS, TierRadioParams, los_probability, path_loss,
                       sample_fading)
 from .content import (MPC, RCS, ContentModel, TierCachePolicy,
-                      cache_probability_vector, zipf_pmf)
+                      cache_probability_vector)
 from .quadrature import QuadratureError, integrate_adaptive
 from .scenario import (AUTO, ConfigError, CostModel, IntegrationSettings,
                        ScenarioConfig, SimulationProtocol, TierConfig,
@@ -22,8 +23,7 @@ from .scenario import (AUTO, ConfigError, CostModel, IntegrationSettings,
 from .analytic import (CoverageTable, alzer_coefficient, build_coverage_table,
                        interference_laplace_exponent, tier_coverage_density)
 from .metrics import (MetricReport, UndefinedEfficiencyError,
-                      analytic_report, apply_range_expansion,
-                      caching_efficiency, coverage_probability, tier_rates)
+                      analytic_report, caching_efficiency, tier_rates)
 from .montecarlo import (Snapshot, SnapshotEstimates, TierSnapshot,
                          evaluate_snapshot, run_simulation, sample_network)
 from .experiments import (GridSearchResult, SweepSpec, grid_search,
@@ -36,7 +36,7 @@ __all__ = [
     "sample_fading",
     # content
     "MPC", "RCS", "ContentModel", "TierCachePolicy",
-    "cache_probability_vector", "zipf_pmf",
+    "cache_probability_vector",
     # quadrature
     "QuadratureError", "integrate_adaptive",
     # scenario
@@ -48,8 +48,7 @@ __all__ = [
     "interference_laplace_exponent", "tier_coverage_density",
     # metrics
     "MetricReport", "UndefinedEfficiencyError", "analytic_report",
-    "apply_range_expansion", "caching_efficiency", "coverage_probability",
-    "tier_rates",
+    "caching_efficiency", "tier_rates",
     # monte carlo
     "Snapshot", "SnapshotEstimates", "TierSnapshot", "evaluate_snapshot",
     "run_simulation", "sample_network",

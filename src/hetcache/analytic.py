@@ -17,11 +17,11 @@ single adaptive quadrature per tier. The table's relative error bound
 propagates into the reported error estimate.
 
 Weighting the per-tier values by caching probabilities and request
-popularity (``metrics.coverage_probability``) yields the content-aware
-coverage: an upper bound on the true coverage probability that is tight
-for thresholds >= 1 and exact when all fading shapes are 1. The per-tier
-values are independent of the requested content because interference
-does not depend on cache state.
+popularity (``p_hit`` of ``metrics.analytic_report``) yields the
+content-aware coverage: an upper bound on the true coverage probability
+that is tight for thresholds >= 1 and exact when all fading shapes are 1.
+The per-tier values are independent of the requested content because
+interference does not depend on cache state.
 
 Both integrals run in the log-distance variable s = log(1 + r), so sparse
 scenarios (support out to ~100 km) and dense ones (support of a few

@@ -50,16 +50,20 @@ class TierRadioParams:
                      "intercept_los", "intercept_nlos"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(name, "must be finite and positive")
+        # A swept path replaces the field name, so the two cross-field
+        # reasons name both fields.
         if not 2.0 < self.pathloss_exp_los:
-            raise ValueError("pathloss_exp_los must exceed 2")
+            raise ConfigError("pathloss_exp_los", "must be above 2")
         if not self.pathloss_exp_los < self.pathloss_exp_nlos:
-            raise ValueError("pathloss_exp_nlos must exceed pathloss_exp_los")
+            raise ConfigError("pathloss_exp_nlos",
+                              "must be ordered pathloss_exp_los < pathloss_exp_nlos")
         if not self.pathloss_exp_nlos <= 8.0:
-            raise ValueError("pathloss_exp_nlos must not exceed 8")
+            raise ConfigError("pathloss_exp_nlos", "must be at most 8")
         if self.nakagami_nlos < 1:
-            raise ValueError("nakagami_nlos must be a positive integer")
+            raise ConfigError("nakagami_nlos", "must be a positive integer")
         if self.nakagami_los < self.nakagami_nlos:
-            raise ValueError("nakagami_los must be >= nakagami_nlos")
+            raise ConfigError("nakagami_los",
+                              "must be ordered nakagami_los >= nakagami_nlos")
 
     def pathloss_exponent(self, mode: str) -> float:
         return self.pathloss_exp_los if mode == LOS else self.pathloss_exp_nlos

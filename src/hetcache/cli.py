@@ -25,7 +25,7 @@ from .quadrature import QuadratureError
 from .scenario import (ConfigError, default_scenario, load_config,
                        scenario_from_mapping, scenario_to_mapping)
 
-_SUMMARY_FIELDS = ("coverage", "p_hit", "p_bh", "ase", "cost", "efficiency")
+_SUMMARY_FIELDS = ("p_hit", "p_bh", "ase", "cost", "efficiency")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,9 +85,18 @@ def _load_scenario(args):
     return scenario_from_mapping(mapping)
 
 
+def _value(token: str):
+    """``token`` as a number, else as given: the swept field's own check
+    accepts a string it takes (``auto``) and rejects others with its path."""
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
 def _sweep_grid(args):
     if args.values is not None:
-        return tuple(float(v) for v in args.values.split(",") if v != "")
+        return tuple(_value(v) for v in args.values.split(",") if v != "")
     lo, hi, n = (args.logspace or args.linspace)
     count = int(n)
     if count < 1:
@@ -131,13 +140,14 @@ def main(argv=None) -> int:
                 path, _, values = spec.partition("=")
                 if not values:
                     raise ConfigError("search", f"missing grid in {spec!r}")
-                variables[path] = tuple(float(v) for v in values.split(","))
+                variables[path] = tuple(_value(v) for v in values.split(","))
             engine = "analytic" if args.engine == "both" else args.engine
             result = grid_search(scenario, variables, engine=engine,
                                  workers=args.workers)
             rows = list(result.surface)
             write_csv(rows, args.out, scenario)
-            point = " ".join(f"{k}={v:g}" for k, v in result.best_point.items())
+            point = " ".join(f"{k}={v if isinstance(v, str) else format(v, 'g')}"
+                             for k, v in result.best_point.items())
             print(f"best: {point} efficiency={result.best_efficiency:.6g}")
         else:
             rows = run_preset(args.name, scenario, out_path=args.out,

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import check_fields
+from ._config import ConfigError, check_fields
 
 __all__ = [
     "ContentModel",
     "TierCachePolicy",
     "MPC",
     "RCS",
-    "zipf_pmf",
     "cache_probability_vector",
     "sample_placement_fields",
 ]
@@ -42,9 +41,9 @@ class ContentModel:
     def __post_init__(self):
         check_fields(self)
         if self.library_size < 1:
-            raise ValueError("library_size must be a positive integer")
+            raise ConfigError("library_size", "must be a positive integer")
         if not self.popularity_exponent >= 0:
-            raise ValueError("popularity_exponent must be >= 0")
+            raise ConfigError("popularity_exponent", "must be nonnegative")
 
     def request_probabilities(self) -> np.ndarray:
         """Request probability for every rank 1..F; sums to 1."""
@@ -63,21 +62,9 @@ class TierCachePolicy:
     def __post_init__(self):
         check_fields(self)
         if self.cache_size < 0:
-            raise ValueError("cache_size must be a nonnegative integer")
+            raise ConfigError("cache_size", "must be a nonnegative integer")
         if not 0.0 <= self.mpc_fraction <= 1.0:
-            raise ValueError("mpc_fraction must lie in [0, 1]")
-
-
-def zipf_pmf(c, model: ContentModel):
-    """Probability that content rank ``c`` is requested.
-
-    ``c`` may be a scalar or an array of ranks in [1, F].
-    """
-    c_arr = np.asarray(c)
-    if c_arr.size and (np.any(c_arr < 1) or np.any(c_arr > model.library_size)):
-        raise ValueError(f"content rank out of range [1, {model.library_size}]")
-    probs = model.request_probabilities()[c_arr - 1]
-    return float(probs) if np.isscalar(c) else probs
+            raise ConfigError("mpc_fraction", "must be in [0, 1]")
 
 
 def cache_probability_vector(policy: TierCachePolicy, library_size: int) -> np.ndarray:

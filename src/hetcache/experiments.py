@@ -47,7 +47,6 @@ __all__ = [
     "SweepSpec",
     "GridSearchResult",
     "set_parameter",
-    "get_parameter",
     "run_experiment",
     "grid_search",
     "run_preset",
@@ -56,7 +55,7 @@ __all__ = [
     "CSV_SCHEMA_VERSION",
 ]
 
-CSV_SCHEMA_VERSION = 1
+CSV_SCHEMA_VERSION = 2
 
 _ENGINES = {"analytic": ("analytic",), "mc": ("mc",), "both": ("analytic", "mc")}
 
@@ -147,25 +146,13 @@ def set_parameter(scenario: ScenarioConfig, path: str, value) -> ScenarioConfig:
         raise ConfigError(path, exc.reason) from exc
 
 
-def get_parameter(scenario: ScenarioConfig, path: str):
-    """Read the parameter addressed by ``path``."""
-    tier, names = _parse(path)
-    if tier == "*":
-        raise ConfigError(path, "cannot read a wildcard path")
-    node = scenario if tier is None else scenario.tiers[_tier_positions(scenario, tier, path)[0]]
-    for name in names:
-        node = _field(node, name, path)
-    return node
-
-
 # Every metric cell of a row, blank, in row order: the metrics, their
 # Monte Carlo standard errors, their analytic error estimates.
-_ESTIMATED = ("coverage", "p_hit", "p_bh", "ase", "cost", "efficiency")
+_ESTIMATED = ("p_hit", "p_bh", "ase", "cost", "efficiency")
 _BLANK_CELLS = dict.fromkeys([
-    "coverage", "bound_value", "p_hit", "p_bh", "p_bh_operational", "coverage_all_bs",
+    "p_hit", "p_bh", "p_bh_operational", "coverage_all_bs",
     "ase", "cost", "cost_over_backhaul_unit", "efficiency",
-    *(f"se_{name}" for name in _ESTIMATED), *(f"err_{name}" for name in _ESTIMATED),
-    "provenance"], "")
+    *(f"se_{name}" for name in _ESTIMATED), *(f"err_{name}" for name in _ESTIMATED)], "")
 
 
 @dataclass
@@ -188,8 +175,7 @@ def _error_row(engine: str, message: str) -> dict:
 
 # The cells every ok analytic row shares, in row order.
 _ANALYTIC_ROW = {"engine": "analytic", "status": "ok", "error": "", **_BLANK_CELLS,
-                 "provenance": "analytic", "p_bh_operational": None,
-                 "coverage_all_bs": None}
+                 "p_bh_operational": None, "coverage_all_bs": None}
 
 
 # Most rows x ranks in one ``analytic_columns`` call. A block of a cache-size

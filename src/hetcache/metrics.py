@@ -12,9 +12,8 @@ Every input of ``_delivery_metrics`` carries a leading batch axis, one row
 per evaluation: ``analytic_columns`` evaluates B scenarios (a block of
 grid rows) in one call, ``analytic_report`` is its batch of one, the Monte
 Carlo engine makes one call per chunk of snapshots and one on the pooled
-per-rank means, and ``coverage_probability`` one for the hit component
-alone. Each row's reductions run in the order of the unbatched vector
-products, so a row's figures do not depend on the batch it is in.
+per-rank means. Each row's reductions run in the order of the unbatched
+vector products, so a row's figures do not depend on the batch it is in.
 Backhaul is attributed solely to tier 1, the macro tier: lower tiers
 without the requested content simply do not serve.
 
@@ -24,30 +23,27 @@ Range expansion rescales each tier's association threshold to
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analytic import CoverageTable, build_coverage_table
-from .content import ContentModel, cache_probability_vector
+from .content import cache_probability_vector
 from .scenario import IntegrationSettings, ScenarioConfig
 
 __all__ = [
     "UndefinedEfficiencyError",
     "MetricReport",
     "tier_rates",
-    "coverage_probability",
     "caching_efficiency",
-    "apply_range_expansion",
     "AnalyticColumns",
     "analytic_columns",
     "analytic_report",
 ]
 
 ANALYTIC = "analytic"
-MONTE_CARLO = "monte-carlo"
+MONTE_CARLO = "mc"
 
 
 class UndefinedEfficiencyError(ValueError):
@@ -58,26 +54,24 @@ class UndefinedEfficiencyError(ValueError):
 class MetricReport:
     """All scenario metrics from one engine run.
 
-    ``coverage`` is clipped to [0, 1]; for the analytic engine the raw
-    expected-count bound (which may exceed 1) is kept in ``bound_value`` and
-    ``coverage_is_bound`` is set. ``p_bh`` is the per-content
-    ``(1 - q_1[c]) * rho_1`` statistic averaged over popularity -- the
-    quantity the analytic formula defines; the Monte Carlo engine also
-    reports the operational event probability ("no cache hit but a
-    non-caching macro station covers") as ``p_bh_operational``.
+    ``provenance`` names the engine as ``--engine`` does: ``analytic`` or
+    ``mc``. The analytic ``p_hit`` is an expected-count upper bound on the
+    content-aware coverage that may exceed 1; ``coverage_is_bound`` is set.
+    ``p_bh`` is the per-content ``(1 - q_1[c]) * rho_1`` statistic averaged
+    over popularity -- the quantity the analytic formula defines; the Monte
+    Carlo engine also reports the operational event probability ("no cache
+    hit but a non-caching macro station covers") as ``p_bh_operational``.
     ``stderr`` carries Monte Carlo standard errors, ``error_estimates``
     analytic quadrature error bounds; keys match the metric field names.
     """
 
     provenance: str
-    coverage: float
     p_hit: float
     p_bh: float
     ase: float
     cost: float
     efficiency: float
     per_tier_coverage_density: tuple
-    bound_value: float | None = None
     coverage_is_bound: bool = False
     p_bh_operational: float | None = None
     coverage_all_bs: float | None = None
@@ -152,26 +146,6 @@ def _delivery_metrics(w: np.ndarray, hit: np.ndarray, cached: np.ndarray,
     return p_hit, p_bh, ase_per_rank, ase, cost
 
 
-def coverage_probability(table: CoverageTable, content: ContentModel,
-                         policies) -> float:
-    """Popularity- and cache-weighted coverage: sum_c a_c sum_i q_i[c] rho_i.
-
-    Upper-bounds the true content-aware coverage probability; the bound is
-    tight for thresholds >= 1 (and exact at unit fading shapes), but as an
-    expected-count bound it may exceed 1. It is ``p_hit``, which needs no
-    densities or costs, so those enter as zeros.
-    """
-    rho = np.asarray(table.per_tier_density)
-    if len(policies) != rho.size:
-        raise ValueError("one cache policy per tier is required")
-    q = np.stack([cache_probability_vector(p, content.library_size) for p in policies])
-    zeros = np.zeros((1, rho.size))
-    constants = (zeros, zeros, 0, 0.0, 0.0, 0.0)
-    return float(_delivery_metrics(
-        content.request_probabilities()[None], (q.T @ rho)[None],
-        (q * rho[:, None])[None], ((1.0 - q[0]) * rho[0])[None], constants)[0][0])
-
-
 _ZERO_COST = "cost per area is zero (empty network); efficiency is undefined"
 
 
@@ -180,21 +154,6 @@ def caching_efficiency(ase: float, cost: float) -> float:
     if cost == 0.0:
         raise UndefinedEfficiencyError(_ZERO_COST)
     return ase / cost
-
-
-def apply_range_expansion(scenario: ScenarioConfig, rho_factors) -> ScenarioConfig:
-    """Return the scenario with per-tier bias factors replaced.
-
-    Factors must lie in (0, 1]; factor 1 leaves a tier unbiased. Coverage
-    and association use sir_threshold / rho, delivered rates do not change.
-    """
-    if len(rho_factors) != scenario.num_tiers:
-        raise ValueError("one bias factor per tier is required")
-    tiers = tuple(
-        dataclasses.replace(t, rho=r)
-        for t, r in zip(scenario.tiers, rho_factors)
-    )
-    return dataclasses.replace(scenario, tiers=tiers)
 
 
 def _memoised(memo: dict, key, make, *args) -> np.ndarray:
@@ -211,11 +170,10 @@ def _memoised(memo: dict, key, make, *args) -> np.ndarray:
 class AnalyticColumns:
     """Analytic metrics of B scenarios as columns; row b is scenario b.
 
-    ``values`` maps ``coverage``, ``bound_value``, ``p_hit``, ``p_bh``,
-    ``ase``, ``cost`` and ``efficiency`` to (B,) arrays, and
-    ``error_estimates`` maps the first-order error bound of each metric
-    (``coverage`` to ``efficiency``) to (B,) arrays. ``rho`` holds the
-    (B, K) coverage densities, ``per_rank`` the (B, F) per-rank hit,
+    ``values`` maps ``p_hit``, ``p_bh``, ``ase``, ``cost`` and
+    ``efficiency`` to (B,) arrays, and ``error_estimates`` maps each of
+    them to its first-order error bound, also (B,) arrays. ``rho`` holds
+    the (B, K) coverage densities, ``per_rank`` the (B, F) per-rank hit,
     backhaul and ASE components. ``failures[b]`` is the
     ``UndefinedEfficiencyError`` message of a row whose cost is 0, whose
     efficiency and its error are then meaningless, else None.
@@ -267,11 +225,10 @@ def analytic_columns(scenarios, tables, memo: dict | None = None) -> AnalyticCol
             np.abs(efficiency) * (err_cost / cost))
 
     return AnalyticColumns(
-        values={"coverage": np.minimum(1.0, p_hit), "bound_value": p_hit,
-                "p_hit": p_hit, "p_bh": p_bh, "ase": ase, "cost": cost,
+        values={"p_hit": p_hit, "p_bh": p_bh, "ase": ase, "cost": cost,
                 "efficiency": efficiency},
-        error_estimates={"coverage": err_hit, "p_hit": err_hit, "p_bh": err_bh,
-                         "ase": err_ase, "cost": err_cost, "efficiency": err_eff},
+        error_estimates={"p_hit": err_hit, "p_bh": err_bh, "ase": err_ase,
+                         "cost": err_cost, "efficiency": err_eff},
         rho=rho,
         per_rank=(hit_c, bh_c, ase_c),
         failures=tuple(_ZERO_COST if c == 0.0 else None for c in cost.tolist()),

@@ -283,8 +283,6 @@ def run_simulation(scenario: ScenarioConfig,
 
     return MetricReport(
         provenance=MONTE_CARLO,
-        coverage=p_hit,
-        bound_value=None,
         coverage_is_bound=False,
         p_hit=p_hit,
         p_bh=p_bh,
@@ -299,7 +297,6 @@ def run_simulation(scenario: ScenarioConfig,
         per_content_backhaul=per_bh,
         per_content_ase=per_ase,
         stderr={
-            "coverage": _stderr(whit),
             "p_hit": _stderr(whit),
             "p_bh": _stderr(wbh),
             "p_bh_operational": _stderr(wbh_op),

@@ -95,7 +95,7 @@ class SimulationProtocol:
         if self.master_seed < 0:
             raise ConfigError("master_seed", "must be a nonnegative integer")
         if self.content_evaluation not in ("all-weighted", "sampled"):
-            raise ValueError("content_evaluation must be 'all-weighted' or 'sampled'")
+            raise ConfigError("content_evaluation", "must be 'all-weighted' or 'sampled'")
 
 
 @dataclass(frozen=True)
@@ -157,17 +157,16 @@ class ScenarioConfig:
     def __post_init__(self):
         check_fields(self)
         if len(self.tiers) < 1:
-            raise ValueError("at least one tier is required")
+            raise ConfigError("tiers", "must hold at least one tier")
         if self.density_unit not in (PER_KM2, PER_M2):
-            raise ValueError(f"density_unit must be '{PER_KM2}' or '{PER_M2}'")
+            raise ConfigError("density_unit", f"must be '{PER_KM2}' or '{PER_M2}'")
         if not 1 < self.rate_log_base < math.inf:
             raise ConfigError("rate_log_base", "must be finite and exceed 1")
         for k, tier in enumerate(self.tiers):
             if tier.cache.cache_size > self.content.library_size:
-                raise ValueError(
-                    f"tiers[{k + 1}].cache.cache_size must not exceed "
-                    f"content.library_size ({self.content.library_size})"
-                )
+                path = f"tiers[{k + 1}].cache.cache_size"
+                raise ConfigError(path, f"must be ordered {path} <= content.library_size "
+                                  f"({tier.cache.cache_size} > {self.content.library_size})")
 
     @property
     def num_tiers(self) -> int:
@@ -312,8 +311,6 @@ def _build(cls, fields, path):
         return cls(**fields)
     except ConfigError as exc:
         raise ConfigError(f"{path}.{exc.path}" if path else exc.path, exc.reason) from exc
-    except ValueError as exc:
-        raise ConfigError(path or "<config>", str(exc)) from exc
 
 
 def scenario_from_mapping(mapping: dict | None) -> ScenarioConfig:

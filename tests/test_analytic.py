@@ -13,7 +13,7 @@ from hetcache.analytic import (ExponentTable, alzer_coefficient,
 from hetcache.channel import TierRadioParams
 from hetcache.content import TierCachePolicy
 from hetcache.experiments import grid_search, set_parameter
-from hetcache.metrics import analytic_report, coverage_probability
+from hetcache.metrics import analytic_report
 from hetcache.scenario import IntegrationSettings, default_scenario
 
 TIER2_RADIO_M1 = TierRadioParams(
@@ -145,11 +145,11 @@ def test_explicit_truncation_matches_auto():
 def test_coverage_probability_weight_collapse():
     s = default_scenario()
     table = build_coverage_table(s)
-    full = [TierCachePolicy(100, 1.0), TierCachePolicy(100, 1.0)]
-    total = coverage_probability(table, s.content, full)
+    full = set_parameter(s, "tiers[*].cache", TierCachePolicy(100, 1.0))
+    total = analytic_report(full, table=table).p_hit
     assert total == pytest.approx(sum(table.per_tier_density), rel=1e-12)
-    none = [TierCachePolicy(0, 1.0), TierCachePolicy(0, 1.0)]
-    assert coverage_probability(table, s.content, none) == 0.0
+    none = set_parameter(s, "tiers[*].cache", TierCachePolicy(0, 1.0))
+    assert analytic_report(none, table=table).p_hit == 0.0
 
 
 def test_report_per_rank_hit_split():

@@ -24,8 +24,17 @@ def test_run_mc_with_overrides(tmp_path, capsys):
                  "--seed", "5", "--snapshots", "50", "--out", str(out)])
     assert code == 0
     header, row = out.read_text().splitlines()
-    assert header.split(",")[header.split(",").index("provenance")] == "provenance"
-    assert "monte-carlo" in row
+    assert row.split(",")[header.split(",").index("engine")] == "mc"
+
+
+def test_run_both_writes_schema_2_header(tmp_path, capsys):
+    out = tmp_path / "both.csv"
+    assert main(["run", "--engine", "both", "--snapshots", "64", "--out", str(out)]) == 0
+    header = out.read_text().splitlines()[0].split(",")
+    assert len(header) == len(set(header)) == 23
+    assert not {"coverage", "bound_value", "se_coverage", "err_coverage",
+                "provenance"} & set(header)
+    assert json.loads((tmp_path / "both.csv.meta.json").read_text())["schema_version"] == 2
 
 
 def test_sweep_with_values(tmp_path, capsys):
@@ -81,13 +90,24 @@ def test_bad_value_exits_one_with_its_path(tmp_path, capsys, text, flags, path):
 
 @pytest.mark.parametrize("param, values", [
     ("tiers[2].density", "nan"), ("tiers[*].rho", "1.5"),
-    ("tiers[1].cache.cache_size", "2.5"),
+    ("tiers[1].cache.cache_size", "2.5"), ("tiers[1].cache.mpc_fraction", "2"),
+    ("content.library_size", "0"), ("tiers[2].radio.pathloss_exp_los", "5"),
+    ("tiers[2].cache.cache_size", "200"), ("tiers[2].rho", "0"), ("tiers[2].rho", "-0.5"),
+    ("tiers[2].density", "bogus"),
 ])
 def test_bad_sweep_value_exits_one_with_its_path(tmp_path, capsys, param, values):
     code = main(["sweep", "--param", param, "--values", values,
                  "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"config error: {param}: ")
+
+
+def test_sweep_of_a_string_value(tmp_path, capsys):
+    out = tmp_path / "auto.csv"
+    code = main(["sweep", "--param", "protocol.region_radius", "--values", "auto",
+                 "--engine", "mc", "--snapshots", "64", "--out", str(out)])
+    assert code == 0
+    assert out.read_text().splitlines()[1].startswith("auto,mc,ok,")
 
 
 def test_unknown_key_exits_one(tmp_path, capsys):

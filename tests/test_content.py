@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from hetcache.content import (ContentModel, TierCachePolicy,
-                              cache_probability_vector,
-                              sample_placement_fields, zipf_pmf)
+                              cache_probability_vector, sample_placement_fields)
 
 
 # Scalar oracles for ``cache_probability_vector`` and
@@ -52,18 +51,18 @@ def test_zipf_uniform_limit():
     model = ContentModel(library_size=100, popularity_exponent=0.0)
     probs = model.request_probabilities()
     assert np.all(probs == 0.01)
-    assert zipf_pmf(37, model) == 0.01
+    assert probs[37 - 1] == 0.01
 
 
 def test_zipf_direct_value():
     # c=1, F=2, kappa=1: 1 / (1 + 1/2) = 2/3
     model = ContentModel(library_size=2, popularity_exponent=1.0)
-    assert zipf_pmf(1, model) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert model.request_probabilities()[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_zipf_steep_exponent_concentrates():
     model = ContentModel(library_size=100, popularity_exponent=10.0)
-    assert zipf_pmf(1, model) > 1.0 - 1e-3
+    assert model.request_probabilities()[0] > 1.0 - 1e-3
 
 
 @pytest.mark.parametrize("library_size", [1, 2, 17, 100, 1000])
@@ -71,14 +70,6 @@ def test_zipf_steep_exponent_concentrates():
 def test_zipf_normalization(library_size, kappa):
     model = ContentModel(library_size=library_size, popularity_exponent=kappa)
     assert abs(model.request_probabilities().sum() - 1.0) < 1e-12
-
-
-def test_zipf_out_of_range():
-    model = ContentModel(library_size=10)
-    with pytest.raises(ValueError):
-        zipf_pmf(0, model)
-    with pytest.raises(ValueError):
-        zipf_pmf(11, model)
 
 
 def test_invalid_models():

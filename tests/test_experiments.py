@@ -10,8 +10,8 @@ import pytest
 from hetcache import experiments
 from hetcache.analytic import build_coverage_table
 from hetcache.experiments import (SweepSpec, _grid_rows, _SweepCache,
-                                  get_parameter, grid_search, run_experiment,
-                                  run_preset, set_parameter, write_csv)
+                                  grid_search, run_experiment, run_preset,
+                                  set_parameter, write_csv)
 from hetcache.metrics import (UndefinedEfficiencyError, analytic_report,
                               caching_efficiency)
 from hetcache.scenario import (ConfigError, SimulationProtocol,
@@ -26,39 +26,25 @@ def desk_config(snapshots=150, radius=5000.0, seed=7):
 
 def test_set_parameter_paths():
     s = default_scenario()
-    assert get_parameter(set_parameter(s, "tiers[2].density", 3.5),
-                         "tiers[2].density") == 3.5
-    assert get_parameter(set_parameter(s, "tiers[1].cache.cache_size", 7),
-                         "tiers[1].cache.cache_size") == 7
-    assert get_parameter(set_parameter(s, "tiers[2].radio.sir_threshold", 1.5),
-                         "tiers[2].radio.sir_threshold") == 1.5
-    assert get_parameter(set_parameter(s, "content.popularity_exponent", 0.9),
-                         "content.popularity_exponent") == 0.9
+    assert set_parameter(s, "tiers[2].density", 3.5).tiers[1].density == 3.5
+    assert set_parameter(s, "tiers[1].cache.cache_size", 7).tiers[0].cache.cache_size == 7
+    assert set_parameter(s, "tiers[2].radio.sir_threshold",
+                         1.5).tiers[1].radio.sir_threshold == 1.5
+    assert set_parameter(s, "content.popularity_exponent",
+                         0.9).content.popularity_exponent == 0.9
     both = set_parameter(s, "tiers[*].rho", 0.5)
     assert both.tiers[0].rho == 0.5 and both.tiers[1].rho == 0.5
 
 
 def test_set_parameter_bad_paths():
     s = default_scenario()
-    with pytest.raises(ConfigError):
-        set_parameter(s, "tiers[3].density", 1.0)
-    with pytest.raises(ConfigError):
-        set_parameter(s, "tiers[1].antenna", 1.0)
-    with pytest.raises(ConfigError):
-        set_parameter(s, "tiers[1].radio.antenna_gain", 1.0)
-    with pytest.raises(ConfigError):
-        set_parameter(s, "nonsense.path", 1.0)
+    for path in ("tiers[0].density", "tiers[3].density", "tiers[1].antenna",
+                 "tiers[1].radio.antenna_gain", "tiers[1].effective_threshold",
+                 "nonsense.path", "content.nothing", "tiers[1].density.real"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
+            set_parameter(s, path, 1.0)
     with pytest.raises(ConfigError):
         set_parameter(s, "tiers[1].cache.cache_size", 2.5)  # non-integer
-
-
-def test_get_parameter_bad_paths():
-    s = default_scenario()
-    for path in ("tiers[0].density", "tiers[3].density", "tiers[*].rho",
-                 "tiers[1].antenna", "tiers[1].effective_threshold",
-                 "content.nothing", "tiers[1].density.real"):
-        with pytest.raises(ConfigError):
-            get_parameter(s, path)
 
 
 @pytest.mark.parametrize("path, bad", [
@@ -71,6 +57,9 @@ def test_get_parameter_bad_paths():
     ("protocol.region_radius", math.inf), ("tiers[1].radio.tx_power", math.inf),
     ("tiers[2].radio.near_field_dist", math.inf), ("tiers[2].radio.far_field_dist", math.nan),
     ("tiers[2].radio.sir_threshold", math.inf), ("tiers[2].radio.intercept_nlos", 0.0),
+    ("tiers[1].cache.mpc_fraction", 2.0), ("content.library_size", 0),
+    ("tiers[2].radio.pathloss_exp_los", 5.0), ("tiers[2].cache.cache_size", 200),
+    ("tiers[2].rho", 0.0), ("tiers[2].rho", -0.5),
 ])
 def test_set_parameter_rejects_out_of_range(path, bad):
     with pytest.raises(ConfigError, match=f"^{re.escape(path)}: must be "):
@@ -99,7 +88,7 @@ def test_sweep_rows_in_grid_order_both_engines():
         ana, mc = rows[i], rows[i + 1]
         assert ana["status"] == "ok" and mc["status"] == "ok"
         # analytic bound must not fall below the estimate minus 3 stderr
-        assert ana["bound_value"] >= mc["coverage"] - 3.0 * mc["se_coverage"]
+        assert ana["p_hit"] >= mc["p_hit"] - 3.0 * mc["se_p_hit"]
 
 
 def test_error_rows_keep_run_going(tmp_path):
@@ -125,7 +114,7 @@ def test_csv_reproducibility(tmp_path):
     meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
     assert meta["config_hash"] == s.fingerprint()
     assert meta["master_seed"] == 13
-    assert meta["schema_version"] == 1
+    assert meta["schema_version"] == 2
 
 
 def test_csv_layout(tmp_path):
@@ -365,7 +354,8 @@ def test_fig5_records_each_bias():
 
 
 @pytest.mark.parametrize("bad, error, message", [
-    (101, ValueError, "tiers[2].cache.cache_size must not exceed content.library_size (100)"),
+    (101, ValueError, "tiers[2].cache.cache_size: must be ordered "
+     "tiers[2].cache.cache_size <= content.library_size (101 > 100)"),
     (2.5, ConfigError, "tiers[2].cache.cache_size: expected an integer value"),
 ])
 def test_grid_search_bad_value_raises_where_set(monkeypatch, bad, error, message):

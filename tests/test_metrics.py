@@ -10,8 +10,7 @@ from hetcache.analytic import CoverageTable, build_coverage_table
 from hetcache.content import ContentModel, TierCachePolicy
 from hetcache.experiments import set_parameter
 from hetcache.metrics import (MetricReport, UndefinedEfficiencyError,
-                              analytic_report, apply_range_expansion,
-                              caching_efficiency, tier_rates)
+                              analytic_report, caching_efficiency, tier_rates)
 from hetcache.scenario import PER_M2, CostModel, default_scenario
 
 CONTENT = ContentModel(library_size=100, popularity_exponent=1.0)
@@ -145,7 +144,7 @@ def test_tier_rates_use_unscaled_thresholds():
     s = default_scenario()
     assert tier_rates(s) == (pytest.approx(math.log2(3.0)),
                              pytest.approx(math.log2(5.0)))
-    biased = apply_range_expansion(s, (0.5, 0.25))
+    biased = set_parameter(set_parameter(s, "tiers[1].rho", 0.5), "tiers[2].rho", 0.25)
     assert tier_rates(biased) == tier_rates(s)
     natural = dataclasses.replace(s, rate_log_base=math.e)
     assert tier_rates(natural)[0] == pytest.approx(math.log(3.0))
@@ -153,19 +152,10 @@ def test_tier_rates_use_unscaled_thresholds():
 
 def test_range_expansion_identity():
     s = default_scenario()
-    assert apply_range_expansion(s, (1.0, 1.0)) == s
+    assert set_parameter(s, "tiers[*].rho", 1.0) == s
     r_base = analytic_report(s)
-    r_same = analytic_report(apply_range_expansion(s, (1.0, 1.0)))
+    r_same = analytic_report(set_parameter(s, "tiers[*].rho", 1.0))
     assert r_same.efficiency == pytest.approx(r_base.efficiency, rel=1e-9)
-
-
-def test_range_expansion_validation():
-    s = default_scenario()
-    with pytest.raises(ValueError):
-        apply_range_expansion(s, (1.0,))
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            apply_range_expansion(s, (1.0, bad))
 
 
 def test_analytic_report_fields():
@@ -173,7 +163,6 @@ def test_analytic_report_fields():
     report = analytic_report(s)
     assert report.provenance == "analytic"
     assert report.coverage_is_bound
-    assert report.coverage == min(1.0, report.bound_value)
     assert 0.0 <= report.p_hit <= 1.0
     assert 0.0 <= report.p_bh <= 1.0
     assert report.cost > 0.0 and report.ase > 0.0
@@ -182,8 +171,7 @@ def test_analytic_report_fields():
     a = s.content.request_probabilities()
     assert float(a @ report.per_content_ase) == pytest.approx(report.ase, rel=1e-12)
     assert float(a @ report.per_content_hit) == pytest.approx(report.p_hit, rel=1e-12)
-    assert set(report.error_estimates) == {
-        "coverage", "p_hit", "p_bh", "ase", "cost", "efficiency"}
+    assert set(report.error_estimates) == {"p_hit", "p_bh", "ase", "cost", "efficiency"}
     assert all(v >= 0.0 for v in report.error_estimates.values())
 
 

@@ -286,7 +286,7 @@ def test_caching_agnostic_coverage_dominates_hit():
     report = run_simulation(s, protocol=proto)
     assert report.coverage_all_bs >= report.p_hit
     assert report.p_hit + report.p_bh_operational <= 1.0 + 1e-12
-    assert report.provenance == "monte-carlo"
+    assert report.provenance == "mc"
     weights = s.content.request_probabilities()
     assert float(weights @ report.per_content_hit) == pytest.approx(
         report.p_hit, rel=1e-9)
