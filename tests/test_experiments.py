@@ -38,13 +38,23 @@ def test_set_parameter_paths():
 
 def test_set_parameter_bad_paths():
     s = default_scenario()
-    for path in ("tiers[0].density", "tiers[3].density", "tiers[1].antenna",
-                 "tiers[1].radio.antenna_gain", "tiers[1].effective_threshold",
-                 "nonsense.path", "content.nothing", "tiers[1].density.real"):
+    for path in ("tiers[3].density", "tiers[1].antenna",
+                 "tiers[1].radio.antenna_gain", "nonsense.path"):
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
             set_parameter(s, path, 1.0)
     with pytest.raises(ConfigError):
         set_parameter(s, "tiers[1].cache.cache_size", 2.5)  # non-integer
+
+
+def test_get_parameter_bad_paths():
+    # Paths the shared path walk cannot resolve: tier 0 and tier 3 do not
+    # exist, a property is not a field, a float has no fields.
+    s = default_scenario()
+    for path in ("tiers[0].density", "tiers[3].density", "tiers[1].antenna",
+                 "tiers[1].effective_threshold", "content.nothing",
+                 "tiers[1].density.real"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
+            set_parameter(s, path, 1.0)
 
 
 @pytest.mark.parametrize("path, bad", [
