@@ -75,29 +75,39 @@ class TierRadioParams:
         return self.nakagami_los if mode == LOS else self.nakagami_nlos
 
 
+def _los_probability(r: np.ndarray, d0: float, d1: float) -> np.ndarray:
+    p = np.ones(r.shape)
+    far = ~(r <= d0)  # r > D0, where min(D0/r, 1) = D0/r, or NaN
+    r_far = r[far]
+    decay = np.exp(-r_far / d1)
+    p[far] = d0 / r_far * (1.0 - decay) + decay
+    return p
+
+
+def _path_loss(r: np.ndarray, mode: str, params: TierRadioParams) -> np.ndarray:
+    return params.intercept(mode) * (1.0 + r) ** -params.pathloss_exponent(mode)
+
+
+def _checked(formula, r, *args):
+    """``formula`` at distances ``r``, which must be nonnegative; a float for a scalar."""
+    r_arr = np.asarray(r, dtype=np.float64)
+    if (r_arr < 0).any():
+        raise ValueError("distance must be nonnegative")
+    val = formula(r_arr, *args)
+    return float(val) if np.isscalar(r) else val
+
+
 def los_probability(r, near_field_dist: float, far_field_dist: float):
     """Probability that a link of length ``r`` is line-of-sight.
 
     Equals 1 for r <= near_field_dist and decays to 0 past far_field_dist.
     """
-    r_arr = np.asarray(r, dtype=np.float64)
-    if r_arr.size and np.any(r_arr < 0):
-        raise ValueError("distance must be nonnegative")
-    p = np.ones(r_arr.shape)
-    far = ~(r_arr <= near_field_dist)  # r > D0, where min(D0/r, 1) = D0/r, or NaN
-    r_far = r_arr[far]
-    decay = np.exp(-r_far / far_field_dist)
-    p[far] = near_field_dist / r_far * (1.0 - decay) + decay
-    return float(p) if np.isscalar(r) else p
+    return _checked(_los_probability, r, near_field_dist, far_field_dist)
 
 
 def path_loss(r, mode: str, params: TierRadioParams):
     """Attenuation ``intercept / (1 + r)^alpha`` for the given mode; finite at r=0."""
-    r_arr = np.asarray(r, dtype=np.float64)
-    if r_arr.size and np.any(r_arr < 0):
-        raise ValueError("distance must be nonnegative")
-    val = params.intercept(mode) * (1.0 + r_arr) ** -params.pathloss_exponent(mode)
-    return float(val) if np.isscalar(r) else val
+    return _checked(_path_loss, r, mode, params)
 
 
 def sample_fading(rng: np.random.Generator, nakagami: int, size=None):
@@ -112,14 +122,15 @@ def sample_links(rng: np.random.Generator, distances: np.ndarray,
     """Vectorized link draw: ``(is_los, fading, pathloss)`` arrays.
 
     Draw order is fixed (modes, then LOS gains, then NLOS gains) so the
-    stream consumption is reproducible for a given ``rng`` state.
+    stream consumption is reproducible for a given ``rng`` state. The
+    distances, a float array, are taken as nonnegative without a check.
     """
     n = len(distances)
-    p_los = los_probability(distances, params.near_field_dist, params.far_field_dist)
+    p_los = _los_probability(distances, params.near_field_dist, params.far_field_dist)
     is_los = rng.random(n) < p_los
     fading, pathloss = np.empty(n), np.empty(n)
     for mode, mask in ((LOS, is_los), (NLOS, ~is_los)):
-        fading[mask] = sample_fading(rng, params.nakagami(mode),
-                                     int(np.count_nonzero(mask)))
-        pathloss[mask] = path_loss(distances[mask], mode, params)
+        r = distances[mask]
+        fading[mask] = sample_fading(rng, params.nakagami(mode), len(r))
+        pathloss[mask] = _path_loss(r, mode, params)
     return is_los, fading, pathloss

@@ -9,6 +9,10 @@ bias-scaled threshold; a content rank scores a hit when some covering
 station caches it, and uses the backhaul when no cache hit exists but a
 non-caching macro station covers.
 
+A snapshot's one pass keeps only its covering counts and the cache window
+of each covering station; a chunk of snapshots assembles its hit, backhaul
+and per-rank counts at once, from one difference array per tier.
+
 Snapshots are independent work units: snapshot ``k`` draws from a stream
 derived from ``(master_seed, k)`` by splittable seeding, and reductions use
 integer accumulators plus per-snapshot floats combined in snapshot order,
@@ -42,6 +46,7 @@ __all__ = [
 # Snapshots per work unit; fixed so chunk boundaries (and thus reduction
 # order) never depend on the worker count.
 CHUNK_SNAPSHOTS = 64
+_NO_WINDOWS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -71,17 +76,25 @@ class Snapshot:
 
 @dataclass
 class SnapshotEstimates:
-    """Per-snapshot indicators and counts.
+    """One snapshot's pass: all that the engine keeps of a snapshot.
 
-    ``caching_covering[i, c-1]`` counts tier-(i+1) stations that cache rank
-    c and clear their threshold; ``covering[i]`` ignores caching.
+    ``covering[i]`` counts tier-(i+1) stations that clear their threshold;
+    ``window_starts[i]`` holds the 0-based first cached rank of each of them
+    that caches (0 for MPC), and is empty when the tier caches nothing. A
+    chunk assembles its snapshots' indicators at once (``_chunk_indicators``);
+    the properties are that assembly on a chunk of one, for single-snapshot
+    callers: ``caching_covering[i, c-1]`` counts covering tier-(i+1)
+    stations that cache rank c, and ``hit``/``backhaul`` flag each rank.
     """
 
-    hit: np.ndarray  # (F,) bool
-    backhaul: np.ndarray  # (F,) bool, operational event
-    caching_covering: np.ndarray  # (K, F) int
     covering: np.ndarray  # (K,) int
-    any_coverage: bool  # some station of any tier covers, cache-agnostic
+    window_starts: list  # K int arrays
+    scenario: ScenarioConfig
+
+    hit = property(lambda self: _chunk_indicators([self], self.scenario)[0][0])
+    backhaul = property(lambda self: _chunk_indicators([self], self.scenario)[1][0])
+    caching_covering = property(lambda self: _chunk_indicators([self], self.scenario)[2][0])
+    any_coverage = property(lambda self: bool(self.covering.any()))  # some station covers
 
 
 def snapshot_rng(master_seed: int, snapshot_index: int) -> np.random.Generator:
@@ -113,58 +126,58 @@ def sample_network(rng: np.random.Generator, scenario: ScenarioConfig,
     return Snapshot(tiers)
 
 
-def _received_powers(snapshot: Snapshot, scenario: ScenarioConfig):
-    return [
-        tier.radio.tx_power * ts.pathloss * ts.fading
-        for tier, ts in zip(scenario.tiers, snapshot.tiers)
-    ]
-
-
 def _sir_per_tier(snapshot: Snapshot, scenario: ScenarioConfig):
-    powers = _received_powers(snapshot, scenario)
-    total = float(sum(p.sum() for p in powers))
+    """Each station's SIR against every other station, per tier."""
+    powers = [tier.radio.tx_power * ts.pathloss * ts.fading
+              for tier, ts in zip(scenario.tiers, snapshot.tiers)]
+    total = float(sum(p.sum() for p in powers if len(p)))  # an empty tier adds 0.0
     sirs = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for p in powers:
-            interference = total - p
-            sirs.append(np.where(interference > 0.0, p / interference, np.inf))
+    for p in powers:
+        interference = total - p  # 0 for a station alone in the sum: SIR inf
+        sirs.append(np.divide(p, interference, out=np.full(len(p), np.inf),
+                              where=interference > 0.0))
     return sirs
 
 
 def evaluate_snapshot(snapshot: Snapshot, scenario: ScenarioConfig) -> SnapshotEstimates:
-    """Coverage, hit, and backhaul statistics of one snapshot."""
-    F = scenario.content.library_size
-    K = scenario.num_tiers
-    sirs = _sir_per_tier(snapshot, scenario)
+    """One snapshot's pass: who covers per tier, and which windows they cache."""
+    covering, window_starts = [], []
+    for tier, ts, sir in zip(scenario.tiers, snapshot.tiers,
+                             _sir_per_tier(snapshot, scenario)):
+        (covers,) = (sir >= tier.effective_threshold()).nonzero()
+        covering.append(len(covers))
+        window_starts.append(np.where(ts.is_mpc[covers], 0, ts.window_start[covers] - 1)
+                             if tier.cache.cache_size and len(covers) else _NO_WINDOWS)
+    return SnapshotEstimates(np.array(covering), window_starts, scenario)
 
-    covering = np.zeros(K, dtype=np.int64)
-    caching_covering = np.zeros((K, F), dtype=np.int64)
-    any_coverage = False
 
-    for i, (tier, ts) in enumerate(zip(scenario.tiers, snapshot.tiers)):
-        threshold = tier.effective_threshold()
-        mask = sirs[i] >= threshold
-        covering[i] = int(np.count_nonzero(mask))
-        if covering[i]:
-            any_coverage = True
-        s = tier.cache.cache_size
-        if s == 0:
-            continue
-        for b in np.nonzero(mask)[0]:
-            lo = 0 if ts.is_mpc[b] else int(ts.window_start[b]) - 1
-            caching_covering[i, lo:lo + s] += 1
+def _chunk_indicators(estimates: list, scenario: ScenarioConfig):
+    """``(hit, backhaul, caching_covering, covering)`` of S snapshots' passes.
 
-    hit = caching_covering.sum(axis=0) > 0
-    macro_non_caching = covering[0] - caching_covering[0]
-    backhaul = ~hit & (macro_non_caching > 0)
-    return SnapshotEstimates(hit, backhaul, caching_covering, covering, any_coverage)
+    Shapes (S, F), (S, F), (S, K, F), (S, K). A window adds +1 at its first
+    rank and -1 past its last to a tier's (snapshot, rank) difference array.
+    """
+    F, S = scenario.content.library_size, len(estimates)
+    covering = np.array([est.covering for est in estimates])
+    caching_covering = np.zeros((S, scenario.num_tiers, F), dtype=np.int64)
+    for i, tier in enumerate(scenario.tiers):
+        starts = [est.window_starts[i] for est in estimates]
+        first = (np.repeat(np.arange(S) * (F + 1), [len(w) for w in starts])
+                 + np.concatenate(starts))
+        diff = np.bincount(np.concatenate((first, first + tier.cache.cache_size)),
+                           weights=np.repeat((1.0, -1.0), len(first)),
+                           minlength=S * (F + 1))
+        caching_covering[:, i] = diff.reshape(S, F + 1)[:, :F].cumsum(axis=1)
+    hit = caching_covering.sum(axis=1) > 0
+    backhaul = ~hit & (covering[:, :1] > caching_covering[:, 0])
+    return hit, backhaul, caching_covering, covering
 
 
 def _chunk_stats(args):
     """Accumulate one chunk of snapshots (worker function).
 
-    The chunk's per-snapshot indicators and counts are stacked along a
-    leading snapshot axis and scored by one ``_delivery_metrics`` call.
+    The chunk's indicators and counts, assembled from its snapshots'
+    passes on a leading snapshot axis, are scored by one ``_delivery_metrics`` call.
     Integer sums are exactly order-independent; per-snapshot float metrics
     are returned as arrays in snapshot order so the final reduction is
     deterministic for any worker count. Each snapshot scores either every
@@ -185,10 +198,7 @@ def _chunk_stats(args):
         estimates.append(evaluate_snapshot(sample_network(rng, scenario, radius), scenario))
         if sampled:
             drawn.append(rng.choice(F, p=a))
-    hit = np.stack([est.hit for est in estimates])  # (S, F)
-    backhaul = np.stack([est.backhaul for est in estimates])  # (S, F)
-    caching_covering = np.stack([est.caching_covering for est in estimates])  # (S, K, F)
-    covering = np.stack([est.covering for est in estimates])  # (S, K)
+    hit, backhaul, caching_covering, covering = _chunk_indicators(estimates, scenario)
     if sampled:
         mask = np.arange(F) == np.array(drawn)[:, None]
         w = mask.astype(np.float64)
@@ -203,7 +213,7 @@ def _chunk_stats(args):
     return ((hit & mask).sum(axis=0), (backhaul & mask).sum(axis=0),
             (caching_covering * mask[:, None]).sum(axis=0), covering.sum(axis=0),
             (covering * covering).sum(axis=0), mask.sum(axis=0),
-            sum(est.any_coverage for est in estimates), metrics)
+            int(np.count_nonzero(covering.any(axis=1))), metrics)
 
 
 def _stderr(values: np.ndarray) -> float:

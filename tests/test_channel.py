@@ -48,6 +48,20 @@ def test_los_probability_rejects_negative():
         los_probability(-1.0, 80.0, 164.0)
 
 
+def test_los_probability_rejects_one_negative_in_an_array():
+    with pytest.raises(ValueError, match="nonnegative"):
+        los_probability(np.array([0.0, 50.0, -1e-9, 900.0]), 80.0, 164.0)
+
+
+def test_path_loss_rejects_negative():
+    params = make_params()
+    for mode in (LOS, NLOS):
+        with pytest.raises(ValueError, match="nonnegative"):
+            path_loss(-1.0, mode, params)
+        with pytest.raises(ValueError, match="nonnegative"):
+            path_loss(np.array([0.0, 50.0, -1e-9, 900.0]), mode, params)
+
+
 def test_path_loss_at_zero_equals_intercept():
     params = make_params(intercept_los=2.5, intercept_nlos=0.7)
     assert path_loss(0.0, LOS, params) == 2.5

@@ -10,7 +10,8 @@ from hetcache.content import (ContentModel, TierCachePolicy,
                               cache_probability_vector)
 from hetcache.experiments import set_parameter
 from hetcache.metrics import _delivery_metrics, _scenario_constants, tier_rates
-from hetcache.montecarlo import (Snapshot, TierSnapshot, _sir_per_tier,
+from hetcache.montecarlo import (CHUNK_SNAPSHOTS, Snapshot, TierSnapshot,
+                                 _chunk_indicators, _sir_per_tier,
                                  evaluate_snapshot, run_simulation,
                                  sample_network, snapshot_rng)
 from hetcache.scenario import (CostModel, IntegrationSettings, ScenarioConfig,
@@ -342,6 +343,121 @@ def test_chunked_metrics_equal_snapshot_rows(mode):
         assert getattr(report, name) == float(np.mean(rows[:, j])), name
 
 
+def loop_indicators(snapshot, scenario):
+    """One snapshot's indicators by a loop over its covering stations.
+
+    The oracle of the chunk assembly: each covering caching station adds 1
+    over its window, one station at a time. Returns (hit, backhaul,
+    caching_covering, covering, any_coverage).
+    """
+    F = scenario.content.library_size
+    K = scenario.num_tiers
+    sirs = _sir_per_tier(snapshot, scenario)
+    covering = np.zeros(K, dtype=np.int64)
+    caching_covering = np.zeros((K, F), dtype=np.int64)
+    for i, (tier, ts) in enumerate(zip(scenario.tiers, snapshot.tiers)):
+        mask = sirs[i] >= tier.effective_threshold()
+        covering[i] = int(np.count_nonzero(mask))
+        s = tier.cache.cache_size
+        if s == 0:
+            continue
+        for b in np.nonzero(mask)[0]:
+            lo = 0 if ts.is_mpc[b] else int(ts.window_start[b]) - 1
+            caching_covering[i, lo:lo + s] += 1
+    hit = caching_covering.sum(axis=0) > 0
+    backhaul = ~hit & (covering[0] - caching_covering[0] > 0)
+    return hit, backhaul, caching_covering, covering, bool(np.any(covering))
+
+
+def assert_chunk_matches_loop(snapshots, scenario):
+    """Assemble ``snapshots`` as one chunk; each row must equal the loop."""
+    hit, backhaul, caching_covering, covering = _chunk_indicators(
+        [evaluate_snapshot(snap, scenario) for snap in snapshots], scenario)
+    F, K = scenario.content.library_size, scenario.num_tiers
+    S = len(snapshots)
+    assert hit.shape == backhaul.shape == (S, F)
+    assert caching_covering.shape == (S, K, F) and covering.shape == (S, K)
+    assert caching_covering.dtype == covering.dtype == np.int64
+    for k, snap in enumerate(snapshots):
+        want = loop_indicators(snap, scenario)
+        assert np.array_equal(hit[k], want[0]), k
+        assert np.array_equal(backhaul[k], want[1]), k
+        assert np.array_equal(caching_covering[k], want[2]), k
+        assert np.array_equal(covering[k], want[3]), k
+        assert bool(covering[k].any()) == want[4], k
+        # a single snapshot is a chunk of one
+        est = evaluate_snapshot(snap, scenario)
+        assert np.array_equal(est.hit, want[0]) and np.array_equal(est.backhaul, want[1])
+        assert np.array_equal(est.caching_covering, want[2])
+        assert np.array_equal(est.covering, want[3]) and est.any_coverage == want[4]
+    return caching_covering
+
+
+def low_threshold_scenario(macro_cache=20, small_cache=5):
+    # thresholds low enough that stations of equal power all cover
+    s = set_parameter(default_scenario(), "tiers[*].radio.sir_threshold", 0.01)
+    s = set_parameter(s, "tiers[1].cache.cache_size", macro_cache)
+    return set_parameter(s, "tiers[2].cache.cache_size", small_cache)
+
+
+def test_chunk_assembly_mixed_windows_match_loop():
+    # several covering stations per tier, MPC and RCS mixed, RCS windows
+    # ending at rank F = 100 on both tiers, and one station too weak to cover
+    s = low_threshold_scenario()
+    macro = manual_tier([1.0, 1.0, 1e-12], tx_power=40.0, cache_size=20,
+                        library_size=100, is_mpc=[False, True, False],
+                        window_start=[81, 1, 30])
+    small = manual_tier([1.0, 1.0, 1.0, 1.0], tx_power=4.0, cache_size=5,
+                        library_size=100, is_mpc=[True, False, False, False],
+                        window_start=[1, 96, 40, 96])
+    counts = assert_chunk_matches_loop([Snapshot([macro, small])], s)
+    assert counts[0, 0, 99] == 1 and counts[0, 1, 99] == 2  # both windows end at F
+    assert not counts[0, 0, 20:80].any()  # the weak station's window, 30-49
+
+
+@pytest.mark.parametrize("macro_cache, small_cache", [(0, 5), (20, 100), (100, 0)])
+def test_chunk_assembly_edge_cache_sizes_match_loop(macro_cache, small_cache):
+    # S = 0 (nothing cached, so a covering macro means backhaul) and S = F
+    # (one window, the whole library), with an empty tier in one snapshot
+    s = low_threshold_scenario(macro_cache, small_cache)
+    macro = manual_tier([1.0, 1.0], tx_power=40.0, cache_size=macro_cache,
+                        library_size=100, is_mpc=[False, True],
+                        window_start=[101 - macro_cache, 1])
+    small = manual_tier([1.0, 1.0], tx_power=4.0, cache_size=small_cache,
+                        library_size=100, is_mpc=[False, True],
+                        window_start=[101 - small_cache, 1])
+    empty = manual_tier([], tx_power=40.0, cache_size=macro_cache, library_size=100)
+    snapshots = [Snapshot([macro, small]), Snapshot([empty, small]),
+                 Snapshot([macro, manual_tier([], 4.0, small_cache, 100)])]
+    counts = assert_chunk_matches_loop(snapshots, s)
+    assert not counts[1, 0].any()  # the empty tier
+    for i, size in enumerate((macro_cache, small_cache)):
+        if size == 0:
+            assert not counts[:, i].any()
+        elif size == 100:
+            assert np.all(counts[0, i] == 2)  # both stations cache every rank
+
+
+@pytest.mark.parametrize("mode", ["all-weighted", "sampled"])
+def test_chunk_assembly_of_sampled_snapshots_matches_loop(mode):
+    # 70 sampled snapshots in the engine's chunks: a full one and a ragged
+    # one of 6; half the stations cache RCS windows, several often cover
+    s = set_parameter(rcs_two_tier_scenario(), "tiers[*].radio.sir_threshold", 0.05)
+    snapshots = []
+    for k in range(70):
+        rng = snapshot_rng(29, k)
+        snapshots.append(sample_network(rng, s, region_radius=2500.0))
+        if mode == "sampled":
+            rng.choice(100, p=s.content.request_probabilities())
+    covering = []
+    for start in range(0, 70, CHUNK_SNAPSHOTS):
+        chunk = snapshots[start:start + CHUNK_SNAPSHOTS]
+        assert_chunk_matches_loop(chunk, s)
+        covering += [evaluate_snapshot(snap, s).covering for snap in chunk]
+    assert len(chunk) == 6
+    assert max(c.sum() for c in covering) >= 3  # several cover at once
+
+
 def unit_shape_scenario():
     s = default_scenario()
     for field in ("nakagami_los", "nakagami_nlos"):
@@ -349,14 +465,23 @@ def unit_shape_scenario():
     return s
 
 
+def rcs_two_tier_scenario():
+    # a macro tier dense enough to cover often, and half of every tier's
+    # stations caching a random window (RCS) rather than the prefix
+    s = set_parameter(default_scenario(), "tiers[1].density", 1.0)
+    return set_parameter(s, "tiers[*].cache.mpc_fraction", 0.5)
+
+
 # Integer counts of the sampling stream at master seed 1234, recorded while
-# sampling still computed station positions. Integers, so no libm or BLAS
-# difference can move them: a failure here means the stream itself changed,
-# which must be a deliberate change. Each case is (scenario, disk radius m,
-# snapshots, content mode, covering count per tier, coverage_all_bs count,
-# hit count of ranks 1-5 (the rest never hit), draws per rank or None when
-# every snapshot scores every rank). 130 snapshots are two full chunks and
-# a ragged one; on the 2.5 km disk the macro tier is empty in most snapshots.
+# sampling still computed station positions (the RCS cases: while each
+# covering station's cache window was added in a Python loop). Integers, so
+# no libm or BLAS difference can move them: a failure here means the stream
+# itself changed, which must be a deliberate change. Each case is (scenario,
+# disk radius m, snapshots, content mode, covering count per tier,
+# coverage_all_bs count, hit count per rank from rank 1 (ranks past the list
+# never hit), draws per rank or None when every snapshot scores every rank).
+# 130 snapshots are two full chunks and a ragged one; on the 2.5 km disk the
+# default macro tier is empty in most snapshots.
 STREAM_PINS = [
     (default_scenario, 2500.0, 130, "all-weighted", [0, 75], 75,
      [75, 75, 75, 75, 75], None),
@@ -374,13 +499,29 @@ STREAM_PINS = [
       0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1,
       2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0,
       0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    (rcs_two_tier_scenario, 2500.0, 130, "all-weighted", [50, 31], 81,
+     [44, 44, 45, 45, 45, 30, 30, 31, 31, 31, 32, 32, 33, 33, 33, 34, 34, 34, 34, 34,
+      7, 7, 7, 8, 8, 6, 7, 6, 7, 7, 6, 8, 7, 7, 8, 9, 7, 7, 7, 7,
+      7, 7, 6, 6, 7, 8, 7, 7, 6, 5, 4, 5, 6, 6, 5, 4, 4, 3, 4, 5,
+      5, 6, 7, 8, 8, 7, 8, 7, 6, 7, 7, 6, 6, 7, 7, 7, 7, 7, 6, 5,
+      5, 5, 5, 5, 5, 5, 3, 3, 2, 2, 2, 2, 3, 2, 2, 2, 2, 1, 1, 0], None),
+    (rcs_two_tier_scenario, 2500.0, 130, "sampled", [50, 31], 81,
+     [7, 4, 3, 5, 4, 2, 1, 0, 0, 0, 0, 0, 1, 0, 1, 2, 0, 2, 0, 2,
+      0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+      0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
+      0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+     [25, 11, 6, 6, 12, 6, 4, 1, 5, 0, 1, 1, 2, 1, 2, 4, 0, 3, 0, 3,
+      1, 1, 0, 0, 0, 3, 1, 0, 1, 0, 0, 2, 1, 0, 0, 0, 0, 0, 2, 0,
+      0, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1,
+      0, 0, 1, 1, 0, 0, 2, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1, 0, 0, 0,
+      1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1]),
 ]
 
 
 @pytest.mark.parametrize(
     "make, radius, n, mode, covering, any_count, hits, draws", STREAM_PINS,
     ids=["default-weighted", "default-sampled", "unit-20km-weighted",
-         "unit-20km-sampled"])
+         "unit-20km-sampled", "rcs-two-tier-weighted", "rcs-two-tier-sampled"])
 def test_sampling_stream_is_pinned(make, radius, n, mode, covering, any_count,
                                    hits, draws):
     report = run_simulation(make(), protocol=SimulationProtocol(
@@ -389,7 +530,7 @@ def test_sampling_stream_is_pinned(make, radius, n, mode, covering, any_count,
     assert [round(x * n) for x in report.per_tier_coverage_density] == covering
     assert round(report.coverage_all_bs * n) == any_count
     hit_counts = np.zeros(100, dtype=np.int64)
-    hit_counts[:5] = hits
+    hit_counts[:len(hits)] = hits
     draw_counts = np.full(100, n) if draws is None else np.array(draws)
     # a count ratio is one correctly rounded division, the same on any host
     with np.errstate(invalid="ignore"):
