@@ -7,11 +7,10 @@ caching efficiency peak at a finite density.
 """
 import numpy as np
 
-from hetcache import default_scenario
-from hetcache.experiments import SweepSpec, run_experiment
+from hetcache import default_scenario, run_experiment
 
 grid = tuple(np.logspace(0, 2, 9))
-rows = run_experiment(default_scenario(), SweepSpec("tiers[2].density", grid))
+rows = run_experiment(default_scenario(), {"tiers[2].density": grid})
 
 print(f"{'lam2 [/km^2]':>12} {'p_bh':>10} {'p_hit':>8} {'ASE':>11} "
       f"{'cost':>11} {'eta':>8}")

@@ -26,8 +26,8 @@ from .metrics import (MetricReport, UndefinedEfficiencyError,
                       analytic_report, caching_efficiency, tier_rates)
 from .montecarlo import (Snapshot, SnapshotEstimates, TierSnapshot,
                          evaluate_snapshot, run_simulation, sample_network)
-from .experiments import (GridSearchResult, SweepSpec, grid_search,
-                          run_experiment, run_preset, set_parameter, write_csv)
+from .experiments import (GridSearchResult, grid_search, run_experiment,
+                          run_preset, set_parameter, write_csv)
 
 __all__ = [
     "__version__",
@@ -53,6 +53,6 @@ __all__ = [
     "Snapshot", "SnapshotEstimates", "TierSnapshot", "evaluate_snapshot",
     "run_simulation", "sample_network",
     # experiments
-    "GridSearchResult", "SweepSpec", "grid_search", "run_experiment",
-    "run_preset", "set_parameter", "write_csv",
+    "GridSearchResult", "grid_search", "run_experiment", "run_preset",
+    "set_parameter", "write_csv",
 ]

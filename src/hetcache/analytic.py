@@ -332,18 +332,17 @@ def _outer_truncation(terms, interferers, radio_i: TierRadioParams,
 
 
 def tier_coverage_density(scenario: ScenarioConfig, tier_index: int,
-                          settings: IntegrationSettings | None = None,
                           exponents: dict | None = None):
     """Expected number of covering tier-``tier_index`` stations, with error.
 
     Returns ``(value, error_estimate)``. The value folds the full angular
     2*pi*lambda factor, is zero for a zero-density tier, and does not depend
-    on any tier's cache configuration. ``tier_index`` is 0-based.
-    ``exponents`` caches exponent tables across calls (keyed by radio and
-    settings); the value does not depend on what it already holds.
+    on any tier's cache configuration. ``tier_index`` is 0-based. The
+    quadrature settings are ``scenario.integration``. ``exponents`` caches
+    exponent tables across calls (keyed by radio and settings); the value
+    does not depend on what it already holds.
     """
-    if settings is None:
-        settings = scenario.integration
+    settings = scenario.integration
     if exponents is None:
         exponents = {}
     densities = scenario.densities_per_m2()
@@ -422,7 +421,6 @@ class CoverageTable:
 
 
 def build_coverage_table(scenario: ScenarioConfig,
-                         settings: IntegrationSettings | None = None,
                          exponents: dict | None = None) -> CoverageTable:
     """Evaluate every tier's coverage density for this scenario.
 
@@ -434,7 +432,7 @@ def build_coverage_table(scenario: ScenarioConfig,
     values = []
     errors = []
     for i in range(scenario.num_tiers):
-        rho, err = tier_coverage_density(scenario, i, settings, exponents)
+        rho, err = tier_coverage_density(scenario, i, exponents)
         values.append(rho)
         errors.append(err)
     return CoverageTable(per_tier_density=tuple(values), error_estimates=tuple(errors))

@@ -18,8 +18,8 @@ import sys
 
 import numpy as np
 
-from .experiments import (PRESET_NAMES, SweepSpec, _grid_rows, grid_search,
-                          run_experiment, run_preset, write_csv)
+from .experiments import (PRESET_NAMES, grid_search, run_experiment, run_preset,
+                          write_csv)
 from .metrics import UndefinedEfficiencyError
 from .quadrature import QuadratureError
 from .scenario import (ConfigError, default_scenario, load_config,
@@ -126,14 +126,10 @@ def main(argv=None) -> int:
 
     try:
         scenario = _load_scenario(args)
-        if args.command == "run":
-            engines = ("analytic", "mc") if args.engine == "both" else (args.engine,)
-            rows = list(_grid_rows(scenario, (), engines, args.workers))
-            write_csv(rows, args.out, scenario)
-        elif args.command == "sweep":
-            spec = SweepSpec(args.param, _sweep_grid(args), engine=args.engine)
-            rows = run_experiment(scenario, spec, out_path=args.out,
-                                  workers=args.workers)
+        if args.command in ("run", "sweep"):
+            variables = {args.param: _sweep_grid(args)} if args.command == "sweep" else {}
+            rows = run_experiment(scenario, variables, engine=args.engine,
+                                  out_path=args.out, workers=args.workers)
         elif args.command == "search":
             variables = {}
             for spec in args.var:

@@ -10,11 +10,10 @@ Swept parameters are addressed by dotted paths into the scenario, with
 ``tiers[*]`` applies the value to every tier. Every YAML field is a sweep
 path: ``set_parameter`` rebuilds each record on the path, so the record
 checks the value exactly as YAML loading does, and a rejection names the
-swept path. An axis of a grid is a path and its grid of values, or a tuple
-of paths set together from a grid of tuples, such as
-``("tiers[1].rho", "tiers[2].rho")``.
+swept path. A grid maps each of its axes, a path or a tuple of paths set
+together such as ``("tiers[1].rho", "tiers[2].rho")``, to its values.
 
-One driver, ``_grid_rows``, turns every sweep, grid search, single run and
+One driver, ``_grid_rows``, turns every run, sweep, grid search and
 canned experiment into rows: one per grid point per engine. The canned
 experiments (``PRESET_NAMES``) are data, a table of axes and engines.
 Result rows are flattened metric reports; float cells are printed with 17
@@ -44,7 +43,6 @@ from .quadrature import QuadratureError
 from .scenario import ConfigError, ScenarioConfig
 
 __all__ = [
-    "SweepSpec",
     "GridSearchResult",
     "set_parameter",
     "run_experiment",
@@ -58,22 +56,6 @@ __all__ = [
 CSV_SCHEMA_VERSION = 2
 
 _ENGINES = {"analytic": ("analytic",), "mc": ("mc",), "both": ("analytic", "mc")}
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter: a path into the scenario plus its value grid.
-    A tuple of paths is set together from a grid of tuples."""
-
-    parameter_path: str | tuple
-    grid: tuple
-    engine: str = "analytic"
-
-    def __post_init__(self):
-        if len(self.grid) == 0:
-            raise ValueError("sweep grid must be non-empty")
-        if self.engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {sorted(_ENGINES)}")
 
 
 @dataclass(frozen=True)
@@ -251,9 +233,7 @@ def _cells(path, value) -> dict:
 
 
 def _set_point(scenario: ScenarioConfig, path, value) -> ScenarioConfig:
-    if isinstance(path, str):
-        return set_parameter(scenario, path, value)
-    for name, v in zip(path, value):
+    for name, v in _cells(path, value).items():
         scenario = set_parameter(scenario, name, v)
     return scenario
 
@@ -298,17 +278,35 @@ def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
         raise failure
 
 
-def run_experiment(config: ScenarioConfig, sweep: SweepSpec, out_path=None,
-                   workers: int = 1):
-    """Evaluate every grid point with the sweep's engine(s).
+def _plan(variables: dict, engine: str):
+    """The axes of ``variables``, in order, and the engines named by ``engine``."""
+    if engine not in _ENGINES:
+        raise ValueError(f"engine must be one of {sorted(_ENGINES)}, not {engine!r}")
+    axes = [(path, tuple(grid)) for path, grid in variables.items()]
+    if any(len(grid) == 0 for _, grid in axes):
+        raise ValueError("grids must be non-empty")
+    return axes, _ENGINES[engine]
 
-    Returns the rows in grid order (one per grid point per engine, analytic
-    first) and, when ``out_path`` is given, persists them as CSV plus a
-    metadata sidecar. Rows that fail keep the run going; their status
-    column reads ``error``.
+
+def _point(row: dict, paths) -> dict:
+    """The grid point of ``row``: its cell of every path, a tuple's path by path."""
+    return {name: row[name] for path in paths
+            for name in ((path,) if isinstance(path, str) else path)}
+
+
+def run_experiment(config: ScenarioConfig, variables: dict, engine: str = "analytic",
+                   out_path=None, workers: int = 1):
+    """Evaluate every point of the grid of ``variables`` with ``engine``.
+
+    ``variables`` maps each axis, a path or a tuple of paths, to its grid;
+    no axes means the one point ``config``. ``engine`` is ``analytic``,
+    ``mc`` or ``both``. Returns the rows in grid order (one per grid point
+    per engine, analytic first) and, when ``out_path`` is given, persists
+    them as CSV plus a metadata sidecar. Rows that fail keep the run going;
+    their status column reads ``error``.
     """
-    rows = list(_grid_rows(config, [(sweep.parameter_path, sweep.grid)],
-                           _ENGINES[sweep.engine], workers))
+    axes, engines = _plan(variables, engine)
+    rows = list(_grid_rows(config, axes, engines, workers))
     if out_path is not None:
         write_csv(rows, out_path, config)
     return rows
@@ -318,33 +316,30 @@ def grid_search(config: ScenarioConfig, variables: dict,
                 engine: str = "analytic", workers: int = 1) -> GridSearchResult:
     """Exhaustive search for the caching-efficiency maximizer.
 
-    ``variables`` maps parameter paths to grids (at most 3 paths). Points
-    are visited in lexicographic grid order and ties keep the first (i.e.
-    lexicographically smallest) maximizer. Coverage tables are reused
-    across points that share radio-side parameters, so cache- and
-    content-side searches cost one quadrature pass total; every table of
-    the search shares one set of interference-exponent tables, and every
-    report one set of content vectors.
+    ``variables`` maps 1 to 3 axes to grids, as for ``run_experiment``,
+    and ``engine`` is ``analytic`` or ``mc``. Points are visited in grid
+    order and ties keep the first maximizer; the best point holds one value
+    per path. Coverage tables are reused across points that share
+    radio-side parameters, so cache- and content-side searches cost one
+    quadrature pass total; every table of the search shares one set of
+    interference-exponent tables, and every report one set of content vectors.
     """
     if not 1 <= len(variables) <= 3:
         raise ValueError("grid search supports 1 to 3 variables")
-    engines = _ENGINES[engine]
+    axes, engines = _plan(variables, engine)
     if len(engines) > 1:
         raise ValueError("grid search uses a single engine")
-    axes = [(path, tuple(grid)) for path, grid in variables.items()]
-    if any(len(grid) == 0 for _, grid in axes):
-        raise ValueError("grids must be non-empty")
     best_point = None
     best_eta = -np.inf
     surface = []
     for row in _grid_rows(config, axes, engines, workers):
         surface.append(row)
         if row["status"] != "ok":
-            point = {path: row[path] for path in variables}
-            raise QuadratureError(f"grid point {point} failed: {row['error']}")
+            raise QuadratureError(
+                f"grid point {_point(row, variables)} failed: {row['error']}")
         if row["efficiency"] > best_eta:
             best_eta = row["efficiency"]
-            best_point = {path: row[path] for path in variables}
+            best_point = _point(row, variables)
     return GridSearchResult(best_point=best_point, best_efficiency=best_eta,
                             surface=tuple(surface))
 

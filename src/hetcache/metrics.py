@@ -30,7 +30,7 @@ import numpy as np
 
 from .analytic import CoverageTable, build_coverage_table
 from .content import cache_probability_vector
-from .scenario import IntegrationSettings, ScenarioConfig
+from .scenario import ScenarioConfig
 
 __all__ = [
     "UndefinedEfficiencyError",
@@ -236,19 +236,18 @@ def analytic_columns(scenarios, tables, memo: dict | None = None) -> AnalyticCol
 
 
 def analytic_report(scenario: ScenarioConfig,
-                    settings: IntegrationSettings | None = None,
-                    table: CoverageTable | None = None,
-                    memo: dict | None = None) -> MetricReport:
+                    table: CoverageTable | None = None) -> MetricReport:
     """Evaluate every metric with the quadrature engine.
 
-    A precomputed ``table`` may be supplied when only cache, content, or
-    cost parameters changed since it was built (coverage densities do not
-    depend on those). ``memo`` is ``analytic_columns``'s: this report is
-    its batch of one. Raises ``UndefinedEfficiencyError`` at zero cost.
+    The report is ``analytic_columns``'s batch of one, with quadrature
+    settings from ``scenario.integration``. A precomputed ``table`` may be
+    supplied when only cache, content, or cost parameters changed since it
+    was built (coverage densities do not depend on those). Raises
+    ``UndefinedEfficiencyError`` at zero cost.
     """
     if table is None:
-        table = build_coverage_table(scenario, settings)
-    columns = analytic_columns([scenario], [table], memo)
+        table = build_coverage_table(scenario)
+    columns = analytic_columns([scenario], [table])
     fields = {name: column.tolist()[0] for name, column in columns.values.items()}
     fields["efficiency"] = caching_efficiency(fields["ase"], fields["cost"])
     hit_c, bh_c, ase_c = (x[0] for x in columns.per_rank)

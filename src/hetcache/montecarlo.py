@@ -11,7 +11,8 @@ non-caching macro station covers.
 
 A snapshot's one pass keeps only its covering counts and the cache window
 of each covering station; a chunk of snapshots assembles its hit, backhaul
-and per-rank counts at once, from one difference array per tier.
+and per-rank counts at once, from one difference array per tier; the
+coverage figures come from the pooled covering counts.
 
 Snapshots are independent work units: snapshot ``k`` draws from a stream
 derived from ``(master_seed, k)`` by splittable seeding, and reductions use
@@ -81,20 +82,12 @@ class SnapshotEstimates:
     ``covering[i]`` counts tier-(i+1) stations that clear their threshold;
     ``window_starts[i]`` holds the 0-based first cached rank of each of them
     that caches (0 for MPC), and is empty when the tier caches nothing. A
-    chunk assembles its snapshots' indicators at once (``_chunk_indicators``);
-    the properties are that assembly on a chunk of one, for single-snapshot
-    callers: ``caching_covering[i, c-1]`` counts covering tier-(i+1)
-    stations that cache rank c, and ``hit``/``backhaul`` flag each rank.
+    chunk of passes becomes hit, backhaul and per-rank counts in
+    ``_chunk_indicators``; one snapshot's are a chunk of one.
     """
 
     covering: np.ndarray  # (K,) int
     window_starts: list  # K int arrays
-    scenario: ScenarioConfig
-
-    hit = property(lambda self: _chunk_indicators([self], self.scenario)[0][0])
-    backhaul = property(lambda self: _chunk_indicators([self], self.scenario)[1][0])
-    caching_covering = property(lambda self: _chunk_indicators([self], self.scenario)[2][0])
-    any_coverage = property(lambda self: bool(self.covering.any()))  # some station covers
 
 
 def snapshot_rng(master_seed: int, snapshot_index: int) -> np.random.Generator:
@@ -105,10 +98,10 @@ def snapshot_rng(master_seed: int, snapshot_index: int) -> np.random.Generator:
 
 
 def sample_network(rng: np.random.Generator, scenario: ScenarioConfig,
-                   region_radius: float | None = None) -> Snapshot:
-    """Draw one snapshot: Poisson counts, uniform disk distances, links, caches."""
-    radius = scenario.region_radius_m() if region_radius is None else region_radius
-    area = math.pi * radius * radius
+                   region_radius: float) -> Snapshot:
+    """Draw one snapshot on a disk of ``region_radius`` meters: Poisson
+    counts, uniform disk distances, links, caches."""
+    area = math.pi * region_radius * region_radius
     tiers = []
     for tier, lam in zip(scenario.tiers, scenario.densities_per_m2()):
         n = int(rng.poisson(lam * area)) if lam > 0 else 0
@@ -116,7 +109,7 @@ def sample_network(rng: np.random.Generator, scenario: ScenarioConfig,
             f, b = np.empty(0), np.empty(0, dtype=bool)
             tiers.append(TierSnapshot(f, b, f, f, b, np.empty(0, dtype=np.int64)))
             continue
-        r = radius * np.sqrt(rng.random(n))
+        r = region_radius * np.sqrt(rng.random(n))
         rng.random(n)  # the angles: unread, drawn only to keep the stream
         is_los, fading, pathloss = sample_links(rng, r, tier.radio)
         is_mpc, window_start = sample_placement_fields(
@@ -148,7 +141,7 @@ def evaluate_snapshot(snapshot: Snapshot, scenario: ScenarioConfig) -> SnapshotE
         covering.append(len(covers))
         window_starts.append(np.where(ts.is_mpc[covers], 0, ts.window_start[covers] - 1)
                              if tier.cache.cache_size and len(covers) else _NO_WINDOWS)
-    return SnapshotEstimates(np.array(covering), window_starts, scenario)
+    return SnapshotEstimates(np.array(covering), window_starts)
 
 
 def _chunk_indicators(estimates: list, scenario: ScenarioConfig):
@@ -178,12 +171,13 @@ def _chunk_stats(args):
 
     The chunk's indicators and counts, assembled from its snapshots'
     passes on a leading snapshot axis, are scored by one ``_delivery_metrics`` call.
-    Integer sums are exactly order-independent; per-snapshot float metrics
-    are returned as arrays in snapshot order so the final reduction is
-    deterministic for any worker count. Each snapshot scores either every
-    rank (``all-weighted``) or one rank drawn by popularity (``sampled``,
-    drawn right after the snapshot from its own stream); the rank mask
-    gates the integer counts and ``draw_counts``.
+    Returns its (S, K) covering counts, (S, 5) metric rows and per-rank
+    integer sums (hits, caching coverage, draws). Integer sums are exactly
+    order-independent; per-snapshot arrays come in snapshot order so the
+    final reduction is deterministic for any worker count. Each snapshot
+    scores either every rank (``all-weighted``) or one rank drawn by
+    popularity (``sampled``, drawn right after the snapshot from its own
+    stream); the rank mask gates the per-rank sums.
     """
     scenario, protocol, radius, start, stop = args
     F = scenario.content.library_size
@@ -210,10 +204,9 @@ def _chunk_stats(args):
         w, hit, caching_covering, (1.0 - q1) * covering[:, :1],
         _scenario_constants([scenario]))
     metrics = np.column_stack((p_hit, p_bh, _dot(w, backhaul), ase, cost))
-    return ((hit & mask).sum(axis=0), (backhaul & mask).sum(axis=0),
-            (caching_covering * mask[:, None]).sum(axis=0), covering.sum(axis=0),
-            (covering * covering).sum(axis=0), mask.sum(axis=0),
-            int(np.count_nonzero(covering.any(axis=1))), metrics)
+    return covering, metrics, ((hit & mask).sum(axis=0),
+                               (caching_covering * mask[:, None]).sum(axis=0),
+                               mask.sum(axis=0))
 
 
 def _stderr(values: np.ndarray) -> float:
@@ -260,9 +253,9 @@ def run_simulation(scenario: ScenarioConfig,
     else:
         results = [_chunk_stats(c) for c in chunks]
 
-    *count_parts, metric_blocks = zip(*results)
-    (hit_counts, bh_op_counts, cachcov_sums, cov_sums, cov_sumsq, draw_counts,
-     anycov_count) = (sum(parts) for parts in count_parts)
+    covering_blocks, metric_blocks, rank_sums = zip(*results)
+    hit_counts, cachcov_sums, draw_counts = (sum(parts) for parts in zip(*rank_sums))
+    covering = np.concatenate(covering_blocks, axis=0)
     metrics = np.concatenate(metric_blocks, axis=0)
     whit, wbh, wbh_op, ase_arr, cost_arr = metrics.T
     p_hit = float(np.mean(whit))
@@ -272,12 +265,9 @@ def run_simulation(scenario: ScenarioConfig,
     cost = float(np.mean(cost_arr))
     efficiency = caching_efficiency(ase, cost)
 
-    K = scenario.num_tiers
-    rho_mean = cov_sums / n
-    rho_se = tuple(
-        math.sqrt(max(cov_sumsq[i] / n - rho_mean[i] ** 2, 0.0) / max(n - 1, 1))
-        for i in range(K)
-    )
+    rho_mean = covering.sum(axis=0) / n
+    rho_se = tuple(math.sqrt(max(sumsq / n - mean ** 2, 0.0) / max(n - 1, 1))
+                   for sumsq, mean in zip((covering * covering).sum(axis=0), rho_mean))
 
     # Per-rank means over the snapshots that scored each rank; a rank never
     # drawn in sampled mode is 0/0, i.e. nan.
@@ -297,7 +287,7 @@ def run_simulation(scenario: ScenarioConfig,
         p_hit=p_hit,
         p_bh=p_bh,
         p_bh_operational=p_bh_op,
-        coverage_all_bs=anycov_count / n,
+        coverage_all_bs=int(np.count_nonzero(covering.any(axis=1))) / n,
         ase=ase,
         cost=cost,
         efficiency=efficiency,

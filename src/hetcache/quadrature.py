@@ -33,6 +33,9 @@ _HI_NODES, _HI_WEIGHTS = leggauss(15)
 # Both rules' nodes in one array, so a panel calls the integrand once.
 _NODES = np.concatenate((_HI_NODES, _LO_NODES))
 _N_HI = len(_HI_NODES)
+# Equal panels each interval starts from, a guard against features the
+# first error estimate would miss.
+_INITIAL_PANELS = 4
 
 
 def _panel(f, lo: float, hi: float):
@@ -45,17 +48,15 @@ def _panel(f, lo: float, hi: float):
 
 
 def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
-                       abs_tol: float = 1e-10, breakpoints=(), max_panels: int = 4000,
-                       initial_panels: int = 4):
+                       abs_tol: float = 1e-10, breakpoints=(), max_panels: int = 4000):
     """Integrate ``f`` over ``[a, b]`` with a global-adaptive panel scheme.
 
     ``f`` maps a node array of shape (n,) to values of shape (..., n); each
     leading component is integrated independently. The integrand must be
     smooth between ``breakpoints``: pass every known kink or narrow feature
     there so no panel straddles it. Each interval starts from
-    ``initial_panels`` equal panels as a guard against features the first
-    error estimate would miss. Returns ``(values, error_estimates)`` of
-    shape (...,).
+    ``_INITIAL_PANELS`` equal panels. Returns ``(values, error_estimates)``
+    of shape (...,).
 
     Raises QuadratureError when ``max(abs_tol, rel_tol * |value|)`` cannot be
     met for every component within ``max_panels`` refinements; the exception
@@ -72,7 +73,7 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
     marks = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
     edges = []
     for lo, hi in zip(marks[:-1], marks[1:]):
-        edges.extend(np.linspace(lo, hi, initial_panels + 1)[:-1])
+        edges.extend(np.linspace(lo, hi, _INITIAL_PANELS + 1)[:-1])
     edges.append(marks[-1])
 
     panels = {}  # id -> (lo, hi, value, error)
@@ -87,10 +88,12 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
     total_q = np.sum(np.stack([p[2] for p in panels.values()]), axis=0)
     total_e = np.sum(np.stack([p[3] for p in panels.values()]), axis=0)
 
-    while len(panels) < max_panels:
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total_q))
-        if np.all(total_e <= tol):
-            break
+    while not np.all(total_e <= np.maximum(abs_tol, rel_tol * np.abs(total_q))):
+        if len(panels) >= max_panels:
+            raise QuadratureError(
+                f"no convergence within {max_panels} panels",
+                error_estimate=total_e,
+            )
         _, _, worst = heapq.heappop(heap)
         lo, hi, q, e = panels.pop(worst)
         mid = 0.5 * (lo + hi)
@@ -108,13 +111,6 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
             seq += 1
             total_q = total_q + cq
             total_e = total_e + ce
-    else:
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total_q))
-        if not np.all(total_e <= tol):
-            raise QuadratureError(
-                f"no convergence within {max_panels} panels",
-                error_estimate=total_e,
-            )
 
     # Re-sum in interval order so the result does not depend on refinement
     # bookkeeping (bit-identical across runs).

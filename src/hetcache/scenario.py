@@ -264,23 +264,8 @@ def desk_scale_protocol(master_seed: int = 0, num_snapshots: int = 2000) -> Simu
 
 def scenario_to_mapping(config: ScenarioConfig) -> dict:
     """Plain-dict form of a scenario (the YAML document structure)."""
-    return {
-        "density_unit": config.density_unit,
-        "rate_log_base": config.rate_log_base,
-        "tiers": [
-            {
-                "density": t.density,
-                "rho": t.rho,
-                "radio": dataclasses.asdict(t.radio),
-                "cache": dataclasses.asdict(t.cache),
-            }
-            for t in config.tiers
-        ],
-        "content": dataclasses.asdict(config.content),
-        "costs": dataclasses.asdict(config.costs),
-        "protocol": dataclasses.asdict(config.protocol),
-        "integration": dataclasses.asdict(config.integration),
-    }
+    return {**dataclasses.asdict(config),
+            "tiers": [dataclasses.asdict(t) for t in config.tiers]}
 
 
 def _require_mapping(node, path):

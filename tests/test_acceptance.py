@@ -17,8 +17,7 @@ from hetcache.analytic import build_coverage_table
 from hetcache.content import (ContentModel, TierCachePolicy,
                               cache_probability_vector,
                               sample_placement_fields)
-from hetcache.experiments import (SweepSpec, grid_search, run_experiment,
-                                  set_parameter)
+from hetcache.experiments import grid_search, run_experiment, set_parameter
 from hetcache.metrics import analytic_report
 from hetcache.montecarlo import run_simulation
 from hetcache.scenario import (IntegrationSettings, SimulationProtocol,
@@ -141,8 +140,7 @@ def density_sweep_rows():
     cost/hit trends flatten out or reverse.
     """
     grid = tuple(np.logspace(0.0, 2.0, 7))
-    return run_experiment(default_scenario(),
-                          SweepSpec("tiers[2].density", grid))
+    return run_experiment(default_scenario(), {"tiers[2].density": grid})
 
 
 def test_criterion_05_monotone_trends(density_sweep_rows):
@@ -232,11 +230,11 @@ def test_criterion_10_parallel_determinism(tmp_path):
     """Same seed, 1 vs 8 workers: byte-identical CSV output."""
     s = dataclasses.replace(default_scenario(), protocol=SimulationProtocol(
         num_snapshots=300, region_radius=5000.0, master_seed=42))
-    spec = SweepSpec("tiers[2].density", (10.0,), engine="mc")
+    variables = {"tiers[2].density": (10.0,)}
     p1 = tmp_path / "w1.csv"
     p8 = tmp_path / "w8.csv"
-    run_experiment(s, spec, out_path=p1, workers=1)
-    run_experiment(s, spec, out_path=p8, workers=8)
+    run_experiment(s, variables, engine="mc", out_path=p1, workers=1)
+    run_experiment(s, variables, engine="mc", out_path=p8, workers=8)
     identical = p1.read_bytes() == p8.read_bytes()
     _report("10 parallel determinism", identical,
             f"files identical: {identical}")
@@ -264,7 +262,7 @@ def test_criterion_11_quadrature_convergence():
         loose = analytic_report(s)
         tight_settings = IntegrationSettings(
             rel_tol=s.integration.rel_tol / 2.0, abs_tol=s.integration.abs_tol)
-        tight = analytic_report(s, settings=tight_settings)
+        tight = analytic_report(dataclasses.replace(s, integration=tight_settings))
         for m in metrics:
             delta = abs(getattr(loose, m) - getattr(tight, m))
             estimate = loose.error_estimates[m]

@@ -129,7 +129,7 @@ def test_quadrature_stability_on_default_scenario():
     rho, err = tier_coverage_density(s, 1)
     tight = IntegrationSettings(rel_tol=s.integration.rel_tol / 2.0,
                                 abs_tol=s.integration.abs_tol)
-    rho_tight, _ = tier_coverage_density(s, 1, tight)
+    rho_tight, _ = tier_coverage_density(dataclasses.replace(s, integration=tight), 1)
     assert abs(rho - rho_tight) < err
 
 
@@ -138,7 +138,7 @@ def test_explicit_truncation_matches_auto():
     auto_rho, _ = tier_coverage_density(s, 1)
     explicit = IntegrationSettings(outer_truncation_radius=5e5,
                                    inner_truncation_radius=1e7)
-    exp_rho, _ = tier_coverage_density(s, 1, explicit)
+    exp_rho, _ = tier_coverage_density(dataclasses.replace(s, integration=explicit), 1)
     assert exp_rho == pytest.approx(auto_rho, rel=1e-4)
 
 
@@ -324,5 +324,5 @@ def test_reported_error_covers_direct_reference(monkeypatch, density):
     monkeypatch.setattr(analytic, "ExponentTable", _DirectExponent)
     reference = IntegrationSettings(rel_tol=1e-10, abs_tol=1e-12)
     for i, (rho, err) in enumerate(reported):
-        rho_ref, _ = tier_coverage_density(s, i, reference)
+        rho_ref, _ = tier_coverage_density(dataclasses.replace(s, integration=reference), i)
         assert err >= abs(rho - rho_ref)

@@ -9,11 +9,12 @@ import pytest
 
 from hetcache import experiments
 from hetcache.analytic import build_coverage_table
-from hetcache.experiments import (SweepSpec, _grid_rows, _SweepCache,
-                                  grid_search, run_experiment, run_preset,
-                                  set_parameter, write_csv)
-from hetcache.metrics import (UndefinedEfficiencyError, analytic_report,
-                              caching_efficiency)
+from hetcache.cli import main
+from hetcache.experiments import (_grid_rows, _SweepCache, grid_search,
+                                  run_experiment, run_preset, set_parameter,
+                                  write_csv)
+from hetcache.metrics import (UndefinedEfficiencyError, analytic_columns,
+                              analytic_report, caching_efficiency)
 from hetcache.scenario import (ConfigError, SimulationProtocol,
                                default_scenario)
 
@@ -78,7 +79,7 @@ def test_set_parameter_rejects_out_of_range(path, bad):
 
 def test_degenerate_sweep_equals_direct_call():
     s = default_scenario()
-    rows = run_experiment(s, SweepSpec("tiers[2].density", (10.0,)))
+    rows = run_experiment(s, {"tiers[2].density": (10.0,)})
     assert len(rows) == 1
     direct = analytic_report(s)
     assert rows[0]["efficiency"] == pytest.approx(direct.efficiency, rel=1e-12)
@@ -90,7 +91,7 @@ def test_sweep_rows_in_grid_order_both_engines():
     # 20 km region: the LOS tail reaches km scales, smaller disks bias MC up
     s = desk_config(snapshots=150, radius=20000.0)
     grid = (5.0, 10.0)
-    rows = run_experiment(s, SweepSpec("tiers[2].density", grid, engine="both"))
+    rows = run_experiment(s, {"tiers[2].density": grid}, engine="both")
     assert len(rows) == 4
     assert [r["tiers[2].density"] for r in rows] == [5.0, 5.0, 10.0, 10.0]
     assert [r["engine"] for r in rows] == ["analytic", "mc", "analytic", "mc"]
@@ -108,7 +109,7 @@ def test_error_rows_keep_run_going(tmp_path):
         dataclasses.replace(s, tiers=(
             dataclasses.replace(s.tiers[0], density=0.0),
             dataclasses.replace(s.tiers[1], density=0.0))),
-        SweepSpec("content.popularity_exponent", (1.0,)),
+        {"content.popularity_exponent": (1.0,)},
         out_path=tmp_path / "err.csv")
     assert rows[0]["status"] == "error"
     assert "efficiency" in rows[0]["error"] or rows[0]["error"]
@@ -116,10 +117,10 @@ def test_error_rows_keep_run_going(tmp_path):
 
 def test_csv_reproducibility(tmp_path):
     s = desk_config(snapshots=100, seed=13)
-    spec = SweepSpec("tiers[2].density", (10.0, 20.0), engine="mc")
+    variables = {"tiers[2].density": (10.0, 20.0)}
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_experiment(s, spec, out_path=p1)
-    run_experiment(s, spec, out_path=p2)
+    run_experiment(s, variables, engine="mc", out_path=p1)
+    run_experiment(s, variables, engine="mc", out_path=p2)
     assert p1.read_bytes() == p2.read_bytes()
     meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
     assert meta["config_hash"] == s.fingerprint()
@@ -165,6 +166,54 @@ def test_grid_search_variable_count_limits():
         grid_search(s, {f"tiers[{i}].rho": (0.5,) for i in (1, 2)} |
                     {"content.popularity_exponent": (1.0,),
                      "costs.cache_unit_cost": (0.01,)})
+
+
+def test_grid_search_tuple_path_best_point():
+    # a tuple of paths is one axis; the best point holds a value per path
+    s = default_scenario()
+    pair = ("tiers[1].rho", "tiers[2].rho")
+    res = grid_search(s, {pair: ((1.0, 1.0), (0.5, 1.0))})
+    assert len(res.surface) == 2
+    best = max(res.surface, key=lambda row: row["efficiency"])
+    assert res.best_point == {path: best[path] for path in pair}
+    assert res.best_efficiency == best["efficiency"]
+
+
+@pytest.mark.parametrize("engine", ["monte-carlo", "scipy"])
+def test_unknown_engine_raises_value_error(engine):
+    s = default_scenario()
+    with pytest.raises(ValueError, match=f"engine must be one of .*{engine}"):
+        grid_search(s, {"tiers[2].density": (1.0,)}, engine=engine)
+    with pytest.raises(ValueError, match=f"engine must be one of .*{engine}"):
+        run_experiment(s, {"tiers[2].density": (1.0,)}, engine=engine)
+
+
+def test_run_experiment_without_axes_equals_cli_run(tmp_path, capsys):
+    s = desk_config(snapshots=64, radius=10000.0, seed=5)
+    cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    assert main(["run", "--engine", "both", "--snapshots", "64", "--seed", "5",
+                 "--out", str(cli_out)]) == 0
+    rows = run_experiment(s, {}, engine="both", out_path=lib_out)
+    assert [r["engine"] for r in rows] == ["analytic", "mc"]
+    assert all(r["status"] == "ok" for r in rows)
+    assert lib_out.read_bytes() == cli_out.read_bytes()
+    assert (tmp_path / "lib.csv.meta.json").read_bytes() == (
+        tmp_path / "cli.csv.meta.json").read_bytes()
+
+
+def test_run_experiment_tuple_path_axis():
+    # both tiers' bias factors set together, one row per pair
+    s = default_scenario()
+    pair = ("tiers[1].rho", "tiers[2].rho")
+    grid = ((1.0, 1.0), (0.5, 1.0), (1.0, 0.25))
+    rows = run_experiment(s, {pair: grid, "content.popularity_exponent": (0.8,)})
+    assert [(r["tiers[1].rho"], r["tiers[2].rho"]) for r in rows] == list(grid)
+    for row, (rho1, rho2) in zip(rows, grid):
+        scenario = set_parameter(set_parameter(s, "tiers[1].rho", rho1), "tiers[2].rho", rho2)
+        scenario = set_parameter(scenario, "content.popularity_exponent", 0.8)
+        assert list(row)[:3] == [*pair, "content.popularity_exponent"]
+        assert row["efficiency"] == analytic_report(scenario).efficiency
+        assert row["rho_2"] == analytic_report(scenario).per_tier_coverage_density[1]
 
 
 def test_preset_fig3_smoke():
@@ -238,17 +287,18 @@ def test_memoised_vectors_are_read_only_and_not_aliased():
         next(iter(cache.vectors.values()))[0] = 1.0
 
     table = build_coverage_table(s)
-    fresh = analytic_report(s, table=table)
+    fresh = analytic_columns([s], [table])
     memo = {}
-    first = analytic_report(s, table=table, memo=memo)
-    for array in (first.per_content_hit, first.per_content_backhaul,
-                  first.per_content_ase):
+    first = analytic_columns([s], [table], memo)
+    for array in first.per_rank:  # per-rank hit, backhaul and ASE
         array[:] = -1.0
-    later = analytic_report(s, table=table, memo=memo)
-    for name in ("per_content_hit", "per_content_backhaul", "per_content_ase"):
-        assert np.array_equal(getattr(later, name), getattr(fresh, name))
-    for name in ("p_hit", "p_bh", "ase", "cost", "efficiency", "error_estimates"):
-        assert getattr(later, name) == getattr(fresh, name)
+    later = analytic_columns([s], [table], memo)
+    for got, want in zip(later.per_rank, fresh.per_rank, strict=True):
+        assert np.array_equal(got, want)
+    for name in ("p_hit", "p_bh", "ase", "cost", "efficiency"):
+        assert later.values[name].tolist() == fresh.values[name].tolist()
+    assert ({k: v.tolist() for k, v in later.error_estimates.items()}
+            == {k: v.tolist() for k, v in fresh.error_estimates.items()})
 
 
 def _lone(scenario, cache, engines=("analytic",)):

@@ -51,6 +51,13 @@ def manual_tier(powers_as_pathloss, tx_power, cache_size, library_size,
     )
 
 
+def chunk_of_one(est, scenario):
+    """``(hit, backhaul, caching_covering)`` of one snapshot's pass: the
+    chunk assembly on a chunk of one."""
+    hit, backhaul, caching_covering, _ = _chunk_indicators([est], scenario)
+    return hit[0], backhaul[0], caching_covering[0]
+
+
 def test_zero_density_tier_always_empty():
     s = set_parameter(default_scenario(), "tiers[1].density", 0.0)
     rng = np.random.default_rng(0)
@@ -65,7 +72,8 @@ def test_poisson_count_mean():
     mean_target = s.densities_per_m2()[0] * math.pi * 1784.124 ** 2
     assert mean_target == pytest.approx(100.0, abs=0.01)
     rng = np.random.default_rng(21)
-    counts = np.array([len(sample_network(rng, s).tiers[0]) for _ in range(10_000)])
+    counts = np.array([len(sample_network(rng, s, s.region_radius_m()).tiers[0])
+                       for _ in range(10_000)])
     se = counts.std(ddof=1) / math.sqrt(len(counts))
     assert abs(counts.mean() - mean_target) < 3.0 * se
 
@@ -76,7 +84,7 @@ def test_distances_uniform_on_disk():
     rng = np.random.default_rng(22)
     radii = []
     while sum(len(r) for r in radii) < 100_000:
-        radii.append(sample_network(rng, s).tiers[0].distances)
+        radii.append(sample_network(rng, s, s.region_radius_m()).tiers[0].distances)
     r = np.concatenate(radii)
     stat = kstest(r, lambda x: (x / 1784.124) ** 2)
     assert stat.pvalue > 0.01
@@ -97,7 +105,7 @@ def test_empty_tier_keeps_dtypes_and_never_covers():
             assert field.shape == (0,) and field.dtype == dtype, name
         est = evaluate_snapshot(snap, s)
         assert est.covering[0] == 0
-        assert not np.any(est.caching_covering[0])
+        assert not np.any(chunk_of_one(est, s)[2][0])
 
 
 def test_single_station_has_infinite_sir():
@@ -138,11 +146,12 @@ def test_evaluate_snapshot_pinned_two_tier():
     macro = manual_tier([1e-9], tx_power=40.0, cache_size=20, library_size=100)
     small = manual_tier([1.0], tx_power=4.0, cache_size=5, library_size=100)
     est = evaluate_snapshot(Snapshot([macro, small]), s)
+    hit, backhaul, caching_covering = chunk_of_one(est, s)
     assert est.covering.tolist() == [0, 1]
-    assert np.all(est.hit[:5]) and not np.any(est.hit[5:])
-    assert not np.any(est.backhaul)  # macro does not cover anything
-    assert np.all(est.caching_covering[1, :5] == 1)
-    assert np.all(est.caching_covering[1, 5:] == 0)
+    assert np.all(hit[:5]) and not np.any(hit[5:])
+    assert not np.any(backhaul)  # macro does not cover anything
+    assert np.all(caching_covering[1, :5] == 1)
+    assert np.all(caching_covering[1, 5:] == 0)
 
 
 def test_evaluate_snapshot_backhaul_event():
@@ -151,9 +160,10 @@ def test_evaluate_snapshot_backhaul_event():
     macro = manual_tier([1.0], tx_power=40.0, cache_size=20, library_size=100)
     small = manual_tier([1e-9], tx_power=4.0, cache_size=5, library_size=100)
     est = evaluate_snapshot(Snapshot([macro, small]), s)
+    hit, backhaul, _ = chunk_of_one(est, s)
     assert est.covering.tolist() == [1, 0]
-    assert np.all(est.hit[:20]) and not np.any(est.hit[20:])
-    assert not np.any(est.backhaul[:20]) and np.all(est.backhaul[20:])
+    assert np.all(hit[:20]) and not np.any(hit[20:])
+    assert not np.any(backhaul[:20]) and np.all(backhaul[20:])
 
 
 def test_unattainable_thresholds_zero_everything():
@@ -163,8 +173,9 @@ def test_unattainable_thresholds_zero_everything():
     rng = np.random.default_rng(3)
     snap = sample_network(rng, s, region_radius=3000.0)
     est = evaluate_snapshot(snap, s)
-    assert not np.any(est.hit) and not np.any(est.backhaul)
-    assert np.all(est.covering == 0) and np.all(est.caching_covering == 0)
+    hit, backhaul, caching_covering = chunk_of_one(est, s)
+    assert not np.any(hit) and not np.any(backhaul)
+    assert np.all(est.covering == 0) and np.all(caching_covering == 0)
 
 
 def test_tiny_bias_factor_makes_thresholds_unattainable():
@@ -177,7 +188,7 @@ def test_tiny_bias_factor_makes_thresholds_unattainable():
         if snap.station_count() < 2:
             continue  # a lone station has infinite SIR and covers regardless
         est = evaluate_snapshot(snap, s)
-        assert not np.any(est.hit)
+        assert not np.any(chunk_of_one(est, s)[0])
         assert np.all(est.covering == 0)
 
 
@@ -188,7 +199,7 @@ def test_full_caches_never_use_backhaul():
     rng = np.random.default_rng(4)
     for _ in range(10):
         est = evaluate_snapshot(sample_network(rng, s, region_radius=3000.0), s)
-        assert not np.any(est.backhaul)
+        assert not np.any(chunk_of_one(est, s)[1])
 
 
 def test_snapshot_estimate_invariants():
@@ -196,13 +207,14 @@ def test_snapshot_estimate_invariants():
     rng = np.random.default_rng(5)
     for _ in range(15):
         est = evaluate_snapshot(sample_network(rng, s, region_radius=3000.0), s)
+        hit, backhaul, caching_covering = chunk_of_one(est, s)
         # hit and operational backhaul are mutually exclusive
-        assert not np.any(est.hit & est.backhaul)
+        assert not np.any(hit & backhaul)
         # covering count dominates the caching-restricted count
-        assert np.all(est.caching_covering.max(axis=1) <= est.covering)
+        assert np.all(caching_covering.max(axis=1) <= est.covering)
         # a hit needs at least one caching covering station
-        assert np.all(est.caching_covering.sum(axis=0)[est.hit] >= 1)
-        assert est.any_coverage == bool(np.any(est.covering > 0))
+        assert np.all(caching_covering.sum(axis=0)[hit] >= 1)
+        assert bool(est.covering.any()) == bool(np.any(est.covering > 0))
 
 
 def test_snapshot_rng_is_order_independent():
@@ -221,7 +233,8 @@ def test_run_simulation_single_snapshot_reproduces_indicators():
     snap = sample_network(snapshot_rng(17, 0), s, region_radius=5000.0)
     est = evaluate_snapshot(snap, s)
     weights = s.content.request_probabilities()
-    assert report.p_hit == pytest.approx(float(weights @ est.hit), abs=1e-15)
+    hit = chunk_of_one(est, s)[0]
+    assert report.p_hit == pytest.approx(float(weights @ hit), abs=1e-15)
     assert report.per_tier_coverage_density == tuple(est.covering.astype(float))
     assert report.stderr["p_hit"] == 0.0
 
@@ -240,19 +253,20 @@ def test_single_snapshot_metrics_match_closed_forms(mode):
 
     rng = snapshot_rng(5, 0)
     est = evaluate_snapshot(sample_network(rng, s, region_radius=2500.0), s)
+    hit, _, caching_covering = chunk_of_one(est, s)
     F = s.content.library_size
     a = s.content.request_probabilities()
     if mode == "sampled":
         a = np.eye(F)[rng.choice(F, p=a)]  # weight 1 on the one drawn rank
     n1 = est.covering[0]
-    assert n1 > 0 and np.all(est.caching_covering.sum(axis=1) > 0)
+    assert n1 > 0 and np.all(caching_covering.sum(axis=1) > 0)
     q1 = cache_probability_vector(s.tiers[0].cache, F)
     lam = s.densities_per_m2()
     rate = tier_rates(s)
-    p_hit = sum(a[c] * est.hit[c] for c in range(F))
+    p_hit = sum(a[c] * hit[c] for c in range(F))
     p_bh = sum(a[c] * (1.0 - q1[c]) * n1 for c in range(F))
-    ase = sum(a[c] * (lam[0] * rate[0] * est.caching_covering[0, c]
-                      + lam[1] * rate[1] * est.caching_covering[1, c]
+    ase = sum(a[c] * (lam[0] * rate[0] * caching_covering[0, c]
+                      + lam[1] * rate[1] * caching_covering[1, c]
                       + lam[0] * rate[0] * (1.0 - q1[c]) * n1)
               for c in range(F))
     costs = s.costs
@@ -334,11 +348,12 @@ def test_chunked_metrics_equal_snapshot_rows(mode):
     for k in range(70):
         rng = snapshot_rng(23, k)
         est = evaluate_snapshot(sample_network(rng, s, region_radius=2500.0), s)
+        hit, backhaul, caching_covering = chunk_of_one(est, s)
         w = a if mode == "all-weighted" else np.eye(F)[rng.choice(F, p=a)]
         p_hit, p_bh, _, ase, cost = _delivery_metrics(
-            w[None], est.hit[None], est.caching_covering[None],
+            w[None], hit[None], caching_covering[None],
             ((1.0 - q1) * est.covering[0])[None], constants)
-        rows[k] = (p_hit[0], p_bh[0], float(w @ est.backhaul), ase[0], cost[0])
+        rows[k] = (p_hit[0], p_bh[0], float(w @ backhaul), ase[0], cost[0])
     for j, name in enumerate(("p_hit", "p_bh", "p_bh_operational", "ase", "cost")):
         assert getattr(report, name) == float(np.mean(rows[:, j])), name
 
@@ -387,9 +402,10 @@ def assert_chunk_matches_loop(snapshots, scenario):
         assert bool(covering[k].any()) == want[4], k
         # a single snapshot is a chunk of one
         est = evaluate_snapshot(snap, scenario)
-        assert np.array_equal(est.hit, want[0]) and np.array_equal(est.backhaul, want[1])
-        assert np.array_equal(est.caching_covering, want[2])
-        assert np.array_equal(est.covering, want[3]) and est.any_coverage == want[4]
+        one_hit, one_backhaul, one_caching_covering = chunk_of_one(est, scenario)
+        assert np.array_equal(one_hit, want[0]) and np.array_equal(one_backhaul, want[1])
+        assert np.array_equal(one_caching_covering, want[2])
+        assert np.array_equal(est.covering, want[3]) and bool(est.covering.any()) == want[4]
     return caching_covering
 
 
