@@ -17,10 +17,14 @@ AUTO = "auto"
 
 
 class ConfigError(ValueError):
-    """Config rejected; ``path`` locates the offending field."""
+    """Config rejected; ``path`` locates the offending field.
+
+    An empty path names the record that raised it, for a check across
+    fields that cannot tell which of them was set.
+    """
 
     def __init__(self, path: str, reason: str):
-        super().__init__(f"{path}: {reason}")
+        super().__init__(f"{path}: {reason}" if path else reason)
         self.path = path
         self.reason = reason
 

@@ -203,7 +203,12 @@ class ExponentTable:
         # piece costs milliseconds) and would void the log-error bound.
         self.node_tol = _NODE_TOL_FRACTION * min(settings.rel_tol, 1e-2)
         self.inner_truncation_radius = settings.inner_truncation_radius
-        self._pieces = {}  # index -> (Chebyshev coefficients, relative error bound)
+        # Built pieces in ascending index order: their indices, and one
+        # column per piece holding its Chebyshev coefficients then its
+        # relative error bound. A last key of +inf, past every piece index,
+        # keeps each searchsorted position inside the arrays.
+        self._keys = np.array([math.inf])
+        self._columns = np.full((_PIECE_NODES + 1, 1), math.nan)
 
     def _build(self, index: int):
         t = 10.0 ** (_PIECE_DECADES * (index + 0.5 * (1.0 + _CHEB_X)))
@@ -225,7 +230,22 @@ class ExponentTable:
         coeffs = _CHEB_FIT @ np.log(e)
         tail = abs(coeffs[-1]) + abs(coeffs[-2])
         bound = math.expm1(_LEBESGUE * -math.log1p(-self.node_tol) + tail)
-        return coeffs, bound
+        return np.append(coeffs, bound)
+
+    def _positions(self, index: np.ndarray) -> np.ndarray:
+        """Column of each entry's piece, building the pieces not yet built."""
+        pos = np.searchsorted(self._keys, index)
+        built = self._keys[pos] == index
+        if built.all():
+            return pos
+        # Not np.unique: without return_inverse it imports numpy.ma, about
+        # 0.6 MB of resident memory, on first use.
+        new = sorted(set(index[~built].tolist()))
+        columns = np.column_stack([self._build(int(key)) for key in new])
+        at = np.searchsorted(self._keys, new)
+        self._keys = np.insert(self._keys, at, new)
+        self._columns = np.insert(self._columns, at, columns, axis=1)
+        return np.searchsorted(self._keys, index)
 
     def __call__(self, t: np.ndarray):
         """``(e, rel_err)`` at every entry of ``t`` (positive and finite)."""
@@ -234,20 +254,16 @@ class ExponentTable:
             raise QuadratureError("exponent table needs positive, finite t")
         u = np.log10(flat) / _PIECE_DECADES
         index = np.floor(u)
-        keys, inverse = np.unique(index, return_inverse=True)
-        pieces = []
-        for key in keys.astype(int).tolist():
-            if key not in self._pieces:
-                self._pieces[key] = self._build(key)
-            pieces.append(self._pieces[key])
-        coeffs = np.stack([c for c, _ in pieces], axis=1)[:, inverse]
-        bounds = np.array([b for _, b in pieces])[inverse]
+        pos = self._positions(index)  # may build pieces, replacing _columns
+        gathered = self._columns[:, pos]
+        coeffs, bounds = gathered[:-1], gathered[-1]
         x = 2.0 * (u - index) - 1.0
+        two_x = 2.0 * x
         # Clenshaw recurrence, elementwise so a value never depends on the
         # other entries of the batch.
         b1 = b2 = 0.0
         for c in coeffs[:0:-1]:
-            b1, b2 = c + 2.0 * x * b1 - b2, b1
+            b1, b2 = c + two_x * b1 - b2, b1
         log_e = coeffs[0] + x * b1 - b2
         shape = np.shape(t)
         return np.exp(log_e).reshape(shape), bounds.reshape(shape)

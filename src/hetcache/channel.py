@@ -50,20 +50,18 @@ class TierRadioParams:
                      "intercept_los", "intercept_nlos"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(name, "must be finite and positive")
-        # A swept path replaces the field name, so the two cross-field
-        # reasons name both fields.
+        # The two cross-field checks name the record, not a field: either
+        # field may be the one a file or a sweep set. Their reasons name both.
         if not 2.0 < self.pathloss_exp_los:
             raise ConfigError("pathloss_exp_los", "must be above 2")
         if not self.pathloss_exp_los < self.pathloss_exp_nlos:
-            raise ConfigError("pathloss_exp_nlos",
-                              "must be ordered pathloss_exp_los < pathloss_exp_nlos")
+            raise ConfigError("", "must be ordered pathloss_exp_los < pathloss_exp_nlos")
         if not self.pathloss_exp_nlos <= 8.0:
             raise ConfigError("pathloss_exp_nlos", "must be at most 8")
         if self.nakagami_nlos < 1:
             raise ConfigError("nakagami_nlos", "must be a positive integer")
         if self.nakagami_los < self.nakagami_nlos:
-            raise ConfigError("nakagami_los",
-                              "must be ordered nakagami_los >= nakagami_nlos")
+            raise ConfigError("", "must be ordered nakagami_los >= nakagami_nlos")
 
     def pathloss_exponent(self, mode: str) -> float:
         return self.pathloss_exp_los if mode == LOS else self.pathloss_exp_nlos

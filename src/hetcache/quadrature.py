@@ -5,6 +5,12 @@ nodes), so a single pass can integrate a family of related integrands that
 share the same domain -- e.g. one interference exponent per fading term.
 The subdivision is shared across components: a panel is refined until every
 component meets its own tolerance.
+
+One call evaluates many panels: all initial panels at once, then both
+halves of each split. Each panel's nodes form one contiguous block of the
+call's node array. The integrand contract that batching relies on: the
+value at a node must not depend on the other nodes in the same call, so a
+result is the same however the nodes are batched.
 """
 from __future__ import annotations
 
@@ -30,21 +36,30 @@ class QuadratureError(RuntimeError):
 # Embedded pair: order-15 rule gives the value, |Q15 - Q7| the error estimate.
 _LO_NODES, _LO_WEIGHTS = leggauss(7)
 _HI_NODES, _HI_WEIGHTS = leggauss(15)
-# Both rules' nodes in one array, so a panel calls the integrand once.
+# Both rules' nodes in one array: a panel is one block of the integrand call.
 _NODES = np.concatenate((_HI_NODES, _LO_NODES))
+_N_NODES = len(_NODES)
 _N_HI = len(_HI_NODES)
 # Equal panels each interval starts from, a guard against features the
 # first error estimate would miss.
 _INITIAL_PANELS = 4
 
 
-def _panel(f, lo: float, hi: float):
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    values = np.asarray(f(mid + half * _NODES), dtype=np.float64)
-    q_hi = half * (values[..., :_N_HI] @ _HI_WEIGHTS)
-    q_lo = half * (values[..., _N_HI:] @ _LO_WEIGHTS)
-    return q_hi, np.abs(q_hi - q_lo)
+def _panels(f, edges):
+    """``(value, error)`` of each panel between consecutive ``edges``, from one
+    integrand call; each panel's rule products run on its own node block."""
+    edges = np.asarray(edges, dtype=np.float64)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * _NODES).reshape(-1)
+    values = np.asarray(f(nodes), dtype=np.float64)
+    out = []
+    for k, h in enumerate(half.tolist()):
+        block = values[..., k * _N_NODES:(k + 1) * _N_NODES]
+        q_hi = h * (block[..., :_N_HI] @ _HI_WEIGHTS)
+        q_lo = h * (block[..., _N_HI:] @ _LO_WEIGHTS)
+        out.append((q_hi, np.abs(q_hi - q_lo)))
+    return out
 
 
 def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
@@ -67,7 +82,7 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
     if b == a:
-        probe, _ = _panel(f, a, a + 1.0)
+        [(probe, _)] = _panels(f, (a, a + 1.0))
         return np.zeros_like(probe), np.zeros_like(probe)
 
     marks = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
@@ -79,8 +94,7 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
     panels = {}  # id -> (lo, hi, value, error)
     heap = []  # (-max_error, insertion_seq, id)
     seq = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        q, e = _panel(f, lo, hi)
+    for lo, hi, (q, e) in zip(edges[:-1], edges[1:], _panels(f, edges)):
         panels[seq] = (lo, hi, q, e)
         heapq.heappush(heap, (-float(np.max(e)), seq, seq))
         seq += 1
@@ -104,8 +118,8 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
             )
         total_q = total_q - q
         total_e = total_e - e
-        for c_lo, c_hi in ((lo, mid), (mid, hi)):
-            cq, ce = _panel(f, c_lo, c_hi)
+        halves = zip((lo, mid), (mid, hi), _panels(f, (lo, mid, hi)))
+        for c_lo, c_hi, (cq, ce) in halves:
             panels[seq] = (c_lo, c_hi, cq, ce)
             heapq.heappush(heap, (-float(np.max(ce)), seq, seq))
             seq += 1

@@ -295,7 +295,7 @@ def _build(cls, fields, path):
     try:
         return cls(**fields)
     except ConfigError as exc:
-        raise ConfigError(f"{path}.{exc.path}" if path else exc.path, exc.reason) from exc
+        raise ConfigError(".".join(filter(None, (path, exc.path))), exc.reason) from exc
 
 
 def scenario_from_mapping(mapping: dict | None) -> ScenarioConfig:

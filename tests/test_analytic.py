@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hetcache import analytic
+from hetcache import analytic, quadrature
 from hetcache.analytic import (ExponentTable, alzer_coefficient,
                                build_coverage_table,
                                interference_laplace_exponent,
@@ -257,16 +257,27 @@ def test_full_pipeline_against_independent_scipy_quadrature():
 
 class _DirectExponent:
     """The direct nested path: every lookup integrates e(t) afresh, exactly
-    what an ``ExponentTable`` tabulates, with no interpolation error."""
+    what an ``ExponentTable`` tabulates, with no interpolation error.
+
+    Its inner quadrature shares one subdivision across the t values of a
+    call, so a value depends on its batch: each call integrates one panel's
+    node block (``len(quadrature._NODES)`` columns of ``t``), whatever
+    batch of panels the outer quadrature evaluates at once.
+    """
 
     def __init__(self, radio, settings):
         self.radio = radio
         self.settings = settings
 
-    def __call__(self, t):
+    def _direct(self, t):
         e = interference_laplace_exponent(
             t.reshape(-1), self.radio, 0.5 / math.pi, self.settings)
-        return e.reshape(t.shape), np.zeros(t.shape)
+        return e.reshape(t.shape)
+
+    def __call__(self, t):
+        n = len(quadrature._NODES)
+        blocks = np.split(t, range(n, t.shape[-1], n), axis=-1)
+        return np.concatenate([self._direct(b) for b in blocks], axis=-1), np.zeros(t.shape)
 
 
 def test_exponent_table_matches_direct_evaluation():
@@ -283,6 +294,31 @@ def test_exponent_table_matches_direct_evaluation():
             x, tier.radio, 0.5 / math.pi, tight) for x in t])
         assert np.all(np.abs(e / direct - 1.0) <= bound)
         assert np.all(bound < settings.rel_tol)
+
+
+def test_exponent_table_batch_lookup_equals_single_lookups():
+    radio = default_scenario().tiers[1].radio
+    settings = default_scenario().integration
+    t = 10.0 ** np.random.default_rng(5).uniform(-3.0, 31.0, 66)
+    batch, batch_bound = ExponentTable(radio, settings)(t.reshape(6, 11))
+    table = ExponentTable(radio, settings)
+    single = [table(np.array([x])) for x in t]
+    assert np.array_equal(batch.reshape(-1), [e[0] for e, _ in single])
+    assert np.array_equal(batch_bound.reshape(-1), [b[0] for _, b in single])
+
+
+def test_exponent_table_builds_only_requested_pieces(monkeypatch):
+    built = []
+    direct = analytic.interference_laplace_exponent
+
+    def counting(t, radio, density_per_m2, settings=None):
+        built.append(math.floor(math.log10(np.min(t)) / 2.0))
+        return direct(t, radio, density_per_m2, settings)
+
+    monkeypatch.setattr(analytic, "interference_laplace_exponent", counting)
+    s = default_scenario()
+    ExponentTable(s.tiers[1].radio, s.integration)(np.array([1e-2, 1e10]))
+    assert built == [-1, 5]
 
 
 def test_table_rho_bit_identical_mid_sweep():

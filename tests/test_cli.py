@@ -77,6 +77,8 @@ def test_invalid_config_exits_one(tmp_path, capsys):
      "tiers[2].radio.near_field_dist"),
     ("tiers:\n  - radio: {sir_threshold: .inf}\n", [], "tiers[1].radio.sir_threshold"),
     ("tiers:\n  - rho: 1.5\n", [], "tiers[1].rho"),
+    ("tiers:\n  - radio: {pathloss_exp_los: 9.0}\n", [], "tiers[1].radio"),
+    ("tiers:\n  - radio: {nakagami_nlos: 3}\n", [], "tiers[1].radio"),
 ])
 def test_bad_value_exits_one_with_its_path(tmp_path, capsys, text, flags, path):
     cfg = tmp_path / "bad.yaml"

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hetcache import quadrature
 from hetcache.quadrature import QuadratureError, integrate_adaptive
 
 
@@ -65,3 +66,45 @@ def test_deterministic_repeat():
     v1, e1 = integrate_adaptive(f, 0.0, 7.0)
     v2, e2 = integrate_adaptive(f, 0.0, 7.0)
     assert v1 == v2 and e1 == e2
+
+
+def _scales_family(x):
+    return np.exp(-np.array([1.0, 2.0, 5.0])[:, None] * x)
+
+
+_BATCH_CASES = [
+    (lambda x: np.log1p(x) * np.cos(30.0 * x), 0.0, 7.0, ()),
+    (_scales_family, 0.0, 4.0, ()),
+    (lambda x: np.abs(x - 1.3) ** 0.5, 0.0, 3.0, (1.3,)),
+    (lambda x: np.exp(-((x - 4.0) / 1e-2) ** 2), 0.0, 10.0, (4.0,)),
+]
+
+
+@pytest.mark.parametrize("f, a, b, breakpoints", _BATCH_CASES)
+def test_batched_panels_bit_equal_to_one_panel_per_call(f, a, b, breakpoints):
+    n = len(quadrature._NODES)
+
+    def one_panel_per_call(x):
+        return np.concatenate([f(block) for block in x.reshape(-1, n)], axis=-1)
+
+    kwargs = dict(rel_tol=1e-10, abs_tol=1e-14, breakpoints=breakpoints)
+    v1, e1 = integrate_adaptive(f, a, b, **kwargs)
+    v2, e2 = integrate_adaptive(one_panel_per_call, a, b, **kwargs)
+    assert np.all(v1 == v2) and np.all(e1 == e2)
+
+
+@pytest.mark.parametrize("f, a, b, breakpoints", _BATCH_CASES)
+def test_one_integrand_call_per_split(f, a, b, breakpoints):
+    calls, panels = [0], [0]
+
+    def counting(x):
+        calls[0] += 1
+        panels[0] += len(x) // len(quadrature._NODES)
+        return f(x)
+
+    integrate_adaptive(counting, a, b, rel_tol=1e-10, abs_tol=1e-14,
+                       breakpoints=breakpoints)
+    initial = quadrature._INITIAL_PANELS * (1 + len(breakpoints))
+    splits = (panels[0] - initial) // 2
+    assert splits > 0
+    assert calls[0] == 1 + splits
