@@ -24,8 +24,7 @@ from .analytic import (CoverageTable, alzer_coefficient, build_coverage_table,
                        interference_laplace_exponent, tier_coverage_density)
 from .metrics import (MetricReport, UndefinedEfficiencyError,
                       analytic_report, caching_efficiency, tier_rates)
-from .montecarlo import (Snapshot, SnapshotEstimates, TierSnapshot,
-                         evaluate_snapshot, run_simulation, sample_network)
+from .montecarlo import run_simulation
 from .experiments import (GridSearchResult, grid_search, run_experiment,
                           run_preset, set_parameter, write_csv)
 
@@ -50,8 +49,7 @@ __all__ = [
     "MetricReport", "UndefinedEfficiencyError", "analytic_report",
     "caching_efficiency", "tier_rates",
     # monte carlo
-    "Snapshot", "SnapshotEstimates", "TierSnapshot", "evaluate_snapshot",
-    "run_simulation", "sample_network",
+    "run_simulation",
     # experiments
     "GridSearchResult", "grid_search", "run_experiment", "run_preset",
     "set_parameter", "write_csv",

@@ -20,6 +20,7 @@ __all__ = [
     "NLOS",
     "TierRadioParams",
     "los_probability",
+    "link_path_loss",
     "path_loss",
     "sample_fading",
     "sample_links",
@@ -108,27 +109,41 @@ def path_loss(r, mode: str, params: TierRadioParams):
     return _checked(_path_loss, r, mode, params)
 
 
+def link_path_loss(distances: np.ndarray, is_los: np.ndarray,
+                   params: TierRadioParams) -> np.ndarray:
+    """Each link's path loss in its own mode; distances taken as nonnegative."""
+    pathloss = np.empty(len(distances))
+    for mode, mask in ((LOS, is_los), (NLOS, ~is_los)):
+        pathloss[mask] = _path_loss(distances[mask], mode, params)
+    return pathloss
+
+
 def sample_fading(rng: np.random.Generator, nakagami: int, size=None):
-    """Unit-mean Nakagami power gain: Gamma(M, 1/M)."""
+    """Unit-mean Nakagami power gain: Gamma(M, 1/M).
+
+    Gamma(1, 1) is drawn as ``standard_exponential``, the draw numpy's
+    ``gamma`` makes at shape 1, so values and stream are the same.
+    """
     if isinstance(nakagami, bool) or not isinstance(nakagami, (int, np.integer)) or nakagami < 1:
         raise ValueError("nakagami must be a positive integer")
+    if nakagami == 1:
+        return rng.standard_exponential(size)
     return rng.gamma(nakagami, 1.0 / nakagami, size=size)
 
 
 def sample_links(rng: np.random.Generator, distances: np.ndarray,
                  params: TierRadioParams):
-    """Vectorized link draw: ``(is_los, fading, pathloss)`` arrays.
+    """Vectorized link draw: ``(is_los, fading)`` arrays.
 
     Draw order is fixed (modes, then LOS gains, then NLOS gains) so the
     stream consumption is reproducible for a given ``rng`` state. The
-    distances, a float array, are taken as nonnegative without a check.
+    distances, a float array, are taken as nonnegative without a check;
+    ``link_path_loss`` gives the path loss of the drawn modes.
     """
     n = len(distances)
     p_los = _los_probability(distances, params.near_field_dist, params.far_field_dist)
     is_los = rng.random(n) < p_los
-    fading, pathloss = np.empty(n), np.empty(n)
+    fading = np.empty(n)
     for mode, mask in ((LOS, is_los), (NLOS, ~is_los)):
-        r = distances[mask]
-        fading[mask] = sample_fading(rng, params.nakagami(mode), len(r))
-        pathloss[mask] = _path_loss(r, mode, params)
-    return is_los, fading, pathloss
+        fading[mask] = sample_fading(rng, params.nakagami(mode), np.count_nonzero(mask))
+    return is_los, fading

@@ -2,33 +2,39 @@
 
 Each snapshot drops every tier's stations as a Poisson point process on a
 disk around a typical user at the origin, keeping only their distances to
-it, draws link modes, fading, and cache placements, and computes each
-station's SIR against the total received power of all other stations (all
-tiers interfere; no noise). A station covers when its SIR clears its tier's
-bias-scaled threshold; a content rank scores a hit when some covering
-station caches it, and uses the backhaul when no cache hit exists but a
-non-caching macro station covers.
+it, and draws link modes, fading, and cache placements. Each station's SIR
+is taken against the total received power of all other stations of its
+snapshot (all tiers interfere; no noise). A station covers when its SIR
+clears its tier's bias-scaled threshold; a content rank scores a hit when
+some covering station caches it, and uses the backhaul when no cache hit
+exists but a non-caching macro station covers.
 
-A snapshot's one pass keeps only its covering counts and the cache window
-of each covering station; a chunk of snapshots assembles its hit, backhaul
-and per-rank counts at once, from one difference array per tier; the
-coverage figures come from the pooled covering counts.
+A snapshot only draws. Its path loss, powers, SIR, covering counts and
+cache windows are computed in one pass over a group of snapshots, laid
+out per tier as one ragged struct-of-arrays; a group closes at its
+chunk's end or once it holds ``GROUP_STATIONS`` stations. The pass keeps
+only each snapshot's covering counts and the cache window of each
+covering station; a chunk of snapshots assembles its hit, backhaul and
+per-rank counts at once, from one difference array per tier; the coverage
+figures come from the pooled covering counts.
 
 Snapshots are independent work units: snapshot ``k`` draws from a stream
-derived from ``(master_seed, k)`` by splittable seeding, and reductions use
-integer accumulators plus per-snapshot floats combined in snapshot order,
-so results are bit-identical for a fixed seed no matter how many workers
-run or how the pool schedules them.
+derived from ``(master_seed, k)`` by splittable seeding, each snapshot's
+interference total is the sum of its own stations' powers alone, and
+reductions use integer accumulators plus per-snapshot floats combined in
+snapshot order, so results are bit-identical for a fixed seed no matter
+how many workers run, how the pool schedules them or how snapshots group.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
-from .channel import sample_links
+from .channel import link_path_loss, sample_links
 from .content import cache_probability_vector, sample_placement_fields
 from .metrics import (MONTE_CARLO, MetricReport, _delivery_metrics, _dot,
                       _scenario_constants, caching_efficiency)
@@ -47,17 +53,21 @@ __all__ = [
 # Snapshots per work unit; fixed so chunk boundaries (and thus reduction
 # order) never depend on the worker count.
 CHUNK_SNAPSHOTS = 64
+# Stations at which a group of snapshots closes and is scored. Grouping
+# never changes a result; it bounds the pass's arrays, so a wide-disk
+# snapshot of ~12,600 stations is a group of its own.
+GROUP_STATIONS = 8192
 _NO_WINDOWS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
 class TierSnapshot:
-    """All stations of one tier in one snapshot (struct-of-arrays)."""
+    """All stations of one tier in one snapshot, or in a group of them
+    (struct-of-arrays)."""
 
     distances: np.ndarray  # (n,) meters from the origin
     is_los: np.ndarray  # (n,) bool
     fading: np.ndarray  # (n,) unit-mean power gains
-    pathloss: np.ndarray  # (n,) unitless
     is_mpc: np.ndarray  # (n,) bool, True = caches the popular prefix
     window_start: np.ndarray  # (n,) 1-based window start for RCS stations
 
@@ -65,9 +75,14 @@ class TierSnapshot:
         return len(self.distances)
 
 
+_FIELDS = tuple(f.name for f in fields(TierSnapshot))
+_EMPTY_TIER = TierSnapshot(np.empty(0), np.empty(0, dtype=bool), np.empty(0),
+                           np.empty(0, dtype=bool), np.empty(0, dtype=np.int64))
+
+
 @dataclass
 class Snapshot:
-    """One network realization: a TierSnapshot per tier."""
+    """One network realization's draws: a TierSnapshot per tier."""
 
     tiers: list
 
@@ -77,17 +92,19 @@ class Snapshot:
 
 @dataclass
 class SnapshotEstimates:
-    """One snapshot's pass: all that the engine keeps of a snapshot.
+    """One group's pass: all that the engine keeps of its snapshots.
 
-    ``covering[i]`` counts tier-(i+1) stations that clear their threshold;
-    ``window_starts[i]`` holds the 0-based first cached rank of each of them
-    that caches (0 for MPC), and is empty when the tier caches nothing. A
-    chunk of passes becomes hit, backhaul and per-rank counts in
-    ``_chunk_indicators``; one snapshot's are a chunk of one.
+    ``covering[s, i]`` counts the tier-(i+1) stations of the group's
+    snapshot ``s`` that clear their threshold. ``windows[i]`` holds one
+    entry per covering caching station of tier i+1: ``s * (F + 1)`` plus
+    its 0-based first cached rank (0 for MPC), i.e. its window's first cell
+    in the group's (snapshot, rank) difference array; it is empty when the
+    tier caches nothing. A chunk of passes becomes hit, backhaul and
+    per-rank counts in ``_chunk_indicators``.
     """
 
-    covering: np.ndarray  # (K,) int
-    window_starts: list  # K int arrays
+    covering: np.ndarray  # (S, K) int
+    windows: list  # K int arrays
 
 
 def snapshot_rng(master_seed: int, snapshot_index: int) -> np.random.Generator:
@@ -100,63 +117,85 @@ def snapshot_rng(master_seed: int, snapshot_index: int) -> np.random.Generator:
 def sample_network(rng: np.random.Generator, scenario: ScenarioConfig,
                    region_radius: float) -> Snapshot:
     """Draw one snapshot on a disk of ``region_radius`` meters: Poisson
-    counts, uniform disk distances, links, caches."""
+    counts, uniform disk distances, link modes and gains, caches."""
     area = math.pi * region_radius * region_radius
     tiers = []
     for tier, lam in zip(scenario.tiers, scenario.densities_per_m2()):
         n = int(rng.poisson(lam * area)) if lam > 0 else 0
         if n == 0:  # size-0 draws consume no state: skipping them keeps the stream
-            f, b = np.empty(0), np.empty(0, dtype=bool)
-            tiers.append(TierSnapshot(f, b, f, f, b, np.empty(0, dtype=np.int64)))
+            tiers.append(_EMPTY_TIER)
             continue
         r = region_radius * np.sqrt(rng.random(n))
         rng.random(n)  # the angles: unread, drawn only to keep the stream
-        is_los, fading, pathloss = sample_links(rng, r, tier.radio)
+        is_los, fading = sample_links(rng, r, tier.radio)
         is_mpc, window_start = sample_placement_fields(
             rng, tier.cache, scenario.content.library_size, n)
-        tiers.append(TierSnapshot(r, is_los, fading, pathloss, is_mpc,
-                                  window_start))
+        tiers.append(TierSnapshot(r, is_los, fading, is_mpc, window_start))
     return Snapshot(tiers)
 
 
-def _sir_per_tier(snapshot: Snapshot, scenario: ScenarioConfig):
-    """Each station's SIR against every other station, per tier."""
-    powers = [tier.radio.tx_power * ts.pathloss * ts.fading
-              for tier, ts in zip(scenario.tiers, snapshot.tiers)]
-    total = float(sum(p.sum() for p in powers if len(p)))  # an empty tier adds 0.0
+def _stack(snapshots: list, num_tiers: int):
+    """A group of snapshots as one TierSnapshot per tier, stations in
+    snapshot order, and each tier's station count per snapshot."""
+    tiers, counts = [], []
+    for i in range(num_tiers):
+        parts = [snap.tiers[i] for snap in snapshots]
+        counts.append([len(t) for t in parts])
+        tiers.append(parts[0] if len(parts) == 1 else TierSnapshot(
+            *(np.concatenate([getattr(t, f) for t in parts]) for f in _FIELDS)))
+    return tiers, counts
+
+
+def _sir_per_tier(tiers: list, counts: list, scenario: ScenarioConfig):
+    """Each station's SIR against every other station of its snapshot, per tier."""
+    powers = [tier.radio.tx_power * link_path_loss(ts.distances, ts.is_los, tier.radio)
+              * ts.fading for tier, ts in zip(scenario.tiers, tiers)]
+    # A snapshot's total is the pairwise sum of each tier's slice, added in
+    # tier order: the bits it has when the snapshot is scored alone.
+    total = np.zeros(len(counts[0]))
+    for p, n in zip(powers, counts):
+        total += [np.add.reduce(p[end - m:end]) if m else 0.0
+                  for end, m in zip(accumulate(n), n)]
     sirs = []
-    for p in powers:
-        interference = total - p  # 0 for a station alone in the sum: SIR inf
+    for p, n in zip(powers, counts):
+        interference = np.repeat(total, n) - p  # 0 for a station alone: SIR inf
         sirs.append(np.divide(p, interference, out=np.full(len(p), np.inf),
                               where=interference > 0.0))
     return sirs
 
 
-def evaluate_snapshot(snapshot: Snapshot, scenario: ScenarioConfig) -> SnapshotEstimates:
-    """One snapshot's pass: who covers per tier, and which windows they cache."""
-    covering, window_starts = [], []
-    for tier, ts, sir in zip(scenario.tiers, snapshot.tiers,
-                             _sir_per_tier(snapshot, scenario)):
+def evaluate_snapshot(snapshots: list, scenario: ScenarioConfig) -> SnapshotEstimates:
+    """One group's pass: who covers per tier and snapshot, and which windows
+    they cache."""
+    S, F1 = len(snapshots), scenario.content.library_size + 1
+    tiers, counts = _stack(snapshots, scenario.num_tiers)
+    covering = np.empty((S, scenario.num_tiers), dtype=np.int64)
+    windows = []
+    for i, (tier, ts, n, sir) in enumerate(zip(scenario.tiers, tiers, counts,
+                                               _sir_per_tier(tiers, counts, scenario))):
         (covers,) = (sir >= tier.effective_threshold()).nonzero()
-        covering.append(len(covers))
-        window_starts.append(np.where(ts.is_mpc[covers], 0, ts.window_start[covers] - 1)
-                             if tier.cache.cache_size and len(covers) else _NO_WINDOWS)
-    return SnapshotEstimates(np.array(covering), window_starts)
+        owner = np.cumsum(n).searchsorted(covers, side="right")
+        covering[:, i] = np.bincount(owner, minlength=S)
+        windows.append(owner * F1 + np.where(ts.is_mpc[covers], 0, ts.window_start[covers] - 1)
+                       if tier.cache.cache_size and len(covers) else _NO_WINDOWS)
+    return SnapshotEstimates(covering, windows)
 
 
 def _chunk_indicators(estimates: list, scenario: ScenarioConfig):
-    """``(hit, backhaul, caching_covering, covering)`` of S snapshots' passes.
+    """``(hit, backhaul, caching_covering, covering)`` of a chunk's group passes.
 
-    Shapes (S, F), (S, F), (S, K, F), (S, K). A window adds +1 at its first
-    rank and -1 past its last to a tier's (snapshot, rank) difference array.
+    Shapes (S, F), (S, F), (S, K, F), (S, K) over the chunk's S snapshots.
+    A window adds +1 at its first rank and -1 past its last to a tier's
+    (snapshot, rank) difference array.
     """
-    F, S = scenario.content.library_size, len(estimates)
-    covering = np.array([est.covering for est in estimates])
+    F = scenario.content.library_size
+    covering = np.concatenate([est.covering for est in estimates])
+    S = len(covering)
+    shifts = np.cumsum([0] + [len(est.covering) for est in estimates[:-1]]) * (F + 1)
     caching_covering = np.zeros((S, scenario.num_tiers, F), dtype=np.int64)
     for i, tier in enumerate(scenario.tiers):
-        starts = [est.window_starts[i] for est in estimates]
-        first = (np.repeat(np.arange(S) * (F + 1), [len(w) for w in starts])
-                 + np.concatenate(starts))
+        first = np.concatenate([est.windows[i] + shift
+                                for est, shift in zip(estimates, shifts)])
         diff = np.bincount(np.concatenate((first, first + tier.cache.cache_size)),
                            weights=np.repeat((1.0, -1.0), len(first)),
                            minlength=S * (F + 1))
@@ -169,8 +208,9 @@ def _chunk_indicators(estimates: list, scenario: ScenarioConfig):
 def _chunk_stats(args):
     """Accumulate one chunk of snapshots (worker function).
 
-    The chunk's indicators and counts, assembled from its snapshots'
-    passes on a leading snapshot axis, are scored by one ``_delivery_metrics`` call.
+    Snapshots are drawn one by one and scored in groups; the chunk's
+    indicators and counts, assembled from its groups' passes on a leading
+    snapshot axis, are scored by one ``_delivery_metrics`` call.
     Returns its (S, K) covering counts, (S, 5) metric rows and per-rank
     integer sums (hits, caching coverage, draws). Integer sums are exactly
     order-independent; per-snapshot arrays come in snapshot order so the
@@ -185,19 +225,23 @@ def _chunk_stats(args):
     q1 = cache_probability_vector(scenario.tiers[0].cache, F)
     sampled = protocol.content_evaluation == "sampled"
 
-    estimates = []
-    drawn = []
+    estimates, drawn, group, stations = [], [], [], 0
     for k in range(start, stop):
         rng = snapshot_rng(protocol.master_seed, k)
-        estimates.append(evaluate_snapshot(sample_network(rng, scenario, radius), scenario))
+        group.append(sample_network(rng, scenario, radius))
         if sampled:
             drawn.append(rng.choice(F, p=a))
+        stations += group[-1].station_count()
+        if stations >= GROUP_STATIONS or k == stop - 1:
+            # the group's arrays go as soon as it is scored
+            estimates.append(evaluate_snapshot(group, scenario))
+            group, stations = [], 0
     hit, backhaul, caching_covering, covering = _chunk_indicators(estimates, scenario)
     if sampled:
         mask = np.arange(F) == np.array(drawn)[:, None]
         w = mask.astype(np.float64)
     else:
-        mask = np.ones((len(estimates), F), dtype=bool)
+        mask = np.ones((len(covering), F), dtype=bool)
         w = a[None]
 
     p_hit, p_bh, _, ase, cost = _delivery_metrics(

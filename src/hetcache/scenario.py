@@ -162,10 +162,12 @@ class ScenarioConfig:
             raise ConfigError("density_unit", f"must be '{PER_KM2}' or '{PER_M2}'")
         if not 1 < self.rate_log_base < math.inf:
             raise ConfigError("rate_log_base", "must be finite and exceed 1")
+        # Across records: either field may be the one a file or a sweep set,
+        # so the error names the scenario; its reason names both paths.
         for k, tier in enumerate(self.tiers):
             if tier.cache.cache_size > self.content.library_size:
                 path = f"tiers[{k + 1}].cache.cache_size"
-                raise ConfigError(path, f"must be ordered {path} <= content.library_size "
+                raise ConfigError("", f"must be ordered {path} <= content.library_size "
                                   f"({tier.cache.cache_size} > {self.content.library_size})")
 
     @property

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import expon, kstest
 
-from hetcache.channel import (LOS, NLOS, TierRadioParams, los_probability,
-                              path_loss, sample_fading, sample_links)
+from hetcache.channel import (LOS, NLOS, TierRadioParams, link_path_loss,
+                              los_probability, path_loss, sample_fading,
+                              sample_links)
 
 
 def make_params(**kw):
@@ -130,7 +131,7 @@ def test_sample_link_near_field_always_los():
     rng = np.random.default_rng(13)
     params = make_params()
     for r in (0.0, 10.0, 80.0):
-        is_los, _, _ = sample_links(rng, np.full(50, r), params)
+        is_los, _ = sample_links(rng, np.full(50, r), params)
         assert np.all(is_los)
 
 
@@ -138,7 +139,7 @@ def test_sample_links_mode_fraction():
     rng = np.random.default_rng(14)
     params = make_params()
     r = np.full(100_000, 160.0)
-    is_los, _, _ = sample_links(rng, r, params)
+    is_los, _ = sample_links(rng, r, params)
     p = los_probability(160.0, 80.0, 164.0)
     assert abs(is_los.mean() - p) < 0.01
 
@@ -149,8 +150,8 @@ def test_sample_links_unit_mean_power():
     params = make_params()
     n = 200_000
     r = np.full(n, 120.0)
-    is_los, fading, pl = sample_links(rng, r, params)
-    received = params.tx_power * pl * fading
+    is_los, fading = sample_links(rng, r, params)
+    received = params.tx_power * link_path_loss(r, is_los, params) * fading
     p = los_probability(120.0, 80.0, 164.0)
     expected = params.tx_power * (p * path_loss(120.0, LOS, params)
                                   + (1 - p) * path_loss(120.0, NLOS, params))
@@ -162,11 +163,12 @@ def test_sample_links_unit_mean_power():
 def test_sample_link_fields_consistent():
     rng = np.random.default_rng(16)
     params = make_params()
-    is_los, fading, pathloss = sample_links(rng, np.array([200.0]), params)
+    r = np.array([200.0])
+    is_los, fading = sample_links(rng, r, params)
     assert is_los.dtype == bool  # one of the two modes per link
     mode = LOS if is_los[0] else NLOS
     assert fading[0] >= 0.0
-    assert pathloss[0] == path_loss(200.0, mode, params)
+    assert link_path_loss(r, is_los, params)[0] == path_loss(200.0, mode, params)
 
 
 def old_los_probability(r, d0, d1):
@@ -201,7 +203,8 @@ def test_los_probability_scalar_and_empty():
 def test_sample_links_bits_match_closed_form():
     params = make_params()
     r = np.random.default_rng(17).uniform(0.0, 2000.0, 5000)
-    is_los, fading, pathloss = sample_links(np.random.default_rng(18), r, params)
+    is_los, fading = sample_links(np.random.default_rng(18), r, params)
+    pathloss = link_path_loss(r, is_los, params)
     # the same draws and both modes' path loss over every station, as once written
     rng = np.random.default_rng(18)
     want_los = rng.random(len(r)) < old_los_probability(r, 80.0, 164.0)
@@ -218,7 +221,8 @@ def test_sample_links_bits_match_closed_form():
 def test_sample_links_on_no_stations():
     rng = np.random.default_rng(19)
     state = rng.bit_generator.state
-    is_los, fading, pathloss = sample_links(rng, np.empty(0), make_params())
+    is_los, fading = sample_links(rng, np.empty(0), make_params())
+    pathloss = link_path_loss(np.empty(0), is_los, make_params())
     assert is_los.shape == fading.shape == pathloss.shape == (0,)
     assert is_los.dtype == bool
     assert rng.bit_generator.state == state  # size-0 draws consume no state

@@ -90,6 +90,18 @@ def test_bad_value_exits_one_with_its_path(tmp_path, capsys, text, flags, path):
     assert "Traceback" not in err
 
 
+def test_library_below_a_cache_exits_one_naming_both(tmp_path, capsys):
+    # either field may be the one the file set, so the error names the
+    # scenario and its reason names both paths
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("content: {library_size: 10}\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == ("config error: must be ordered tiers[1].cache.cache_size "
+                   "<= content.library_size (20 > 10)\n")
+
+
 @pytest.mark.parametrize("param, values", [
     ("tiers[2].density", "nan"), ("tiers[*].rho", "1.5"),
     ("tiers[1].cache.cache_size", "2.5"), ("tiers[1].cache.mpc_fraction", "2"),

@@ -1,17 +1,20 @@
 """Monte Carlo engine: sampling laws, SIR arithmetic, estimates, determinism."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from hetcache.channel import TierRadioParams
+from hetcache import montecarlo
+from hetcache.channel import TierRadioParams, link_path_loss
 from hetcache.content import (ContentModel, TierCachePolicy,
                               cache_probability_vector)
 from hetcache.experiments import set_parameter
-from hetcache.metrics import _delivery_metrics, _scenario_constants, tier_rates
+from hetcache.metrics import (MetricReport, _delivery_metrics,
+                              _scenario_constants, tier_rates)
 from hetcache.montecarlo import (CHUNK_SNAPSHOTS, Snapshot, TierSnapshot,
-                                 _chunk_indicators, _sir_per_tier,
+                                 _chunk_indicators, _sir_per_tier, _stack,
                                  evaluate_snapshot, run_simulation,
                                  sample_network, snapshot_rng)
 from hetcache.scenario import (CostModel, IntegrationSettings, ScenarioConfig,
@@ -35,20 +38,24 @@ def single_tier_scenario(density_per_km2=10.0, region_radius=1784.0,
     )
 
 
-def manual_tier(powers_as_pathloss, tx_power, cache_size, library_size,
+def manual_tier(powers, tx_power, cache_size, library_size,
                 is_mpc=None, window_start=None):
-    """Tier with pinned path loss and unit fading (received power = P * L)."""
-    n = len(powers_as_pathloss)
-    pathloss = np.asarray(powers_as_pathloss, dtype=float) / tx_power
+    """Tier of stations at distance 0, where path loss is exactly 1, with
+    pinned fading ``powers / P``: received power P * fading = ``powers``."""
+    n = len(powers)
     return TierSnapshot(
         distances=np.zeros(n),
         is_los=np.ones(n, dtype=bool),
-        fading=np.ones(n),
-        pathloss=pathloss,
+        fading=np.asarray(powers, dtype=float) / tx_power,
         is_mpc=np.ones(n, dtype=bool) if is_mpc is None else np.asarray(is_mpc),
         window_start=np.ones(n, dtype=np.int64) if window_start is None
         else np.asarray(window_start),
     )
+
+
+def sir_per_tier(snapshot, scenario):
+    """Each station's SIR, per tier, of one snapshot scored as a group of one."""
+    return _sir_per_tier(*_stack([snapshot], scenario.num_tiers), scenario)
 
 
 def chunk_of_one(est, scenario):
@@ -99,12 +106,12 @@ def test_empty_tier_keeps_dtypes_and_never_covers():
         macro = snap.tiers[0]
         assert len(macro) == 0 and len(snap.tiers[1]) > 0
         for name, dtype in (("distances", np.float64), ("is_los", bool),
-                            ("fading", np.float64), ("pathloss", np.float64),
-                            ("is_mpc", bool), ("window_start", np.int64)):
+                            ("fading", np.float64), ("is_mpc", bool),
+                            ("window_start", np.int64)):
             field = getattr(macro, name)
             assert field.shape == (0,) and field.dtype == dtype, name
-        est = evaluate_snapshot(snap, s)
-        assert est.covering[0] == 0
+        est = evaluate_snapshot([snap], s)
+        assert est.covering[0, 0] == 0
         assert not np.any(chunk_of_one(est, s)[2][0])
 
 
@@ -112,16 +119,16 @@ def test_single_station_has_infinite_sir():
     s = single_tier_scenario()
     snap = Snapshot([manual_tier([1e-3], tx_power=4.0, cache_size=5,
                                  library_size=10)])
-    assert _sir_per_tier(snap, s)[0][0] == np.inf
-    est = evaluate_snapshot(snap, s)
-    assert est.covering[0] == 1  # infinite SIR counts as covering
+    assert sir_per_tier(snap, s)[0][0] == np.inf
+    est = evaluate_snapshot([snap], s)
+    assert est.covering[0, 0] == 1  # infinite SIR counts as covering
 
 
 def test_two_identical_stations_sir_one():
     s = single_tier_scenario()
     snap = Snapshot([manual_tier([2e-4, 2e-4], tx_power=4.0, cache_size=5,
                                  library_size=10)])
-    sir = _sir_per_tier(snap, s)[0]
+    sir = sir_per_tier(snap, s)[0]
     assert sir[0] == pytest.approx(1.0, rel=1e-12)
     assert sir[1] == pytest.approx(1.0, rel=1e-12)
 
@@ -134,7 +141,7 @@ def test_three_station_hand_computed_sir():
     expected0 = 3.2e-3 / (9.6e-5 + 8e-6)
     expected1 = 9.6e-5 / (3.2e-3 + 8e-6)
     expected2 = 8e-6 / (3.2e-3 + 9.6e-5)
-    sir = _sir_per_tier(snap, s)[0]
+    sir = sir_per_tier(snap, s)[0]
     assert sir[0] == pytest.approx(expected0, rel=1e-12)
     assert sir[1] == pytest.approx(expected1, rel=1e-12)
     assert sir[2] == pytest.approx(expected2, rel=1e-12)
@@ -145,9 +152,9 @@ def test_evaluate_snapshot_pinned_two_tier():
     s = default_scenario()
     macro = manual_tier([1e-9], tx_power=40.0, cache_size=20, library_size=100)
     small = manual_tier([1.0], tx_power=4.0, cache_size=5, library_size=100)
-    est = evaluate_snapshot(Snapshot([macro, small]), s)
+    est = evaluate_snapshot([Snapshot([macro, small])], s)
     hit, backhaul, caching_covering = chunk_of_one(est, s)
-    assert est.covering.tolist() == [0, 1]
+    assert est.covering.tolist() == [[0, 1]]
     assert np.all(hit[:5]) and not np.any(hit[5:])
     assert not np.any(backhaul)  # macro does not cover anything
     assert np.all(caching_covering[1, :5] == 1)
@@ -159,9 +166,9 @@ def test_evaluate_snapshot_backhaul_event():
     s = default_scenario()
     macro = manual_tier([1.0], tx_power=40.0, cache_size=20, library_size=100)
     small = manual_tier([1e-9], tx_power=4.0, cache_size=5, library_size=100)
-    est = evaluate_snapshot(Snapshot([macro, small]), s)
+    est = evaluate_snapshot([Snapshot([macro, small])], s)
     hit, backhaul, _ = chunk_of_one(est, s)
-    assert est.covering.tolist() == [1, 0]
+    assert est.covering.tolist() == [[1, 0]]
     assert np.all(hit[:20]) and not np.any(hit[20:])
     assert not np.any(backhaul[:20]) and np.all(backhaul[20:])
 
@@ -172,7 +179,7 @@ def test_unattainable_thresholds_zero_everything():
                       "tiers[2].radio.sir_threshold", 1e12)
     rng = np.random.default_rng(3)
     snap = sample_network(rng, s, region_radius=3000.0)
-    est = evaluate_snapshot(snap, s)
+    est = evaluate_snapshot([snap], s)
     hit, backhaul, caching_covering = chunk_of_one(est, s)
     assert not np.any(hit) and not np.any(backhaul)
     assert np.all(est.covering == 0) and np.all(caching_covering == 0)
@@ -187,7 +194,7 @@ def test_tiny_bias_factor_makes_thresholds_unattainable():
         snap = sample_network(rng, s, region_radius=3000.0)
         if snap.station_count() < 2:
             continue  # a lone station has infinite SIR and covers regardless
-        est = evaluate_snapshot(snap, s)
+        est = evaluate_snapshot([snap], s)
         assert not np.any(chunk_of_one(est, s)[0])
         assert np.all(est.covering == 0)
 
@@ -198,7 +205,7 @@ def test_full_caches_never_use_backhaul():
                       "tiers[2].cache.cache_size", 100)
     rng = np.random.default_rng(4)
     for _ in range(10):
-        est = evaluate_snapshot(sample_network(rng, s, region_radius=3000.0), s)
+        est = evaluate_snapshot([sample_network(rng, s, region_radius=3000.0)], s)
         assert not np.any(chunk_of_one(est, s)[1])
 
 
@@ -206,12 +213,12 @@ def test_snapshot_estimate_invariants():
     s = default_scenario()
     rng = np.random.default_rng(5)
     for _ in range(15):
-        est = evaluate_snapshot(sample_network(rng, s, region_radius=3000.0), s)
+        est = evaluate_snapshot([sample_network(rng, s, region_radius=3000.0)], s)
         hit, backhaul, caching_covering = chunk_of_one(est, s)
         # hit and operational backhaul are mutually exclusive
         assert not np.any(hit & backhaul)
         # covering count dominates the caching-restricted count
-        assert np.all(caching_covering.max(axis=1) <= est.covering)
+        assert np.all(caching_covering.max(axis=1) <= est.covering[0])
         # a hit needs at least one caching covering station
         assert np.all(caching_covering.sum(axis=0)[hit] >= 1)
         assert bool(est.covering.any()) == bool(np.any(est.covering > 0))
@@ -231,11 +238,11 @@ def test_run_simulation_single_snapshot_reproduces_indicators():
                                master_seed=17)
     report = run_simulation(s, protocol=proto)
     snap = sample_network(snapshot_rng(17, 0), s, region_radius=5000.0)
-    est = evaluate_snapshot(snap, s)
+    est = evaluate_snapshot([snap], s)
     weights = s.content.request_probabilities()
     hit = chunk_of_one(est, s)[0]
     assert report.p_hit == pytest.approx(float(weights @ hit), abs=1e-15)
-    assert report.per_tier_coverage_density == tuple(est.covering.astype(float))
+    assert report.per_tier_coverage_density == tuple(est.covering[0].astype(float))
     assert report.stderr["p_hit"] == 0.0
 
 
@@ -252,13 +259,13 @@ def test_single_snapshot_metrics_match_closed_forms(mode):
     report = run_simulation(s, protocol=proto)
 
     rng = snapshot_rng(5, 0)
-    est = evaluate_snapshot(sample_network(rng, s, region_radius=2500.0), s)
+    est = evaluate_snapshot([sample_network(rng, s, region_radius=2500.0)], s)
     hit, _, caching_covering = chunk_of_one(est, s)
     F = s.content.library_size
     a = s.content.request_probabilities()
     if mode == "sampled":
         a = np.eye(F)[rng.choice(F, p=a)]  # weight 1 on the one drawn rank
-    n1 = est.covering[0]
+    n1 = est.covering[0, 0]
     assert n1 > 0 and np.all(caching_covering.sum(axis=1) > 0)
     q1 = cache_probability_vector(s.tiers[0].cache, F)
     lam = s.densities_per_m2()
@@ -347,12 +354,12 @@ def test_chunked_metrics_equal_snapshot_rows(mode):
     rows = np.empty((70, 5))
     for k in range(70):
         rng = snapshot_rng(23, k)
-        est = evaluate_snapshot(sample_network(rng, s, region_radius=2500.0), s)
+        est = evaluate_snapshot([sample_network(rng, s, region_radius=2500.0)], s)
         hit, backhaul, caching_covering = chunk_of_one(est, s)
         w = a if mode == "all-weighted" else np.eye(F)[rng.choice(F, p=a)]
         p_hit, p_bh, _, ase, cost = _delivery_metrics(
             w[None], hit[None], caching_covering[None],
-            ((1.0 - q1) * est.covering[0])[None], constants)
+            ((1.0 - q1) * est.covering[0, 0])[None], constants)
         rows[k] = (p_hit[0], p_bh[0], float(w @ backhaul), ase[0], cost[0])
     for j, name in enumerate(("p_hit", "p_bh", "p_bh_operational", "ase", "cost")):
         assert getattr(report, name) == float(np.mean(rows[:, j])), name
@@ -367,7 +374,7 @@ def loop_indicators(snapshot, scenario):
     """
     F = scenario.content.library_size
     K = scenario.num_tiers
-    sirs = _sir_per_tier(snapshot, scenario)
+    sirs = sir_per_tier(snapshot, scenario)
     covering = np.zeros(K, dtype=np.int64)
     caching_covering = np.zeros((K, F), dtype=np.int64)
     for i, (tier, ts) in enumerate(zip(scenario.tiers, snapshot.tiers)):
@@ -385,9 +392,14 @@ def loop_indicators(snapshot, scenario):
 
 
 def assert_chunk_matches_loop(snapshots, scenario):
-    """Assemble ``snapshots`` as one chunk; each row must equal the loop."""
+    """Assemble ``snapshots`` as one chunk, scored as one group and as a
+    group per snapshot; each row must equal the loop."""
     hit, backhaul, caching_covering, covering = _chunk_indicators(
-        [evaluate_snapshot(snap, scenario) for snap in snapshots], scenario)
+        [evaluate_snapshot(snapshots, scenario)], scenario)
+    singles = _chunk_indicators([evaluate_snapshot([snap], scenario)
+                                 for snap in snapshots], scenario)
+    for got, want in zip(singles, (hit, backhaul, caching_covering, covering)):
+        assert np.array_equal(got, want)
     F, K = scenario.content.library_size, scenario.num_tiers
     S = len(snapshots)
     assert hit.shape == backhaul.shape == (S, F)
@@ -401,11 +413,11 @@ def assert_chunk_matches_loop(snapshots, scenario):
         assert np.array_equal(covering[k], want[3]), k
         assert bool(covering[k].any()) == want[4], k
         # a single snapshot is a chunk of one
-        est = evaluate_snapshot(snap, scenario)
+        est = evaluate_snapshot([snap], scenario)
         one_hit, one_backhaul, one_caching_covering = chunk_of_one(est, scenario)
         assert np.array_equal(one_hit, want[0]) and np.array_equal(one_backhaul, want[1])
         assert np.array_equal(one_caching_covering, want[2])
-        assert np.array_equal(est.covering, want[3]) and bool(est.covering.any()) == want[4]
+        assert np.array_equal(est.covering[0], want[3]) and bool(est.covering.any()) == want[4]
     return caching_covering
 
 
@@ -469,7 +481,7 @@ def test_chunk_assembly_of_sampled_snapshots_matches_loop(mode):
     for start in range(0, 70, CHUNK_SNAPSHOTS):
         chunk = snapshots[start:start + CHUNK_SNAPSHOTS]
         assert_chunk_matches_loop(chunk, s)
-        covering += [evaluate_snapshot(snap, s).covering for snap in chunk]
+        covering += list(evaluate_snapshot(chunk, s).covering)
     assert len(chunk) == 6
     assert max(c.sum() for c in covering) >= 3  # several cover at once
 
@@ -486,6 +498,76 @@ def rcs_two_tier_scenario():
     # stations caching a random window (RCS) rather than the prefix
     s = set_parameter(default_scenario(), "tiers[1].density", 1.0)
     return set_parameter(s, "tiers[*].cache.mpc_fraction", 0.5)
+
+
+def assert_reports_identical(a, b):
+    for f in dataclasses.fields(MetricReport):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("mode", ["all-weighted", "sampled"])
+@pytest.mark.parametrize("make", [default_scenario, rcs_two_tier_scenario],
+                         ids=["default", "rcs-two-tier"])
+def test_grouping_does_not_change_results(monkeypatch, make, mode):
+    # 130 snapshots on a 2.5 km disk, ~200 stations each: two full chunks
+    # and a ragged one of 2. The default cap closes a group after about 40
+    # snapshots, so a chunk's end closes the second; a cap of one station
+    # makes every snapshot its own group and 10**9 each chunk one group.
+    # The default macro tier is empty in most snapshots.
+    s = make()
+    proto = SimulationProtocol(num_snapshots=130, region_radius=2500.0,
+                               master_seed=37, content_evaluation=mode)
+    groups = []
+    evaluate = montecarlo.evaluate_snapshot
+
+    def counted(snapshots, scenario):
+        groups.append(len(snapshots))
+        return evaluate(snapshots, scenario)
+
+    monkeypatch.setattr(montecarlo, "evaluate_snapshot", counted)
+    reports = {}
+    for cap in (montecarlo.GROUP_STATIONS, 1, 10 ** 9):
+        monkeypatch.setattr(montecarlo, "GROUP_STATIONS", cap)
+        groups.clear()
+        reports[cap] = run_simulation(s, protocol=proto)
+        assert sum(groups) == 130
+        if cap == 1:
+            assert groups == [1] * 130
+        elif cap == 10 ** 9:
+            assert groups == [64, 64, 2]
+        else:
+            assert 1 < max(groups) < 64 and len(groups) > 3
+    default, *others = reports.values()
+    for report in others:
+        assert_reports_identical(report, default)
+
+
+def snapshot_sir_per_tier(snapshot, scenario):
+    """Each station's SIR, per tier, against its snapshot's total received
+    power: ``ndarray.sum`` of each tier's powers, added in tier order."""
+    powers = [tier.radio.tx_power * link_path_loss(ts.distances, ts.is_los, tier.radio)
+              * ts.fading for tier, ts in zip(scenario.tiers, snapshot.tiers)]
+    total = float(sum(p.sum() for p in powers if len(p)))
+    return [np.divide(p, total - p, out=np.full(len(p), np.inf), where=total - p > 0.0)
+            for p in powers]
+
+
+def test_group_sir_bits_equal_each_snapshot_alone():
+    # 40 snapshots of ~200 stations, about one default group; a total summed
+    # in another order (np.add.reduceat sums in sequence) moves the last
+    # bits of about half of them, which no count may show
+    s = rcs_two_tier_scenario()
+    snapshots = [sample_network(snapshot_rng(43, k), s, region_radius=2500.0)
+                 for k in range(40)]
+    group = _sir_per_tier(*_stack(snapshots, s.num_tiers), s)
+    alone = [snapshot_sir_per_tier(snap, s) for snap in snapshots]
+    for i in range(s.num_tiers):
+        want = np.concatenate([sirs[i] for sirs in alone])
+        assert group[i].tobytes() == want.tobytes(), i
 
 
 # Integer counts of the sampling stream at master seed 1234, recorded while
