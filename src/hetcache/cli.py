@@ -19,11 +19,10 @@ import sys
 import numpy as np
 
 from .experiments import (PRESET_NAMES, grid_search, run_experiment, run_preset,
-                          write_csv)
+                          set_parameter, write_csv)
 from .metrics import UndefinedEfficiencyError
 from .quadrature import QuadratureError
-from .scenario import (ConfigError, default_scenario, load_config,
-                       scenario_from_mapping, scenario_to_mapping)
+from .scenario import ConfigError, default_scenario, load_config
 
 _SUMMARY_FIELDS = ("p_hit", "p_bh", "ase", "cost", "efficiency")
 
@@ -75,14 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_scenario(args):
-    """The config file's scenario, with ``--seed`` and ``--snapshots`` written
-    into its protocol section and checked as YAML values."""
+    """The config file's scenario with ``--seed`` and ``--snapshots`` set at their paths."""
     scenario = load_config(args.config) if args.config else default_scenario()
-    mapping = scenario_to_mapping(scenario)
-    for key, value in (("master_seed", args.seed), ("num_snapshots", args.snapshots)):
+    for path, value in (("protocol.master_seed", args.seed),
+                        ("protocol.num_snapshots", args.snapshots)):
         if value is not None:
-            mapping["protocol"][key] = value
-    return scenario_from_mapping(mapping)
+            scenario = set_parameter(scenario, path, value)
+    return scenario
 
 
 def _value(token: str):
@@ -97,13 +95,19 @@ def _value(token: str):
 def _sweep_grid(args):
     if args.values is not None:
         return tuple(_value(v) for v in args.values.split(",") if v != "")
-    lo, hi, n = (args.logspace or args.linspace)
-    count = int(n)
+    flag = "--logspace" if args.logspace else "--linspace"
+    lo, hi, n = args.logspace or args.linspace
+    try:
+        lo, hi, count = float(lo), float(hi), int(n)
+    except ValueError as exc:
+        raise ConfigError("sweep", f"{flag}: {exc}") from None
     if count < 1:
         raise ConfigError("sweep", "grid size must be >= 1")
     if args.logspace:
-        return tuple(np.logspace(np.log10(float(lo)), np.log10(float(hi)), count))
-    return tuple(np.linspace(float(lo), float(hi), count))
+        if not (lo > 0 and hi > 0):
+            raise ConfigError("sweep", f"{flag}: LO and HI must be positive")
+        return tuple(np.logspace(np.log10(lo), np.log10(hi), count))
+    return tuple(np.linspace(lo, hi, count))
 
 
 def _print_rows(rows):

@@ -124,7 +124,7 @@ def _delivery_metrics(w: np.ndarray, hit: np.ndarray, cached: np.ndarray,
     """Hit, backhaul, ASE and cost from per-rank delivery components.
 
     Row b of every argument is one evaluation. ``w[b, c]`` weights rank
-    c+1 (request popularity, or a one-hot vector for one sampled request);
+    c+1 by its request popularity;
     ``hit[b, c]`` is its cache-hit component, ``cached[b, i, c]`` the
     expected number of tier-(i+1) stations delivering it from cache and
     ``backhaul[b, c]`` the expected number of macro stations delivering it

@@ -210,47 +210,31 @@ def _chunk_stats(args):
 
     Snapshots are drawn one by one and scored in groups; the chunk's
     indicators and counts, assembled from its groups' passes on a leading
-    snapshot axis, are scored by one ``_delivery_metrics`` call.
-    Returns its (S, K) covering counts, (S, 5) metric rows and per-rank
-    integer sums (hits, caching coverage, draws). Integer sums are exactly
-    order-independent; per-snapshot arrays come in snapshot order so the
-    final reduction is deterministic for any worker count. Each snapshot
-    scores either every rank (``all-weighted``) or one rank drawn by
-    popularity (``sampled``, drawn right after the snapshot from its own
-    stream); the rank mask gates the per-rank sums.
+    snapshot axis, score every rank by popularity in one
+    ``_delivery_metrics`` call. Returns the (S, K) covering counts, (S, 5)
+    metric rows and per-rank integer sums (hits, caching coverage): sums
+    are exactly order-independent, and per-snapshot arrays come in
+    snapshot order, so the final reduction is the same for any worker count.
     """
     scenario, protocol, radius, start, stop = args
     F = scenario.content.library_size
     a = scenario.content.request_probabilities()
     q1 = cache_probability_vector(scenario.tiers[0].cache, F)
-    sampled = protocol.content_evaluation == "sampled"
 
-    estimates, drawn, group, stations = [], [], [], 0
+    estimates, group, stations = [], [], 0
     for k in range(start, stop):
-        rng = snapshot_rng(protocol.master_seed, k)
-        group.append(sample_network(rng, scenario, radius))
-        if sampled:
-            drawn.append(rng.choice(F, p=a))
+        group.append(sample_network(snapshot_rng(protocol.master_seed, k), scenario, radius))
         stations += group[-1].station_count()
         if stations >= GROUP_STATIONS or k == stop - 1:
             # the group's arrays go as soon as it is scored
             estimates.append(evaluate_snapshot(group, scenario))
             group, stations = [], 0
     hit, backhaul, caching_covering, covering = _chunk_indicators(estimates, scenario)
-    if sampled:
-        mask = np.arange(F) == np.array(drawn)[:, None]
-        w = mask.astype(np.float64)
-    else:
-        mask = np.ones((len(covering), F), dtype=bool)
-        w = a[None]
-
     p_hit, p_bh, _, ase, cost = _delivery_metrics(
-        w, hit, caching_covering, (1.0 - q1) * covering[:, :1],
+        a[None], hit, caching_covering, (1.0 - q1) * covering[:, :1],
         _scenario_constants([scenario]))
-    metrics = np.column_stack((p_hit, p_bh, _dot(w, backhaul), ase, cost))
-    return covering, metrics, ((hit & mask).sum(axis=0),
-                               (caching_covering * mask[:, None]).sum(axis=0),
-                               mask.sum(axis=0))
+    metrics = np.column_stack((p_hit, p_bh, _dot(a[None], backhaul), ase, cost))
+    return covering, metrics, (hit.sum(axis=0), caching_covering.sum(axis=0))
 
 
 def _stderr(values: np.ndarray) -> float:
@@ -298,7 +282,7 @@ def run_simulation(scenario: ScenarioConfig,
         results = [_chunk_stats(c) for c in chunks]
 
     covering_blocks, metric_blocks, rank_sums = zip(*results)
-    hit_counts, cachcov_sums, draw_counts = (sum(parts) for parts in zip(*rank_sums))
+    per_hit, cachcov_mean = (sum(parts) / n for parts in zip(*rank_sums))
     covering = np.concatenate(covering_blocks, axis=0)
     metrics = np.concatenate(metric_blocks, axis=0)
     whit, wbh, wbh_op, ase_arr, cost_arr = metrics.T
@@ -313,11 +297,6 @@ def run_simulation(scenario: ScenarioConfig,
     rho_se = tuple(math.sqrt(max(sumsq / n - mean ** 2, 0.0) / max(n - 1, 1))
                    for sumsq, mean in zip((covering * covering).sum(axis=0), rho_mean))
 
-    # Per-rank means over the snapshots that scored each rank; a rank never
-    # drawn in sampled mode is 0/0, i.e. nan.
-    with np.errstate(invalid="ignore"):
-        per_hit = hit_counts / draw_counts
-        cachcov_mean = cachcov_sums / draw_counts
     F = scenario.content.library_size
     q1 = cache_probability_vector(scenario.tiers[0].cache, F)
     per_bh = (1.0 - q1) * float(rho_mean[0])

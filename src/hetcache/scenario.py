@@ -79,11 +79,12 @@ class CostModel:
 
 @dataclass(frozen=True)
 class SimulationProtocol:
-    """Monte Carlo protocol: snapshot count, disk radius, seeding, weighting."""
+    """Monte Carlo protocol: snapshot count, disk radius, seeding."""
 
     num_snapshots: int = 40000
     region_radius: float | str = 10000.0
     master_seed: int = 0
+    # kept only while perfbench/reference.json pins it; goes in the next benchmark change
     content_evaluation: str = "all-weighted"
 
     def __post_init__(self):
@@ -94,8 +95,8 @@ class SimulationProtocol:
             raise ConfigError("region_radius", "must be finite and positive, or 'auto'")
         if self.master_seed < 0:
             raise ConfigError("master_seed", "must be a nonnegative integer")
-        if self.content_evaluation not in ("all-weighted", "sampled"):
-            raise ConfigError("content_evaluation", "must be 'all-weighted' or 'sampled'")
+        if self.content_evaluation != "all-weighted":
+            raise ConfigError("content_evaluation", "must be 'all-weighted'")
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,7 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     ("tiers:\n  - rho: 1.5\n", [], "tiers[1].rho"),
     ("tiers:\n  - radio: {pathloss_exp_los: 9.0}\n", [], "tiers[1].radio"),
     ("tiers:\n  - radio: {nakagami_nlos: 3}\n", [], "tiers[1].radio"),
+    ("protocol: {content_evaluation: sampled}\n", [], "protocol.content_evaluation"),
 ])
 def test_bad_value_exits_one_with_its_path(tmp_path, capsys, text, flags, path):
     cfg = tmp_path / "bad.yaml"
@@ -114,6 +115,20 @@ def test_bad_sweep_value_exits_one_with_its_path(tmp_path, capsys, param, values
                  "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"config error: {param}: ")
+
+
+@pytest.mark.parametrize("grid, token", [
+    (["--logspace", "1", "2", "abc"], "'abc'"), (["--logspace", "x", "2", "3"], "'x'"),
+    (["--linspace", "1", "y", "3"], "'y'"), (["--linspace", "1", "2", "3.5"], "'3.5'"),
+    (["--logspace", "0", "2", "3"], "must be positive"),
+])
+def test_bad_grid_token_exits_one_naming_flag_and_token(tmp_path, capsys, grid, token):
+    code = main(["sweep", "--param", "tiers[2].density", *grid,
+                 "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: sweep: {grid[0]}: ")
+    assert token in err and "Traceback" not in err
 
 
 def test_sweep_of_a_string_value(tmp_path, capsys):

@@ -71,6 +71,7 @@ def test_get_parameter_bad_paths():
     ("tiers[1].cache.mpc_fraction", 2.0), ("content.library_size", 0),
     ("tiers[2].radio.pathloss_exp_los", 5.0), ("tiers[2].cache.cache_size", 200),
     ("tiers[2].rho", 0.0), ("tiers[2].rho", -0.5),
+    ("protocol.content_evaluation", "sampled"),
 ])
 def test_set_parameter_rejects_out_of_range(path, bad):
     with pytest.raises(ConfigError, match=f"^{re.escape(path)}: must be "):

@@ -246,7 +246,7 @@ def test_run_simulation_single_snapshot_reproduces_indicators():
     assert report.stderr["p_hit"] == 0.0
 
 
-@pytest.mark.parametrize("mode", ["all-weighted", "sampled"])
+@pytest.mark.parametrize("mode", ["all-weighted"])
 def test_single_snapshot_metrics_match_closed_forms(mode):
     # a denser macro tier, half-MPC macro caches and low thresholds, so that
     # on a 2.5 km disk both tiers cover and every term of p_bh, ASE and
@@ -258,13 +258,10 @@ def test_single_snapshot_metrics_match_closed_forms(mode):
                                master_seed=5, content_evaluation=mode)
     report = run_simulation(s, protocol=proto)
 
-    rng = snapshot_rng(5, 0)
-    est = evaluate_snapshot([sample_network(rng, s, region_radius=2500.0)], s)
+    est = evaluate_snapshot([sample_network(snapshot_rng(5, 0), s, region_radius=2500.0)], s)
     hit, _, caching_covering = chunk_of_one(est, s)
     F = s.content.library_size
     a = s.content.request_probabilities()
-    if mode == "sampled":
-        a = np.eye(F)[rng.choice(F, p=a)]  # weight 1 on the one drawn rank
     n1 = est.covering[0, 0]
     assert n1 > 0 and np.all(caching_covering.sum(axis=1) > 0)
     q1 = cache_probability_vector(s.tiers[0].cache, F)
@@ -316,17 +313,6 @@ def test_caching_agnostic_coverage_dominates_hit():
         report.ase, rel=1e-9)
 
 
-def test_sampled_content_mode_agrees_with_weighted():
-    s = default_scenario()
-    weighted = run_simulation(s, protocol=SimulationProtocol(
-        num_snapshots=400, region_radius=5000.0, master_seed=51))
-    sampled = run_simulation(s, protocol=SimulationProtocol(
-        num_snapshots=400, region_radius=5000.0, master_seed=51,
-        content_evaluation="sampled"))
-    se = math.hypot(weighted.stderr["p_hit"], sampled.stderr["p_hit"])
-    assert abs(weighted.p_hit - sampled.p_hit) < 4.0 * se
-
-
 def test_region_doubling_within_two_stderr():
     # truncation-bias guard at the scenario's default radius
     s = default_scenario()
@@ -339,7 +325,7 @@ def test_region_doubling_within_two_stderr():
         assert abs(getattr(base, key) - getattr(double, key)) < 2.0 * se
 
 
-@pytest.mark.parametrize("mode", ["all-weighted", "sampled"])
+@pytest.mark.parametrize("mode", ["all-weighted"])
 def test_chunked_metrics_equal_snapshot_rows(mode):
     # 70 snapshots: a full chunk and a ragged one of 6
     s = default_scenario()
@@ -353,14 +339,13 @@ def test_chunked_metrics_equal_snapshot_rows(mode):
     constants = _scenario_constants([s])
     rows = np.empty((70, 5))
     for k in range(70):
-        rng = snapshot_rng(23, k)
-        est = evaluate_snapshot([sample_network(rng, s, region_radius=2500.0)], s)
+        est = evaluate_snapshot([sample_network(snapshot_rng(23, k), s,
+                                                region_radius=2500.0)], s)
         hit, backhaul, caching_covering = chunk_of_one(est, s)
-        w = a if mode == "all-weighted" else np.eye(F)[rng.choice(F, p=a)]
         p_hit, p_bh, _, ase, cost = _delivery_metrics(
-            w[None], hit[None], caching_covering[None],
+            a[None], hit[None], caching_covering[None],
             ((1.0 - q1) * est.covering[0, 0])[None], constants)
-        rows[k] = (p_hit[0], p_bh[0], float(w @ backhaul), ase[0], cost[0])
+        rows[k] = (p_hit[0], p_bh[0], float(a @ backhaul), ase[0], cost[0])
     for j, name in enumerate(("p_hit", "p_bh", "p_bh_operational", "ase", "cost")):
         assert getattr(report, name) == float(np.mean(rows[:, j])), name
 
@@ -466,17 +451,12 @@ def test_chunk_assembly_edge_cache_sizes_match_loop(macro_cache, small_cache):
             assert np.all(counts[0, i] == 2)  # both stations cache every rank
 
 
-@pytest.mark.parametrize("mode", ["all-weighted", "sampled"])
-def test_chunk_assembly_of_sampled_snapshots_matches_loop(mode):
+def test_chunk_assembly_of_sampled_snapshots_matches_loop():
     # 70 sampled snapshots in the engine's chunks: a full one and a ragged
     # one of 6; half the stations cache RCS windows, several often cover
     s = set_parameter(rcs_two_tier_scenario(), "tiers[*].radio.sir_threshold", 0.05)
-    snapshots = []
-    for k in range(70):
-        rng = snapshot_rng(29, k)
-        snapshots.append(sample_network(rng, s, region_radius=2500.0))
-        if mode == "sampled":
-            rng.choice(100, p=s.content.request_probabilities())
+    snapshots = [sample_network(snapshot_rng(29, k), s, region_radius=2500.0)
+                 for k in range(70)]
     covering = []
     for start in range(0, 70, CHUNK_SNAPSHOTS):
         chunk = snapshots[start:start + CHUNK_SNAPSHOTS]
@@ -509,7 +489,7 @@ def assert_reports_identical(a, b):
             assert x == y, f.name
 
 
-@pytest.mark.parametrize("mode", ["all-weighted", "sampled"])
+@pytest.mark.parametrize("mode", ["all-weighted"])
 @pytest.mark.parametrize("make", [default_scenario, rcs_two_tier_scenario],
                          ids=["default", "rcs-two-tier"])
 def test_grouping_does_not_change_results(monkeypatch, make, mode):
@@ -575,62 +555,31 @@ def test_group_sir_bits_equal_each_snapshot_alone():
 # covering station's cache window was added in a Python loop). Integers, so
 # no libm or BLAS difference can move them: a failure here means the stream
 # itself changed, which must be a deliberate change. Each case is (scenario,
-# disk radius m, snapshots, content mode, covering count per tier,
-# coverage_all_bs count, hit count per rank from rank 1 (ranks past the list
-# never hit), draws per rank or None when every snapshot scores every rank).
-# 130 snapshots are two full chunks and a ragged one; on the 2.5 km disk the
+# disk radius m, snapshots, covering count per tier, coverage_all_bs count,
+# hit count per rank from rank 1 (ranks past the list never hit)). 130
+# snapshots are two full chunks and a ragged one; on the 2.5 km disk the
 # default macro tier is empty in most snapshots.
 STREAM_PINS = [
-    (default_scenario, 2500.0, 130, "all-weighted", [0, 75], 75,
-     [75, 75, 75, 75, 75], None),
-    (default_scenario, 2500.0, 130, "sampled", [0, 75], 75, [13, 8, 3, 3, 5],
-     [27, 9, 3, 6, 9, 4, 5, 2, 4, 0, 3, 1, 2, 4, 0, 1, 1, 1, 1, 1,
-      1, 2, 3, 2, 0, 2, 1, 2, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 3,
-      0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2,
-      1, 0, 1, 0, 2, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 3, 1,
-      0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 0, 0, 0, 0, 1, 0, 0]),
-    (unit_shape_scenario, 20000.0, 70, "all-weighted", [0, 33], 33,
-     [33, 33, 33, 33, 33], None),
-    (unit_shape_scenario, 20000.0, 70, "sampled", [0, 33], 33, [6, 5, 1, 0, 2],
-     [11, 7, 3, 3, 5, 4, 1, 5, 1, 0, 1, 2, 0, 0, 2, 1, 0, 0, 0, 0,
-      0, 2, 0, 1, 0, 1, 3, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 2,
-      0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1,
-      2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0,
-      0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
-    (rcs_two_tier_scenario, 2500.0, 130, "all-weighted", [50, 31], 81,
+    (default_scenario, 2500.0, 130, [0, 75], 75, [75, 75, 75, 75, 75]),
+    (unit_shape_scenario, 20000.0, 70, [0, 33], 33, [33, 33, 33, 33, 33]),
+    (rcs_two_tier_scenario, 2500.0, 130, [50, 31], 81,
      [44, 44, 45, 45, 45, 30, 30, 31, 31, 31, 32, 32, 33, 33, 33, 34, 34, 34, 34, 34,
       7, 7, 7, 8, 8, 6, 7, 6, 7, 7, 6, 8, 7, 7, 8, 9, 7, 7, 7, 7,
       7, 7, 6, 6, 7, 8, 7, 7, 6, 5, 4, 5, 6, 6, 5, 4, 4, 3, 4, 5,
       5, 6, 7, 8, 8, 7, 8, 7, 6, 7, 7, 6, 6, 7, 7, 7, 7, 7, 6, 5,
-      5, 5, 5, 5, 5, 5, 3, 3, 2, 2, 2, 2, 3, 2, 2, 2, 2, 1, 1, 0], None),
-    (rcs_two_tier_scenario, 2500.0, 130, "sampled", [50, 31], 81,
-     [7, 4, 3, 5, 4, 2, 1, 0, 0, 0, 0, 0, 1, 0, 1, 2, 0, 2, 0, 2,
-      0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
-     [25, 11, 6, 6, 12, 6, 4, 1, 5, 0, 1, 1, 2, 1, 2, 4, 0, 3, 0, 3,
-      1, 1, 0, 0, 0, 3, 1, 0, 1, 0, 0, 2, 1, 0, 0, 0, 0, 0, 2, 0,
-      0, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1,
-      0, 0, 1, 1, 0, 0, 2, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1, 0, 0, 0,
-      1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1]),
+      5, 5, 5, 5, 5, 5, 3, 3, 2, 2, 2, 2, 3, 2, 2, 2, 2, 1, 1, 0]),
 ]
 
 
 @pytest.mark.parametrize(
-    "make, radius, n, mode, covering, any_count, hits, draws", STREAM_PINS,
-    ids=["default-weighted", "default-sampled", "unit-20km-weighted",
-         "unit-20km-sampled", "rcs-two-tier-weighted", "rcs-two-tier-sampled"])
-def test_sampling_stream_is_pinned(make, radius, n, mode, covering, any_count,
-                                   hits, draws):
+    "make, radius, n, covering, any_count, hits", STREAM_PINS,
+    ids=["default-weighted", "unit-20km-weighted", "rcs-two-tier-weighted"])
+def test_sampling_stream_is_pinned(make, radius, n, covering, any_count, hits):
     report = run_simulation(make(), protocol=SimulationProtocol(
-        num_snapshots=n, region_radius=radius, master_seed=1234,
-        content_evaluation=mode))
+        num_snapshots=n, region_radius=radius, master_seed=1234))
     assert [round(x * n) for x in report.per_tier_coverage_density] == covering
     assert round(report.coverage_all_bs * n) == any_count
     hit_counts = np.zeros(100, dtype=np.int64)
     hit_counts[:len(hits)] = hits
-    draw_counts = np.full(100, n) if draws is None else np.array(draws)
     # a count ratio is one correctly rounded division, the same on any host
-    with np.errstate(invalid="ignore"):
-        expected = hit_counts / draw_counts
-    assert np.array_equal(report.per_content_hit, expected, equal_nan=True)
+    assert np.array_equal(report.per_content_hit, hit_counts / n)
