@@ -83,18 +83,23 @@ def _load_scenario(args):
     return scenario
 
 
-def _value(token: str):
-    """``token`` as a number, else as given: the swept field's own check
-    accepts a string it takes (``auto``) and rejects others with its path."""
-    try:
-        return float(token)
-    except ValueError:
-        return token
+def _listed_grid(text: str) -> tuple:
+    """A comma-separated grid (``--values``, ``--var``), skipping empty tokens
+    as in ``1,,2``. A token is a number, else kept as given: the swept field's
+    own check accepts a string it takes (``auto``), rejecting others by path."""
+    grid = []
+    for token in text.split(","):
+        try:
+            grid.append(float(token))
+        except ValueError:
+            if token:
+                grid.append(token)
+    return tuple(grid)
 
 
 def _sweep_grid(args):
     if args.values is not None:
-        return tuple(_value(v) for v in args.values.split(",") if v != "")
+        return _listed_grid(args.values)
     flag = "--logspace" if args.logspace else "--linspace"
     lo, hi, n = args.logspace or args.linspace
     try:
@@ -140,7 +145,9 @@ def main(argv=None) -> int:
                 path, _, values = spec.partition("=")
                 if not values:
                     raise ConfigError("search", f"missing grid in {spec!r}")
-                variables[path] = tuple(_value(v) for v in values.split(","))
+                if path in variables:
+                    raise ConfigError("search", f"{path} is searched twice")
+                variables[path] = _listed_grid(values)
             engine = "analytic" if args.engine == "both" else args.engine
             result = grid_search(scenario, variables, engine=engine,
                                  workers=args.workers)

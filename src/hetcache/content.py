@@ -67,22 +67,24 @@ class TierCachePolicy:
             raise ConfigError("mpc_fraction", "must be in [0, 1]")
 
 
-def cache_probability_vector(policy: TierCachePolicy, library_size: int) -> np.ndarray:
+def cache_probability_vector(policy, library_size: int) -> np.ndarray:
     """Probability that each rank 1..F sits in one station's cache.
 
     MPC contributes 1 for c <= S; RCS contributes (number of length-S
     windows containing c) / (F - S + 1). A size-S cache stores the window
     {start, ..., start + S - 1}, so the probabilities sum to S over c.
+    ``policy`` may be a pair (cache sizes, MPC fractions) of arrays that
+    broadcast: each vector on the added last axis then has the bits of its
+    own ``TierCachePolicy``'s, as the operations are elementwise.
     """
-    s = policy.cache_size
-    if s > library_size:
+    if isinstance(policy, TierCachePolicy):
+        policy = policy.cache_size, policy.mpc_fraction
+    s, phi = (np.asarray(x)[..., None] for x in policy)
+    if np.any(s > library_size):
         raise ValueError("cache_size exceeds library_size")
-    if s == 0:
-        return np.zeros(library_size)
     c = np.arange(1, library_size + 1)
     n_windows = library_size - s + 1
     count = np.minimum(c, n_windows) - np.maximum(1, c - s + 1) + 1
-    phi = policy.mpc_fraction
     return phi * (c <= s) + (1.0 - phi) * count / n_windows
 
 

@@ -97,9 +97,12 @@ def _field(record, name: str, path: str):
 
 
 def _rebuilt(record, name: str, value):
-    """``record`` with field ``name`` set to ``value``, through its constructor,
-    so the record checks the value as YAML loading would."""
-    return type(record)(**{**record.__dict__, name: value})
+    """``record`` with field ``name`` set to ``value``; its ``__post_init__``
+    checks the value as YAML loading would. Fields are copied, not passed."""
+    new = object.__new__(type(record))
+    new.__dict__.update({**record.__dict__, name: value})
+    new.__post_init__()
+    return new
 
 
 def _replaced(record, names, value, path: str):
@@ -139,8 +142,7 @@ _BLANK_CELLS = dict.fromkeys([
 
 @dataclass
 class _SweepCache:
-    """Coverage tables of one sweep, the exponent tables they share, and
-    the content vectors its rows share (``analytic_columns``'s ``memo``).
+    """Coverage tables of one sweep and the exponent tables they share.
 
     One lives for one sweep, grid search or preset call, so every call
     pays for its own tabulation and no state outlives it.
@@ -148,7 +150,6 @@ class _SweepCache:
 
     tables: dict = dataclasses.field(default_factory=dict)
     exponents: dict = dataclasses.field(default_factory=dict)
-    vectors: dict = dataclasses.field(default_factory=dict)
 
 
 def _error_row(engine: str, message: str) -> dict:
@@ -167,25 +168,27 @@ _ANALYTIC_ROW = {"engine": "analytic", "status": "ok", "error": "", **_BLANK_CEL
 _BATCH_ROW_RANKS = 1 << 16
 
 
-def _analytic_rows(scenarios, cache: _SweepCache) -> list:
-    """Analytic row dicts of ``scenarios``, in order.
+def _analytic_rows(scenarios, cache: _SweepCache, heads) -> list:
+    """Analytic rows of ``scenarios``, in order, each opening with its ``heads``.
 
-    Each row's coverage table comes from ``cache`` by radio fingerprint
-    (built on a miss), so one batch may span several tables. Each run of
-    rows with one library size is one ``analytic_columns`` call, split
-    only past ``_BATCH_ROW_RANKS``. A row whose table fails or whose cost
-    is zero gets status ``error``.
+    A row takes the previous row's coverage table when their radio
+    fingerprints are equal, else its own from ``cache`` (built on a miss),
+    so one batch may span several tables. Each run of rows with one library
+    size is one ``analytic_columns`` call, split only past ``_BATCH_ROW_RANKS``.
+    A row whose table fails or whose cost is zero gets status ``error``.
     """
     rows = [None] * len(scenarios)
     ready = []
+    key = table = None
     for b, scenario in enumerate(scenarios):
-        key = scenario.radio_fingerprint()
-        table = cache.tables.get(key)
+        previous, key = key, scenario.radio_fingerprint()
+        if key != previous:
+            table = cache.tables.get(key)
         if table is None:
             try:
                 table = build_coverage_table(scenario, exponents=cache.exponents)
             except (QuadratureError, ValueError) as exc:
-                rows[b] = _error_row("analytic", str(exc))
+                rows[b] = {**heads[b], **_error_row("analytic", str(exc))}
                 continue
             cache.tables[key] = table
         ready.append((b, scenario, table))
@@ -197,7 +200,7 @@ def _analytic_rows(scenarios, cache: _SweepCache) -> list:
         batches += (run[lo:lo + step] for lo in range(0, len(run), step))
     for batch_rows in batches:
         index, batch, tables = zip(*batch_rows)
-        columns = analytic_columns(batch, tables, cache.vectors)
+        columns = analytic_columns(batch, tables)
         values, errors = columns.values, columns.error_estimates
         names = [*values, "cost_over_backhaul_unit", *(f"err_{k}" for k in errors),
                  *(f"rho_{i}" for i in range(1, columns.rho.shape[1] + 1))]
@@ -206,9 +209,10 @@ def _analytic_rows(scenarios, cache: _SweepCache) -> list:
                                  columns.rho]).tolist()
         for b, failure, row_cells in zip(index, columns.failures, cells):
             if failure is None:
-                rows[b] = {**_ANALYTIC_ROW, **dict(zip(names, row_cells))}
+                rows[b] = row = {**heads[b], **_ANALYTIC_ROW}
+                row.update(zip(names, row_cells))
             else:
-                rows[b] = _error_row("analytic", failure)
+                rows[b] = {**heads[b], **_error_row("analytic", failure)}
     return rows
 
 
@@ -269,11 +273,12 @@ def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
         except (ValueError, TypeError) as exc:  # raised once the rows before it are out
             failure = exc
             break
-    blocks = [_analytic_rows(scenarios, cache) if engine == "analytic"
-              else [_mc_row(s, workers) for s in scenarios] for engine in engines]
-    for value, cells in zip(grid, zip(*blocks)):
-        for engine_cells in cells:
-            yield {**point, **_cells(path, value), **engine_cells}
+    heads = [{**point, **_cells(path, value)} for value, _ in zip(grid, scenarios)]
+    blocks = [_analytic_rows(scenarios, cache, heads) if engine == "analytic"
+              else [{**h, **_mc_row(s, workers)} for h, s in zip(heads, scenarios)]
+              for engine in engines]
+    for rows in zip(*blocks):
+        yield from rows
     if failure is not None:
         raise failure
 
@@ -322,7 +327,7 @@ def grid_search(config: ScenarioConfig, variables: dict,
     per path. Coverage tables are reused across points that share
     radio-side parameters, so cache- and content-side searches cost one
     quadrature pass total; every table of the search shares one set of
-    interference-exponent tables, and every report one set of content vectors.
+    interference-exponent tables.
     """
     if not 1 <= len(variables) <= 3:
         raise ValueError("grid search supports 1 to 3 variables")

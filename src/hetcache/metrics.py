@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import CoverageTable, build_coverage_table
-from .content import cache_probability_vector
+from .content import ContentModel, cache_probability_vector
 from .scenario import ScenarioConfig
 
 __all__ = [
@@ -91,21 +91,42 @@ def tier_rates(scenario: ScenarioConfig) -> tuple:
     )
 
 
-def _scenario_constants(scenarios):
-    """The inputs to ``_delivery_metrics`` of B scenarios, one row each.
+def _distinct(keys, items, make) -> np.ndarray:
+    """``make(item)`` of each item as the rows of an array, made once per key."""
+    made = {}
+    for key, item in zip(keys, items):
+        if key not in made:
+            made[key] = make(item)
+    return np.array([made[key] for key in keys])
 
-    ``(lam, lam_rate, uncached_files, slots_per_m2, backhaul_unit_cost,
-    cache_unit_cost)``: (B, K) per-tier densities per m^2 and densities
-    times delivered rates; (B,) the F - S_1 files the macro tier does not
-    cache, the cache slots deployed per m^2 and the two unit costs.
+
+def _gather(scenarios):
+    """The per-rank vectors and constants of B scenarios, read in one pass.
+
+    Returns ``(a, q, constants)``: (B, F) request probabilities, made once
+    per content model; (B, K, F) caching probabilities from one broadcast;
+    and for ``_delivery_metrics`` the (B, K) densities per m^2 and those
+    times the rates (made once per thresholds and base), and the (B,) F - S_1
+    files the macro tier does not cache, cache slots per m^2 and two unit
+    costs. All scenarios share their tier count and library size.
     """
-    lam = np.stack([s.densities_per_m2() for s in scenarios])
-    cache_sizes = np.array([[t.cache.cache_size for t in s.tiers] for s in scenarios])
-    return (lam, lam * np.array([tier_rates(s) for s in scenarios]),
-            np.array([s.content.library_size for s in scenarios]) - cache_sizes[:, 0],
-            np.sum(lam * cache_sizes, axis=1),
-            np.array([s.costs.backhaul_unit_cost for s in scenarios]),
-            np.array([s.costs.cache_unit_cost for s in scenarios]))
+    scale, base, content, backhaul_cost, cache_cost = zip(*(
+        (s.density_scale, s.rate_log_base, s.content, s.costs.backhaul_unit_cost,
+         s.costs.cache_unit_cost) for s in scenarios))
+    density, threshold, size, fraction = (np.array(c).reshape(len(scenarios), -1) for c in zip(*(
+        (t.density, t.radio.sir_threshold, t.cache.cache_size, t.cache.mpc_fraction)
+        for s in scenarios for t in s.tiers)))
+    rates = _distinct([(b, *t) for b, t in zip(base, threshold.tolist())], scenarios, tier_rates)
+    a = _distinct([(c.library_size, c.popularity_exponent) for c in content], content,
+                  ContentModel.request_probabilities)
+    q = cache_probability_vector((size, fraction), content[0].library_size)
+    lam = density * np.array(scale)[:, None]
+    return a, q, (lam, lam * rates, q.shape[-1] - size[:, 0],
+                  np.sum(lam * size, axis=1), np.array(backhaul_cost), np.array(cache_cost))
+
+
+def _scenario_constants(scenarios):
+    return _gather(scenarios)[2]  # Monte Carlo's batch of one
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -128,7 +149,7 @@ def _delivery_metrics(w: np.ndarray, hit: np.ndarray, cached: np.ndarray,
     ``hit[b, c]`` is its cache-hit component, ``cached[b, i, c]`` the
     expected number of tier-(i+1) stations delivering it from cache and
     ``backhaul[b, c]`` the expected number of macro stations delivering it
-    over the backhaul. ``constants`` comes from ``_scenario_constants``;
+    over the backhaul. ``constants`` comes from ``_gather``;
     a batch of one scenario broadcasts over every row. Returns ``(p_hit,
     p_bh, ase_per_rank, ase, cost)``, (B,) arrays and the (B, F) ASE per
     rank: ASE in bit/s/Hz/m^2 counts cached deliveries at every tier plus
@@ -156,16 +177,6 @@ def caching_efficiency(ase: float, cost: float) -> float:
     return ase / cost
 
 
-def _memoised(memo: dict, key, make, *args) -> np.ndarray:
-    """``make(*args)`` the first time ``key`` is seen, kept read-only after."""
-    value = memo.get(key)
-    if value is None:
-        value = make(*args)
-        value.flags.writeable = False
-        memo[key] = value
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class AnalyticColumns:
     """Analytic metrics of B scenarios as columns; row b is scenario b.
@@ -186,23 +197,14 @@ class AnalyticColumns:
     failures: tuple
 
 
-def analytic_columns(scenarios, tables, memo: dict | None = None) -> AnalyticColumns:
+def analytic_columns(scenarios, tables) -> AnalyticColumns:
     """Evaluate every metric of B scenarios with the quadrature engine at once.
 
     ``tables[b]`` is the coverage table of ``scenarios[b]``'s radio side;
-    every scenario must have the same library size. ``memo`` is a dict
-    shared by the evaluations of one sweep: it keeps, read-only, the
-    request probabilities of each content model and the caching vector of
-    each (cache policy, library size). Each row equals the batch of one.
+    every scenario must have the same library size. The fields of every
+    row are read in one pass (``_gather``). Each row equals the batch of one.
     """
-    if memo is None:
-        memo = {}
-    a = np.stack([_memoised(memo, s.content, s.content.request_probabilities)
-                  for s in scenarios])
-    q = np.stack([_memoised(memo, (t.cache, s.content.library_size),
-                            cache_probability_vector, t.cache, s.content.library_size)
-                  for s in scenarios for t in s.tiers]).reshape(len(scenarios), -1, a.shape[1])
-    constants = _scenario_constants(scenarios)
+    a, q, constants = _gather(scenarios)
     lam, lam_rate, uncached_files, _, backhaul_cost, _ = constants
     rho = np.array([t.per_tier_density for t in tables])
     errs = np.array([t.error_estimates for t in tables])

@@ -175,9 +175,13 @@ class ScenarioConfig:
     def num_tiers(self) -> int:
         return len(self.tiers)
 
+    @property
+    def density_scale(self) -> float:
+        """Density per m^2 of one configured density unit."""
+        return 1e-6 if self.density_unit == PER_KM2 else 1.0
+
     def densities_per_m2(self) -> np.ndarray:
-        scale = 1e-6 if self.density_unit == PER_KM2 else 1.0
-        return np.array([t.density * scale for t in self.tiers])
+        return np.array([t.density * self.density_scale for t in self.tiers])
 
     def region_radius_m(self, protocol: SimulationProtocol | None = None) -> float:
         proto = protocol if protocol is not None else self.protocol

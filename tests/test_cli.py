@@ -53,6 +53,25 @@ def test_search_prints_best(tmp_path, capsys):
     assert "best:" in capsys.readouterr().out
 
 
+def test_search_of_one_path_twice_exits_one_naming_it(tmp_path, capsys):
+    path = "tiers[2].cache.cache_size"
+    code = main(["search", "--var", f"{path}=1,2", "--var", f"{path}=3",
+                 "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: search: ") and path in err
+
+
+def test_empty_grid_token_is_skipped_by_sweep_and_search(tmp_path, capsys):
+    path = "tiers[2].cache.cache_size"
+    for command, grid in (["sweep", "--param", path, "--values"], "1,,2"), (
+            ["search", "--var"], f"{path}=1,,2"):
+        out = tmp_path / f"{command[0]}.csv"
+        assert main([*command, grid, "--out", str(out)]) == 0, command[0]
+        cells = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert cells == ["1", "2"], command[0]
+
+
 def test_invalid_config_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("tiers:\n  - radio: {pathloss_exp_los: 9.0}\n")

@@ -134,6 +134,24 @@ def test_cache_probability_matches_vector():
         assert cache_probability(c, policy, 40) == pytest.approx(q[c - 1], abs=1e-15)
 
 
+@pytest.mark.parametrize("library_size", [1, 7, 100])
+def test_broadcast_vectors_equal_each_policy_alone(library_size):
+    # sizes down a column, fractions along a row: one (S, phi, F) array
+    sizes = sorted({0, 1, library_size - 1, library_size})
+    fractions = (0.0, 0.3, 1.0)
+    q = cache_probability_vector((np.array(sizes)[:, None], np.array(fractions)),
+                                 library_size)
+    assert q.shape == (len(sizes), len(fractions), library_size)
+    for i, size in enumerate(sizes):
+        for j, phi in enumerate(fractions):
+            policy = TierCachePolicy(size, phi)
+            alone = cache_probability_vector(policy, library_size)
+            assert q[i, j].tobytes() == alone.tobytes(), (size, phi)
+            for c in range(1, library_size + 1):
+                assert cache_probability(c, policy, library_size) == pytest.approx(
+                    alone[c - 1], abs=1e-15)
+
+
 def test_sample_placement_mpc_deterministic():
     rng = np.random.default_rng(0)
     is_mpc, starts = sample_placement_fields(rng, TierCachePolicy(5, 1.0), 100, 20)

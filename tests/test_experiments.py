@@ -273,27 +273,15 @@ def test_grid_search_rows_equal_naive_evaluation(monkeypatch):
         assert row == {**{path: row[path] for path in variables}, **naive}
 
 
-def test_memoised_vectors_are_read_only_and_not_aliased():
+def test_columns_are_not_aliased_across_calls():
+    # writing into one call's arrays leaves the next call's values alone
     s = default_scenario()
-    cache = _SweepCache()
-    axes = [("content.popularity_exponent", (0.5, 1.5)),
-            ("tiers[2].cache.mpc_fraction", (0.0, 1.0)),
-            ("tiers[2].cache.cache_size", (3, 9))]
-    rows = list(_grid_rows(s, axes, ("analytic",), 1, cache))
-    assert all(r["status"] == "ok" for r in rows)
-    # 2 content models, the macro policy, 2 x 2 small-cell policies
-    assert len(cache.vectors) == 2 + 1 + 4
-    assert not any(v.flags.writeable for v in cache.vectors.values())
-    with pytest.raises(ValueError):
-        next(iter(cache.vectors.values()))[0] = 1.0
-
     table = build_coverage_table(s)
     fresh = analytic_columns([s], [table])
-    memo = {}
-    first = analytic_columns([s], [table], memo)
+    first = analytic_columns([s], [table])
     for array in first.per_rank:  # per-rank hit, backhaul and ASE
         array[:] = -1.0
-    later = analytic_columns([s], [table], memo)
+    later = analytic_columns([s], [table])
     for got, want in zip(later.per_rank, fresh.per_rank, strict=True):
         assert np.array_equal(got, want)
     for name in ("p_hit", "p_bh", "ase", "cost", "efficiency"):
@@ -479,17 +467,27 @@ def test_grid_preset_rows_equal_rows_alone(name):
     _assert_rows_alone(config, axes, rows)
 
 
-def test_block_spanning_tables_equals_rows_alone(monkeypatch):
+@pytest.mark.parametrize("path, grid, tables", [
     # a radio path innermost: each block of three rows needs three tables
+    ("tiers[2].density", (1.0, 10.0, 100.0), 3),
+    ("tiers[1].radio.sir_threshold", (1.0, 2.0, 4.0), 3),
+    ("density_unit", ("per-m2", "per-km2"), 2),
+    # every other field the metrics read of a row, one table per block
+    ("rate_log_base", (2.0, math.e, 10.0), 1),
+    ("costs.backhaul_unit_cost", (0.5, 1.0, 4.0), 1),
+    ("costs.cache_unit_cost", (0.0, 0.01, 0.1), 1),
+    ("tiers[*].cache.mpc_fraction", (0.0, 0.3, 1.0), 1),
+    ("content.popularity_exponent", (0.0, 0.8, 1.5), 1),
+])
+def test_block_spanning_tables_equals_rows_alone(monkeypatch, path, grid, tables):
     s = default_scenario()
-    axes = [("tiers[2].cache.cache_size", (3, 9)),
-            ("tiers[2].density", (1.0, 10.0, 100.0))]
+    axes = [("tiers[2].cache.cache_size", (3, 9)), (path, grid)]
     batches = _count_calls(monkeypatch, "analytic_columns")
     cache = _SweepCache()
     rows = list(_grid_rows(s, axes, ("analytic",), 1, cache))
-    assert [len(args[0]) for args in batches] == [3, 3]
-    assert len(cache.tables) == 3
-    assert len({(r["rho_1"], r["rho_2"]) for r in rows}) == 3
+    assert [len(args[0]) for args in batches] == [len(grid), len(grid)]
+    assert len(cache.tables) == tables
+    assert len({(r["rho_1"], r["rho_2"]) for r in rows}) == tables
     _assert_rows_alone(s, axes, rows)
 
 

@@ -220,12 +220,11 @@ def test_shared_table_reports_equal_fresh_table_reports():
     # each row's report must be the one its own scenario's table gives
     s = default_scenario()
     table = build_coverage_table(s)
-    memo = {}
     for cache_size in (5, 9):
         for kappa in (1.0, 0.6):
             row = set_parameter(s, "tiers[2].cache.cache_size", cache_size)
             row = set_parameter(row, "content.popularity_exponent", kappa)
-            shared = analytic_columns([row], [table], memo)
+            shared = analytic_columns([row], [table])
             fresh = analytic_columns([row], [build_coverage_table(row)])
             for f in dataclasses.fields(AnalyticColumns):
                 got, want = getattr(shared, f.name), getattr(fresh, f.name)
