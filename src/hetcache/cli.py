@@ -134,6 +134,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
 
     try:
+        if args.workers < 1:
+            raise ConfigError("workers", "must be a positive integer")
         scenario = _load_scenario(args)
         if args.command in ("run", "sweep"):
             variables = {args.param: _sweep_grid(args)} if args.command == "sweep" else {}

@@ -125,10 +125,6 @@ def _gather(scenarios):
                   np.sum(lam * size, axis=1), np.array(backhaul_cost), np.array(cache_cost))
 
 
-def _scenario_constants(scenarios):
-    return _gather(scenarios)[2]  # Monte Carlo's batch of one
-
-
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (B, n) stacks (either may broadcast).
 

@@ -9,14 +9,15 @@ clears its tier's bias-scaled threshold; a content rank scores a hit when
 some covering station caches it, and uses the backhaul when no cache hit
 exists but a non-caching macro station covers.
 
-A snapshot only draws. Its path loss, powers, SIR, covering counts and
-cache windows are computed in one pass over a group of snapshots, laid
-out per tier as one ragged struct-of-arrays; a group closes at its
-chunk's end or once it holds ``GROUP_STATIONS`` stations. The pass keeps
-only each snapshot's covering counts and the cache window of each
-covering station; a chunk of snapshots assembles its hit, backhaul and
-per-rank counts at once, from one difference array per tier; the coverage
-figures come from the pooled covering counts.
+A snapshot only draws. Its path loss, powers, SIR and counts are
+computed in one pass over a group of snapshots, laid out per tier as one
+ragged struct-of-arrays; a group closes at its chunk's end or once it
+holds ``GROUP_STATIONS`` stations. The pass returns each snapshot's
+covering counts, its per-rank caching counts (summed over the covering
+stations' cache windows in one difference array per tier) and its hit and
+backhaul indicators; a chunk concatenates its groups' passes and scores
+them by popularity at once; the coverage figures come from the pooled
+covering counts.
 
 Snapshots are independent work units: snapshot ``k`` draws from a stream
 derived from ``(master_seed, k)`` by splittable seeding, each snapshot's
@@ -35,9 +36,9 @@ from itertools import accumulate
 import numpy as np
 
 from .channel import link_path_loss, sample_links
-from .content import cache_probability_vector, sample_placement_fields
+from .content import sample_placement_fields
 from .metrics import (MONTE_CARLO, MetricReport, _delivery_metrics, _dot,
-                      _scenario_constants, caching_efficiency)
+                      _gather, caching_efficiency)
 from .scenario import ScenarioConfig, SimulationProtocol
 
 __all__ = [
@@ -57,7 +58,6 @@ CHUNK_SNAPSHOTS = 64
 # never changes a result; it bounds the pass's arrays, so a wide-disk
 # snapshot of ~12,600 stations is a group of its own.
 GROUP_STATIONS = 8192
-_NO_WINDOWS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -94,17 +94,17 @@ class Snapshot:
 class SnapshotEstimates:
     """One group's pass: all that the engine keeps of its snapshots.
 
-    ``covering[s, i]`` counts the tier-(i+1) stations of the group's
-    snapshot ``s`` that clear their threshold. ``windows[i]`` holds one
-    entry per covering caching station of tier i+1: ``s * (F + 1)`` plus
-    its 0-based first cached rank (0 for MPC), i.e. its window's first cell
-    in the group's (snapshot, rank) difference array; it is empty when the
-    tier caches nothing. A chunk of passes becomes hit, backhaul and
-    per-rank counts in ``_chunk_indicators``.
+    Row ``s`` is the group's snapshot ``s``: ``covering[s, i]`` counts its
+    tier-(i+1) stations that clear their threshold, ``caching_covering[s,
+    i, c]`` those of them that cache rank c+1. ``hit[s, c]`` is set when
+    some covering station caches rank c+1, ``backhaul[s, c]`` when none
+    does but a covering macro station does not cache it.
     """
 
     covering: np.ndarray  # (S, K) int
-    windows: list  # K int arrays
+    caching_covering: np.ndarray  # (S, K, F) int
+    hit: np.ndarray  # (S, F) bool
+    backhaul: np.ndarray  # (S, F) bool
 
 
 def snapshot_rng(master_seed: int, snapshot_index: int) -> np.random.Generator:
@@ -165,62 +165,45 @@ def _sir_per_tier(tiers: list, counts: list, scenario: ScenarioConfig):
 
 
 def evaluate_snapshot(snapshots: list, scenario: ScenarioConfig) -> SnapshotEstimates:
-    """One group's pass: who covers per tier and snapshot, and which windows
-    they cache."""
-    S, F1 = len(snapshots), scenario.content.library_size + 1
-    tiers, counts = _stack(snapshots, scenario.num_tiers)
-    covering = np.empty((S, scenario.num_tiers), dtype=np.int64)
-    windows = []
+    """One group's pass: who covers per tier and snapshot, and how many of
+    them cache each rank.
+
+    A covering station's window adds +1 at its first rank and -1 past its
+    last to its tier's (snapshot, rank) difference array, whose running
+    sum along ranks is the count.
+    """
+    S, K, F = len(snapshots), scenario.num_tiers, scenario.content.library_size
+    tiers, counts = _stack(snapshots, K)
+    covering = np.empty((S, K), dtype=np.int64)
+    caching_covering = np.zeros((S, K, F), dtype=np.int64)
     for i, (tier, ts, n, sir) in enumerate(zip(scenario.tiers, tiers, counts,
                                                _sir_per_tier(tiers, counts, scenario))):
         (covers,) = (sir >= tier.effective_threshold()).nonzero()
         owner = np.cumsum(n).searchsorted(covers, side="right")
         covering[:, i] = np.bincount(owner, minlength=S)
-        windows.append(owner * F1 + np.where(ts.is_mpc[covers], 0, ts.window_start[covers] - 1)
-                       if tier.cache.cache_size and len(covers) else _NO_WINDOWS)
-    return SnapshotEstimates(covering, windows)
-
-
-def _chunk_indicators(estimates: list, scenario: ScenarioConfig):
-    """``(hit, backhaul, caching_covering, covering)`` of a chunk's group passes.
-
-    Shapes (S, F), (S, F), (S, K, F), (S, K) over the chunk's S snapshots.
-    A window adds +1 at its first rank and -1 past its last to a tier's
-    (snapshot, rank) difference array.
-    """
-    F = scenario.content.library_size
-    covering = np.concatenate([est.covering for est in estimates])
-    S = len(covering)
-    shifts = np.cumsum([0] + [len(est.covering) for est in estimates[:-1]]) * (F + 1)
-    caching_covering = np.zeros((S, scenario.num_tiers, F), dtype=np.int64)
-    for i, tier in enumerate(scenario.tiers):
-        first = np.concatenate([est.windows[i] + shift
-                                for est, shift in zip(estimates, shifts)])
-        diff = np.bincount(np.concatenate((first, first + tier.cache.cache_size)),
-                           weights=np.repeat((1.0, -1.0), len(first)),
-                           minlength=S * (F + 1))
-        caching_covering[:, i] = diff.reshape(S, F + 1)[:, :F].cumsum(axis=1)
+        if tier.cache.cache_size and len(covers):
+            first = owner * (F + 1) + np.where(ts.is_mpc[covers], 0, ts.window_start[covers] - 1)
+            diff = (np.bincount(first, minlength=S * (F + 1))
+                    - np.bincount(first + tier.cache.cache_size, minlength=S * (F + 1)))
+            caching_covering[:, i] = diff.reshape(S, F + 1)[:, :F].cumsum(axis=1)
     hit = caching_covering.sum(axis=1) > 0
     backhaul = ~hit & (covering[:, :1] > caching_covering[:, 0])
-    return hit, backhaul, caching_covering, covering
+    return SnapshotEstimates(covering, caching_covering, hit, backhaul)
 
 
 def _chunk_stats(args):
     """Accumulate one chunk of snapshots (worker function).
 
-    Snapshots are drawn one by one and scored in groups; the chunk's
-    indicators and counts, assembled from its groups' passes on a leading
-    snapshot axis, score every rank by popularity in one
-    ``_delivery_metrics`` call. Returns the (S, K) covering counts, (S, 5)
-    metric rows and per-rank integer sums (hits, caching coverage): sums
-    are exactly order-independent, and per-snapshot arrays come in
+    Snapshots are drawn one by one and scored in groups; the groups'
+    passes, concatenated on a leading snapshot axis, score every rank by
+    popularity in one ``_delivery_metrics`` call with the run's request
+    probabilities ``a``, macro caching probabilities ``q1`` and constants
+    (each (1, ...), from ``_gather``). Returns the (S, K) covering counts,
+    (S, 5) metric rows and per-rank integer sums (hits, caching coverage):
+    sums are exactly order-independent, and per-snapshot arrays come in
     snapshot order, so the final reduction is the same for any worker count.
     """
-    scenario, protocol, radius, start, stop = args
-    F = scenario.content.library_size
-    a = scenario.content.request_probabilities()
-    q1 = cache_probability_vector(scenario.tiers[0].cache, F)
-
+    scenario, protocol, radius, start, stop, a, q1, constants = args
     estimates, group, stations = [], [], 0
     for k in range(start, stop):
         group.append(sample_network(snapshot_rng(protocol.master_seed, k), scenario, radius))
@@ -229,11 +212,12 @@ def _chunk_stats(args):
             # the group's arrays go as soon as it is scored
             estimates.append(evaluate_snapshot(group, scenario))
             group, stations = [], 0
-    hit, backhaul, caching_covering, covering = _chunk_indicators(estimates, scenario)
+    covering, caching_covering, hit, backhaul = (
+        np.concatenate([getattr(est, name) for est in estimates])
+        for name in ("covering", "caching_covering", "hit", "backhaul"))
     p_hit, p_bh, _, ase, cost = _delivery_metrics(
-        a[None], hit, caching_covering, (1.0 - q1) * covering[:, :1],
-        _scenario_constants([scenario]))
-    metrics = np.column_stack((p_hit, p_bh, _dot(a[None], backhaul), ase, cost))
+        a, hit, caching_covering, (1.0 - q1) * covering[:, :1], constants)
+    metrics = np.column_stack((p_hit, p_bh, _dot(a, backhaul), ase, cost))
     return covering, metrics, (hit.sum(axis=0), caching_covering.sum(axis=0))
 
 
@@ -251,8 +235,6 @@ def _ratio_stderr(num: np.ndarray, den: np.ndarray) -> float:
         return 0.0
     a_bar = float(np.mean(num))
     b_bar = float(np.mean(den))
-    if b_bar == 0.0:
-        return 0.0
     cov = np.cov(num, den, ddof=1)
     var = (cov[0, 0] / b_bar ** 2
            + a_bar ** 2 * cov[1, 1] / b_bar ** 4
@@ -273,10 +255,11 @@ def run_simulation(scenario: ScenarioConfig,
     proto = scenario.protocol if protocol is None else protocol
     radius = scenario.region_radius_m(proto)
     n = proto.num_snapshots
-    chunks = [(scenario, proto, radius, s, min(s + CHUNK_SNAPSHOTS, n))
+    a, q, constants = _gather([scenario])
+    chunks = [(scenario, proto, radius, s, min(s + CHUNK_SNAPSHOTS, n), a, q[:, 0], constants)
               for s in range(0, n, CHUNK_SNAPSHOTS)]
     if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             results = list(pool.map(_chunk_stats, chunks))
     else:
         results = [_chunk_stats(c) for c in chunks]
@@ -294,15 +277,9 @@ def run_simulation(scenario: ScenarioConfig,
     efficiency = caching_efficiency(ase, cost)
 
     rho_mean = covering.sum(axis=0) / n
-    rho_se = tuple(math.sqrt(max(sumsq / n - mean ** 2, 0.0) / max(n - 1, 1))
-                   for sumsq, mean in zip((covering * covering).sum(axis=0), rho_mean))
-
-    F = scenario.content.library_size
-    q1 = cache_probability_vector(scenario.tiers[0].cache, F)
-    per_bh = (1.0 - q1) * float(rho_mean[0])
-    per_ase = _delivery_metrics(scenario.content.request_probabilities()[None],
-                                per_hit[None], cachcov_mean[None], per_bh[None],
-                                _scenario_constants([scenario]))[2][0]
+    per_bh = (1.0 - q[:, 0]) * float(rho_mean[0])
+    per_ase = _delivery_metrics(a, per_hit[None], cachcov_mean[None], per_bh,
+                                constants)[2][0]
 
     return MetricReport(
         provenance=MONTE_CARLO,
@@ -315,9 +292,9 @@ def run_simulation(scenario: ScenarioConfig,
         cost=cost,
         efficiency=efficiency,
         per_tier_coverage_density=tuple(float(x) for x in rho_mean),
-        per_tier_coverage_density_stderr=rho_se,
+        per_tier_coverage_density_stderr=tuple(_stderr(col) for col in covering.T),
         per_content_hit=per_hit,
-        per_content_backhaul=per_bh,
+        per_content_backhaul=per_bh[0],
         per_content_ase=per_ase,
         stderr={
             "p_hit": _stderr(whit),

@@ -91,25 +91,23 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
         edges.extend(np.linspace(lo, hi, _INITIAL_PANELS + 1)[:-1])
     edges.append(marks[-1])
 
-    panels = {}  # id -> (lo, hi, value, error)
-    heap = []  # (-max_error, insertion_seq, id)
-    seq = 0
-    for lo, hi, (q, e) in zip(edges[:-1], edges[1:], _panels(f, edges)):
-        panels[seq] = (lo, hi, q, e)
-        heapq.heappush(heap, (-float(np.max(e)), seq, seq))
-        seq += 1
+    initial = _panels(f, edges)
+    # (-max_error, insertion_seq, lo, hi, value, error); seq breaks ties
+    heap = [(-float(np.max(e)), seq, lo, hi, q, e)
+            for seq, (lo, hi, (q, e)) in enumerate(zip(edges[:-1], edges[1:], initial))]
+    heapq.heapify(heap)
+    seq = len(heap)
 
-    total_q = np.sum(np.stack([p[2] for p in panels.values()]), axis=0)
-    total_e = np.sum(np.stack([p[3] for p in panels.values()]), axis=0)
+    total_q = np.sum(np.stack([q for q, _ in initial]), axis=0)
+    total_e = np.sum(np.stack([e for _, e in initial]), axis=0)
 
     while not np.all(total_e <= np.maximum(abs_tol, rel_tol * np.abs(total_q))):
-        if len(panels) >= max_panels:
+        if len(heap) >= max_panels:
             raise QuadratureError(
                 f"no convergence within {max_panels} panels",
                 error_estimate=total_e,
             )
-        _, _, worst = heapq.heappop(heap)
-        lo, hi, q, e = panels.pop(worst)
+        _, _, lo, hi, q, e = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # width at rounding limit; cannot refine
             raise QuadratureError(
@@ -120,15 +118,14 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
         total_e = total_e - e
         halves = zip((lo, mid), (mid, hi), _panels(f, (lo, mid, hi)))
         for c_lo, c_hi, (cq, ce) in halves:
-            panels[seq] = (c_lo, c_hi, cq, ce)
-            heapq.heappush(heap, (-float(np.max(ce)), seq, seq))
+            heapq.heappush(heap, (-float(np.max(ce)), seq, c_lo, c_hi, cq, ce))
             seq += 1
             total_q = total_q + cq
             total_e = total_e + ce
 
     # Re-sum in interval order so the result does not depend on refinement
     # bookkeeping (bit-identical across runs).
-    ordered = sorted(panels.values(), key=lambda p: p[0])
-    values = np.sum(np.stack([p[2] for p in ordered]), axis=0)
-    errors = np.sum(np.stack([p[3] for p in ordered]), axis=0)
+    ordered = sorted(heap, key=lambda p: p[2])
+    values = np.sum(np.stack([p[4] for p in ordered]), axis=0)
+    errors = np.sum(np.stack([p[5] for p in ordered]), axis=0)
     return values, errors

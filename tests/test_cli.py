@@ -99,6 +99,7 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     ("tiers:\n  - radio: {pathloss_exp_los: 9.0}\n", [], "tiers[1].radio"),
     ("tiers:\n  - radio: {nakagami_nlos: 3}\n", [], "tiers[1].radio"),
     ("protocol: {content_evaluation: sampled}\n", [], "protocol.content_evaluation"),
+    ("", ["--engine", "mc", "--workers", "-3"], "workers"),
 ])
 def test_bad_value_exits_one_with_its_path(tmp_path, capsys, text, flags, path):
     cfg = tmp_path / "bad.yaml"

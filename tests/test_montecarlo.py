@@ -11,12 +11,11 @@ from hetcache.channel import TierRadioParams, link_path_loss
 from hetcache.content import (ContentModel, TierCachePolicy,
                               cache_probability_vector)
 from hetcache.experiments import set_parameter
-from hetcache.metrics import (MetricReport, _delivery_metrics,
-                              _scenario_constants, tier_rates)
+from hetcache.metrics import (MetricReport, _delivery_metrics, _gather,
+                              tier_rates)
 from hetcache.montecarlo import (CHUNK_SNAPSHOTS, Snapshot, TierSnapshot,
-                                 _chunk_indicators, _sir_per_tier, _stack,
-                                 evaluate_snapshot, run_simulation,
-                                 sample_network, snapshot_rng)
+                                 _sir_per_tier, _stack, evaluate_snapshot,
+                                 run_simulation, sample_network, snapshot_rng)
 from hetcache.scenario import (CostModel, IntegrationSettings, ScenarioConfig,
                                SimulationProtocol, TierConfig, default_scenario)
 
@@ -58,11 +57,9 @@ def sir_per_tier(snapshot, scenario):
     return _sir_per_tier(*_stack([snapshot], scenario.num_tiers), scenario)
 
 
-def chunk_of_one(est, scenario):
-    """``(hit, backhaul, caching_covering)`` of one snapshot's pass: the
-    chunk assembly on a chunk of one."""
-    hit, backhaul, caching_covering, _ = _chunk_indicators([est], scenario)
-    return hit[0], backhaul[0], caching_covering[0]
+def chunk_of_one(est):
+    """``(hit, backhaul, caching_covering)`` of one snapshot's pass."""
+    return est.hit[0], est.backhaul[0], est.caching_covering[0]
 
 
 def test_zero_density_tier_always_empty():
@@ -112,7 +109,7 @@ def test_empty_tier_keeps_dtypes_and_never_covers():
             assert field.shape == (0,) and field.dtype == dtype, name
         est = evaluate_snapshot([snap], s)
         assert est.covering[0, 0] == 0
-        assert not np.any(chunk_of_one(est, s)[2][0])
+        assert not np.any(chunk_of_one(est)[2][0])
 
 
 def test_single_station_has_infinite_sir():
@@ -153,7 +150,7 @@ def test_evaluate_snapshot_pinned_two_tier():
     macro = manual_tier([1e-9], tx_power=40.0, cache_size=20, library_size=100)
     small = manual_tier([1.0], tx_power=4.0, cache_size=5, library_size=100)
     est = evaluate_snapshot([Snapshot([macro, small])], s)
-    hit, backhaul, caching_covering = chunk_of_one(est, s)
+    hit, backhaul, caching_covering = chunk_of_one(est)
     assert est.covering.tolist() == [[0, 1]]
     assert np.all(hit[:5]) and not np.any(hit[5:])
     assert not np.any(backhaul)  # macro does not cover anything
@@ -167,7 +164,7 @@ def test_evaluate_snapshot_backhaul_event():
     macro = manual_tier([1.0], tx_power=40.0, cache_size=20, library_size=100)
     small = manual_tier([1e-9], tx_power=4.0, cache_size=5, library_size=100)
     est = evaluate_snapshot([Snapshot([macro, small])], s)
-    hit, backhaul, _ = chunk_of_one(est, s)
+    hit, backhaul, _ = chunk_of_one(est)
     assert est.covering.tolist() == [[1, 0]]
     assert np.all(hit[:20]) and not np.any(hit[20:])
     assert not np.any(backhaul[:20]) and np.all(backhaul[20:])
@@ -180,7 +177,7 @@ def test_unattainable_thresholds_zero_everything():
     rng = np.random.default_rng(3)
     snap = sample_network(rng, s, region_radius=3000.0)
     est = evaluate_snapshot([snap], s)
-    hit, backhaul, caching_covering = chunk_of_one(est, s)
+    hit, backhaul, caching_covering = chunk_of_one(est)
     assert not np.any(hit) and not np.any(backhaul)
     assert np.all(est.covering == 0) and np.all(caching_covering == 0)
 
@@ -195,7 +192,7 @@ def test_tiny_bias_factor_makes_thresholds_unattainable():
         if snap.station_count() < 2:
             continue  # a lone station has infinite SIR and covers regardless
         est = evaluate_snapshot([snap], s)
-        assert not np.any(chunk_of_one(est, s)[0])
+        assert not np.any(chunk_of_one(est)[0])
         assert np.all(est.covering == 0)
 
 
@@ -206,7 +203,7 @@ def test_full_caches_never_use_backhaul():
     rng = np.random.default_rng(4)
     for _ in range(10):
         est = evaluate_snapshot([sample_network(rng, s, region_radius=3000.0)], s)
-        assert not np.any(chunk_of_one(est, s)[1])
+        assert not np.any(chunk_of_one(est)[1])
 
 
 def test_snapshot_estimate_invariants():
@@ -214,7 +211,7 @@ def test_snapshot_estimate_invariants():
     rng = np.random.default_rng(5)
     for _ in range(15):
         est = evaluate_snapshot([sample_network(rng, s, region_radius=3000.0)], s)
-        hit, backhaul, caching_covering = chunk_of_one(est, s)
+        hit, backhaul, caching_covering = chunk_of_one(est)
         # hit and operational backhaul are mutually exclusive
         assert not np.any(hit & backhaul)
         # covering count dominates the caching-restricted count
@@ -240,7 +237,7 @@ def test_run_simulation_single_snapshot_reproduces_indicators():
     snap = sample_network(snapshot_rng(17, 0), s, region_radius=5000.0)
     est = evaluate_snapshot([snap], s)
     weights = s.content.request_probabilities()
-    hit = chunk_of_one(est, s)[0]
+    hit = chunk_of_one(est)[0]
     assert report.p_hit == pytest.approx(float(weights @ hit), abs=1e-15)
     assert report.per_tier_coverage_density == tuple(est.covering[0].astype(float))
     assert report.stderr["p_hit"] == 0.0
@@ -259,7 +256,7 @@ def test_single_snapshot_metrics_match_closed_forms(mode):
     report = run_simulation(s, protocol=proto)
 
     est = evaluate_snapshot([sample_network(snapshot_rng(5, 0), s, region_radius=2500.0)], s)
-    hit, _, caching_covering = chunk_of_one(est, s)
+    hit, _, caching_covering = chunk_of_one(est)
     F = s.content.library_size
     a = s.content.request_probabilities()
     n1 = est.covering[0, 0]
@@ -296,6 +293,32 @@ def test_run_simulation_worker_count_invariance():
     assert r1.stderr == r4.stderr
     assert r1.per_tier_coverage_density == r4.per_tier_coverage_density
     assert np.array_equal(r1.per_content_hit, r4.per_content_hit)
+
+
+def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
+    # 100 snapshots are 2 chunks, so a pool of 4 would start 2 idle
+    # processes; the fake pool records its size and maps in this process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    s = default_scenario()
+    proto = SimulationProtocol(num_snapshots=100, region_radius=2500.0, master_seed=3)
+    report = run_simulation(s, protocol=proto, workers=4)
+    assert sizes == [2]
+    assert_reports_identical(report, run_simulation(s, protocol=proto))
 
 
 def test_caching_agnostic_coverage_dominates_hit():
@@ -336,12 +359,12 @@ def test_chunked_metrics_equal_snapshot_rows(mode):
     F = s.content.library_size
     a = s.content.request_probabilities()
     q1 = cache_probability_vector(s.tiers[0].cache, F)
-    constants = _scenario_constants([s])
+    constants = _gather([s])[2]
     rows = np.empty((70, 5))
     for k in range(70):
         est = evaluate_snapshot([sample_network(snapshot_rng(23, k), s,
                                                 region_radius=2500.0)], s)
-        hit, backhaul, caching_covering = chunk_of_one(est, s)
+        hit, backhaul, caching_covering = chunk_of_one(est)
         p_hit, p_bh, _, ase, cost = _delivery_metrics(
             a[None], hit[None], caching_covering[None],
             ((1.0 - q1) * est.covering[0, 0])[None], constants)
@@ -353,7 +376,7 @@ def test_chunked_metrics_equal_snapshot_rows(mode):
 def loop_indicators(snapshot, scenario):
     """One snapshot's indicators by a loop over its covering stations.
 
-    The oracle of the chunk assembly: each covering caching station adds 1
+    The oracle of the group pass: each covering caching station adds 1
     over its window, one station at a time. Returns (hit, backhaul,
     caching_covering, covering, any_coverage).
     """
@@ -377,14 +400,15 @@ def loop_indicators(snapshot, scenario):
 
 
 def assert_chunk_matches_loop(snapshots, scenario):
-    """Assemble ``snapshots`` as one chunk, scored as one group and as a
-    group per snapshot; each row must equal the loop."""
-    hit, backhaul, caching_covering, covering = _chunk_indicators(
-        [evaluate_snapshot(snapshots, scenario)], scenario)
-    singles = _chunk_indicators([evaluate_snapshot([snap], scenario)
-                                 for snap in snapshots], scenario)
-    for got, want in zip(singles, (hit, backhaul, caching_covering, covering)):
-        assert np.array_equal(got, want)
+    """Score ``snapshots`` as one group and as a group per snapshot; each
+    row must equal the loop."""
+    group = evaluate_snapshot(snapshots, scenario)
+    hit, backhaul, caching_covering, covering = (
+        group.hit, group.backhaul, group.caching_covering, group.covering)
+    singles = [evaluate_snapshot([snap], scenario) for snap in snapshots]
+    for name, want in (("hit", hit), ("backhaul", backhaul),
+                       ("caching_covering", caching_covering), ("covering", covering)):
+        assert np.array_equal(np.concatenate([getattr(e, name) for e in singles]), want)
     F, K = scenario.content.library_size, scenario.num_tiers
     S = len(snapshots)
     assert hit.shape == backhaul.shape == (S, F)
@@ -397,9 +421,9 @@ def assert_chunk_matches_loop(snapshots, scenario):
         assert np.array_equal(caching_covering[k], want[2]), k
         assert np.array_equal(covering[k], want[3]), k
         assert bool(covering[k].any()) == want[4], k
-        # a single snapshot is a chunk of one
+        # a single snapshot is a group of one
         est = evaluate_snapshot([snap], scenario)
-        one_hit, one_backhaul, one_caching_covering = chunk_of_one(est, scenario)
+        one_hit, one_backhaul, one_caching_covering = chunk_of_one(est)
         assert np.array_equal(one_hit, want[0]) and np.array_equal(one_backhaul, want[1])
         assert np.array_equal(one_caching_covering, want[2])
         assert np.array_equal(est.covering[0], want[3]) and bool(est.covering.any()) == want[4]
