@@ -84,7 +84,9 @@ def cache_probability_vector(policy, library_size: int) -> np.ndarray:
         raise ValueError("cache_size exceeds library_size")
     c = np.arange(1, library_size + 1)
     n_windows = library_size - s + 1
-    count = np.minimum(c, n_windows) - np.maximum(1, c - s + 1) + 1
+    # windows holding c: min(c, F - s + 1) - max(1, c - s + 1) + 1, which is
+    # min(c, s, F - s + 1, F - c + 1) for 0 <= s <= F
+    count = np.minimum(np.minimum(c, s), np.minimum(n_windows, c[::-1]))
     return phi * (c <= s) + (1.0 - phi) * count / n_windows
 
 

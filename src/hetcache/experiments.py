@@ -40,7 +40,7 @@ from .metrics import analytic_columns
 from .metrics import analytic_report  # noqa: F401
 from .montecarlo import run_simulation
 from .quadrature import QuadratureError
-from .scenario import ConfigError, ScenarioConfig
+from .scenario import _RADIO_FIELDS, ConfigError, ScenarioConfig, _reaches
 
 __all__ = [
     "GridSearchResult",
@@ -81,6 +81,13 @@ def _parse(path: str):
     return ("*" if m.group(1) == "*" else int(m.group(1))), tuple(names)
 
 
+def _reach(path) -> tuple:
+    """The name sequences an axis sets, for ``scenario._reaches``: a path
+    ``tiers[2].cache.cache_size`` sets ``("tiers", 2, "cache", "cache_size")``."""
+    return tuple(names if tier is None else ("tiers", tier, *names)
+                 for tier, names in map(_parse, (path,) if isinstance(path, str) else path))
+
+
 def _tier_positions(scenario: ScenarioConfig, tier, path: str):
     count = len(scenario.tiers)
     if tier == "*":
@@ -100,7 +107,9 @@ def _rebuilt(record, name: str, value):
     """``record`` with field ``name`` set to ``value``; its ``__post_init__``
     checks the value as YAML loading would. Fields are copied, not passed."""
     new = object.__new__(type(record))
-    new.__dict__.update({**record.__dict__, name: value})
+    fields = new.__dict__
+    fields.update(record.__dict__)
+    fields[name] = value
     new.__post_init__()
     return new
 
@@ -168,30 +177,37 @@ _ANALYTIC_ROW = {"engine": "analytic", "status": "ok", "error": "", **_BLANK_CEL
 _BATCH_ROW_RANKS = 1 << 16
 
 
-def _analytic_rows(scenarios, cache: _SweepCache, heads) -> list:
+def _analytic_rows(scenarios, cache: _SweepCache, heads, reach=None) -> list:
     """Analytic rows of ``scenarios``, in order, each opening with its ``heads``.
 
-    A row takes the previous row's coverage table when their radio
-    fingerprints are equal, else its own from ``cache`` (built on a miss),
-    so one batch may span several tables. Each run of rows with one library
-    size is one ``analytic_columns`` call, split only past ``_BATCH_ROW_RANKS``.
-    A row whose table fails or whose cost is zero gets status ``error``.
+    ``reach`` is what the block's axis sets (``_reach``), None if unknown;
+    ``scenario._reaches`` says which fields it can change. Each run of rows
+    with one radio fingerprint takes one coverage table from ``cache``
+    (built on a miss), so one batch may span several tables; when ``reach``
+    reaches no field the fingerprint reads, the block is one run with its
+    first row's fingerprint. Each run of rows with one library size is one
+    ``analytic_columns`` call, given ``reach``, split only past
+    ``_BATCH_ROW_RANKS``. A row whose table fails or whose cost is zero gets
+    status ``error``.
     """
+    if any(_reaches(reach, field) for field in _RADIO_FIELDS):
+        keys = [s.radio_fingerprint() for s in scenarios]
+    else:
+        keys = [s.radio_fingerprint() for s in scenarios[:1]] * len(scenarios)
     rows = [None] * len(scenarios)
     ready = []
-    key = table = None
-    for b, scenario in enumerate(scenarios):
-        previous, key = key, scenario.radio_fingerprint()
-        if key != previous:
-            table = cache.tables.get(key)
+    for key, run in itertools.groupby(range(len(scenarios)), keys.__getitem__):
+        run = list(run)
+        table = cache.tables.get(key)
         if table is None:
             try:
-                table = build_coverage_table(scenario, exponents=cache.exponents)
+                table = build_coverage_table(scenarios[run[0]], exponents=cache.exponents)
             except (QuadratureError, ValueError) as exc:
-                rows[b] = {**heads[b], **_error_row("analytic", str(exc))}
+                for b in run:
+                    rows[b] = {**heads[b], **_error_row("analytic", str(exc))}
                 continue
             cache.tables[key] = table
-        ready.append((b, scenario, table))
+        ready += ((b, scenarios[b], table) for b in run)
     batches = []
     for library_size, run in itertools.groupby(
             ready, lambda item: item[1].content.library_size):
@@ -200,16 +216,18 @@ def _analytic_rows(scenarios, cache: _SweepCache, heads) -> list:
         batches += (run[lo:lo + step] for lo in range(0, len(run), step))
     for batch_rows in batches:
         index, batch, tables = zip(*batch_rows)
-        columns = analytic_columns(batch, tables)
+        columns = analytic_columns(batch, tables, _reach=reach)
         values, errors = columns.values, columns.error_estimates
         names = [*values, "cost_over_backhaul_unit", *(f"err_{k}" for k in errors),
                  *(f"rho_{i}" for i in range(1, columns.rho.shape[1] + 1))]
         cost_per_unit = values["cost"] / [s.costs.backhaul_unit_cost for s in batch]
         cells = np.column_stack([*values.values(), cost_per_unit, *errors.values(),
                                  columns.rho]).tolist()
+        template = {**heads[index[0]], **_ANALYTIC_ROW}  # a block's heads share their keys
         for b, failure, row_cells in zip(index, columns.failures, cells):
             if failure is None:
-                rows[b] = row = {**heads[b], **_ANALYTIC_ROW}
+                rows[b] = row = template.copy()
+                row.update(heads[b])
                 row.update(zip(names, row_cells))
             else:
                 rows[b] = {**heads[b], **_error_row("analytic", failure)}
@@ -254,9 +272,13 @@ def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
     from the deepest prefix it shares with the previous one, as nested
     loops would: ``set_parameter`` runs once per changed value, in path
     order. The points of one innermost grid form a block whose analytic
-    rows are scored in one batch. Failed rows are yielded with status
-    ``error``; a bad parameter value raises where it is set, after the
-    rows of its block before it.
+    rows are scored in one batch. A block's points differ from the scenario
+    they are built from only in the fields their path reaches (the rule is
+    ``scenario._reaches``), so the batch is told that path (``_reach``): it
+    reads every other field once, and a block whose path reaches no field
+    of ``ScenarioConfig.radio_fingerprint`` takes one coverage table. Failed
+    rows are yielded with status ``error``; a bad parameter value raises
+    where it is set, after the rows of its block before it.
     """
     cache = _SweepCache() if cache is None else cache
     point = {} if point is None else point
@@ -274,7 +296,7 @@ def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
             failure = exc
             break
     heads = [{**point, **_cells(path, value)} for value, _ in zip(grid, scenarios)]
-    blocks = [_analytic_rows(scenarios, cache, heads) if engine == "analytic"
+    blocks = [_analytic_rows(scenarios, cache, heads, _reach(path)) if engine == "analytic"
               else [{**h, **_mc_row(s, workers)} for h, s in zip(heads, scenarios)]
               for engine in engines]
     for rows in zip(*blocks):
@@ -288,8 +310,10 @@ def _plan(variables: dict, engine: str):
     if engine not in _ENGINES:
         raise ValueError(f"engine must be one of {sorted(_ENGINES)}, not {engine!r}")
     axes = [(path, tuple(grid)) for path, grid in variables.items()]
-    if any(len(grid) == 0 for _, grid in axes):
-        raise ValueError("grids must be non-empty")
+    for path, grid in axes:
+        if not grid:
+            raise ConfigError(path if isinstance(path, str) else ", ".join(path),
+                              "grid must be non-empty")
     return axes, _ENGINES[engine]
 
 
@@ -330,7 +354,7 @@ def grid_search(config: ScenarioConfig, variables: dict,
     interference-exponent tables.
     """
     if not 1 <= len(variables) <= 3:
-        raise ValueError("grid search supports 1 to 3 variables")
+        raise ConfigError("search", f"supports 1 to 3 variables, not {len(variables)}")
     axes, engines = _plan(variables, engine)
     if len(engines) > 1:
         raise ValueError("grid search uses a single engine")

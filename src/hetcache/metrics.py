@@ -24,13 +24,14 @@ Range expansion rescales each tier's association threshold to
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analytic import CoverageTable, build_coverage_table
 from .content import ContentModel, cache_probability_vector
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, _reaches
 
 __all__ = [
     "UndefinedEfficiencyError",
@@ -100,29 +101,64 @@ def _distinct(keys, items, make) -> np.ndarray:
     return np.array([made[key] for key in keys])
 
 
-def _gather(scenarios):
+def _gather(scenarios, reach=None):
     """The per-rank vectors and constants of B scenarios, read in one pass.
 
     Returns ``(a, q, constants)``: (B, F) request probabilities, made once
-    per content model; (B, K, F) caching probabilities from one broadcast;
-    and for ``_delivery_metrics`` the (B, K) densities per m^2 and those
-    times the rates (made once per thresholds and base), and the (B,) F - S_1
-    files the macro tier does not cache, cache slots per m^2 and two unit
-    costs. All scenarios share their tier count and library size.
+    per content model; (B, K, F) caching probabilities, one broadcast
+    ``cache_probability_vector`` call per tier; and for
+    ``_delivery_metrics`` the (B, K) densities per m^2 and those times the
+    rates (made once per thresholds and base), and the (B,) F - S_1 files
+    the macro tier does not cache, cache slots per m^2 and two unit costs.
+    All scenarios share their tier count and library size.
+
+    ``reach`` holds the name sequences a grid block's axis sets. A field it
+    does not reach (``scenario._reaches``) is equal in every row, so it is
+    read once, from the first scenario, and so is a tier's caching vector.
+    None, for scenarios that are not a grid block, reads every field of
+    every row.
     """
-    scale, base, content, backhaul_cost, cache_cost = zip(*(
-        (s.density_scale, s.rate_log_base, s.content, s.costs.backhaul_unit_cost,
-         s.costs.cache_unit_cost) for s in scenarios))
-    density, threshold, size, fraction = (np.array(c).reshape(len(scenarios), -1) for c in zip(*(
-        (t.density, t.radio.sir_threshold, t.cache.cache_size, t.cache.mpc_fraction)
-        for s in scenarios for t in s.tiers)))
-    rates = _distinct([(b, *t) for b, t in zip(base, threshold.tolist())], scenarios, tier_rates)
+    B, first = len(scenarios), scenarios[0]
+    K, F = first.num_tiers, first.content.library_size
+
+    def read(field, get):
+        """``get`` of each scenario, or of the first alone if ``field`` is not reached."""
+        return [get(s) for s in scenarios] if _reaches(reach, field) else [get(first)]
+
+    def per_tier(name):
+        """Field ``name`` of each tier as an (n, K) array: n = B when the
+        axis reaches it at some tier, else 1."""
+        get = operator.attrgetter(name)
+        columns = [read(("tiers", k + 1, *name.split(".")), lambda s: get(s.tiers[k]))
+                   for k in range(K)]
+        n = max(map(len, columns))
+        return np.column_stack([column * (n // len(column)) for column in columns])
+
+    density, size, fraction = map(per_tier, ("density", "cache.cache_size", "cache.mpc_fraction"))
+    scale = np.array(read(("density_unit",), lambda s: s.density_scale))
+    backhaul_cost, cache_cost = (np.array(read(("costs", name), lambda s: getattr(s.costs, name)))
+                                 for name in ("backhaul_unit_cost", "cache_unit_cost"))
+    rated = scenarios if any(_reaches(reach, field) for field in (
+        ("rate_log_base",), ("tiers", "*", "radio", "sir_threshold"))) else [first]
+    rates = _distinct([(s.rate_log_base, *(t.radio.sir_threshold for t in s.tiers))
+                       for s in rated], rated, tier_rates)
+    content = read(("content",), lambda s: s.content)
     a = _distinct([(c.library_size, c.popularity_exponent) for c in content], content,
                   ContentModel.request_probabilities)
-    q = cache_probability_vector((size, fraction), content[0].library_size)
-    lam = density * np.array(scale)[:, None]
-    return a, q, (lam, lam * rates, q.shape[-1] - size[:, 0],
-                  np.sum(lam * size, axis=1), np.array(backhaul_cost), np.array(cache_cost))
+    q = np.empty((B, K, F))
+    for k in range(K):
+        rows = slice(None) if _reaches(reach, ("tiers", k + 1, "cache")) else slice(1)
+        q[:, k] = cache_probability_vector((size[rows, k], fraction[rows, k]), F)
+    lam = density * scale[:, None]
+
+    def every_row(x):
+        # copied rows, not a broadcast view: the batched products see the
+        # same contiguous (B, ...) arrays as when every row is read
+        return x if len(x) == B else np.repeat(x, B, axis=0)
+
+    return every_row(a), q, tuple(map(every_row, (
+        lam, lam * rates, F - size[:, 0], np.sum(lam * size, axis=1), backhaul_cost,
+        cache_cost)))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -193,14 +229,16 @@ class AnalyticColumns:
     failures: tuple
 
 
-def analytic_columns(scenarios, tables) -> AnalyticColumns:
+def analytic_columns(scenarios, tables, *, _reach=None) -> AnalyticColumns:
     """Evaluate every metric of B scenarios with the quadrature engine at once.
 
     ``tables[b]`` is the coverage table of ``scenarios[b]``'s radio side;
     every scenario must have the same library size. The fields of every
     row are read in one pass (``_gather``). Each row equals the batch of one.
+    ``_reach`` is private to the grid driver: it tells ``_gather`` what the
+    block's axis sets.
     """
-    a, q, constants = _gather(scenarios)
+    a, q, constants = _gather(scenarios, _reach)
     lam, lam_rate, uncached_files, _, backhaul_cost, _ = constants
     rho = np.array([t.per_tier_density for t in tables])
     errs = np.array([t.error_estimates for t in tables])

@@ -14,10 +14,10 @@ computed in one pass over a group of snapshots, laid out per tier as one
 ragged struct-of-arrays; a group closes at its chunk's end or once it
 holds ``GROUP_STATIONS`` stations. The pass returns each snapshot's
 covering counts, its per-rank caching counts (summed over the covering
-stations' cache windows in one difference array per tier) and its hit and
-backhaul indicators; a chunk concatenates its groups' passes and scores
-them by popularity at once; the coverage figures come from the pooled
-covering counts.
+stations' cache windows in one difference array per tier); a chunk
+concatenates its groups' passes, derives each snapshot's hit and backhaul
+indicators from them and scores them by popularity at once; the coverage
+figures come from the pooled covering counts.
 
 Snapshots are independent work units: snapshot ``k`` draws from a stream
 derived from ``(master_seed, k)`` by splittable seeding, each snapshot's
@@ -96,15 +96,11 @@ class SnapshotEstimates:
 
     Row ``s`` is the group's snapshot ``s``: ``covering[s, i]`` counts its
     tier-(i+1) stations that clear their threshold, ``caching_covering[s,
-    i, c]`` those of them that cache rank c+1. ``hit[s, c]`` is set when
-    some covering station caches rank c+1, ``backhaul[s, c]`` when none
-    does but a covering macro station does not cache it.
+    i, c]`` those of them that cache rank c+1.
     """
 
     covering: np.ndarray  # (S, K) int
     caching_covering: np.ndarray  # (S, K, F) int
-    hit: np.ndarray  # (S, F) bool
-    backhaul: np.ndarray  # (S, F) bool
 
 
 def snapshot_rng(master_seed: int, snapshot_index: int) -> np.random.Generator:
@@ -186,9 +182,15 @@ def evaluate_snapshot(snapshots: list, scenario: ScenarioConfig) -> SnapshotEsti
             diff = (np.bincount(first, minlength=S * (F + 1))
                     - np.bincount(first + tier.cache.cache_size, minlength=S * (F + 1)))
             caching_covering[:, i] = diff.reshape(S, F + 1)[:, :F].cumsum(axis=1)
+    return SnapshotEstimates(covering, caching_covering)
+
+
+def _hit_backhaul(covering: np.ndarray, caching_covering: np.ndarray):
+    """(S, F) indicators of passes: rank c+1 of snapshot s is a hit when some
+    covering station caches it, and uses the backhaul when none does but a
+    covering macro station does not cache it."""
     hit = caching_covering.sum(axis=1) > 0
-    backhaul = ~hit & (covering[:, :1] > caching_covering[:, 0])
-    return SnapshotEstimates(covering, caching_covering, hit, backhaul)
+    return hit, ~hit & (covering[:, :1] > caching_covering[:, 0])
 
 
 def _chunk_stats(args):
@@ -212,9 +214,9 @@ def _chunk_stats(args):
             # the group's arrays go as soon as it is scored
             estimates.append(evaluate_snapshot(group, scenario))
             group, stations = [], 0
-    covering, caching_covering, hit, backhaul = (
-        np.concatenate([getattr(est, name) for est in estimates])
-        for name in ("covering", "caching_covering", "hit", "backhaul"))
+    covering, caching_covering = (np.concatenate([getattr(est, name) for est in estimates])
+                                  for name in ("covering", "caching_covering"))
+    hit, backhaul = _hit_backhaul(covering, caching_covering)
     p_hit, p_bh, _, ase, cost = _delivery_metrics(
         a, hit, caching_covering, (1.0 - q1) * covering[:, :1], constants)
     metrics = np.column_stack((p_hit, p_bh, _dot(a, backhaul), ase, cost))

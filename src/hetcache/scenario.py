@@ -206,6 +206,31 @@ class ScenarioConfig:
         )
 
 
+# The fields ``radio_fingerprint`` reads, as name sequences for ``_reaches``.
+_RADIO_FIELDS = (("density_unit",), ("tiers", "*", "density"), ("tiers", "*", "rho"),
+                 ("tiers", "*", "radio"), ("integration",))
+
+
+def _reaches(reach, field) -> bool:
+    """Whether setting the name sequences ``reach`` can change ``field``.
+
+    A field and a set path are name sequences, a tier's fields under
+    ``("tiers", k)`` with k 1-based. A path reaches a field when one
+    sequence is a prefix of the other and the tier matches; ``"*"`` matches
+    every tier. ``reach`` None stands for an unknown axis and reaches every
+    field.
+    """
+    if reach is None:
+        return True
+    for path in reach:
+        for a, b in zip(path, field):
+            if a != b and a != "*" and b != "*":
+                break
+        else:
+            return True
+    return False
+
+
 # Expected base-station count that drives automatic region sizing.
 AUTO_REGION_TARGET_COUNT = 200.0
 # Keep the disk several far-field distances wide even in dense scenarios.

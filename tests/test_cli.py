@@ -100,11 +100,18 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     ("tiers:\n  - radio: {nakagami_nlos: 3}\n", [], "tiers[1].radio"),
     ("protocol: {content_evaluation: sampled}\n", [], "protocol.content_evaluation"),
     ("", ["--engine", "mc", "--workers", "-3"], "workers"),
+    ("", ["search", "--var", "tiers[2].cache.cache_size=,"], "tiers[2].cache.cache_size"),
+    ("", ["sweep", "--param", "tiers[2].density", "--values", ","], "tiers[2].density"),
+    ("", ["search", "--var", "tiers[1].rho=0.5", "--var", "tiers[2].rho=0.5",
+          "--var", "content.popularity_exponent=1", "--var", "costs.cache_unit_cost=0.01"],
+     "search"),
 ])
 def test_bad_value_exits_one_with_its_path(tmp_path, capsys, text, flags, path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
-    code = main(["run", "--config", str(cfg), *flags, "--out", str(tmp_path / "x.csv")])
+    # a case that names its subcommand first is not a run
+    argv = flags if flags[:1] in (["sweep"], ["search"]) else ["run", *flags]
+    code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"config error: {path}: ")

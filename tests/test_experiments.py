@@ -16,7 +16,7 @@ from hetcache.experiments import (_grid_rows, _SweepCache, grid_search,
 from hetcache.metrics import (UndefinedEfficiencyError, analytic_columns,
                               analytic_report, caching_efficiency)
 from hetcache.scenario import (ConfigError, SimulationProtocol,
-                               default_scenario)
+                               default_scenario, scenario_to_mapping)
 
 
 def desk_config(snapshots=150, radius=5000.0, seed=7):
@@ -448,10 +448,10 @@ def _assert_rows_alone(config, axes, rows):
     tables = {}
     assert len(rows) == int(np.prod([len(grid) for _, grid in axes]))
     for row in rows:
+        alone = experiments._point(row, [path for path, _ in axes])
         scenario = config
-        for path, _ in axes:
-            scenario = set_parameter(scenario, path, row[path])
-        alone = {path: row[path] for path, _ in axes}
+        for path, value in alone.items():
+            scenario = set_parameter(scenario, path, value)
         alone.update(_row_alone(scenario, tables))
         assert list(row) == list(alone)
         assert row == alone
@@ -478,6 +478,12 @@ def test_grid_preset_rows_equal_rows_alone(name):
     ("costs.cache_unit_cost", (0.0, 0.01, 0.1), 1),
     ("tiers[*].cache.mpc_fraction", (0.0, 0.3, 1.0), 1),
     ("content.popularity_exponent", (0.0, 0.8, 1.5), 1),
+    # more radio paths, fig5's pair of biases, and the macro tier's cache
+    ("tiers[*].rho", (1.0, 0.5, 0.8), 3),
+    (("tiers[1].rho", "tiers[2].rho"), ((1.0, 1.0), (0.9, 0.1)), 2),
+    ("integration.rel_tol", (1e-6, 1e-8), 2),
+    ("tiers[2].radio.nakagami_los", (2, 3), 2),
+    ("tiers[1].cache.cache_size", (10, 20, 50), 1),
 ])
 def test_block_spanning_tables_equals_rows_alone(monkeypatch, path, grid, tables):
     s = default_scenario()
@@ -489,6 +495,72 @@ def test_block_spanning_tables_equals_rows_alone(monkeypatch, path, grid, tables
     assert len(cache.tables) == tables
     assert len({(r["rho_1"], r["rho_2"]) for r in rows}) == tables
     _assert_rows_alone(s, axes, rows)
+
+
+def _leaves(node, path=""):
+    """``{path: value}`` of every leaf of a scenario mapping, tiers 1-based."""
+    if isinstance(node, dict):
+        return {k: v for key, value in node.items()
+                for k, v in _leaves(value, f"{path}.{key}" if path else key).items()}
+    if isinstance(node, list):
+        return {k: v for i, entry in enumerate(node, 1)
+                for k, v in _leaves(entry, f"{path}[{i}]").items()}
+    return {path: node}
+
+
+def _other_value(scenario, path, value):
+    """A value other than ``value`` that ``set_parameter`` takes at ``path``,
+    else ``value`` itself (a field with one valid value)."""
+    if isinstance(value, str):
+        candidates = ("per-m2", 5000.0)
+    elif isinstance(value, int):
+        candidates = (value + 1,)
+    else:
+        candidates = (value * 0.8, value * 1.25)
+    for candidate in candidates:
+        try:
+            set_parameter(scenario, path, candidate)
+        except ValueError:
+            continue
+        return candidate
+    return value
+
+
+def _column_bytes(columns):
+    arrays = [*columns.values.values(), *columns.error_estimates.values(), columns.rho,
+              *columns.per_rank]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], columns.failures
+
+
+def test_block_reads_only_what_its_axis_reaches(monkeypatch):
+    # a two-value block over every leaf path, and each tier leaf for every
+    # tier: the block's columns equal the read of every field of every row,
+    # with every row scored on the table of its own radio fingerprint
+    s = default_scenario()
+    leaves = _leaves(scenario_to_mapping(s))
+    leaves.update({"tiers[*]" + path[8:]: value for path, value in leaves.items()
+                   if path.startswith("tiers[1].")})
+    calls = []
+    original = experiments.analytic_columns
+
+    def recorded(*args, **kwargs):
+        calls.append((args, original(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(experiments, "analytic_columns", recorded)
+    exponents = {}  # exponent tables do not depend on the sweep
+    for path, value in sorted(leaves.items()):
+        grid = (value, _other_value(s, path, value))
+        cache = _SweepCache(exponents=exponents)
+        calls.clear()
+        rows = list(_grid_rows(s, [(path, grid)], ("analytic",), 1, cache))
+        assert [r["status"] for r in rows] == ["ok", "ok"], path
+        keys = {set_parameter(s, path, v).radio_fingerprint() for v in grid}
+        assert len(cache.tables) == len(keys) and keys <= set(cache.tables), path
+        assert sum(len(args[0]) for args, _ in calls) == 2, path
+        for (batch, _), block in calls:
+            every_field = original(batch, [cache.tables[x.radio_fingerprint()] for x in batch])
+            assert _column_bytes(block) == _column_bytes(every_field), path
 
 
 def test_split_block_equals_whole_block(monkeypatch):

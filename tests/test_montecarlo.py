@@ -14,8 +14,9 @@ from hetcache.experiments import set_parameter
 from hetcache.metrics import (MetricReport, _delivery_metrics, _gather,
                               tier_rates)
 from hetcache.montecarlo import (CHUNK_SNAPSHOTS, Snapshot, TierSnapshot,
-                                 _sir_per_tier, _stack, evaluate_snapshot,
-                                 run_simulation, sample_network, snapshot_rng)
+                                 _hit_backhaul, _sir_per_tier, _stack,
+                                 evaluate_snapshot, run_simulation,
+                                 sample_network, snapshot_rng)
 from hetcache.scenario import (CostModel, IntegrationSettings, ScenarioConfig,
                                SimulationProtocol, TierConfig, default_scenario)
 
@@ -58,8 +59,10 @@ def sir_per_tier(snapshot, scenario):
 
 
 def chunk_of_one(est):
-    """``(hit, backhaul, caching_covering)`` of one snapshot's pass."""
-    return est.hit[0], est.backhaul[0], est.caching_covering[0]
+    """``(hit, backhaul, caching_covering)`` of one snapshot's pass; a chunk
+    derives hit and backhaul from the pass as ``_hit_backhaul`` does."""
+    hit, backhaul = _hit_backhaul(est.covering, est.caching_covering)
+    return hit[0], backhaul[0], est.caching_covering[0]
 
 
 def test_zero_density_tier_always_empty():
@@ -403,12 +406,16 @@ def assert_chunk_matches_loop(snapshots, scenario):
     """Score ``snapshots`` as one group and as a group per snapshot; each
     row must equal the loop."""
     group = evaluate_snapshot(snapshots, scenario)
-    hit, backhaul, caching_covering, covering = (
-        group.hit, group.backhaul, group.caching_covering, group.covering)
+    caching_covering, covering = group.caching_covering, group.covering
+    hit, backhaul = _hit_backhaul(covering, caching_covering)
     singles = [evaluate_snapshot([snap], scenario) for snap in snapshots]
-    for name, want in (("hit", hit), ("backhaul", backhaul),
-                       ("caching_covering", caching_covering), ("covering", covering)):
-        assert np.array_equal(np.concatenate([getattr(e, name) for e in singles]), want)
+    alone_covering, alone_caching_covering = (
+        np.concatenate([getattr(e, name) for e in singles])
+        for name in ("covering", "caching_covering"))
+    for got, want in zip((*_hit_backhaul(alone_covering, alone_caching_covering),
+                          alone_caching_covering, alone_covering),
+                         (hit, backhaul, caching_covering, covering)):
+        assert np.array_equal(got, want)
     F, K = scenario.content.library_size, scenario.num_tiers
     S = len(snapshots)
     assert hit.shape == backhaul.shape == (S, F)
