@@ -129,10 +129,10 @@ def interference_laplace_exponent(t, radio: TierRadioParams, density_per_m2: flo
     """
     if settings is None:
         settings = IntegrationSettings()
-    if density_per_m2 < 0:
+    if not density_per_m2 >= 0:
         raise ValueError("density must be nonnegative")
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if t_arr.size and np.any(t_arr < 0):
+    if not np.all(t_arr >= 0):
         raise ValueError("t must be nonnegative")
     out = np.zeros(t_arr.shape, dtype=np.float64)
     if density_per_m2 > 0 and t_arr.size and np.any(t_arr > 0):

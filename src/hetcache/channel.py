@@ -90,7 +90,7 @@ def _path_loss(r: np.ndarray, mode: str, params: TierRadioParams) -> np.ndarray:
 def _checked(formula, r, *args):
     """``formula`` at distances ``r``, which must be nonnegative; a float for a scalar."""
     r_arr = np.asarray(r, dtype=np.float64)
-    if (r_arr < 0).any():
+    if not (r_arr >= 0).all():
         raise ValueError("distance must be nonnegative")
     val = formula(r_arr, *args)
     return float(val) if np.isscalar(r) else val

@@ -20,11 +20,9 @@ import numpy as np
 
 from .experiments import (PRESET_NAMES, grid_search, run_experiment, run_preset,
                           set_parameter, write_csv)
-from .metrics import UndefinedEfficiencyError
+from .metrics import METRIC_NAMES, UndefinedEfficiencyError
 from .quadrature import QuadratureError
 from .scenario import ConfigError, default_scenario, load_config
-
-_SUMMARY_FIELDS = ("p_hit", "p_bh", "ase", "cost", "efficiency")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,7 +119,7 @@ def _print_rows(rows):
             print(f"engine={row.get('engine', '?')} status={row.get('status')} "
                   f"error={row.get('error')}")
             continue
-        parts = [f"{k}={row[k]:.6g}" for k in _SUMMARY_FIELDS
+        parts = [f"{k}={row[k]:.6g}" for k in METRIC_NAMES
                  if isinstance(row.get(k), float)]
         print(f"engine={row['engine']} " + " ".join(parts))
 

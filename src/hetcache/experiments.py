@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import build_coverage_table
-from .metrics import analytic_columns
+from .metrics import METRIC_NAMES, analytic_columns
 # Grid rows do not call it; perfbench/tracing.py wraps it at this lookup site.
 from .metrics import analytic_report  # noqa: F401
 from .montecarlo import run_simulation
@@ -142,11 +142,10 @@ def set_parameter(scenario: ScenarioConfig, path: str, value) -> ScenarioConfig:
 
 # Every metric cell of a row, blank, in row order: the metrics, their
 # Monte Carlo standard errors, their analytic error estimates.
-_ESTIMATED = ("p_hit", "p_bh", "ase", "cost", "efficiency")
 _BLANK_CELLS = dict.fromkeys([
     "p_hit", "p_bh", "p_bh_operational", "coverage_all_bs",
     "ase", "cost", "cost_over_backhaul_unit", "efficiency",
-    *(f"se_{name}" for name in _ESTIMATED), *(f"err_{name}" for name in _ESTIMATED)], "")
+    *(f"se_{name}" for name in METRIC_NAMES), *(f"err_{name}" for name in METRIC_NAMES)], "")
 
 
 @dataclass
@@ -387,11 +386,7 @@ def _fmt(value) -> str:
 
 def write_csv(rows, out_path, config: ScenarioConfig | None = None) -> None:
     """Persist rows as CSV (stable column order) plus a ``.meta.json`` sidecar."""
-    columns = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row.get(col, "")) for col in columns))

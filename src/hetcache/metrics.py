@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import CoverageTable, build_coverage_table
-from .content import ContentModel, cache_probability_vector
+from .content import cache_probability_vector
 from .scenario import ScenarioConfig, _reaches
 
 __all__ = [
@@ -45,6 +45,9 @@ __all__ = [
 
 ANALYTIC = "analytic"
 MONTE_CARLO = "mc"
+
+# The metrics both engines report, each with an error figure, in report order.
+METRIC_NAMES = ("p_hit", "p_bh", "ase", "cost", "efficiency")
 
 
 class UndefinedEfficiencyError(ValueError):
@@ -92,25 +95,15 @@ def tier_rates(scenario: ScenarioConfig) -> tuple:
     )
 
 
-def _distinct(keys, items, make) -> np.ndarray:
-    """``make(item)`` of each item as the rows of an array, made once per key."""
-    made = {}
-    for key, item in zip(keys, items):
-        if key not in made:
-            made[key] = make(item)
-    return np.array([made[key] for key in keys])
-
-
 def _gather(scenarios, reach=None):
     """The per-rank vectors and constants of B scenarios, read in one pass.
 
-    Returns ``(a, q, constants)``: (B, F) request probabilities, made once
-    per content model; (B, K, F) caching probabilities, one broadcast
-    ``cache_probability_vector`` call per tier; and for
-    ``_delivery_metrics`` the (B, K) densities per m^2 and those times the
-    rates (made once per thresholds and base), and the (B,) F - S_1 files
-    the macro tier does not cache, cache slots per m^2 and two unit costs.
-    All scenarios share their tier count and library size.
+    Returns ``(a, q, constants)``: (B, F) request probabilities; (B, K, F)
+    caching probabilities, one broadcast ``cache_probability_vector`` call
+    per tier; and for ``_delivery_metrics`` the (B, K) densities per m^2
+    and those times the rates, and the (B,) F - S_1 files the macro tier
+    does not cache, cache slots per m^2 and two unit costs. All scenarios
+    share their tier count and library size.
 
     ``reach`` holds the name sequences a grid block's axis sets. A field it
     does not reach (``scenario._reaches``) is equal in every row, so it is
@@ -121,34 +114,31 @@ def _gather(scenarios, reach=None):
     B, first = len(scenarios), scenarios[0]
     K, F = first.num_tiers, first.content.library_size
 
-    def read(field, get):
-        """``get`` of each scenario, or of the first alone if ``field`` is not reached."""
-        return [get(s) for s in scenarios] if _reaches(reach, field) else [get(first)]
+    def rows(*fields):
+        """Every scenario if the axis reaches one of ``fields``, else the first alone."""
+        return scenarios if any(_reaches(reach, field) for field in fields) else scenarios[:1]
 
     def per_tier(name):
         """Field ``name`` of each tier as an (n, K) array: n = B when the
         axis reaches it at some tier, else 1."""
         get = operator.attrgetter(name)
-        columns = [read(("tiers", k + 1, *name.split(".")), lambda s: get(s.tiers[k]))
+        columns = [[get(s.tiers[k]) for s in rows(("tiers", k + 1, *name.split(".")))]
                    for k in range(K)]
         n = max(map(len, columns))
         return np.column_stack([column * (n // len(column)) for column in columns])
 
     density, size, fraction = map(per_tier, ("density", "cache.cache_size", "cache.mpc_fraction"))
-    scale = np.array(read(("density_unit",), lambda s: s.density_scale))
-    backhaul_cost, cache_cost = (np.array(read(("costs", name), lambda s: getattr(s.costs, name)))
-                                 for name in ("backhaul_unit_cost", "cache_unit_cost"))
-    rated = scenarios if any(_reaches(reach, field) for field in (
-        ("rate_log_base",), ("tiers", "*", "radio", "sir_threshold"))) else [first]
-    rates = _distinct([(s.rate_log_base, *(t.radio.sir_threshold for t in s.tiers))
-                       for s in rated], rated, tier_rates)
-    content = read(("content",), lambda s: s.content)
-    a = _distinct([(c.library_size, c.popularity_exponent) for c in content], content,
-                  ContentModel.request_probabilities)
+    scale = np.array([s.density_scale for s in rows(("density_unit",))])
+    backhaul_cost = np.array([s.costs.backhaul_unit_cost
+                              for s in rows(("costs", "backhaul_unit_cost"))])
+    cache_cost = np.array([s.costs.cache_unit_cost for s in rows(("costs", "cache_unit_cost"))])
+    rates = np.array([tier_rates(s) for s in rows(
+        ("rate_log_base",), ("tiers", "*", "radio", "sir_threshold"))])
+    a = np.array([s.content.request_probabilities() for s in rows(("content",))])
     q = np.empty((B, K, F))
     for k in range(K):
-        rows = slice(None) if _reaches(reach, ("tiers", k + 1, "cache")) else slice(1)
-        q[:, k] = cache_probability_vector((size[rows, k], fraction[rows, k]), F)
+        n = len(rows(("tiers", k + 1, "cache")))
+        q[:, k] = cache_probability_vector((size[:n, k], fraction[:n, k]), F)
     lam = density * scale[:, None]
 
     def every_row(x):
@@ -213,13 +203,13 @@ def caching_efficiency(ase: float, cost: float) -> float:
 class AnalyticColumns:
     """Analytic metrics of B scenarios as columns; row b is scenario b.
 
-    ``values`` maps ``p_hit``, ``p_bh``, ``ase``, ``cost`` and
-    ``efficiency`` to (B,) arrays, and ``error_estimates`` maps each of
-    them to its first-order error bound, also (B,) arrays. ``rho`` holds
-    the (B, K) coverage densities, ``per_rank`` the (B, F) per-rank hit,
-    backhaul and ASE components. ``failures[b]`` is the
-    ``UndefinedEfficiencyError`` message of a row whose cost is 0, whose
-    efficiency and its error are then meaningless, else None.
+    ``values`` maps each of ``METRIC_NAMES`` to a (B,) array, and
+    ``error_estimates`` maps each of them to its first-order error bound,
+    also (B,) arrays. ``rho`` holds the (B, K) coverage densities,
+    ``per_rank`` the (B, F) per-rank hit, backhaul and ASE components.
+    ``failures[b]`` is the ``UndefinedEfficiencyError`` message of a row
+    whose cost is 0, whose efficiency and its error are then meaningless,
+    else None.
     """
 
     values: dict
@@ -261,10 +251,8 @@ def analytic_columns(scenarios, tables, *, _reach=None) -> AnalyticColumns:
             np.abs(efficiency) * (err_cost / cost))
 
     return AnalyticColumns(
-        values={"p_hit": p_hit, "p_bh": p_bh, "ase": ase, "cost": cost,
-                "efficiency": efficiency},
-        error_estimates={"p_hit": err_hit, "p_bh": err_bh, "ase": err_ase,
-                         "cost": err_cost, "efficiency": err_eff},
+        values=dict(zip(METRIC_NAMES, (p_hit, p_bh, ase, cost, efficiency))),
+        error_estimates=dict(zip(METRIC_NAMES, (err_hit, err_bh, err_ase, err_cost, err_eff))),
         rho=rho,
         per_rank=(hit_c, bh_c, ase_c),
         failures=tuple(_ZERO_COST if c == 0.0 else None for c in cost.tolist()),

@@ -193,6 +193,10 @@ def _hit_backhaul(covering: np.ndarray, caching_covering: np.ndarray):
     return hit, ~hit & (covering[:, :1] > caching_covering[:, 0])
 
 
+# The columns of ``_chunk_stats``' per-snapshot metric rows, by report field.
+_SNAPSHOT_METRICS = ("p_hit", "p_bh", "p_bh_operational", "ase", "cost")
+
+
 def _chunk_stats(args):
     """Accumulate one chunk of snapshots (worker function).
 
@@ -201,9 +205,10 @@ def _chunk_stats(args):
     popularity in one ``_delivery_metrics`` call with the run's request
     probabilities ``a``, macro caching probabilities ``q1`` and constants
     (each (1, ...), from ``_gather``). Returns the (S, K) covering counts,
-    (S, 5) metric rows and per-rank integer sums (hits, caching coverage):
-    sums are exactly order-independent, and per-snapshot arrays come in
-    snapshot order, so the final reduction is the same for any worker count.
+    (S, 5) metric rows (columns ``_SNAPSHOT_METRICS``) and per-rank integer
+    sums (hits, caching coverage): sums are exactly order-independent, and
+    per-snapshot arrays come in snapshot order, so the final reduction is
+    the same for any worker count.
     """
     scenario, protocol, radius, start, stop, a, q1, constants = args
     estimates, group, stations = [], [], 0
@@ -269,14 +274,11 @@ def run_simulation(scenario: ScenarioConfig,
     covering_blocks, metric_blocks, rank_sums = zip(*results)
     per_hit, cachcov_mean = (sum(parts) / n for parts in zip(*rank_sums))
     covering = np.concatenate(covering_blocks, axis=0)
-    metrics = np.concatenate(metric_blocks, axis=0)
-    whit, wbh, wbh_op, ase_arr, cost_arr = metrics.T
-    p_hit = float(np.mean(whit))
-    p_bh = float(np.mean(wbh))
-    p_bh_op = float(np.mean(wbh_op))
-    ase = float(np.mean(ase_arr))
-    cost = float(np.mean(cost_arr))
-    efficiency = caching_efficiency(ase, cost)
+    metrics = dict(zip(_SNAPSHOT_METRICS, np.concatenate(metric_blocks, axis=0).T))
+    means = {name: float(np.mean(column)) for name, column in metrics.items()}
+    efficiency = caching_efficiency(means["ase"], means["cost"])
+    stderr = {name: _stderr(column) for name, column in metrics.items()}
+    stderr["efficiency"] = _ratio_stderr(metrics["ase"], metrics["cost"])
 
     rho_mean = covering.sum(axis=0) / n
     per_bh = (1.0 - q[:, 0]) * float(rho_mean[0])
@@ -286,24 +288,13 @@ def run_simulation(scenario: ScenarioConfig,
     return MetricReport(
         provenance=MONTE_CARLO,
         coverage_is_bound=False,
-        p_hit=p_hit,
-        p_bh=p_bh,
-        p_bh_operational=p_bh_op,
-        coverage_all_bs=int(np.count_nonzero(covering.any(axis=1))) / n,
-        ase=ase,
-        cost=cost,
+        **means,
         efficiency=efficiency,
+        coverage_all_bs=int(np.count_nonzero(covering.any(axis=1))) / n,
         per_tier_coverage_density=tuple(float(x) for x in rho_mean),
         per_tier_coverage_density_stderr=tuple(_stderr(col) for col in covering.T),
         per_content_hit=per_hit,
         per_content_backhaul=per_bh[0],
         per_content_ase=per_ase,
-        stderr={
-            "p_hit": _stderr(whit),
-            "p_bh": _stderr(wbh),
-            "p_bh_operational": _stderr(wbh_op),
-            "ase": _stderr(ase_arr),
-            "cost": _stderr(cost_arr),
-            "efficiency": _ratio_stderr(ase_arr, cost_arr),
-        },
+        stderr=stderr,
     )

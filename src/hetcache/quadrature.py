@@ -15,6 +15,7 @@ result is the same however the nodes are batched.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -77,8 +78,10 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
     met for every component within ``max_panels`` refinements; the exception
     carries the achieved error estimate.
     """
-    if rel_tol <= 0 or abs_tol <= 0:
+    if not (rel_tol > 0 and abs_tol > 0):
         raise ValueError("tolerances must be positive")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integration bounds a and b must be finite")
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
     if b == a:

@@ -97,6 +97,13 @@ def test_laplace_exponent_rejects_bad_input():
         interference_laplace_exponent(-1.0, TIER2_RADIO_M1, 1e-6)
     with pytest.raises(ValueError):
         interference_laplace_exponent(1.0, TIER2_RADIO_M1, -1e-6)
+    # NaN is not a number to evaluate at, nor an empty tier
+    with pytest.raises(ValueError, match="^t "):
+        interference_laplace_exponent(math.nan, TIER2_RADIO_M1, 1e-5)
+    with pytest.raises(ValueError, match="^t "):
+        interference_laplace_exponent(np.array([0.5, math.nan]), TIER2_RADIO_M1, 1e-5)
+    with pytest.raises(ValueError, match="density"):
+        interference_laplace_exponent(1.0, TIER2_RADIO_M1, math.nan)
 
 
 def test_zero_density_tier_has_zero_coverage():

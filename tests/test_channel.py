@@ -47,11 +47,15 @@ def test_los_probability_continuity():
 def test_los_probability_rejects_negative():
     with pytest.raises(ValueError):
         los_probability(-1.0, 80.0, 164.0)
+    with pytest.raises(ValueError, match="distance"):
+        los_probability(math.nan, 80.0, 164.0)
 
 
 def test_los_probability_rejects_one_negative_in_an_array():
     with pytest.raises(ValueError, match="nonnegative"):
         los_probability(np.array([0.0, 50.0, -1e-9, 900.0]), 80.0, 164.0)
+    with pytest.raises(ValueError, match="distance"):
+        los_probability(np.array([0.0, 50.0, math.nan, 900.0]), 80.0, 164.0)
 
 
 def test_path_loss_rejects_negative():
@@ -61,6 +65,10 @@ def test_path_loss_rejects_negative():
             path_loss(-1.0, mode, params)
         with pytest.raises(ValueError, match="nonnegative"):
             path_loss(np.array([0.0, 50.0, -1e-9, 900.0]), mode, params)
+        with pytest.raises(ValueError, match="distance"):
+            path_loss(math.nan, mode, params)
+        with pytest.raises(ValueError, match="distance"):
+            path_loss(np.array([0.0, math.nan]), mode, params)
 
 
 def test_path_loss_at_zero_equals_intercept():
@@ -181,11 +189,11 @@ def old_los_probability(r, d0, d1):
 
 @pytest.mark.parametrize("d0, d1", [(80.0, 164.0), (16.0, 36.0), (200.0, 50.0)])
 def test_los_probability_bits_match_closed_form(d0, d1):
-    # the default radios' critical distances, and d0 > d1
+    # the default radios' critical distances, and d0 > d1; NaN is rejected
+    # (test_los_probability_rejects_one_negative_in_an_array)
     r = np.array([0.0, d0, np.nextafter(d0, np.inf), 1.5 * d0, 720.0 * d1,
-                  745.5 * d1, 1e6, np.inf, np.nan])
-    assert np.array_equal(los_probability(r, d0, d1),
-                          old_los_probability(r, d0, d1), equal_nan=True)
+                  745.5 * d1, 1e6, np.inf])
+    assert np.array_equal(los_probability(r, d0, d1), old_los_probability(r, d0, d1))
     grid = np.linspace(0.0, 60.0 * d1, 600).reshape(20, 30)
     p = los_probability(grid, d0, d1)
     assert p.shape == (20, 30)

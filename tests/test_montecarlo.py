@@ -14,7 +14,7 @@ from hetcache.experiments import set_parameter
 from hetcache.metrics import (MetricReport, _delivery_metrics, _gather,
                               tier_rates)
 from hetcache.montecarlo import (CHUNK_SNAPSHOTS, Snapshot, TierSnapshot,
-                                 _hit_backhaul, _sir_per_tier, _stack,
+                                 _hit_backhaul, _ratio_stderr, _sir_per_tier, _stack,
                                  evaluate_snapshot, run_simulation,
                                  sample_network, snapshot_rng)
 from hetcache.scenario import (CostModel, IntegrationSettings, ScenarioConfig,
@@ -374,6 +374,11 @@ def test_chunked_metrics_equal_snapshot_rows(mode):
         rows[k] = (p_hit[0], p_bh[0], float(a @ backhaul), ase[0], cost[0])
     for j, name in enumerate(("p_hit", "p_bh", "p_bh_operational", "ase", "cost")):
         assert getattr(report, name) == float(np.mean(rows[:, j])), name
+        assert report.stderr[name] == np.std(rows[:, j], ddof=1) / math.sqrt(70), name
+    assert report.efficiency == report.ase / report.cost
+    assert report.stderr["efficiency"] == _ratio_stderr(rows[:, 3], rows[:, 4])
+    assert list(report.stderr) == ["p_hit", "p_bh", "p_bh_operational", "ase", "cost",
+                                   "efficiency"]
 
 
 def loop_indicators(snapshot, scenario):

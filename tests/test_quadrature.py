@@ -53,6 +53,17 @@ def test_degenerate_interval():
     assert val == 0.0 and err == 0.0
 
 
+def test_rejects_nan_and_infinite_arguments():
+    calls = []
+    f = lambda x: calls.append(x) or np.exp(x)
+    for a, b in [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf)]:
+        with pytest.raises(ValueError, match="bounds"):
+            integrate_adaptive(f, a, b)
+    with pytest.raises(ValueError, match="tolerances"):
+        integrate_adaptive(f, 0.0, 1.0, rel_tol=np.nan)
+    assert calls == []  # rejected before any integrand call
+
+
 def test_budget_exhaustion_raises_with_estimate():
     f = lambda x: np.sin(1000.0 * x)
     with pytest.raises(QuadratureError) as exc:
