@@ -39,7 +39,7 @@ import numpy as np
 
 from .channel import LOS, NLOS, TierRadioParams, los_probability
 from .quadrature import QuadratureError, integrate_adaptive
-from .scenario import AUTO, IntegrationSettings, ScenarioConfig
+from .scenario import _EXPONENT_FIELDS, AUTO, IntegrationSettings, ScenarioConfig, _stage_key
 
 __all__ = [
     "CoverageTable",
@@ -269,13 +269,13 @@ class ExponentTable:
         return np.exp(log_e).reshape(shape), bounds.reshape(shape)
 
 
-def _exponent_table(exponents: dict, radio: TierRadioParams,
-                    settings: IntegrationSettings) -> ExponentTable:
-    """The table of ``radio`` for these settings, from the cache or new."""
-    key = (radio, settings.rel_tol, settings.inner_truncation_radius)
+def _exponent_table(exponents: dict, scenario: ScenarioConfig, tier: int) -> ExponentTable:
+    """The table of tier ``tier`` (1-based), from ``exponents`` or new."""
+    key = _stage_key(scenario, _EXPONENT_FIELDS, tier)
     table = exponents.get(key)
     if table is None:
-        table = exponents[key] = ExponentTable(radio, settings)
+        table = exponents[key] = ExponentTable(scenario.tiers[tier - 1].radio,
+                                               scenario.integration)
     return table
 
 
@@ -355,8 +355,8 @@ def tier_coverage_density(scenario: ScenarioConfig, tier_index: int,
     2*pi*lambda factor, is zero for a zero-density tier, and does not depend
     on any tier's cache configuration. ``tier_index`` is 0-based. The
     quadrature settings are ``scenario.integration``. ``exponents`` caches
-    exponent tables across calls (keyed by radio and settings); the value
-    does not depend on what it already holds.
+    exponent tables across calls (keyed by ``scenario._EXPONENT_FIELDS``);
+    the value does not depend on what it already holds.
     """
     settings = scenario.integration
     if exponents is None:
@@ -369,8 +369,7 @@ def tier_coverage_density(scenario: ScenarioConfig, tier_index: int,
     radio_i = tier.radio
     terms = _coverage_terms(radio_i, tier.effective_threshold())
     interferers = [
-        (_exponent_table(exponents, scenario.tiers[j].radio, settings),
-         2.0 * math.pi * float(densities[j]))
+        (_exponent_table(exponents, scenario, j + 1), 2.0 * math.pi * float(densities[j]))
         for j in range(scenario.num_tiers) if densities[j] > 0]
 
     if settings.outer_truncation_radius == AUTO:
@@ -393,7 +392,10 @@ def tier_coverage_density(scenario: ScenarioConfig, tier_index: int,
         value = (x * es) * p_mode * np.exp(-exponent)
         # The exact exponent lies within +-slack of the tabulated one, so
         # e^(-E) is off by at most e^(-E) * expm1(slack): integrate that too.
-        return np.concatenate((value, value * np.expm1(slack)))
+        # Where e^(-E) underflows to 0, so does e^(-E + slack) (slack << E),
+        # and expm1(slack) may overflow: there the bound is left at 0.
+        bound = value * np.expm1(slack, out=np.zeros(slack.shape), where=value > 0.0)
+        return np.concatenate((value, bound))
 
     two_pi_lambda = 2.0 * math.pi * lam_i
     coeff_scale = sum(abs(t[1]) for t in terms)
@@ -428,8 +430,8 @@ class CoverageTable:
     """Per-tier covering-station expectations and their error bounds.
 
     ``per_tier_density`` folds the 2*pi*lambda factor and is shared by every
-    content rank; it depends only on radio-side parameters, so one table
-    serves every cache, content and cost setting of its radio.
+    content rank; it depends only on the fields ``scenario._COVERAGE_FIELDS``
+    declares, so one table serves every cache, content and cost setting.
     """
 
     per_tier_density: tuple

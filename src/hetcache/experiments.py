@@ -40,7 +40,7 @@ from .metrics import METRIC_NAMES, analytic_columns
 from .metrics import analytic_report  # noqa: F401
 from .montecarlo import run_simulation
 from .quadrature import QuadratureError
-from .scenario import _RADIO_FIELDS, ConfigError, ScenarioConfig, _reaches
+from .scenario import _COVERAGE_FIELDS, ConfigError, ScenarioConfig, _reaches, _stage_key
 
 __all__ = [
     "GridSearchResult",
@@ -152,6 +152,7 @@ _BLANK_CELLS = dict.fromkeys([
 class _SweepCache:
     """Coverage tables of one sweep and the exponent tables they share.
 
+    Each is keyed by the fields its tables read (``scenario._stage_key``).
     One lives for one sweep, grid search or preset call, so every call
     pays for its own tabulation and no state outlives it.
     """
@@ -181,18 +182,18 @@ def _analytic_rows(scenarios, cache: _SweepCache, heads, reach=None) -> list:
 
     ``reach`` is what the block's axis sets (``_reach``), None if unknown;
     ``scenario._reaches`` says which fields it can change. Each run of rows
-    with one radio fingerprint takes one coverage table from ``cache``
-    (built on a miss), so one batch may span several tables; when ``reach``
-    reaches no field the fingerprint reads, the block is one run with its
-    first row's fingerprint. Each run of rows with one library size is one
+    with one key of ``_COVERAGE_FIELDS`` takes one coverage table from
+    ``cache`` (built on a miss), so one batch may span several tables; when
+    ``reach`` reaches none of those fields, the block is one run with its
+    first row's key. Each run of rows with one library size is one
     ``analytic_columns`` call, given ``reach``, split only past
     ``_BATCH_ROW_RANKS``. A row whose table fails or whose cost is zero gets
     status ``error``.
     """
-    if any(_reaches(reach, field) for field in _RADIO_FIELDS):
-        keys = [s.radio_fingerprint() for s in scenarios]
+    if any(_reaches(reach, field) for field in _COVERAGE_FIELDS):
+        keys = [_stage_key(s, _COVERAGE_FIELDS) for s in scenarios]
     else:
-        keys = [s.radio_fingerprint() for s in scenarios[:1]] * len(scenarios)
+        keys = [_stage_key(s, _COVERAGE_FIELDS) for s in scenarios[:1]] * len(scenarios)
     rows = [None] * len(scenarios)
     ready = []
     for key, run in itertools.groupby(range(len(scenarios)), keys.__getitem__):
@@ -275,7 +276,7 @@ def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
     they are built from only in the fields their path reaches (the rule is
     ``scenario._reaches``), so the batch is told that path (``_reach``): it
     reads every other field once, and a block whose path reaches no field
-    of ``ScenarioConfig.radio_fingerprint`` takes one coverage table. Failed
+    of ``scenario._COVERAGE_FIELDS`` takes one coverage table. Failed
     rows are yielded with status ``error``; a bad parameter value raises
     where it is set, after the rows of its block before it.
     """
@@ -347,10 +348,10 @@ def grid_search(config: ScenarioConfig, variables: dict,
     ``variables`` maps 1 to 3 axes to grids, as for ``run_experiment``,
     and ``engine`` is ``analytic`` or ``mc``. Points are visited in grid
     order and ties keep the first maximizer; the best point holds one value
-    per path. Coverage tables are reused across points that share
-    radio-side parameters, so cache- and content-side searches cost one
-    quadrature pass total; every table of the search shares one set of
-    interference-exponent tables.
+    per path. Points share a coverage table where they agree on the fields
+    it reads (``scenario._COVERAGE_FIELDS``), so cache- and content-side
+    searches cost one quadrature pass total; the tables share exponent
+    tables, one per tier radio whatever its threshold.
     """
     if not 1 <= len(variables) <= 3:
         raise ConfigError("search", f"supports 1 to 3 variables, not {len(variables)}")

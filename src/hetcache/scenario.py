@@ -193,22 +193,33 @@ class ScenarioConfig:
         """Stable hash of the full scenario (canonical YAML form)."""
         return hashlib.sha256(serialize_config(self).encode()).hexdigest()
 
-    def radio_fingerprint(self):
-        """Hashable identity of everything the coverage quadrature depends on.
 
-        Cache policies, content, and costs only reweight coverage densities,
-        so scenarios sharing this key share a coverage table.
-        """
-        return (
-            self.density_unit,
-            tuple((t.density, t.rho, t.radio) for t in self.tiers),
-            self.integration,
-        )
+# What each tabulated analytic stage reads, as name sequences for
+# ``_reaches``: scenarios with one ``_stage_key`` share the stage's table.
+# The coverage table; cache, content and costs only reweight its densities.
+_COVERAGE_FIELDS = (("density_unit",), ("tiers", "*", "density"), ("tiers", "*", "rho"),
+                    ("tiers", "*", "radio"), ("integration",))
+# The exponent table e_j(t) of tier j, the "*": not its density or threshold.
+_EXPONENT_FIELDS = (*(("tiers", "*", "radio", name) for name in (
+    "tx_power", "pathloss_exp_los", "pathloss_exp_nlos", "intercept_los", "intercept_nlos",
+    "nakagami_los", "nakagami_nlos", "near_field_dist", "far_field_dist")),
+    ("integration", "rel_tol"), ("integration", "inner_truncation_radius"))
 
 
-# The fields ``radio_fingerprint`` reads, as name sequences for ``_reaches``.
-_RADIO_FIELDS = (("density_unit",), ("tiers", "*", "density"), ("tiers", "*", "rho"),
-                 ("tiers", "*", "radio"), ("integration",))
+def _stage_key(scenario: ScenarioConfig, fields, tier="*") -> tuple:
+    """The values of ``scenario`` at ``fields``, in order; ``tier``, 1-based,
+    stands for ``"*"``, which otherwise takes a tuple over every tier."""
+    return tuple(_value(scenario, field, tier) for field in fields)
+
+
+def _value(node, names, tier):
+    for i, name in enumerate(names):
+        if name == "*":
+            if tier == "*":
+                return tuple(_value(item, names[i + 1:], tier) for item in node)
+            name = tier
+        node = node[name - 1] if isinstance(name, int) else getattr(node, name)
+    return node
 
 
 def _reaches(reach, field) -> bool:

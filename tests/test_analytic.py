@@ -1,6 +1,7 @@
 """Analytic coverage engine: Alzer constant, Laplace exponent, tier densities."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -369,3 +370,17 @@ def test_reported_error_covers_direct_reference(monkeypatch, density):
     for i, (rho, err) in enumerate(reported):
         rho_ref, _ = tier_coverage_density(dataclasses.replace(s, integration=reference), i)
         assert err >= abs(rho - rho_ref)
+
+
+def test_far_truncation_keeps_a_finite_error_bound():
+    # Out at 1e7 m the interference exponent E is so large that e^(-E)
+    # underflows to 0 while its slack overflows expm1: the bound there is
+    # 0, not 0 * inf, and the value still agrees with the automatic radius.
+    s = default_scenario()
+    far = set_parameter(s, "integration.outer_truncation_radius", 1e7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for i in range(s.num_tiers):
+            auto_rho, _ = tier_coverage_density(s, i)
+            rho, err = tier_coverage_density(far, i)
+            assert abs(rho - auto_rho) <= err

@@ -7,15 +7,16 @@ import re
 import numpy as np
 import pytest
 
-from hetcache import experiments
-from hetcache.analytic import build_coverage_table
+from hetcache import analytic, experiments
+from hetcache.analytic import ExponentTable, build_coverage_table
 from hetcache.cli import main
 from hetcache.experiments import (_grid_rows, _SweepCache, grid_search,
                                   run_experiment, run_preset, set_parameter,
                                   write_csv)
 from hetcache.metrics import (UndefinedEfficiencyError, analytic_columns,
                               analytic_report, caching_efficiency)
-from hetcache.scenario import (ConfigError, SimulationProtocol,
+from hetcache.scenario import (_COVERAGE_FIELDS, _EXPONENT_FIELDS, ConfigError,
+                               SimulationProtocol, _reaches, _stage_key,
                                default_scenario, scenario_to_mapping)
 
 
@@ -436,7 +437,7 @@ def _row_alone(scenario, tables):
     (a table does not depend on the sweep that builds it), so no content
     vector, exponent table or batch is shared with any other row.
     """
-    key = scenario.radio_fingerprint()
+    key = _stage_key(scenario, _COVERAGE_FIELDS)
     if key not in tables:
         tables[key] = build_coverage_table(scenario)
     (row,) = _grid_rows(scenario, (), ("analytic",), 1, _SweepCache(tables={key: tables[key]}))
@@ -467,6 +468,11 @@ def test_grid_preset_rows_equal_rows_alone(name):
     _assert_rows_alone(config, axes, rows)
 
 
+# Exponent tables per block below: one per tier radio, as a threshold is no
+# field of e(t), and more only where the axis sets a tolerance or a shape.
+_BLOCK_EXPONENT_TABLES = {"integration.rel_tol": 4, "tiers[2].radio.nakagami_los": 3}
+
+
 @pytest.mark.parametrize("path, grid, tables", [
     # a radio path innermost: each block of three rows needs three tables
     ("tiers[2].density", (1.0, 10.0, 100.0), 3),
@@ -493,6 +499,7 @@ def test_block_spanning_tables_equals_rows_alone(monkeypatch, path, grid, tables
     rows = list(_grid_rows(s, axes, ("analytic",), 1, cache))
     assert [len(args[0]) for args in batches] == [len(grid), len(grid)]
     assert len(cache.tables) == tables
+    assert len(cache.exponents) == _BLOCK_EXPONENT_TABLES.get(path, 2)
     assert len({(r["rho_1"], r["rho_2"]) for r in rows}) == tables
     _assert_rows_alone(s, axes, rows)
 
@@ -506,6 +513,12 @@ def _leaves(node, path=""):
         return {k: v for i, entry in enumerate(node, 1)
                 for k, v in _leaves(entry, f"{path}[{i}]").items()}
     return {path: node}
+
+
+# Every leaf path of the default scenario, and each tier leaf as ``tiers[*]``.
+_LEAVES = _leaves(scenario_to_mapping(default_scenario()))
+_LEAVES.update({"tiers[*]" + path[8:]: value for path, value in _LEAVES.items()
+                if path.startswith("tiers[1].")})
 
 
 def _other_value(scenario, path, value):
@@ -535,11 +548,8 @@ def _column_bytes(columns):
 def test_block_reads_only_what_its_axis_reaches(monkeypatch):
     # a two-value block over every leaf path, and each tier leaf for every
     # tier: the block's columns equal the read of every field of every row,
-    # with every row scored on the table of its own radio fingerprint
+    # with every row scored on the coverage table of its own key
     s = default_scenario()
-    leaves = _leaves(scenario_to_mapping(s))
-    leaves.update({"tiers[*]" + path[8:]: value for path, value in leaves.items()
-                   if path.startswith("tiers[1].")})
     calls = []
     original = experiments.analytic_columns
 
@@ -549,18 +559,80 @@ def test_block_reads_only_what_its_axis_reaches(monkeypatch):
 
     monkeypatch.setattr(experiments, "analytic_columns", recorded)
     exponents = {}  # exponent tables do not depend on the sweep
-    for path, value in sorted(leaves.items()):
+    for path, value in sorted(_LEAVES.items()):
         grid = (value, _other_value(s, path, value))
         cache = _SweepCache(exponents=exponents)
         calls.clear()
         rows = list(_grid_rows(s, [(path, grid)], ("analytic",), 1, cache))
         assert [r["status"] for r in rows] == ["ok", "ok"], path
-        keys = {set_parameter(s, path, v).radio_fingerprint() for v in grid}
+        keys = {_stage_key(set_parameter(s, path, v), _COVERAGE_FIELDS) for v in grid}
         assert len(cache.tables) == len(keys) and keys <= set(cache.tables), path
         assert sum(len(args[0]) for args, _ in calls) == 2, path
         for (batch, _), block in calls:
-            every_field = original(batch, [cache.tables[x.radio_fingerprint()] for x in batch])
+            every_field = original(
+                batch, [cache.tables[_stage_key(x, _COVERAGE_FIELDS)] for x in batch])
             assert _column_bytes(block) == _column_bytes(every_field), path
+
+
+_STAGES = {"exponent": _EXPONENT_FIELDS, "coverage": _COVERAGE_FIELDS}
+_STAGE_T = 10.0 ** np.arange(-3.0, 10.0, 4.0)  # one t in each of four exponent pieces
+
+
+@pytest.fixture(scope="module")
+def stage_exponents():
+    """Exponent tables shared by the coverage tables of the stage test."""
+    return {}
+
+
+def _stage_outputs(scenario, stage, exponents):
+    """``(key, output)`` pairs of ``stage`` in ``scenario``: per tier, its
+    exponent table's values and error bounds at ``_STAGE_T``; or the one
+    coverage table's densities and error estimates."""
+    fields = _STAGES[stage]
+    if stage == "exponent":
+        return [(_stage_key(scenario, fields, k),
+                 np.concatenate(ExponentTable(tier.radio, scenario.integration)(_STAGE_T)))
+                for k, tier in enumerate(scenario.tiers, 1)]
+    table = build_coverage_table(scenario, exponents)
+    return [(_stage_key(scenario, fields),
+             np.array(table.per_tier_density + table.error_estimates))]
+
+
+@pytest.mark.parametrize("stage", sorted(_STAGES))
+@pytest.mark.parametrize("path", sorted(_LEAVES))
+def test_stage_key_changes_exactly_with_its_output(stage, path, stage_exponents):
+    # a new value at a leaf changes a stage's key only where the stage
+    # declares a field the leaf reaches, and the stage's output changes,
+    # bit for bit, exactly where its key does: so every declared field is
+    # read, every field read is declared, and a table is shared only by
+    # scenarios it serves unchanged
+    s = default_scenario()
+    changed = set_parameter(s, path, _other_value(s, path, _LEAVES[path]))
+    declared = any(_reaches(experiments._reach(path), field) for field in _STAGES[stage])
+    for (key, out), (new_key, new_out) in zip(_stage_outputs(s, stage, stage_exponents),
+                                              _stage_outputs(changed, stage, stage_exponents)):
+        assert declared or new_key == key
+        assert (new_key == key) == (new_out.tobytes() == out.tobytes())
+
+
+def test_threshold_block_shares_exponent_pieces(monkeypatch):
+    # fig1's seven thresholds of the small-cell tier: e(t) does not read a
+    # threshold, so the block builds each piece of the two tiers' tables
+    # once, 22 pieces, not once per threshold (88)
+    builds = []
+    direct = analytic.interference_laplace_exponent
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "interference_laplace_exponent", counting)
+    cache = _SweepCache()
+    axes = [("tiers[2].radio.sir_threshold", (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0))]
+    rows = list(_grid_rows(default_scenario(), axes, ("analytic",), 1, cache))
+    assert [r["status"] for r in rows] == ["ok"] * 7
+    assert len(cache.tables) == 7 and len(cache.exponents) == 2
+    assert len(builds) == 22
 
 
 def test_split_block_equals_whole_block(monkeypatch):

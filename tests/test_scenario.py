@@ -152,19 +152,6 @@ def test_fingerprint_tracks_changes():
     assert s.fingerprint() == default_scenario().fingerprint()
 
 
-def test_radio_fingerprint_ignores_cache_side():
-    from hetcache.content import TierCachePolicy
-
-    s = default_scenario()
-    tiers = list(s.tiers)
-    tiers[1] = dataclasses.replace(tiers[1], cache=TierCachePolicy(50, 0.0))
-    cache_changed = dataclasses.replace(s, tiers=tuple(tiers))
-    assert s.radio_fingerprint() == cache_changed.radio_fingerprint()
-    density_changed = dataclasses.replace(
-        s, tiers=(s.tiers[0], dataclasses.replace(s.tiers[1], density=3.0)))
-    assert s.radio_fingerprint() != density_changed.radio_fingerprint()
-
-
 def test_protocol_validation():
     with pytest.raises(ValueError):
         SimulationProtocol(num_snapshots=0)
