@@ -45,6 +45,7 @@ print(f"\ncontent-aware coverage: MC {report.p_hit:.4f} +- "
       f"{report.stderr['p_hit']:.4f}")
 print(f"hit {report.p_hit:.4f}, aligned backhaul {report.p_bh:.5f}, "
       f"operational backhaul {report.p_bh_operational:.5f}")
-print(f"cache-agnostic max-SIR coverage: {report.coverage_all_bs:.4f}")
+print(f"cache-agnostic coverage (some station clears its threshold): "
+      f"{report.coverage_all_bs:.4f}")
 print(f"ASE {report.ase:.3e} bit/s/Hz/m^2, cost {report.cost:.3e} per m^2, "
       f"efficiency {report.efficiency:.3f}")

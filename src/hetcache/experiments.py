@@ -1,17 +1,8 @@
 """Parameter sweeps, grid search, canned experiments, and CSV persistence.
 
-Swept parameters are addressed by dotted paths into the scenario, with
-1-based tier indices matching the usual tier numbering:
-
-    tiers[2].density            tiers[1].cache.cache_size
-    tiers[2].radio.sir_threshold tiers[*].rho
-    content.popularity_exponent  costs.cache_unit_cost
-
-``tiers[*]`` applies the value to every tier. Every YAML field is a sweep
-path: ``set_parameter`` rebuilds each record on the path, so the record
-checks the value exactly as YAML loading does, and a rejection names the
-swept path. A grid maps each of its axes, a path or a tuple of paths set
-together such as ``("tiers[1].rho", "tiers[2].rho")``, to its values.
+A grid maps each axis, a parameter path (``scenario.set_parameter``) or a
+tuple of paths set together such as ``("tiers[1].rho", "tiers[2].rho")``,
+to its values.
 
 One driver, ``_grid_rows``, turns every run, sweep, grid search and
 canned experiment into rows: one per grid point per engine. The canned
@@ -24,10 +15,8 @@ engine versions.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
-import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,7 +29,10 @@ from .metrics import METRIC_NAMES, analytic_columns
 from .metrics import analytic_report  # noqa: F401
 from .montecarlo import run_simulation
 from .quadrature import QuadratureError
-from .scenario import _COVERAGE_FIELDS, ConfigError, ScenarioConfig, _reaches, _stage_key
+# ``_set_point`` calls ``set_parameter`` by this module's name, which
+# perfbench/tracing.py wraps.
+from .scenario import (_COVERAGE_FIELDS, ConfigError, ScenarioConfig, _names, _reaches,
+                       _stage_key, set_parameter)
 
 __all__ = [
     "GridSearchResult",
@@ -67,77 +59,9 @@ class GridSearchResult:
     surface: tuple
 
 
-_TIER_RE = re.compile(r"tiers\[(\d+|\*)\]")
-
-
-@functools.lru_cache(maxsize=256)
-def _parse(path: str):
-    """``path`` as (tier, field names). The tier is None outside ``tiers``,
-    ``"*"`` for every tier, else its 1-based index."""
-    head, *names = path.split(".")
-    m = _TIER_RE.fullmatch(head)
-    if m is None:
-        return None, (head, *names)
-    return ("*" if m.group(1) == "*" else int(m.group(1))), tuple(names)
-
-
 def _reach(path) -> tuple:
-    """The name sequences an axis sets, for ``scenario._reaches``: a path
-    ``tiers[2].cache.cache_size`` sets ``("tiers", 2, "cache", "cache_size")``."""
-    return tuple(names if tier is None else ("tiers", tier, *names)
-                 for tier, names in map(_parse, (path,) if isinstance(path, str) else path))
-
-
-def _tier_positions(scenario: ScenarioConfig, tier, path: str):
-    count = len(scenario.tiers)
-    if tier == "*":
-        return range(count)
-    if not 1 <= tier <= count:
-        raise ConfigError(path, f"tier index out of range 1..{count}")
-    return (tier - 1,)
-
-
-def _field(record, name: str, path: str):
-    if name not in getattr(record, "__dataclass_fields__", ()):
-        raise ConfigError(path, "parameter path does not resolve")
-    return getattr(record, name)
-
-
-def _rebuilt(record, name: str, value):
-    """``record`` with field ``name`` set to ``value``; its ``__post_init__``
-    checks the value as YAML loading would. Fields are copied, not passed."""
-    new = object.__new__(type(record))
-    fields = new.__dict__
-    fields.update(record.__dict__)
-    fields[name] = value
-    new.__post_init__()
-    return new
-
-
-def _replaced(record, names, value, path: str):
-    """``record`` with the field at ``names`` set, each record on the way rebuilt."""
-    if not names:
-        return value
-    name = names[0]
-    return _rebuilt(record, name, _replaced(_field(record, name, path), names[1:], value, path))
-
-
-def set_parameter(scenario: ScenarioConfig, path: str, value) -> ScenarioConfig:
-    """Return a copy of ``scenario`` with the addressed parameter replaced.
-
-    A ``ConfigError`` names ``path``, not the field of the record that
-    rejected the value.
-    """
-    tier, names = _parse(path)
-    try:
-        if tier is None:
-            return _replaced(scenario, names, value, path)
-        tiers = list(scenario.tiers)
-        for k in _tier_positions(scenario, tier, path):
-            tiers[k] = _replaced(tiers[k], names, value, path)
-        return _rebuilt(scenario, "tiers", tuple(tiers))
-    except ConfigError as exc:
-        raise ConfigError(path, exc.reason) from exc
+    """The name sequences an axis sets, for ``scenario._reaches``."""
+    return tuple(map(_names, (path,) if isinstance(path, str) else path))
 
 
 # Every metric cell of a row, blank, in row order: the metrics, their

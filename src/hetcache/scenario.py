@@ -11,9 +11,20 @@ unknown keys are rejected with their full path. ``region_radius`` and the
 truncation radii accept the string ``"auto"``.
 
 Every record checks its own fields in ``__post_init__``: first their types,
-by annotation (``hetcache._config.check_fields``), then their ranges. YAML
-loading and ``experiments.set_parameter`` both build records, so every YAML
-field is also a sweep path, checked the same way.
+by annotation (``hetcache._config.check_fields``), then their ranges.
+
+A parameter is addressed by a dotted path into the scenario, with 1-based
+tier indices matching the usual tier numbering; ``tiers[*]`` is every tier:
+
+    tiers[2].density            tiers[1].cache.cache_size
+    tiers[2].radio.sir_threshold tiers[*].rho
+    content.popularity_exponent  costs.cache_unit_cost
+
+Only this module knows the grammar: ``_names`` parses a path into the name
+sequence that ``_value`` reads, ``_replaced`` writes and ``_reaches``
+compares. ``set_parameter`` rebuilds each record on the path as YAML loading
+builds it, so every YAML field is a path, checked the same way, and a
+rejection names the path.
 
 The default scenario: a sparse 40 W macro tier (density 1e-3 per km^2,
 threshold 2, 20-slot caches) over a denser 4 W small-cell tier (density 10
@@ -27,8 +38,10 @@ automatically instead (see ``auto_region_radius``).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +67,7 @@ __all__ = [
     "load_config",
     "save_config",
     "serialize_config",
+    "set_parameter",
     "scenario_from_mapping",
     "scenario_to_mapping",
 ]
@@ -194,25 +208,61 @@ class ScenarioConfig:
         return hashlib.sha256(serialize_config(self).encode()).hexdigest()
 
 
-# What each tabulated analytic stage reads, as name sequences for
-# ``_reaches``: scenarios with one ``_stage_key`` share the stage's table.
-# The coverage table; cache, content and costs only reweight its densities.
-_COVERAGE_FIELDS = (("density_unit",), ("tiers", "*", "density"), ("tiers", "*", "rho"),
-                    ("tiers", "*", "radio"), ("integration",))
-# The exponent table e_j(t) of tier j, the "*": not its density or threshold.
-_EXPONENT_FIELDS = (*(("tiers", "*", "radio", name) for name in (
-    "tx_power", "pathloss_exp_los", "pathloss_exp_nlos", "intercept_los", "intercept_nlos",
-    "nakagami_los", "nakagami_nlos", "near_field_dist", "far_field_dist")),
-    ("integration", "rel_tol"), ("integration", "inner_truncation_radius"))
+# --- parameter paths ---------------------------------------------------------
+
+_TIER_RE = re.compile(r"tiers\[(\d+|\*)\]")
 
 
-def _stage_key(scenario: ScenarioConfig, fields, tier="*") -> tuple:
-    """The values of ``scenario`` at ``fields``, in order; ``tier``, 1-based,
-    stands for ``"*"``, which otherwise takes a tuple over every tier."""
-    return tuple(_value(scenario, field, tier) for field in fields)
+@functools.lru_cache(maxsize=256)
+def _names(path: str) -> tuple:
+    """The name sequence of dotted ``path``: ``tiers[2].cache.cache_size``
+    is ``("tiers", 2, "cache", "cache_size")``, and ``tiers[*]`` gives
+    ``"*"`` in place of the tier."""
+    head, *names = path.split(".")
+    m = _TIER_RE.fullmatch(head)
+    if m is None:
+        return (head, *names)
+    return ("tiers", "*" if m.group(1) == "*" else int(m.group(1)), *names)
+
+
+def set_parameter(scenario: ScenarioConfig, path: str, value) -> ScenarioConfig:
+    """Return a copy of ``scenario`` with the addressed parameter replaced.
+
+    A ``ConfigError`` names ``path``, not the field of the record that
+    rejected the value.
+    """
+    try:
+        return _replaced(scenario, _names(path), value)
+    except ConfigError as exc:
+        raise ConfigError(path, exc.reason) from exc
+
+
+def _replaced(node, names, value):
+    """``node`` with ``value`` at ``names``. Each record on the way is
+    copied, not rebuilt from arguments, and its ``__post_init__`` checks it
+    as YAML loading would. Tiers take a 1-based index or ``"*"``."""
+    name, rest = names[0], names[1:]
+    if name in getattr(node, "__dataclass_fields__", ()):
+        new = object.__new__(type(node))
+        fields = new.__dict__
+        fields.update(node.__dict__)
+        fields[name] = _replaced(fields[name], rest, value) if rest else value
+        new.__post_init__()
+        return new
+    if not isinstance(node, tuple) or not (name == "*" or isinstance(name, int)):
+        raise ConfigError("", "parameter path does not resolve")
+    if name != "*" and not 1 <= name <= len(node):
+        raise ConfigError("", f"tier index out of range 1..{len(node)}")
+    positions = range(len(node)) if name == "*" else (name - 1,)
+    items = list(node)
+    for k in positions:
+        items[k] = _replaced(items[k], rest, value) if rest else value
+    return tuple(items)
 
 
 def _value(node, names, tier):
+    """The value at ``names`` in ``node``; ``tier``, 1-based, stands for
+    ``"*"``, which otherwise takes a tuple over every tier."""
     for i, name in enumerate(names):
         if name == "*":
             if tier == "*":
@@ -240,6 +290,23 @@ def _reaches(reach, field) -> bool:
         else:
             return True
     return False
+
+
+# What each tabulated analytic stage reads, as name sequences for
+# ``_reaches``: scenarios with one ``_stage_key`` share the stage's table.
+# The coverage table; cache, content and costs only reweight its densities.
+_COVERAGE_FIELDS = (("density_unit",), ("tiers", "*", "density"), ("tiers", "*", "rho"),
+                    ("tiers", "*", "radio"), ("integration",))
+# The exponent table e_j(t) of tier j, the "*": not its density or threshold.
+_EXPONENT_FIELDS = (*(("tiers", "*", "radio", name) for name in (
+    "tx_power", "pathloss_exp_los", "pathloss_exp_nlos", "intercept_los", "intercept_nlos",
+    "nakagami_los", "nakagami_nlos", "near_field_dist", "far_field_dist")),
+    ("integration", "rel_tol"), ("integration", "inner_truncation_radius"))
+
+
+def _stage_key(scenario: ScenarioConfig, fields, tier="*") -> tuple:
+    """The values of ``scenario`` at ``fields``, in order, read by ``_value``."""
+    return tuple(_value(scenario, field, tier) for field in fields)
 
 
 # Expected base-station count that drives automatic region sizing.

@@ -38,25 +38,21 @@ def test_set_parameter_paths():
     assert both.tiers[0].rho == 0.5 and both.tiers[1].rho == 0.5
 
 
-def test_set_parameter_bad_paths():
-    s = default_scenario()
-    for path in ("tiers[3].density", "tiers[1].antenna",
-                 "tiers[1].radio.antenna_gain", "nonsense.path"):
-        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
-            set_parameter(s, path, 1.0)
-    with pytest.raises(ConfigError):
-        set_parameter(s, "tiers[1].cache.cache_size", 2.5)  # non-integer
-
-
-def test_get_parameter_bad_paths():
-    # Paths the shared path walk cannot resolve: tier 0 and tier 3 do not
-    # exist, a property is not a field, a float has no fields.
-    s = default_scenario()
-    for path in ("tiers[0].density", "tiers[3].density", "tiers[1].antenna",
-                 "tiers[1].effective_threshold", "content.nothing",
-                 "tiers[1].density.real"):
-        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
-            set_parameter(s, path, 1.0)
+@pytest.mark.parametrize("path, value, reason", [
+    ("tiers[0].density", 1.0, "tier index out of range 1..2"),
+    ("tiers[3].density", 1.0, "tier index out of range 1..2"),
+    # a tier needs its index; an index is a number or *; a property is not
+    # a field, and a float has no fields
+    *((path, 1.0, "parameter path does not resolve") for path in (
+        "tiers.density", "tiers[x].density", "tiers[1].antenna",
+        "tiers[1].radio.antenna_gain", "tiers[1].effective_threshold",
+        "tiers[1].density.real", "content.nothing", "nonsense.path")),
+    ("tiers[1].cache.cache_size", 2.5, "expected an integer value"),
+])
+def test_set_parameter_bad_paths(path, value, reason):
+    with pytest.raises(ConfigError) as info:
+        set_parameter(default_scenario(), path, value)
+    assert str(info.value) == f"{path}: {reason}"
 
 
 @pytest.mark.parametrize("path, bad", [

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetcache.content import TierCachePolicy
-from hetcache.experiments import set_parameter
 from hetcache.scenario import (AUTO, PER_M2, ConfigError, CostModel,
-                               IntegrationSettings, SimulationProtocol,
-                               auto_region_radius, default_scenario,
+                               IntegrationSettings, SimulationProtocol, _names,
+                               _value, auto_region_radius, default_scenario,
                                desk_scale_protocol, load_config, save_config,
                                scenario_from_mapping, scenario_to_mapping,
-                               serialize_config)
+                               serialize_config, set_parameter)
 
 
 def test_default_scenario_values():
@@ -219,14 +218,20 @@ VALUES = st.one_of(
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(path=st.sampled_from(LEAF_PATHS), value=VALUES)
 def test_set_parameter_and_yaml_agree(path, value):
-    """Every YAML leaf is a sweep path that accepts and rejects the same values."""
+    """Every YAML leaf is a sweep path that accepts and rejects the same
+    values, and an accepted value reads back the same along its path."""
     base = default_scenario()
-    outcomes = []
+    outcomes, reads = [], []
     for build in (lambda: set_parameter(base, path, value),
                   lambda: scenario_from_mapping(
                       _with_leaf(scenario_to_mapping(base), path, value))):
         try:
-            outcomes.append(serialize_config(build()))
+            scenario = build()
         except ValueError:
             outcomes.append(ValueError)
+        else:
+            outcomes.append(serialize_config(scenario))
+            reads.append(_value(scenario, _names(path), "*"))
     assert outcomes[0] == outcomes[1]
+    if outcomes[0] is not ValueError:
+        assert reads[0] == reads[1]
