@@ -8,8 +8,9 @@ Subcommands::
                      --var "tiers[2].cache.mpc_fraction=0,0.5,1" --out surface.csv
     hetcache preset  fig2 --out fig2.csv
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure (including
-any failed sweep row).
+Exit codes: 0 success, 1 validation failure or a file that cannot be read
+or written (the error names its path), 2 numerical failure (including any
+failed sweep row).
 """
 from __future__ import annotations
 
@@ -170,6 +171,10 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"output error: {exc.filename or args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 1
 
 

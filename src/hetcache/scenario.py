@@ -6,9 +6,10 @@ protocol, and quadrature settings. Densities are stated in the configured
 unit (per square kilometer by default) and converted to per-m^2 internally.
 
 Config files are YAML whose structure mirrors the dataclasses; any section
-or key left out falls back to the two-tier default scenario below, and
-unknown keys are rejected with their full path. ``region_radius`` and the
-truncation radii accept the string ``"auto"``.
+or key left out, or given as ``null``, falls back to the two-tier default
+scenario below, and unknown keys are rejected with their full path; of
+several errors, the first in document order is reported. ``region_radius``
+and the truncation radii accept the string ``"auto"``.
 
 Every record checks its own fields in ``__post_init__``: first their types,
 by annotation (``hetcache._config.check_fields``), then their ranges.
@@ -22,9 +23,10 @@ tier indices matching the usual tier numbering; ``tiers[*]`` is every tier:
 
 Only this module knows the grammar: ``_names`` parses a path into the name
 sequence that ``_value`` reads, ``_replaced`` writes and ``_reaches``
-compares. ``set_parameter`` rebuilds each record on the path as YAML loading
-builds it, so every YAML field is a path, checked the same way, and a
-rejection names the path.
+compares. ``set_parameter`` copies the records on one path (``_replaced``)
+and YAML loading merges a file onto the default scenario's records
+(``_merged``); in both walks each record's ``__post_init__`` checks it, so
+every YAML field is a path, checked the same way, and a rejection names it.
 
 The default scenario: a sparse 40 W macro tier (density 1e-3 per km^2,
 threshold 2, 20-slot caches) over a denser 4 W small-cell tier (density 10
@@ -378,28 +380,6 @@ def scenario_to_mapping(config: ScenarioConfig) -> dict:
             "tiers": [dataclasses.asdict(t) for t in config.tiers]}
 
 
-def _require_mapping(node, path):
-    if not isinstance(node, dict):
-        raise ConfigError(path, f"expected a mapping, got {type(node).__name__}")
-
-
-def _merge(defaults, override, path):
-    """Deep merge ``override`` onto ``defaults``, rejecting unknown keys."""
-    if override is None:
-        return defaults
-    _require_mapping(override, path or "<config>")
-    merged = dict(defaults)
-    for key, value in override.items():
-        key_path = f"{path}.{key}" if path else str(key)
-        if key not in defaults:
-            raise ConfigError(key_path, "unknown key")
-        if isinstance(defaults[key], dict):
-            merged[key] = _merge(defaults[key], value, key_path)
-        else:
-            merged[key] = value
-    return merged
-
-
 def _build(cls, fields, path):
     """``cls(**fields)``, with any rejection located under ``path``."""
     try:
@@ -408,31 +388,38 @@ def _build(cls, fields, path):
         raise ConfigError(".".join(filter(None, (path, exc.path))), exc.reason) from exc
 
 
-def scenario_from_mapping(mapping: dict | None) -> ScenarioConfig:
-    """Build a scenario from a (possibly partial) YAML mapping.
+def _merged(node, value, path):
+    """``node`` with the YAML ``value`` at ``path`` merged onto it.
 
-    Missing sections and keys fall back to the default scenario. Tier
-    entries merge positionally onto the default tiers; entries past the
-    default count inherit from the last default tier. Each record checks
-    its own fields.
+    A mapping merges onto a record field by field, and ``null`` keeps the
+    record; a list merges onto the tiers entry by entry, entries past the
+    default count onto the last default tier; any other value replaces the
+    field. Each record is rebuilt by ``_build``, so it checks itself.
     """
-    defaults = scenario_to_mapping(default_scenario())
-    merged = _merge(defaults, {} if mapping is None else mapping, "")
-    if not isinstance(merged["tiers"], list) or not merged["tiers"]:
-        raise ConfigError("tiers", "expected a non-empty list of tier mappings")
-    tiers = []
-    for k, entry in enumerate(merged["tiers"]):
-        path = f"tiers[{k + 1}]"
-        tier = _merge(defaults["tiers"][min(k, len(defaults["tiers"]) - 1)], entry, path)
-        tiers.append(_build(TierConfig, {
-            **tier,
-            "radio": _build(TierRadioParams, tier["radio"], f"{path}.radio"),
-            "cache": _build(TierCachePolicy, tier["cache"], f"{path}.cache"),
-        }, path))
-    sections = {name: _build(cls, merged[name], name) for name, cls in (
-        ("content", ContentModel), ("costs", CostModel),
-        ("protocol", SimulationProtocol), ("integration", IntegrationSettings))}
-    return _build(ScenarioConfig, {**merged, **sections, "tiers": tiers}, "")
+    if isinstance(node, tuple):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(path, "expected a non-empty list of tier mappings")
+        return tuple(_merged(node[min(k, len(node) - 1)], entry, f"{path}[{k + 1}]")
+                     for k, entry in enumerate(value))
+    if not hasattr(node, "__dataclass_fields__"):
+        return value
+    if value is None:
+        return node
+    if not isinstance(value, dict):
+        raise ConfigError(path or "<config>",
+                          f"expected a mapping, got {type(value).__name__}")
+    fields = dict(node.__dict__)
+    for key, item in value.items():
+        key_path = f"{path}.{key}" if path else str(key)
+        if key not in fields:
+            raise ConfigError(key_path, "unknown key")
+        fields[key] = _merged(fields[key], item, key_path)
+    return _build(type(node), fields, path)
+
+
+def scenario_from_mapping(mapping: dict | None) -> ScenarioConfig:
+    """The default scenario with a (possibly partial) YAML mapping merged on."""
+    return _merged(default_scenario(), mapping, "")
 
 
 def serialize_config(config: ScenarioConfig) -> str:
@@ -442,8 +429,13 @@ def serialize_config(config: ScenarioConfig) -> str:
 
 def load_config(path) -> ScenarioConfig:
     """Load and validate a YAML scenario file (empty file = full defaults)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(str(path), exc.strerror) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"not UTF-8 text: {exc}") from exc
     try:
         mapping = yaml.safe_load(text)
     except yaml.YAMLError as exc:

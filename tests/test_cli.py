@@ -118,6 +118,22 @@ def test_bad_value_exits_one_with_its_path(tmp_path, capsys, text, flags, path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, name", [
+    ("--config", "missing.yaml"), ("--config", "."), ("--config", "latin1.yaml"),
+    ("--out", "missing/x.csv"),
+])
+def test_file_error_exits_one_naming_the_file(tmp_path, capsys, flag, name):
+    # a missing file, a directory, a file not in UTF-8, an output in a missing directory
+    (tmp_path / "latin1.yaml").write_bytes(b"tiers: [{density: 5}]  # \xb5\n")
+    path = str(tmp_path / name)
+    args = {"--out": str(tmp_path / "x.csv"), flag: path}
+    code = main(["run", *(a for item in args.items() for a in item)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert path in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
 def test_library_below_a_cache_exits_one_naming_both(tmp_path, capsys):
     # either field may be the one the file set, so the error names the
     # scenario and its reason names both paths

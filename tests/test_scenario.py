@@ -89,32 +89,77 @@ def test_single_tier_config(tmp_path):
     assert s.tiers[0].radio.tx_power == 40.0
 
 
-def test_rejects_pathloss_exponent_out_of_range(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ("- 1\n", "<config>: expected a mapping, got list"),
+    ("42\n", "<config>: expected a mapping, got int"),
+    ("turbo: true\n", "turbo: unknown key"),
+    ("rate_log_base: 1.0\n", "rate_log_base: must be finite and exceed 1"),
+    ("rate_log_base: null\n", "rate_log_base: expected a number"),
+    ("density_unit: per-acre\n", "density_unit: must be 'per-km2' or 'per-m2'"),
+    ("tiers: []\n", "tiers: expected a non-empty list of tier mappings"),
+    ("tiers: null\n", "tiers: expected a non-empty list of tier mappings"),
+    ("tiers: {density: 1.0}\n", "tiers: expected a non-empty list of tier mappings"),
+    ("content: 5\n", "content: expected a mapping, got int"),
+    ("costs: [1]\n", "costs: expected a mapping, got list"),
+    ("costs: {backhaul_unit_cost: 1.0, coffee: 3}\n", "costs.coffee: unknown key"),
+    ("costs: {cache_unit_cost: -0.5}\n",
+     "costs.cache_unit_cost: must be finite and nonnegative"),
+    ("content: {library_size: 0}\n", "content.library_size: must be a positive integer"),
+    ("content: {popularity_exponent: -1}\n", "content.popularity_exponent: must be nonnegative"),
+    ("protocol: {num_snapshots: 0}\n", "protocol.num_snapshots: must be a positive integer"),
+    ("protocol: {num_snapshots: 2.5}\n", "protocol.num_snapshots: expected an integer value"),
+    ("protocol: {region_radius: '10'}\n",
+     "protocol.region_radius: expected a number or 'auto'"),
+    ("protocol: {content_evaluation: sampled}\n",
+     "protocol.content_evaluation: must be 'all-weighted'"),
+    ("integration: {abs_tol: 0}\n", "integration.abs_tol: must be finite and positive"),
+    ("integration: {inner_truncation_radius: -1}\n",
+     "integration.inner_truncation_radius: must be finite and positive, or 'auto'"),
+    ("integration: {rel_tol: {a: 1}}\n", "integration.rel_tol: expected a number"),
+    ("tiers: [5]\n", "tiers[1]: expected a mapping, got int"),
+    ("tiers: [{}, {}, {foo: 1}]\n", "tiers[3].foo: unknown key"),
+    ("tiers: [{radio: 1}]\n", "tiers[1].radio: expected a mapping, got int"),
+    ("tiers: [{}, {cache: {size: 3}}]\n", "tiers[2].cache.size: unknown key"),
+    ("tiers: [{density: -1}]\n", "tiers[1].density: must be finite and nonnegative"),
+    ("tiers: [{rho: 0}]\n", "tiers[1].rho: must be in (0, 1]"),
+    ("tiers: [{radio: {tx_power: -1}}]\n",
+     "tiers[1].radio.tx_power: must be finite and positive"),
+    ("tiers:\n  - radio: {pathloss_exp_los: 9.0, pathloss_exp_nlos: 9.5}\n",
+     "tiers[1].radio.pathloss_exp_nlos: must be at most 8"),
+    ("tiers: [{radio: {pathloss_exp_los: 5.0}}]\n",
+     "tiers[1].radio: must be ordered pathloss_exp_los < pathloss_exp_nlos"),
+    ("tiers: [{radio: {pathloss_exp_los: 2.0}}]\n",
+     "tiers[1].radio.pathloss_exp_los: must be above 2"),
+    ("tiers: [{}, {radio: {nakagami_los: 1, nakagami_nlos: 2}}]\n",
+     "tiers[2].radio: must be ordered nakagami_los >= nakagami_nlos"),
+    ("tiers: [{radio: {nakagami_nlos: 0}}]\n",
+     "tiers[1].radio.nakagami_nlos: must be a positive integer"),
+    ("tiers: [{cache: {mpc_fraction: 1.5}}]\n", "tiers[1].cache.mpc_fraction: must be in [0, 1]"),
+    ("tiers: [{cache: {cache_size: true}}]\n",
+     "tiers[1].cache.cache_size: expected an integer value"),
+    ("tiers:\n  - {}\n  - cache: {cache_size: 150}\n",
+     "must be ordered tiers[2].cache.cache_size <= content.library_size (150 > 100)"),
+    ("content: {library_size: 10}\n",
+     "must be ordered tiers[1].cache.cache_size <= content.library_size (20 > 10)"),
+    ("tiers: [{}, {}, {cache: {cache_size: 200}}]\n",
+     "must be ordered tiers[3].cache.cache_size <= content.library_size (200 > 100)"),
+    # of several errors, the first in document order
+    ("tiers: [{radio: {tx_power: -1}}]\ncosts: {coffee: 1}\n",
+     "tiers[1].radio.tx_power: must be finite and positive"),
+])
+def test_rejected_yaml_names_its_path(tmp_path, text, message):
     path = tmp_path / "bad.yaml"
-    path.write_text(
-        "tiers:\n  - radio: {pathloss_exp_los: 9.0, pathloss_exp_nlos: 9.5}\n")
+    path.write_text(text)
     with pytest.raises(ConfigError) as exc:
         load_config(path)
-    assert "tiers[1].radio" in str(exc.value)
-    assert "8" in str(exc.value)
+    assert str(exc.value) == message
 
 
-def test_rejects_cache_larger_than_library(tmp_path):
-    path = tmp_path / "bad.yaml"
-    path.write_text("tiers:\n  - {}\n  - cache: {cache_size: 150}\n")
-    with pytest.raises(ConfigError) as exc:
-        load_config(path)
-    assert "cache_size" in str(exc.value)
-
-
-def test_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "bad.yaml"
-    path.write_text("costs: {backhaul_unit_cost: 1.0, coffee: 3}\n")
-    with pytest.raises(ConfigError) as exc:
-        load_config(path)
-    assert "costs.coffee" in str(exc.value)
-    with pytest.raises(ConfigError):
-        scenario_from_mapping({"turbo": True})
+def test_null_keeps_a_record(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("content: null\ntiers:\n  - null\n  - {radio: null, density: 5.0}\n")
+    s = load_config(path)
+    assert s == set_parameter(default_scenario(), "tiers[2].density", 5.0)
 
 
 def test_parse_error_reported(tmp_path):
