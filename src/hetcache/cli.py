@@ -15,6 +15,8 @@ failed sweep row).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
@@ -82,6 +84,16 @@ def _load_scenario(args):
     return scenario
 
 
+def _check_out(out: str) -> None:
+    """Raise, creating no file, the error that writing ``out`` or its sidecar
+    would: its directory missing, or a directory in its place."""
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    for path in (out, out + ".meta.json"):
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _listed_grid(text: str) -> tuple:
     """A comma-separated grid (``--values``, ``--var``), skipping empty tokens
     as in ``1,,2``. A token is a number, else kept as given: the swept field's
@@ -136,6 +148,7 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigError("workers", "must be a positive integer")
         scenario = _load_scenario(args)
+        _check_out(args.out)
         if args.command in ("run", "sweep"):
             variables = {args.param: _sweep_grid(args)} if args.command == "sweep" else {}
             rows = run_experiment(scenario, variables, engine=args.engine,

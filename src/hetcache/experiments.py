@@ -6,7 +6,7 @@ to its values.
 
 One driver, ``_grid_rows``, turns every run, sweep, grid search and
 canned experiment into rows: one per grid point per engine. The canned
-experiments (``PRESET_NAMES``) are data, a table of axes and engines.
+experiments (``PRESET_NAMES``) are data, a table of axes and an engine.
 Result rows are flattened metric reports; float cells are printed with 17
 significant digits so a fixed config and seed reproduce byte-identical CSV
 files. A sidecar ``<out>.meta.json`` records the config hash, seed, and
@@ -59,11 +59,6 @@ class GridSearchResult:
     surface: tuple
 
 
-def _reach(path) -> tuple:
-    """The name sequences an axis sets, for ``scenario._reaches``."""
-    return tuple(map(_names, (path,) if isinstance(path, str) else path))
-
-
 # Every metric cell of a row, blank, in row order: the metrics, their
 # Monte Carlo standard errors, their analytic error estimates.
 _BLANK_CELLS = dict.fromkeys([
@@ -76,9 +71,9 @@ _BLANK_CELLS = dict.fromkeys([
 class _SweepCache:
     """Coverage tables of one sweep and the exponent tables they share.
 
-    Each is keyed by the fields its tables read (``scenario._stage_key``).
-    One lives for one sweep, grid search or preset call, so every call
-    pays for its own tabulation and no state outlives it.
+    Each is keyed by the fields its tables read (``scenario._stage_key``),
+    and a key whose table failed holds its error message. One lives for one
+    sweep, grid search or preset call: each builds a key at most once.
     """
 
     tables: dict = dataclasses.field(default_factory=dict)
@@ -104,7 +99,7 @@ _BATCH_ROW_RANKS = 1 << 16
 def _analytic_rows(scenarios, cache: _SweepCache, heads, reach=None) -> list:
     """Analytic rows of ``scenarios``, in order, each opening with its ``heads``.
 
-    ``reach`` is what the block's axis sets (``_reach``), None if unknown;
+    ``reach`` is the name sequences of the block's paths, None if unknown;
     ``scenario._reaches`` says which fields it can change. Each run of rows
     with one key of ``_COVERAGE_FIELDS`` takes one coverage table from
     ``cache`` (built on a miss), so one batch may span several tables; when
@@ -122,16 +117,17 @@ def _analytic_rows(scenarios, cache: _SweepCache, heads, reach=None) -> list:
     ready = []
     for key, run in itertools.groupby(range(len(scenarios)), keys.__getitem__):
         run = list(run)
-        table = cache.tables.get(key)
-        if table is None:
+        if key not in cache.tables:
             try:
-                table = build_coverage_table(scenarios[run[0]], exponents=cache.exponents)
+                cache.tables[key] = build_coverage_table(scenarios[run[0]], cache.exponents)
             except (QuadratureError, ValueError) as exc:
-                for b in run:
-                    rows[b] = {**heads[b], **_error_row("analytic", str(exc))}
-                continue
-            cache.tables[key] = table
-        ready += ((b, scenarios[b], table) for b in run)
+                cache.tables[key] = str(exc)
+        table = cache.tables[key]
+        if isinstance(table, str):
+            for b in run:
+                rows[b] = {**heads[b], **_error_row("analytic", table)}
+        else:
+            ready += ((b, scenarios[b], table) for b in run)
     batches = []
     for library_size, run in itertools.groupby(
             ready, lambda item: item[1].content.library_size):
@@ -173,14 +169,9 @@ def _mc_row(scenario: ScenarioConfig, workers: int) -> dict:
     return row
 
 
-def _cells(path, value) -> dict:
-    """The row cells of one axis value; a tuple of paths takes a tuple of values."""
-    return {path: value} if isinstance(path, str) else dict(zip(path, value))
-
-
-def _set_point(scenario: ScenarioConfig, path, value) -> ScenarioConfig:
-    for name, v in _cells(path, value).items():
-        scenario = set_parameter(scenario, name, v)
+def _set_point(scenario: ScenarioConfig, paths: tuple, values: tuple) -> ScenarioConfig:
+    for path, value in zip(paths, values):
+        scenario = set_parameter(scenario, path, value)
     return scenario
 
 
@@ -188,63 +179,52 @@ def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
                cache: _SweepCache | None = None, point: dict | None = None):
     """Yield the rows of every point of the product of ``axes``, in grid order.
 
-    ``axes`` is an ordered sequence of (path, grid) pairs; the last varies
-    fastest, and no axes means the one point ``scenario``. A path may be a
-    tuple of paths, set together, in order, from a grid of tuples. Each
-    point yields one row per engine of ``engines``, in that order; a row's
-    first cells are the point's values, one per path. Each point is built
-    from the deepest prefix it shares with the previous one, as nested
-    loops would: ``set_parameter`` runs once per changed value, in path
-    order. The points of one innermost grid form a block whose analytic
-    rows are scored in one batch. A block's points differ from the scenario
-    they are built from only in the fields their path reaches (the rule is
-    ``scenario._reaches``), so the batch is told that path (``_reach``): it
-    reads every other field once, and a block whose path reaches no field
-    of ``scenario._COVERAGE_FIELDS`` takes one coverage table. Failed
-    rows are yielded with status ``error``; a bad parameter value raises
-    where it is set, after the rows of its block before it.
+    ``axes`` are ``_plan``'s (paths, grid) pairs; the last varies fastest,
+    and no axes means the one point ``scenario``. Each point yields one row
+    per engine of ``engines``, in that order; a row's first cells are the
+    point's values, one per path. Each point is built from the deepest
+    prefix it shares with the previous one, as nested loops would:
+    ``set_parameter`` runs once per changed value, in path order. The
+    points of one innermost grid form a block: all are set before any is
+    scored, and its analytic rows are scored in one batch. A block's points
+    differ from the scenario they are built from only in the fields their
+    paths reach (the rule is ``scenario._reaches``), so the batch is told
+    their name sequences: it reads every other field once, and a block
+    whose paths reach no field of ``scenario._COVERAGE_FIELDS`` takes one
+    coverage table. Failed rows are yielded with status ``error``; a bad
+    parameter value raises where it is set, before its block is scored.
     """
     cache = _SweepCache() if cache is None else cache
     point = {} if point is None else point
-    path, grid = axes[0] if axes else ((), ((),))
+    paths, grid = axes[0] if axes else ((), ((),))
     if len(axes) > 1:
-        for value in grid:
-            yield from _grid_rows(_set_point(scenario, path, value), axes[1:], engines,
-                                  workers, cache, {**point, **_cells(path, value)})
+        for values in grid:
+            yield from _grid_rows(_set_point(scenario, paths, values), axes[1:], engines,
+                                  workers, cache, {**point, **dict(zip(paths, values))})
         return
-    scenarios, failure = [], None
-    for value in grid:
-        try:
-            scenarios.append(_set_point(scenario, path, value))
-        except (ValueError, TypeError) as exc:  # raised once the rows before it are out
-            failure = exc
-            break
-    heads = [{**point, **_cells(path, value)} for value, _ in zip(grid, scenarios)]
-    blocks = [_analytic_rows(scenarios, cache, heads, _reach(path)) if engine == "analytic"
+    scenarios = [_set_point(scenario, paths, values) for values in grid]
+    heads = [{**point, **dict(zip(paths, values))} for values in grid]
+    reach = tuple(map(_names, paths))
+    blocks = [_analytic_rows(scenarios, cache, heads, reach) if engine == "analytic"
               else [{**h, **_mc_row(s, workers)} for h, s in zip(heads, scenarios)]
               for engine in engines]
     for rows in zip(*blocks):
         yield from rows
-    if failure is not None:
-        raise failure
 
 
 def _plan(variables: dict, engine: str):
-    """The axes of ``variables``, in order, and the engines named by ``engine``."""
+    """The axes of ``variables`` as ``(paths, grid)`` pairs, in order, and
+    the engines named by ``engine``. A path alone is a tuple of one, and a
+    grid value holds one value per path. A bad value raises where
+    ``_grid_rows`` sets it, before its block is scored."""
     if engine not in _ENGINES:
         raise ValueError(f"engine must be one of {sorted(_ENGINES)}, not {engine!r}")
-    axes = [(path, tuple(grid)) for path, grid in variables.items()]
-    for path, grid in axes:
+    axes = [((path,), tuple((value,) for value in grid)) if isinstance(path, str)
+            else (tuple(path), tuple(map(tuple, grid))) for path, grid in variables.items()]
+    for paths, grid in axes:
         if not grid:
-            raise ConfigError(path if isinstance(path, str) else ", ".join(path),
-                              "grid must be non-empty")
+            raise ConfigError(", ".join(paths), "grid must be non-empty")
     return axes, _ENGINES[engine]
-
-
-def _point(row: dict, paths) -> dict:
-    """The grid point of ``row``: its cell of every path, a tuple's path by path."""
-    return {name: row[name] for path in paths
-            for name in ((path,) if isinstance(path, str) else path)}
 
 
 def run_experiment(config: ScenarioConfig, variables: dict, engine: str = "analytic",
@@ -282,17 +262,20 @@ def grid_search(config: ScenarioConfig, variables: dict,
     axes, engines = _plan(variables, engine)
     if len(engines) > 1:
         raise ValueError("grid search uses a single engine")
+
+    def point(row):
+        return {path: row[path] for paths, _ in axes for path in paths}
+
     best_point = None
     best_eta = -np.inf
     surface = []
     for row in _grid_rows(config, axes, engines, workers):
         surface.append(row)
         if row["status"] != "ok":
-            raise QuadratureError(
-                f"grid point {_point(row, variables)} failed: {row['error']}")
+            raise QuadratureError(f"grid point {point(row)} failed: {row['error']}")
         if row["efficiency"] > best_eta:
             best_eta = row["efficiency"]
-            best_point = _point(row, variables)
+            best_point = point(row)
     return GridSearchResult(best_point=best_point, best_efficiency=best_eta,
                             surface=tuple(surface))
 
@@ -337,21 +320,21 @@ PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 
 
 class _Preset(NamedTuple):
-    """One canned experiment: a grid over the caller's config, run by
-    ``_grid_rows``. A callable grid is made from the config. With
-    ``efficiency_ratio`` each row also gets its efficiency over that of
-    its baseline: the row of the same engine at its point of the grid
-    without the last axis."""
+    """One canned experiment: a grid over the caller's config and its engine,
+    named as for ``run_experiment``. A callable grid is made from the
+    config. With ``efficiency_ratio`` each row also gets its efficiency over
+    that of its baseline: the row of the same engine at its point of the
+    grid without the last axis."""
 
     axes: tuple
-    engines: tuple = ("analytic",)
+    engine: str = "analytic"
     efficiency_ratio: bool = False
 
 
 _PRESETS = {
     # fig1: analytic coverage bound next to Monte Carlo coverage vs threshold
     "fig1": _Preset((("tiers[2].radio.sir_threshold", (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)),),
-                    engines=("analytic", "mc")),
+                    engine="both"),
     # fig2: backhaul use, hit ratio, ASE, cost and efficiency vs small-cell density
     "fig2": _Preset((("content.popularity_exponent", (0.5, 1.0, 1.5)),
                      ("tiers[2].density", np.logspace(-4, 2, 13)))),
@@ -378,18 +361,20 @@ _PRESETS = {
 
 
 def run_preset(name: str, config: ScenarioConfig, out_path=None, workers: int = 1):
-    """Run one canned experiment and optionally persist its rows."""
+    """Run one canned experiment and optionally persist its rows; as in
+    ``run_experiment``, a bad value raises before its block is scored."""
     if name not in _PRESETS:
         raise ConfigError("preset", f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     preset = _PRESETS[name]
-    axes = [(path, grid(config) if callable(grid) else grid) for path, grid in preset.axes]
+    axes, engines = _plan({path: grid(config) if callable(grid) else grid
+                           for path, grid in preset.axes}, preset.engine)
     cache = _SweepCache()
-    rows = list(_grid_rows(config, axes, preset.engines, workers, cache))
+    rows = list(_grid_rows(config, axes, engines, workers, cache))
     if preset.efficiency_ratio:
-        baselines = list(_grid_rows(config, axes[:-1], preset.engines, workers, cache))
-        engines, last = len(preset.engines), len(axes[-1][1])
+        baselines = list(_grid_rows(config, axes[:-1], engines, workers, cache))
+        width, last = len(engines), len(axes[-1][1])
         for k, row in enumerate(rows):
-            base = baselines[k // (last * engines) * engines + k % engines]
+            base = baselines[k // (last * width) * width + k % width]
             ok = row["status"] == "ok" and base["status"] == "ok"
             row["efficiency_ratio"] = row["efficiency"] / base["efficiency"] if ok else ""
     if out_path is not None:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hetcache import cli
 from hetcache.cli import main
 
 
@@ -132,6 +133,34 @@ def test_file_error_exits_one_naming_the_file(tmp_path, capsys, flag, name):
     assert code == 1
     assert path in err.splitlines()[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("out, named, reason", [
+    ("missing/x.csv", "missing/x.csv", "No such file or directory"),
+    ("sub", "sub", "Is a directory"),
+    ("x.csv", "x.csv.meta.json", "Is a directory"),
+])
+def test_unwritable_out_exits_one_before_any_run(tmp_path, capsys, monkeypatch,
+                                                 out, named, reason):
+    # a missing directory, a directory as the CSV, a directory as its
+    # sidecar: each exits before the run, creating and truncating nothing,
+    # with the error its write would raise
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "x.csv").write_text("kept\n")
+    (tmp_path / "x.csv.meta.json").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    code = main(["run", "--engine", "mc", "--snapshots", "3000",
+                 "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines()[0] == f"output error: {tmp_path / named}: {reason}"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "x.csv").read_text() == "kept\n"
 
 
 def test_library_below_a_cache_exits_one_naming_both(tmp_path, capsys):

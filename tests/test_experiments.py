@@ -16,7 +16,7 @@ from hetcache.experiments import (_grid_rows, _SweepCache, grid_search,
 from hetcache.metrics import (UndefinedEfficiencyError, analytic_columns,
                               analytic_report, caching_efficiency)
 from hetcache.scenario import (_COVERAGE_FIELDS, _EXPONENT_FIELDS, ConfigError,
-                               SimulationProtocol, _reaches, _stage_key,
+                               SimulationProtocol, _names, _reaches, _stage_key,
                                default_scenario, scenario_to_mapping)
 
 
@@ -154,6 +154,17 @@ def test_grid_search_reuses_tables_for_cache_paths():
     # radio side never changed: every row shares the coverage densities
     rhos = {row["rho_2"] for row in res.surface}
     assert len(rhos) == 1
+
+
+def test_path_axis_equals_its_one_path_tuple():
+    # a path alone and a tuple of that one path are the same axis
+    s = default_scenario()
+    alone = {"tiers[2].density": (1.0, 10.0)}
+    one_tuple = {("tiers[2].density",): ((1.0,), (10.0,))}
+    rows, tuple_rows = run_experiment(s, alone), run_experiment(s, one_tuple)
+    assert [list(row) for row in rows] == [list(row) for row in tuple_rows]
+    assert rows == tuple_rows
+    assert grid_search(s, alone).best_point == grid_search(s, one_tuple).best_point
 
 
 def test_grid_search_variable_count_limits():
@@ -418,12 +429,46 @@ def test_grid_search_bad_value_raises_where_set(monkeypatch, bad, error, message
         grid_search(s, variables)
     assert type(raised.value) is type(naive.value)
     assert str(raised.value) == message
-    # the second point fails, after one row, at its own value
-    assert sum(len(args[0]) for args in batches) == 1
+    # the second point fails at its own value, before its block is scored
+    assert sum(len(args[0]) for args in batches) == 0
     assert [args[1:] for args in calls] == [
         ("content.popularity_exponent", 0.5),
         ("tiers[2].cache.cache_size", 5),
         ("tiers[2].cache.cache_size", bad)]
+
+
+def test_mc_block_bad_last_value_raises_before_any_simulation(monkeypatch):
+    s = desk_config(snapshots=40, radius=3000.0)
+    with pytest.raises(ConfigError) as naive:
+        set_parameter(s, "tiers[2].cache.cache_size", 2.5)
+    runs = _count_calls(monkeypatch, "run_simulation")
+    with pytest.raises(ConfigError) as raised:
+        run_experiment(s, {"tiers[2].cache.cache_size": (5, 10, 2.5)}, engine="mc")
+    assert str(raised.value) == str(naive.value)
+    assert runs == []
+
+
+def test_failed_coverage_table_is_built_once_per_sweep(monkeypatch):
+    # a tolerance the quadrature cannot meet fails the same way in every
+    # block; its key keeps the message, so each key is built once
+    s = default_scenario()
+    builds = _count_calls(monkeypatch, "build_coverage_table")
+    rows = run_experiment(s, {"content.popularity_exponent": (0.5, 1.0, 1.5),
+                              "integration.rel_tol": (1e-6, 1e-15)})
+    assert len(builds) == 2
+    monkeypatch.undo()
+    failed = set_parameter(s, "integration.rel_tol", 1e-15)
+    (alone,) = _grid_rows(failed, (), ("analytic",), 1)
+    assert alone["status"] == "error"
+    assert [r["status"] for r in rows] == ["ok", "error"] * 3
+    for row in rows[1::2]:
+        assert row == {"content.popularity_exponent": row["content.popularity_exponent"],
+                       "integration.rel_tol": 1e-15, **alone}
+
+
+def _axes(variables):
+    """``_plan``'s axes of ``variables``."""
+    return experiments._plan(variables, "analytic")[0]
 
 
 def _row_alone(scenario, tables):
@@ -445,7 +490,7 @@ def _assert_rows_alone(config, axes, rows):
     tables = {}
     assert len(rows) == int(np.prod([len(grid) for _, grid in axes]))
     for row in rows:
-        alone = experiments._point(row, [path for path, _ in axes])
+        alone = {path: row[path] for paths, _ in axes for path in paths}
         scenario = config
         for path, value in alone.items():
             scenario = set_parameter(scenario, path, value)
@@ -457,8 +502,8 @@ def _assert_rows_alone(config, axes, rows):
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
 def test_grid_preset_rows_equal_rows_alone(name):
     config = set_parameter(default_scenario(), "content.library_size", 90)
-    axes = [(path, grid(config) if callable(grid) else grid)
-            for path, grid in experiments._PRESETS[name].axes]
+    axes = _axes({path: grid(config) if callable(grid) else grid
+                  for path, grid in experiments._PRESETS[name].axes})
     rows = run_preset(name, config)
     assert all(r["status"] == "ok" for r in rows)
     _assert_rows_alone(config, axes, rows)
@@ -489,7 +534,7 @@ _BLOCK_EXPONENT_TABLES = {"integration.rel_tol": 4, "tiers[2].radio.nakagami_los
 ])
 def test_block_spanning_tables_equals_rows_alone(monkeypatch, path, grid, tables):
     s = default_scenario()
-    axes = [("tiers[2].cache.cache_size", (3, 9)), (path, grid)]
+    axes = _axes({"tiers[2].cache.cache_size": (3, 9), path: grid})
     batches = _count_calls(monkeypatch, "analytic_columns")
     cache = _SweepCache()
     rows = list(_grid_rows(s, axes, ("analytic",), 1, cache))
@@ -559,7 +604,7 @@ def test_block_reads_only_what_its_axis_reaches(monkeypatch):
         grid = (value, _other_value(s, path, value))
         cache = _SweepCache(exponents=exponents)
         calls.clear()
-        rows = list(_grid_rows(s, [(path, grid)], ("analytic",), 1, cache))
+        rows = list(_grid_rows(s, _axes({path: grid}), ("analytic",), 1, cache))
         assert [r["status"] for r in rows] == ["ok", "ok"], path
         keys = {_stage_key(set_parameter(s, path, v), _COVERAGE_FIELDS) for v in grid}
         assert len(cache.tables) == len(keys) and keys <= set(cache.tables), path
@@ -604,7 +649,8 @@ def test_stage_key_changes_exactly_with_its_output(stage, path, stage_exponents)
     # scenarios it serves unchanged
     s = default_scenario()
     changed = set_parameter(s, path, _other_value(s, path, _LEAVES[path]))
-    declared = any(_reaches(experiments._reach(path), field) for field in _STAGES[stage])
+    ((paths, _),) = _axes({path: (_LEAVES[path],)})
+    declared = any(_reaches(tuple(map(_names, paths)), field) for field in _STAGES[stage])
     for (key, out), (new_key, new_out) in zip(_stage_outputs(s, stage, stage_exponents),
                                               _stage_outputs(changed, stage, stage_exponents)):
         assert declared or new_key == key
@@ -624,7 +670,7 @@ def test_threshold_block_shares_exponent_pieces(monkeypatch):
 
     monkeypatch.setattr(analytic, "interference_laplace_exponent", counting)
     cache = _SweepCache()
-    axes = [("tiers[2].radio.sir_threshold", (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0))]
+    axes = _axes({"tiers[2].radio.sir_threshold": (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)})
     rows = list(_grid_rows(default_scenario(), axes, ("analytic",), 1, cache))
     assert [r["status"] for r in rows] == ["ok"] * 7
     assert len(cache.tables) == 7 and len(cache.exponents) == 2
@@ -634,7 +680,7 @@ def test_threshold_block_shares_exponent_pieces(monkeypatch):
 def test_split_block_equals_whole_block(monkeypatch):
     # a large library splits a block; here a cap of two rows forces it
     s = default_scenario()
-    axes = [("tiers[2].cache.cache_size", (1, 2, 3, 4, 5))]
+    axes = _axes({"tiers[2].cache.cache_size": (1, 2, 3, 4, 5)})
     whole = list(_grid_rows(s, axes, ("analytic",), 1, _SweepCache()))
     monkeypatch.setattr(experiments, "_BATCH_ROW_RANKS", 2 * s.content.library_size)
     batches = _count_calls(monkeypatch, "analytic_columns")
@@ -647,8 +693,8 @@ def test_split_block_equals_whole_block(monkeypatch):
 def test_zero_cost_row_fails_alone_in_its_block():
     # free cache slots and a macro cache holding the whole library: no cost
     s = set_parameter(default_scenario(), "costs.cache_unit_cost", 0.0)
-    axes = [("content.popularity_exponent", (0.8,)),
-            ("tiers[1].cache.cache_size", (20, 100, 50))]
+    axes = _axes({"content.popularity_exponent": (0.8,),
+                  "tiers[1].cache.cache_size": (20, 100, 50)})
     rows = list(_grid_rows(s, axes, ("analytic",), 1, _SweepCache()))
     with pytest.raises(UndefinedEfficiencyError) as undefined:
         caching_efficiency(1.0, 0.0)
