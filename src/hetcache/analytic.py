@@ -12,8 +12,10 @@ That exponent is E_j(t) = 2*pi*lambda_j * e_j(t), where e_j depends only on
 tier j's radio. ``ExponentTable`` tabulates log e_j as a piecewise Chebyshev
 interpolant in log t: a piece is built the first time a t inside it is
 needed, by one batched adaptive quadrature at its nodes, and every later
-lookup, for any density, interpolates. The coverage integral then needs a
-single adaptive quadrature per tier. The table's relative error bound
+lookup, for any density, interpolates. The coverage integrals then need a
+single adaptive quadrature per block: every (scenario, tier) pair of a
+block is one row of one lockstep quadrature, after one lockstep probe
+that sizes each row's domain. The table's relative error bound
 propagates into the reported error estimate.
 
 Weighting the per-tier values by caching probabilities and request
@@ -27,18 +29,20 @@ Both integrals run in the log-distance variable s = log(1 + r), so sparse
 scenarios (support out to ~100 km) and dense ones (support of a few
 hundred meters) are resolved alike; the LOS kink at the near-field
 distance is an explicit breakpoint. Evaluation is deterministic: a value
-depends only on its scenario, never on which tables were built before, so
-repeated runs produce bit-identical values.
+depends only on its scenario, never on which tables were built before or
+which scenarios share its block, so repeated runs produce bit-identical
+values.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import LOS, NLOS, TierRadioParams, los_probability
-from .quadrature import QuadratureError, integrate_adaptive
+from .quadrature import QuadratureError, _lockstep, _unwrapped, integrate_adaptive
 from .scenario import _EXPONENT_FIELDS, AUTO, IntegrationSettings, ScenarioConfig, _stage_key
 
 __all__ = [
@@ -86,38 +90,6 @@ def _inner_truncation(tp: float, phi: float, alpha: float, d0: float, d1: float,
     raise QuadratureError("no finite truncation radius for the interference integral")
 
 
-def _inner_mode_integral(t_flat: np.ndarray, radio: TierRadioParams, mode: str,
-                         settings: IntegrationSettings, budget: float):
-    """``integral over y of y * p_mode(y) * (1 - (1 + t P L(y)/M)^(-M))`` per t."""
-    alpha = radio.pathloss_exponent(mode)
-    phi = radio.intercept(mode)
-    m_shape = radio.nakagami(mode)
-    d0, d1 = radio.near_field_dist, radio.far_field_dist
-    t_max = float(np.max(t_flat))
-    if settings.inner_truncation_radius == AUTO:
-        y_max = _inner_truncation(t_max * radio.tx_power, phi, alpha, d0, d1,
-                                  mode, budget)
-    else:
-        y_max = float(settings.inner_truncation_radius)
-    coef = radio.tx_power * phi / m_shape
-    t_col = t_flat[:, None]
-
-    def integrand(s):
-        es = np.exp(s)
-        y = es - 1.0
-        p_los = los_probability(y, d0, d1)
-        p_mode = p_los if mode == LOS else 1.0 - p_los
-        u = coef * np.exp(-alpha * s) * t_col
-        g = -np.expm1(-m_shape * np.log1p(u))
-        return (y * p_mode * es) * g
-
-    return integrate_adaptive(
-        integrand, 0.0, math.log1p(y_max),
-        rel_tol=0.25 * settings.rel_tol, abs_tol=budget,
-        breakpoints=(math.log1p(d0),),
-    )
-
-
 def interference_laplace_exponent(t, radio: TierRadioParams, density_per_m2: float,
                                   settings: IntegrationSettings | None = None):
     """Exponent E(t) such that E[e^(-t I)] = e^(-E(t)) for one tier's field.
@@ -140,9 +112,34 @@ def interference_laplace_exponent(t, radio: TierRadioParams, density_per_m2: flo
         budget = settings.abs_tol / two_pi_lambda / 4.0
         flat = t_arr.reshape(-1)
         total = np.zeros(flat.shape)
-        for mode in (LOS, NLOS):
-            vals, _ = _inner_mode_integral(flat, radio, mode, settings, budget)
-            total += vals
+        # per mode (a lockstep row): integral over y of
+        # y * p_mode(y) * (1 - (1 + t P L(y)/M)^(-M)), at each t
+        modes = (LOS, NLOS)
+        alpha = np.array([radio.pathloss_exponent(mode) for mode in modes])
+        coef = np.array([radio.tx_power * radio.intercept(mode) / radio.nakagami(mode)
+                         for mode in modes])
+        m_shape = np.array([float(radio.nakagami(mode)) for mode in modes])
+        d0, d1 = radio.near_field_dist, radio.far_field_dist
+        ends = [math.log1p(
+            _inner_truncation(float(np.max(flat)) * radio.tx_power, radio.intercept(mode),
+                              radio.pathloss_exponent(mode), d0, d1, mode, budget)
+            if settings.inner_truncation_radius == AUTO
+            else float(settings.inner_truncation_radius)) for mode in modes]
+
+        def integrand(call):
+            rows, s = call
+            es = np.exp(s)
+            y = es - 1.0
+            p_los = los_probability(y, d0, d1)
+            p_mode = np.where(rows == 0, p_los, 1.0 - p_los)
+            u = coef[rows] * np.exp(-alpha[rows] * s) * flat[:, None]
+            g = -np.expm1(-m_shape[rows] * np.log1p(u))
+            return (y * p_mode * es) * g
+
+        for result in integrate_adaptive(
+                integrand, [0.0, 0.0], ends, rel_tol=0.25 * settings.rel_tol,
+                abs_tol=budget, breakpoints=[(math.log1p(d0),)] * 2):
+            total += _unwrapped(result)[0]
         out = (two_pi_lambda * total).reshape(t_arr.shape)
     return float(out[0]) if np.isscalar(t) else out
 
@@ -255,18 +252,18 @@ class ExponentTable:
         u = np.log10(flat) / _PIECE_DECADES
         index = np.floor(u)
         pos = self._positions(index)  # may build pieces, replacing _columns
-        gathered = self._columns[:, pos]
-        coeffs, bounds = gathered[:-1], gathered[-1]
+        columns = self._columns
         x = 2.0 * (u - index) - 1.0
         two_x = 2.0 * x
         # Clenshaw recurrence, elementwise so a value never depends on the
-        # other entries of the batch.
+        # other entries of the batch; each coefficient is gathered as it is
+        # used, so a large batch holds no copy of every entry's column.
         b1 = b2 = 0.0
-        for c in coeffs[:0:-1]:
-            b1, b2 = c + two_x * b1 - b2, b1
-        log_e = coeffs[0] + x * b1 - b2
+        for coeff in columns[-2:0:-1]:
+            b1, b2 = coeff[pos] + two_x * b1 - b2, b1
+        log_e = columns[0, pos] + x * b1 - b2
         shape = np.shape(t)
-        return np.exp(log_e).reshape(shape), bounds.reshape(shape)
+        return np.exp(log_e).reshape(shape), columns[-1, pos].reshape(shape)
 
 
 def _exponent_table(exponents: dict, scenario: ScenarioConfig, tier: int) -> ExponentTable:
@@ -297,31 +294,38 @@ def _coverage_terms(radio: TierRadioParams, beta_eff: float):
     return terms
 
 
-def _total_exponent(t: np.ndarray, interferers):
+def _total_exponent(t: np.ndarray, rows: np.ndarray, interferers):
     """Sum of every interfering tier's Laplace exponent at each t entry.
 
-    ``interferers`` lists ``(exponent table, 2*pi*lambda)``. Returns the
-    exponent and a bound on its absolute error.
+    ``rows`` gives the row of each entry along t's last axis, and
+    ``interferers`` lists ``(exponent table, each row's 2*pi*lambda)`` in tier
+    order; a row reads a table only where its 2*pi*lambda is positive.
+    Returns the exponent and a bound on its absolute error.
     """
     total = np.zeros(t.shape)
     slack = np.zeros(t.shape)
     for table, two_pi_lambda in interferers:
-        e, rel_err = table(t)
-        exponent = two_pi_lambda * e
-        total += exponent
-        slack += exponent * rel_err
+        weight = two_pi_lambda[rows]
+        reads = weight > 0.0
+        e, rel_err = table(t[..., reads])
+        exponent = weight[reads] * e
+        total[..., reads] += exponent
+        slack[..., reads] += exponent * rel_err
     return total, slack
 
 
-def _outer_truncation(terms, interferers, radio_i: TierRadioParams,
-                      settings: IntegrationSettings) -> float:
-    """Radius beyond which every term's integrand is negligibly small.
+def _outer_truncation(terms, radio_i: TierRadioParams, settings: IntegrationSettings):
+    """Radius beyond which every term's integrand is negligibly small (the
+    fixed radius, if set): a generator that yields each t whose total
+    interference exponent it needs and is sent that exponent.
 
     The slowest-decaying term per mode is m = 1; the probe doubles x until
     x^2 * p_mode(x) * e^(-sum E) drops below a small fraction of abs_tol,
     then doubles once more for margin. The exponent keeps growing with x, so
     the discarded tail is dominated by the value at the truncation point.
     """
+    if settings.outer_truncation_radius != AUTO:
+        return float(settings.outer_truncation_radius)
     log_thresh = math.log(settings.abs_tol) + math.log(1e-2)
     d0, d1 = radio_i.near_field_dist, radio_i.far_field_dist
     probes = {}
@@ -332,8 +336,7 @@ def _outer_truncation(terms, interferers, radio_i: TierRadioParams,
     for _ in range(70):
         done = True
         for mode, (prefactor, alpha) in probes.items():
-            t = prefactor * (1.0 + x) ** alpha
-            exponent = float(_total_exponent(np.array([t]), interferers)[0][0])
+            exponent = yield prefactor * (1.0 + x) ** alpha
             if mode == LOS:
                 log_p = math.log(min(1.0, d0 / x + math.exp(-x / d1)))
             else:
@@ -347,6 +350,111 @@ def _outer_truncation(terms, interferers, radio_i: TierRadioParams,
     raise QuadratureError("no finite truncation radius for the coverage integral")
 
 
+def _coverage_sum(row, values, errors):
+    """A row's coverage density and error estimate from its term integrals."""
+    n_terms = len(row.terms)
+    coeffs = [t[1] for t in row.terms]
+    rho = row.two_pi_lambda * math.fsum(c * v for c, v in zip(coeffs, values[:n_terms]))
+    # Quadrature error of the alternating sum plus the (rel_tol-scaled)
+    # influence of the exponent's tolerance on the outer integrand, plus
+    # the propagated error bound of the exponent table.
+    err = row.two_pi_lambda * math.fsum(abs(c) * e for c, e in zip(coeffs, errors[:n_terms]))
+    err += row.settings.rel_tol * abs(rho) + row.settings.abs_tol
+    err += row.two_pi_lambda * math.fsum(
+        abs(c) * (v + e)
+        for c, v, e in zip(coeffs, values[n_terms:], errors[n_terms:]))
+    if rho < 0.0:
+        # the alternating sum over fading terms must stay nonnegative
+        if -rho > err:
+            return QuadratureError(
+                "alternating fading sum lost significance", error_estimate=err)
+        rho = 0.0
+    return rho, err
+
+
+# One (scenario, tier) pair of a coverage block, at positive density.
+_Row = namedtuple("_Row", "pair settings radio terms two_pi_lambda")
+
+
+def _coverage_block(pairs, exponents: dict) -> list:
+    """``(value, error_estimate)`` of each ``(scenario, tier index)`` pair, or
+    the error the pair raises alone.
+
+    The pairs at positive density are the rows of one lockstep truncation
+    probe and one lockstep quadrature, so each row's value is bit for bit
+    its value alone and a row that fails fails alone. ``exponents`` caches
+    exponent tables (keyed by ``scenario._EXPONENT_FIELDS``).
+    """
+    results = [(0.0, 0.0)] * len(pairs)
+    rows, columns = [], {}
+    for n, (scenario, i) in enumerate(pairs):
+        densities = scenario.densities_per_m2()
+        if densities[i] == 0.0:
+            continue
+        for j in np.flatnonzero(densities).tolist():  # the rows' interferers, by tier
+            table = _exponent_table(exponents, scenario, j + 1)
+            weights = columns.setdefault((j, id(table)), (table, {}))[1]
+            weights[len(rows)] = 2.0 * math.pi * float(densities[j])
+        tier = scenario.tiers[i]
+        rows.append(_Row(n, scenario.integration, tier.radio,
+                         _coverage_terms(tier.radio, tier.effective_threshold()),
+                         2.0 * math.pi * float(densities[i])))
+    interferers = [(table, np.array([weights.get(r, 0.0) for r in range(len(rows))]))
+                   for _, (table, weights) in sorted(columns.items(), key=lambda c: c[0][0])]
+    radii = _lockstep(
+        [_outer_truncation(row.terms, row.radio, row.settings) for row in rows],
+        lambda requests: _total_exponent(np.array([t for _, t in requests]), np.array(
+            [r for r, _ in requests]), interferers)[0].tolist())
+    for row, radius in zip(rows, radii):
+        results[row.pair] = radius  # an error stays; a radius is replaced below
+    ok = [r for r, radius in enumerate(radii) if not isinstance(radius, Exception)]
+    if not ok:
+        return results
+
+    # Term tables, one column per row; a row of fewer terms than the widest
+    # repeats its first term, so the padding reads no new exponent piece.
+    terms = [rows[r].terms for r in ok]
+    width = max(map(len, terms))
+    modes, _, prefactors, alphas = (
+        np.array([[t[k] for t in ts] + [ts[0][k]] * (width - len(ts)) for ts in terms]).T
+        for k in range(4))
+    n_terms = np.array([len(ts) for ts in terms])
+    d0 = np.array([rows[r].radio.near_field_dist for r in ok])
+    d1 = np.array([rows[r].radio.far_field_dist for r in ok])
+    block_row = np.array(ok)
+
+    def integrand(call):
+        k, s = call
+        es = np.exp(s)
+        x = es - 1.0
+        p_los = los_probability(x, d0[k], d1[k])
+        p_mode = np.where(modes[:, k] == LOS, p_los, 1.0 - p_los)
+        t_matrix = prefactors[:, k] * np.exp(alphas[:, k] * s)
+        exponent, slack = _total_exponent(t_matrix, block_row[k], interferers)
+        value = (x * es) * p_mode * np.exp(-exponent)
+        # The exact exponent lies within +-slack of the tabulated one, so
+        # e^(-E) is off by at most e^(-E) * expm1(slack): integrate that too.
+        # Where e^(-E) underflows to 0, so does e^(-E + slack) (slack << E),
+        # and expm1(slack) may overflow: there the bound is left at 0.
+        bound = value * np.expm1(slack, out=np.zeros(slack.shape), where=value > 0.0)
+        out = np.concatenate((value, bound))
+        out[n_terms[k] + np.arange(width)[:, None], np.arange(len(s))] = bound
+        return out  # each row's bounds right after its own terms' values
+
+    integrals = integrate_adaptive(
+        integrand, [0.0] * len(ok), [math.log1p(radii[r]) for r in ok],
+        rel_tol=[rows[r].settings.rel_tol for r in ok],
+        abs_tol=[rows[r].settings.abs_tol
+                 / (rows[r].two_pi_lambda * sum(abs(t[1]) for t in rows[r].terms)) for r in ok],
+        breakpoints=[(math.log1p(rows[r].radio.near_field_dist),) for r in ok],
+        components=list(2 * n_terms),
+    )
+    for r, integral in zip(ok, integrals):
+        results[rows[r].pair] = (integral if isinstance(integral, Exception)
+                                 else _coverage_sum(rows[r], *integral))
+    return results
+
+
 def tier_coverage_density(scenario: ScenarioConfig, tier_index: int,
                           exponents: dict | None = None):
     """Expected number of covering tier-``tier_index`` stations, with error.
@@ -356,73 +464,11 @@ def tier_coverage_density(scenario: ScenarioConfig, tier_index: int,
     on any tier's cache configuration. ``tier_index`` is 0-based. The
     quadrature settings are ``scenario.integration``. ``exponents`` caches
     exponent tables across calls (keyed by ``scenario._EXPONENT_FIELDS``);
-    the value does not depend on what it already holds.
+    the value does not depend on what it already holds. This is a coverage
+    block of one row.
     """
-    settings = scenario.integration
-    if exponents is None:
-        exponents = {}
-    densities = scenario.densities_per_m2()
-    lam_i = float(densities[tier_index])
-    if lam_i == 0.0:
-        return 0.0, 0.0
-    tier = scenario.tiers[tier_index]
-    radio_i = tier.radio
-    terms = _coverage_terms(radio_i, tier.effective_threshold())
-    interferers = [
-        (_exponent_table(exponents, scenario, j + 1), 2.0 * math.pi * float(densities[j]))
-        for j in range(scenario.num_tiers) if densities[j] > 0]
-
-    if settings.outer_truncation_radius == AUTO:
-        x_max = _outer_truncation(terms, interferers, radio_i, settings)
-    else:
-        x_max = float(settings.outer_truncation_radius)
-
-    d0, d1 = radio_i.near_field_dist, radio_i.far_field_dist
-    alphas = np.array([t[3] for t in terms])[:, None]
-    prefactors = np.array([t[2] for t in terms])[:, None]
-    is_los_term = np.array([t[0] == LOS for t in terms])[:, None]
-
-    def integrand(s):
-        es = np.exp(s)
-        x = es - 1.0
-        p_los = los_probability(x, d0, d1)
-        p_mode = np.where(is_los_term, p_los, 1.0 - p_los)
-        t_matrix = prefactors * np.exp(alphas * s)
-        exponent, slack = _total_exponent(t_matrix, interferers)
-        value = (x * es) * p_mode * np.exp(-exponent)
-        # The exact exponent lies within +-slack of the tabulated one, so
-        # e^(-E) is off by at most e^(-E) * expm1(slack): integrate that too.
-        # Where e^(-E) underflows to 0, so does e^(-E + slack) (slack << E),
-        # and expm1(slack) may overflow: there the bound is left at 0.
-        bound = value * np.expm1(slack, out=np.zeros(slack.shape), where=value > 0.0)
-        return np.concatenate((value, bound))
-
-    two_pi_lambda = 2.0 * math.pi * lam_i
-    coeff_scale = sum(abs(t[1]) for t in terms)
-    values, errors = integrate_adaptive(
-        integrand, 0.0, math.log1p(x_max),
-        rel_tol=settings.rel_tol,
-        abs_tol=settings.abs_tol / (two_pi_lambda * coeff_scale),
-        breakpoints=(math.log1p(d0),),
-    )
-    n_terms = len(terms)
-    coeffs = [t[1] for t in terms]
-    rho = two_pi_lambda * math.fsum(c * v for c, v in zip(coeffs, values[:n_terms]))
-    # Quadrature error of the alternating sum plus the (rel_tol-scaled)
-    # influence of the exponent's tolerance on the outer integrand, plus
-    # the propagated error bound of the exponent table.
-    err = two_pi_lambda * math.fsum(abs(c) * e for c, e in zip(coeffs, errors[:n_terms]))
-    err += settings.rel_tol * abs(rho) + settings.abs_tol
-    err += two_pi_lambda * math.fsum(
-        abs(c) * (v + e)
-        for c, v, e in zip(coeffs, values[n_terms:], errors[n_terms:]))
-    if rho < 0.0:
-        # the alternating sum over fading terms must stay nonnegative
-        if -rho > err:
-            raise QuadratureError(
-                "alternating fading sum lost significance", error_estimate=err)
-        rho = 0.0
-    return rho, err
+    return _unwrapped(_coverage_block([(scenario, tier_index)],
+                                      {} if exponents is None else exponents)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,19 +484,23 @@ class CoverageTable:
     error_estimates: tuple
 
 
-def build_coverage_table(scenario: ScenarioConfig,
-                         exponents: dict | None = None) -> CoverageTable:
-    """Evaluate every tier's coverage density for this scenario.
+def build_coverage_table(scenarios, exponents: dict | None = None):
+    """Evaluate every tier's coverage density of each scenario of a block.
 
-    ``exponents`` is passed to ``tier_coverage_density``; without it the
-    tiers still share one set of exponent tables for this call.
+    ``scenarios`` is one ScenarioConfig, whose CoverageTable is returned (or
+    its error raised), or a sequence of them: then one table per scenario is
+    returned, or in its place the QuadratureError or ValueError its own
+    table raises alone (that of its first failing tier). Every tier of
+    every scenario is one row of one coverage block, and each table is bit
+    for bit the one built alone. ``exponents`` caches exponent tables
+    across calls; without it the block shares one set for this call.
     """
-    if exponents is None:
-        exponents = {}
-    values = []
-    errors = []
-    for i in range(scenario.num_tiers):
-        rho, err = tier_coverage_density(scenario, i, exponents)
-        values.append(rho)
-        errors.append(err)
-    return CoverageTable(per_tier_density=tuple(values), error_estimates=tuple(errors))
+    block = [scenarios] if isinstance(scenarios, ScenarioConfig) else list(scenarios)
+    results = iter(_coverage_block([(s, i) for s in block for i in range(s.num_tiers)],
+                                   {} if exponents is None else exponents))
+    tables = []
+    for scenario in block:
+        tiers = [next(results) for _ in range(scenario.num_tiers)]
+        failed = [result for result in tiers if isinstance(result, Exception)]
+        tables.append(failed[0] if failed else CoverageTable(*map(tuple, zip(*tiers))))
+    return _unwrapped(tables[0]) if isinstance(scenarios, ScenarioConfig) else tables

@@ -78,6 +78,8 @@ def _los_probability(r: np.ndarray, d0: float, d1: float) -> np.ndarray:
     p = np.ones(r.shape)
     far = ~(r <= d0)  # r > D0, where min(D0/r, 1) = D0/r, or NaN
     r_far = r[far]
+    if isinstance(d0, np.ndarray):  # a distance pair per entry of r
+        d0, d1 = d0[far], d1[far]
     decay = np.exp(-r_far / d1)
     p[far] = d0 / r_far * (1.0 - decay) + decay
     return p
@@ -100,6 +102,7 @@ def los_probability(r, near_field_dist: float, far_field_dist: float):
     """Probability that a link of length ``r`` is line-of-sight.
 
     Equals 1 for r <= near_field_dist and decays to 0 past far_field_dist.
+    The two distances may also be arrays shaped like ``r``, a pair per entry.
     """
     return _checked(_los_probability, r, near_field_dist, far_field_dist)
 

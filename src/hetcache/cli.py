@@ -86,9 +86,14 @@ def _load_scenario(args):
 
 def _check_out(out: str) -> None:
     """Raise, creating no file, the error that writing ``out`` or its sidecar
-    would: its directory missing, or a directory in its place."""
-    if not os.path.isdir(os.path.dirname(out) or "."):
-        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    would: its directory missing or a file on its way, or a directory in its
+    place."""
+    directory = os.path.dirname(out) or "."
+    if not os.path.isdir(directory):
+        while directory and not os.path.exists(directory):
+            directory = os.path.dirname(directory)
+        code = errno.ENOTDIR if directory and not os.path.isdir(directory) else errno.ENOENT
+        raise OSError(code, os.strerror(code), out)
     for path in (out, out + ".meta.json"):
         if os.path.isdir(path):
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)

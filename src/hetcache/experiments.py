@@ -102,26 +102,30 @@ def _analytic_rows(scenarios, cache: _SweepCache, heads, reach=None) -> list:
     ``reach`` is the name sequences of the block's paths, None if unknown;
     ``scenario._reaches`` says which fields it can change. Each run of rows
     with one key of ``_COVERAGE_FIELDS`` takes one coverage table from
-    ``cache`` (built on a miss), so one batch may span several tables; when
-    ``reach`` reaches none of those fields, the block is one run with its
-    first row's key. Each run of rows with one library size is one
-    ``analytic_columns`` call, given ``reach``, split only past
-    ``_BATCH_ROW_RANKS``. A row whose table fails or whose cost is zero gets
-    status ``error``.
+    ``cache``, so one batch may span several tables; the keys ``cache``
+    misses are built in one ``build_coverage_table`` block, in order of
+    first appearance. When ``reach`` reaches none of those fields, the
+    block is one run with its first row's key. Each run of rows with one
+    library size is one ``analytic_columns`` call, given ``reach``, split
+    only past ``_BATCH_ROW_RANKS``. A row whose table fails or whose cost
+    is zero gets status ``error``.
     """
     if any(_reaches(reach, field) for field in _COVERAGE_FIELDS):
         keys = [_stage_key(s, _COVERAGE_FIELDS) for s in scenarios]
     else:
         keys = [_stage_key(s, _COVERAGE_FIELDS) for s in scenarios[:1]] * len(scenarios)
+    runs = [(key, list(run)) for key, run in itertools.groupby(range(len(scenarios)),
+                                                               keys.__getitem__)]
+    missing = {}
+    for key, run in runs:
+        if key not in cache.tables:
+            missing.setdefault(key, scenarios[run[0]])
+    if missing:
+        for key, table in zip(missing, build_coverage_table(missing.values(), cache.exponents)):
+            cache.tables[key] = str(table) if isinstance(table, Exception) else table
     rows = [None] * len(scenarios)
     ready = []
-    for key, run in itertools.groupby(range(len(scenarios)), keys.__getitem__):
-        run = list(run)
-        if key not in cache.tables:
-            try:
-                cache.tables[key] = build_coverage_table(scenarios[run[0]], cache.exponents)
-            except (QuadratureError, ValueError) as exc:
-                cache.tables[key] = str(exc)
+    for key, run in runs:
         table = cache.tables[key]
         if isinstance(table, str):
             for b in run:
@@ -215,7 +219,7 @@ def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
 def _plan(variables: dict, engine: str):
     """The axes of ``variables`` as ``(paths, grid)`` pairs, in order, and
     the engines named by ``engine``. A path alone is a tuple of one, and a
-    grid value holds one value per path. A bad value raises where
+    grid value must hold one value per path. A bad value raises where
     ``_grid_rows`` sets it, before its block is scored."""
     if engine not in _ENGINES:
         raise ValueError(f"engine must be one of {sorted(_ENGINES)}, not {engine!r}")
@@ -224,6 +228,10 @@ def _plan(variables: dict, engine: str):
     for paths, grid in axes:
         if not grid:
             raise ConfigError(", ".join(paths), "grid must be non-empty")
+        for values in grid:
+            if len(values) != len(paths):
+                raise ConfigError(", ".join(paths),
+                                  f"grid value {values!r} does not hold one value per path")
     return axes, _ENGINES[engine]
 
 

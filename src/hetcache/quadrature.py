@@ -10,7 +10,11 @@ One call evaluates many panels: all initial panels at once, then both
 halves of each split. Each panel's nodes form one contiguous block of the
 call's node array. The integrand contract that batching relies on: the
 value at a node must not depend on the other nodes in the same call, so a
-result is the same however the nodes are batched.
+result is the same however the nodes are batched. So R integrals can also
+refine in lockstep: each row keeps its own panel heap, insertion sequence,
+tolerance test, budget and final re-sum, one call of the one-argument
+integrand serves every row's splits, and each row's result or error is
+bit for bit its own alone (a call that raises is retried row by row).
 """
 from __future__ import annotations
 
@@ -46,25 +50,77 @@ _N_HI = len(_HI_NODES)
 _INITIAL_PANELS = 4
 
 
-def _panels(f, edges):
-    """``(value, error)`` of each panel between consecutive ``edges``, from one
-    integrand call; each panel's rule products run on its own node block."""
-    edges = np.asarray(edges, dtype=np.float64)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
+# What one row's own work may raise without failing the other rows.
+_ROW_ERRORS = (QuadratureError, ValueError)
+
+
+def _unwrapped(result):
+    """``result``, or raise it if it is an error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _answers(evaluate, requests):
+    """``evaluate(requests)``, or where that raises a row error, each
+    request's own answer or error."""
+    try:
+        return evaluate(requests) if requests else []
+    except _ROW_ERRORS as exc:
+        if len(requests) == 1:
+            return [exc]
+    return [answer for request in requests for answer in _answers(evaluate, [request])]
+
+
+def _lockstep(steps, evaluate):
+    """Run the generators ``steps`` in lockstep. Each yields a request and is
+    sent its answer; one ``evaluate`` call answers the ``(row, request)``
+    pairs of every unfinished generator. Returns what each generator
+    returns, or the row error it or its answer raised."""
+    results = [None] * len(steps)
+    answers = [(r, None) for r in range(len(steps))]
+    while answers:
+        requests = []
+        for r, answer in answers:
+            try:
+                requests.append((r, steps[r].send(_unwrapped(answer))))
+            except StopIteration as stop:
+                results[r] = stop.value
+            except _ROW_ERRORS as exc:
+                results[r] = exc
+        answers = list(zip([r for r, _ in requests], _answers(evaluate, requests)))
+    return results
+
+
+def _panels(f, requests, components):
+    """For each ``(row, edges)`` request, ``(value, error)`` of each panel
+    between consecutive edges, from one integrand call ``f((rows, nodes))``;
+    each panel's rule products run on its own node block, over the row's
+    first ``components[row]`` components."""
+    edges = [np.asarray(e, dtype=np.float64) for _, e in requests]
+    lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
     nodes = (mid[:, None] + half[:, None] * _NODES).reshape(-1)
-    values = np.asarray(f(nodes), dtype=np.float64)
+    counts = [len(e) - 1 for e in edges]
+    rows = np.repeat([r for r, _ in requests], np.multiply(counts, _N_NODES))
+    values = np.asarray(f((rows, nodes)), dtype=np.float64)
     out = []
-    for k, h in enumerate(half.tolist()):
-        block = values[..., k * _N_NODES:(k + 1) * _N_NODES]
-        q_hi = h * (block[..., :_N_HI] @ _HI_WEIGHTS)
-        q_lo = h * (block[..., _N_HI:] @ _LO_WEIGHTS)
-        out.append((q_hi, np.abs(q_hi - q_lo)))
+    k = 0
+    for (r, _), n in zip(requests, counts):
+        own = values[:components[r]]
+        out.append([])
+        for h in half[k:k + n].tolist():
+            block = own[..., k * _N_NODES:(k + 1) * _N_NODES]
+            q_hi = h * (block[..., :_N_HI] @ _HI_WEIGHTS)
+            q_lo = h * (block[..., _N_HI:] @ _LO_WEIGHTS)
+            out[-1].append((q_hi, np.abs(q_hi - q_lo)))
+            k += 1
     return out
 
 
-def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
-                       abs_tol: float = 1e-10, breakpoints=(), max_panels: int = 4000):
+def integrate_adaptive(f, a, b, *, rel_tol: float = 1e-6, abs_tol: float = 1e-10,
+                       breakpoints=(), max_panels: int = 4000, components=None):
     """Integrate ``f`` over ``[a, b]`` with a global-adaptive panel scheme.
 
     ``f`` maps a node array of shape (n,) to values of shape (..., n); each
@@ -77,7 +133,32 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
     Raises QuadratureError when ``max(abs_tol, rel_tol * |value|)`` cannot be
     met for every component within ``max_panels`` refinements; the exception
     carries the achieved error estimate.
+
+    With sequences ``a`` and ``b``, row r integrates over ``[a[r], b[r]]``
+    with ``breakpoints[r]``; the tolerances, ``max_panels`` and
+    ``components`` are shared or given one per row. ``f`` then maps the
+    pair ``(rows, nodes)``, each node's row and the nodes, to values of
+    shape (C, n), of which row r integrates the first ``components[r]``
+    (all if None). Returns each row's ``(values, error_estimates)`` or the
+    QuadratureError or ValueError it raises alone.
     """
+    if np.ndim(a):
+        n = len(a)
+
+        def per_row(value):
+            return value if np.ndim(value) else [value] * n
+
+        components = per_row(components)
+        return _lockstep([_refine(*spec) for spec in zip(
+            a, b, per_row(rel_tol), per_row(abs_tol), breakpoints or [()] * n,
+            per_row(max_panels))], lambda requests: _panels(f, requests, components))
+    return _unwrapped(_lockstep([_refine(a, b, rel_tol, abs_tol, breakpoints, max_panels)], (
+        lambda requests: _panels(lambda call: f(call[1]), requests, [None])))[0])
+
+
+def _refine(a, b, rel_tol, abs_tol, breakpoints, max_panels):
+    """One integral's refinement: yields the edges of the panels it needs,
+    is sent their ``(value, error)`` pairs, and returns its result."""
     if not (rel_tol > 0 and abs_tol > 0):
         raise ValueError("tolerances must be positive")
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -85,7 +166,7 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
     if b == a:
-        [(probe, _)] = _panels(f, (a, a + 1.0))
+        [(probe, _)] = yield (a, a + 1.0)
         return np.zeros_like(probe), np.zeros_like(probe)
 
     marks = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
@@ -94,9 +175,9 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
         edges.extend(np.linspace(lo, hi, _INITIAL_PANELS + 1)[:-1])
     edges.append(marks[-1])
 
-    initial = _panels(f, edges)
+    initial = yield edges
     # (-max_error, insertion_seq, lo, hi, value, error); seq breaks ties
-    heap = [(-float(np.max(e)), seq, lo, hi, q, e)
+    heap = [(-float(e.max()), seq, lo, hi, q, e)
             for seq, (lo, hi, (q, e)) in enumerate(zip(edges[:-1], edges[1:], initial))]
     heapq.heapify(heap)
     seq = len(heap)
@@ -104,7 +185,7 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
     total_q = np.sum(np.stack([q for q, _ in initial]), axis=0)
     total_e = np.sum(np.stack([e for _, e in initial]), axis=0)
 
-    while not np.all(total_e <= np.maximum(abs_tol, rel_tol * np.abs(total_q))):
+    while not (total_e <= np.maximum(abs_tol, rel_tol * np.abs(total_q))).all():
         if len(heap) >= max_panels:
             raise QuadratureError(
                 f"no convergence within {max_panels} panels",
@@ -119,9 +200,9 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-6,
             )
         total_q = total_q - q
         total_e = total_e - e
-        halves = zip((lo, mid), (mid, hi), _panels(f, (lo, mid, hi)))
+        halves = zip((lo, mid), (mid, hi), (yield (lo, mid, hi)))
         for c_lo, c_hi, (cq, ce) in halves:
-            heapq.heappush(heap, (-float(np.max(ce)), seq, c_lo, c_hi, cq, ce))
+            heapq.heappush(heap, (-float(ce.max()), seq, c_lo, c_hi, cq, ce))
             seq += 1
             total_q = total_q + cq
             total_e = total_e + ce

@@ -15,6 +15,7 @@ from hetcache.channel import TierRadioParams
 from hetcache.content import TierCachePolicy
 from hetcache.experiments import grid_search, set_parameter
 from hetcache.metrics import analytic_report
+from hetcache.quadrature import QuadratureError
 from hetcache.scenario import IntegrationSettings, default_scenario
 
 TIER2_RADIO_M1 = TierRadioParams(
@@ -370,6 +371,68 @@ def test_reported_error_covers_direct_reference(monkeypatch, density):
     for i, (rho, err) in enumerate(reported):
         rho_ref, _ = tier_coverage_density(dataclasses.replace(s, integration=reference), i)
         assert err >= abs(rho - rho_ref)
+
+
+def test_mixed_block_tables_equal_each_built_alone():
+    # one block of density, bias and threshold rows, other fading shapes
+    # (four terms, not three), a fixed outer radius beside automatic ones, a
+    # zero-density tier, and a tolerance no quadrature meets
+    s = default_scenario()
+    block = [s, *(set_parameter(s, path, value) for path, value in (
+        ("tiers[2].density", 1e-3), ("tiers[2].density", 100.0), ("tiers[1].rho", 0.4),
+        ("tiers[2].radio.sir_threshold", 0.5), ("tiers[2].radio.nakagami_los", 3),
+        ("integration.outer_truncation_radius", 2000.0), ("tiers[1].density", 0.0),
+        ("integration.rel_tol", 1e-15), ("tiers[2].radio.sir_threshold", 3.0)))]
+    tables = build_coverage_table(block, {})
+    assert len(tables) == len(block)
+    for scenario, table in zip(block, tables):
+        try:
+            alone = build_coverage_table(scenario)
+        except QuadratureError as exc:
+            alone = exc
+        assert type(table) is type(alone)
+        if isinstance(alone, QuadratureError):
+            assert str(table) == str(alone) == "no convergence within 4000 panels"
+            assert table.error_estimate.tobytes() == alone.error_estimate.tobytes()
+        else:
+            assert np.array(table.per_tier_density + table.error_estimates).tobytes() == (
+                np.array(alone.per_tier_density + alone.error_estimates).tobytes())
+    assert [isinstance(t, QuadratureError) for t in tables] == [False] * 8 + [True, False]
+    assert tables[7].per_tier_density[0] == 0.0
+
+
+def test_coverage_block_is_one_probe_and_one_quadrature(monkeypatch):
+    # seven densities, 14 rows: each probe step looks up every unfinished
+    # row at once, so the block makes as many lookups as its slowest row
+    # makes alone, and one quadrature integrates every row
+    s = default_scenario()
+    block = [set_parameter(s, "tiers[2].density", d) for d in np.logspace(-4, 2, 7)]
+    exponents = {}
+    build_coverage_table(block, exponents)  # every exponent piece is built
+    lookups, quadratures = [], []
+    lockstep, integrate = analytic._lockstep, analytic.integrate_adaptive
+
+    def counting_lockstep(steps, evaluate):
+        return lockstep(steps, lambda requests: lookups.append(len(requests))
+                        or evaluate(requests))
+
+    def counting_integrate(f, a, *args, **kwargs):
+        quadratures.append(np.size(a))
+        return integrate(f, a, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, "_lockstep", counting_lockstep)
+    monkeypatch.setattr(analytic, "integrate_adaptive", counting_integrate)
+    build_coverage_table(block, exponents)
+    in_block = list(lookups)
+    alone = []
+    for scenario in block:
+        for i in range(scenario.num_tiers):
+            lookups.clear()
+            tier_coverage_density(scenario, i, exponents)
+            alone.append(len(lookups))
+    assert quadratures == [14] + [1] * 14
+    assert in_block[0] == 14
+    assert len(in_block) == max(alone) < sum(alone) / 4
 
 
 def test_far_truncation_keeps_a_finite_error_bound():

@@ -139,13 +139,22 @@ def test_file_error_exits_one_naming_the_file(tmp_path, capsys, flag, name):
     ("missing/x.csv", "missing/x.csv", "No such file or directory"),
     ("sub", "sub", "Is a directory"),
     ("x.csv", "x.csv.meta.json", "Is a directory"),
+    ("afile/x.csv", "afile/x.csv", "Not a directory"),
+    ("afile/missing/x.csv", "afile/missing/x.csv", "Not a directory"),
+    ("sub/missing/x.csv", "sub/missing/x.csv", "No such file or directory"),
 ])
 def test_unwritable_out_exits_one_before_any_run(tmp_path, capsys, monkeypatch,
                                                  out, named, reason):
     # a missing directory, a directory as the CSV, a directory as its
-    # sidecar: each exits before the run, creating and truncating nothing,
-    # with the error its write would raise
+    # sidecar, a file where a directory should be: each exits before the
+    # run, creating and truncating nothing, with the error its write would
+    # raise
     (tmp_path / "sub").mkdir()
+    (tmp_path / "afile").write_text("")
+    if reason != "Is a directory":
+        with pytest.raises(OSError) as opened:
+            open(tmp_path / out, "w")
+        assert opened.value.strerror == reason
     (tmp_path / "x.csv").write_text("kept\n")
     (tmp_path / "x.csv.meta.json").mkdir()
     before = sorted(tmp_path.rglob("*"))

@@ -246,6 +246,17 @@ def test_unknown_preset_rejected():
         run_preset("fig9", default_scenario())
 
 
+@pytest.mark.parametrize("value", [(0.5,), (0.5, 0.5, 0.5)])
+def test_grid_value_holds_one_value_per_path(value):
+    # a short value would score its point at the default of the paths it
+    # leaves out, and a long one drop values, each in an ok row
+    paths = ("tiers[1].rho", "tiers[2].rho")
+    with pytest.raises(ConfigError) as info:
+        run_experiment(default_scenario(), {paths: ((0.5, 0.5), value)})
+    assert str(info.value) == (
+        f"tiers[1].rho, tiers[2].rho: grid value {value!r} does not hold one value per path")
+
+
 def _count_calls(monkeypatch, name):
     """Record the arguments of every call to ``experiments.<name>``."""
     calls = []
@@ -455,7 +466,8 @@ def test_failed_coverage_table_is_built_once_per_sweep(monkeypatch):
     builds = _count_calls(monkeypatch, "build_coverage_table")
     rows = run_experiment(s, {"content.popularity_exponent": (0.5, 1.0, 1.5),
                               "integration.rel_tol": (1e-6, 1e-15)})
-    assert len(builds) == 2
+    # the first block builds both keys together; later blocks build none
+    assert sum(len(args[0]) for args in builds) == 2
     monkeypatch.undo()
     failed = set_parameter(s, "integration.rel_tol", 1e-15)
     (alone,) = _grid_rows(failed, (), ("analytic",), 1)

@@ -119,3 +119,84 @@ def test_one_integrand_call_per_split(f, a, b, breakpoints):
     splits = (panels[0] - initial) // 2
     assert splits > 0
     assert calls[0] == 1 + splits
+
+
+def _raises_past_five(x):
+    if np.any(x > 5.0):
+        raise QuadratureError("integrand undefined past 5")
+    return np.exp(x)[None]
+
+
+# (integrand of shape (components, n), a, b, breakpoints, rel_tol, abs_tol, max_panels)
+_LOCKSTEP_ROWS = [
+    (lambda x: (np.log1p(x) * np.cos(30.0 * x))[None], 0.0, 7.0, (), 1e-10, 1e-14, 4000),
+    (_scales_family, -1.0, 4.0, (), 1e-8, 1e-12, 4000),
+    (lambda x: (np.abs(x - 1.3) ** 0.5)[None], 0.0, 3.0, (1.3,), 1e-9, 1e-14, 4000),
+    (lambda x: np.exp(-((x - 4.0) / 1e-2) ** 2)[None], 0.0, 10.0, (4.0,), 1e-10, 1e-16, 4000),
+    (lambda x: np.sin(1000.0 * x)[None], 0.0, 20.0, (), 1e-14, 1e-16, 8),  # runs out
+    (lambda x: np.stack((np.sin(x), np.cos(x))), 2.0, 2.0, (), 1e-6, 1e-10, 4000),  # empty
+    (_raises_past_five, 0.0, 6.0, (), 1e-6, 1e-10, 4000),  # its integrand raises
+]
+
+
+def _alone(f, a, b, breakpoints, rel_tol, abs_tol, max_panels):
+    try:
+        return integrate_adaptive(f, a, b, rel_tol=rel_tol, abs_tol=abs_tol,
+                                  breakpoints=breakpoints, max_panels=max_panels)
+    except QuadratureError as exc:
+        return exc
+
+
+def test_lockstep_rows_equal_each_row_alone():
+    # rows of different domains, breakpoints, tolerances, budgets and
+    # component counts; two fail, each with its own error, and the others
+    # keep the bits they have alone
+    widths = [len(f(np.zeros(1))) for f, *_ in _LOCKSTEP_ROWS]
+    calls = []
+
+    def lockstep(call):
+        rows, x = call
+        calls.append(np.unique(rows).tolist())
+        out = np.full((max(widths), len(x)), np.nan)  # padding is never read
+        for r, (f, *_) in enumerate(_LOCKSTEP_ROWS):
+            own = rows == r
+            if own.any():
+                out[:widths[r], own] = f(x[own])
+        return out
+
+    a, b, breakpoints, rel_tol, abs_tol, max_panels = (list(col) for col in zip(
+        *(spec for _, *spec in _LOCKSTEP_ROWS)))
+    results = integrate_adaptive(lockstep, a, b, rel_tol=rel_tol, abs_tol=abs_tol,
+                                 breakpoints=breakpoints, max_panels=max_panels,
+                                 components=widths)
+    assert len(results) == len(_LOCKSTEP_ROWS)
+    for row, result in zip(_LOCKSTEP_ROWS, results):
+        alone = _alone(*row)
+        if isinstance(alone, QuadratureError):
+            assert type(result) is QuadratureError and str(result) == str(alone)
+            assert repr(result.error_estimate) == repr(alone.error_estimate)
+        else:
+            (values, errors), (alone_values, alone_errors) = result, alone
+            assert values.shape == alone_values.shape
+            assert values.tobytes() == alone_values.tobytes()
+            assert errors.tobytes() == alone_errors.tobytes()
+    assert str(results[-1]) == "integrand undefined past 5"
+    assert str(results[4]) == "no convergence within 8 panels"
+    # the first call fails at the raising row, then each row is tried alone;
+    # after that every call serves every row still refining
+    assert calls[:1 + len(_LOCKSTEP_ROWS)] == [
+        list(range(len(_LOCKSTEP_ROWS))), *([r] for r in range(len(_LOCKSTEP_ROWS)))]
+    later = calls[1 + len(_LOCKSTEP_ROWS):]
+    steps = [sum(r in rows for rows in later) for r in range(len(_LOCKSTEP_ROWS))]
+    assert len(later) == max(steps) > min(steps[:4])
+    assert all(r in rows for r, n in enumerate(steps) for rows in later[:n])
+
+
+def test_lockstep_of_one_row_is_the_row_alone():
+    f, a, b, breakpoints, rel_tol, abs_tol, max_panels = _LOCKSTEP_ROWS[2]
+    ((values, errors),) = integrate_adaptive(
+        lambda call: f(call[1]), [a], [b], rel_tol=rel_tol, abs_tol=abs_tol,
+        breakpoints=[breakpoints])
+    alone_values, alone_errors = _alone(f, a, b, breakpoints, rel_tol, abs_tol, max_panels)
+    assert values.tobytes() == alone_values.tobytes()
+    assert errors.tobytes() == alone_errors.tobytes()
