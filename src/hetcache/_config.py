@@ -1,19 +1,33 @@
 """``ConfigError``, ``AUTO``, and the field check every config record runs.
 
-Each config record calls ``check_fields(self)`` first in ``__post_init__``.
-A field's annotation says what it accepts: ``float`` a real number other
+Each config record runs ``check_fields`` first in ``__post_init__``, or as
+it. A field's annotation says what it accepts: ``float`` a real number other
 than a bool, stored as float; ``int`` an integer or an integral float, not a
 bool; ``float | str`` also the string ``"auto"``; ``str`` a string; a record
 class an instance of it; ``tuple[C, ...]`` a sequence of ``C``, stored as a
-tuple. A rejection raises ``ConfigError`` with the field name as its path.
+tuple. ``Annotated[kind, (lo, hi, reason)]`` declares the field's range too:
+the value, unless ``"auto"``, must satisfy ``lo <= value <= hi``, an open end
+written as its ``math.nextafter`` so that NaN fails too. Fields are checked
+in declaration order, each by type then range, before the record's
+orderings. A rejection raises ``ConfigError`` with the field name as its path.
 """
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import typing
+from typing import Annotated
 
 AUTO = "auto"
+
+_TINY = math.nextafter(0.0, 1.0)
+_HUGE = math.nextafter(math.inf, 0.0)
+Positive = Annotated[float, (_TINY, _HUGE, "must be finite and positive")]
+Nonnegative = Annotated[float, (0.0, _HUGE, "must be finite and nonnegative")]
+PositiveOrAuto = Annotated[float | str, (_TINY, _HUGE, "must be finite and positive, or 'auto'")]
+PositiveInt = Annotated[int, (1, math.inf, "must be a positive integer")]
+NonnegativeInt = Annotated[int, (0, math.inf, "must be a nonnegative integer")]
 
 
 class ConfigError(ValueError):
@@ -47,7 +61,7 @@ def _int(name, value):
 
 def _float_or_auto(name, value):
     if isinstance(value, str) and value == AUTO:
-        return value
+        return AUTO
     return _float(name, value, "expected a number or 'auto'")
 
 
@@ -84,18 +98,27 @@ def _checker(kind):
 
 @functools.cache
 def _field_table(cls):
-    """Per field of ``cls``: its name, the one type it may skip the check
-    with (None for tuples, whose items are always checked), and its check."""
-    return tuple((name, None if typing.get_origin(kind) is tuple
-                  else {float | str: float}.get(kind, kind), _checker(kind))
-                 for name, kind in typing.get_type_hints(cls).items())
+    """Per field of ``cls``, in declaration order: its name, the one type it
+    may skip the type check with (None for tuples, whose items are always
+    checked), its check, and its range ``(lo, hi, reason)`` or None."""
+    table = []
+    for name, kind in typing.get_type_hints(cls, include_extras=True).items():
+        limits = None
+        if typing.get_origin(kind) is Annotated:
+            kind, limits = typing.get_args(kind)
+        table.append((name, None if typing.get_origin(kind) is tuple
+                      else {float | str: float}.get(kind, kind), _checker(kind), limits))
+    return tuple(table)
 
 
 def check_fields(record) -> None:
     """Check every field of ``record`` by its annotation, storing the normal form."""
-    for name, exact, check in _field_table(type(record)):
+    for name, exact, check, limits in _field_table(type(record)):
         value = getattr(record, name)
         if type(value) is not exact:
-            stored = check(name, value)
-            if stored is not value:
-                object.__setattr__(record, name, stored)
+            value = check(name, value)
+            object.__setattr__(record, name, value)
+            if value is AUTO:  # only a ``float | str`` check returns it
+                continue
+        if limits is not None and not limits[0] <= value <= limits[1]:
+            raise ConfigError(name, limits[2])

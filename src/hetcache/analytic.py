@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LOS, NLOS, TierRadioParams, los_probability
-from .quadrature import QuadratureError, _lockstep, _unwrapped, integrate_adaptive
+from .quadrature import QuadratureError, _ROW_ERRORS, _lockstep, _unwrapped, integrate_adaptive
 from .scenario import _EXPONENT_FIELDS, AUTO, IntegrationSettings, ScenarioConfig, _stage_key
 
 __all__ = [
@@ -206,6 +206,7 @@ class ExponentTable:
         # keeps each searchsorted position inside the arrays.
         self._keys = np.array([math.inf])
         self._columns = np.full((_PIECE_NODES + 1, 1), math.nan)
+        self._failed = {}  # the error of each piece index whose build raised
 
     def _build(self, index: int):
         t = 10.0 ** (_PIECE_DECADES * (index + 0.5 * (1.0 + _CHEB_X)))
@@ -238,7 +239,16 @@ class ExponentTable:
         # Not np.unique: without return_inverse it imports numpy.ma, about
         # 0.6 MB of resident memory, on first use.
         new = sorted(set(index[~built].tolist()))
-        columns = np.column_stack([self._build(int(key)) for key in new])
+        columns = []
+        for key in new:  # a failed piece raises its first error again, unbuilt
+            if key in self._failed:
+                raise self._failed[key].with_traceback(None)
+            try:
+                columns.append(self._build(int(key)))
+            except _ROW_ERRORS as exc:
+                self._failed[key] = exc
+                raise
+        columns = np.column_stack(columns)
         at = np.searchsorted(self._keys, new)
         self._keys = np.insert(self._keys, at, new)
         self._columns = np.insert(self._columns, at, columns, axis=1)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from ._config import ConfigError, check_fields
+from ._config import ConfigError, Positive, PositiveInt, check_fields
 
 __all__ = [
     "LOS",
@@ -34,33 +35,24 @@ NLOS = "NLOS"
 class TierRadioParams:
     """Radio constants of one tier's base stations."""
 
-    tx_power: float
-    pathloss_exp_los: float
-    pathloss_exp_nlos: float
-    near_field_dist: float
-    far_field_dist: float
-    sir_threshold: float
-    intercept_los: float = 1.0
-    intercept_nlos: float = 1.0
-    nakagami_los: int = 2
-    nakagami_nlos: int = 1
+    tx_power: Positive
+    # The exponents' other ends are their ordering in ``__post_init__``.
+    pathloss_exp_los: Annotated[float, (math.nextafter(2.0, 3.0), math.inf, "must be above 2")]
+    pathloss_exp_nlos: Annotated[float, (-math.inf, 8.0, "must be at most 8")]
+    near_field_dist: Positive
+    far_field_dist: Positive
+    sir_threshold: Positive
+    intercept_los: Positive = 1.0
+    intercept_nlos: Positive = 1.0
+    nakagami_los: int = 2  # at least nakagami_nlos, by the ordering below
+    nakagami_nlos: PositiveInt = 1
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("tx_power", "near_field_dist", "far_field_dist", "sir_threshold",
-                     "intercept_los", "intercept_nlos"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(name, "must be finite and positive")
         # The two cross-field checks name the record, not a field: either
         # field may be the one a file or a sweep set. Their reasons name both.
-        if not 2.0 < self.pathloss_exp_los:
-            raise ConfigError("pathloss_exp_los", "must be above 2")
         if not self.pathloss_exp_los < self.pathloss_exp_nlos:
             raise ConfigError("", "must be ordered pathloss_exp_los < pathloss_exp_nlos")
-        if not self.pathloss_exp_nlos <= 8.0:
-            raise ConfigError("pathloss_exp_nlos", "must be at most 8")
-        if self.nakagami_nlos < 1:
-            raise ConfigError("nakagami_nlos", "must be a positive integer")
         if self.nakagami_los < self.nakagami_nlos:
             raise ConfigError("", "must be ordered nakagami_los >= nakagami_nlos")
 

@@ -12,11 +12,13 @@ Content ranks are 1-based throughout.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from ._config import ConfigError, check_fields
+from ._config import NonnegativeInt, PositiveInt, check_fields
 
 __all__ = [
     "ContentModel",
@@ -35,15 +37,10 @@ RCS = "RCS"
 class ContentModel:
     """Zipf-popular library of ``library_size`` equal-size files."""
 
-    library_size: int
-    popularity_exponent: float = 1.0
+    library_size: PositiveInt
+    popularity_exponent: Annotated[float, (0.0, math.inf, "must be nonnegative")] = 1.0
 
-    def __post_init__(self):
-        check_fields(self)
-        if self.library_size < 1:
-            raise ConfigError("library_size", "must be a positive integer")
-        if not self.popularity_exponent >= 0:
-            raise ConfigError("popularity_exponent", "must be nonnegative")
+    __post_init__ = check_fields
 
     def request_probabilities(self) -> np.ndarray:
         """Request probability for every rank 1..F; sums to 1."""
@@ -56,15 +53,10 @@ class ContentModel:
 class TierCachePolicy:
     """Per-tier cache: ``cache_size`` slots, MPC picked w.p. ``mpc_fraction``."""
 
-    cache_size: int
-    mpc_fraction: float = 1.0
+    cache_size: NonnegativeInt
+    mpc_fraction: Annotated[float, (0.0, 1.0, "must be in [0, 1]")] = 1.0
 
-    def __post_init__(self):
-        check_fields(self)
-        if self.cache_size < 0:
-            raise ConfigError("cache_size", "must be a nonnegative integer")
-        if not 0.0 <= self.mpc_fraction <= 1.0:
-            raise ConfigError("mpc_fraction", "must be in [0, 1]")
+    __post_init__ = check_fields
 
 
 def cache_probability_vector(policy, library_size: int) -> np.ndarray:

@@ -11,8 +11,10 @@ scenario below, and unknown keys are rejected with their full path; of
 several errors, the first in document order is reported. ``region_radius``
 and the truncation radii accept the string ``"auto"``.
 
-Every record checks its own fields in ``__post_init__``: first their types,
-by annotation (``hetcache._config.check_fields``), then their ranges.
+Every record checks its own fields in ``__post_init__``: each field's type
+and range, declared once in its annotation, by ``_config.check_fields`` in
+declaration order, then the record's orderings across fields. So within one
+record the first declared field's type or range reports first.
 
 A parameter is addressed by a dotted path into the scenario, with 1-based
 tier indices matching the usual tier numbering; ``tiers[*]`` is every tier:
@@ -45,11 +47,13 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 import yaml
 
-from ._config import AUTO, ConfigError, check_fields
+from ._config import (AUTO, ConfigError, Nonnegative, NonnegativeInt, Positive, PositiveInt,
+                      PositiveOrAuto, check_fields)
 from .channel import TierRadioParams
 from .content import ContentModel, TierCachePolicy
 
@@ -82,35 +86,24 @@ PER_M2 = "per-m2"
 class CostModel:
     """Unit costs: one backhaul transfer vs one cache slot."""
 
-    backhaul_unit_cost: float = 1.0
-    cache_unit_cost: float = 0.01
+    backhaul_unit_cost: Positive = 1.0
+    cache_unit_cost: Nonnegative = 0.01
 
-    def __post_init__(self):
-        check_fields(self)
-        if not 0 < self.backhaul_unit_cost < math.inf:
-            raise ConfigError("backhaul_unit_cost", "must be finite and positive")
-        if not 0 <= self.cache_unit_cost < math.inf:
-            raise ConfigError("cache_unit_cost", "must be finite and nonnegative")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class SimulationProtocol:
     """Monte Carlo protocol: snapshot count, disk radius, seeding."""
 
-    num_snapshots: int = 40000
-    region_radius: float | str = 10000.0
-    master_seed: int = 0
+    num_snapshots: PositiveInt = 40000
+    region_radius: PositiveOrAuto = 10000.0
+    master_seed: NonnegativeInt = 0
     # kept only while perfbench/reference.json pins it; goes in the next benchmark change
     content_evaluation: str = "all-weighted"
 
     def __post_init__(self):
         check_fields(self)
-        if self.num_snapshots < 1:
-            raise ConfigError("num_snapshots", "must be a positive integer")
-        if self.region_radius != AUTO and not 0 < self.region_radius < math.inf:
-            raise ConfigError("region_radius", "must be finite and positive, or 'auto'")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed", "must be a nonnegative integer")
         if self.content_evaluation != "all-weighted":
             raise ConfigError("content_evaluation", "must be 'all-weighted'")
 
@@ -119,20 +112,12 @@ class SimulationProtocol:
 class IntegrationSettings:
     """Adaptive-quadrature tolerances and truncation radii (meters or 'auto')."""
 
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-10
-    outer_truncation_radius: float | str = AUTO
-    inner_truncation_radius: float | str = AUTO
+    rel_tol: Positive = 1e-6
+    abs_tol: Positive = 1e-10
+    outer_truncation_radius: PositiveOrAuto = AUTO
+    inner_truncation_radius: PositiveOrAuto = AUTO
 
-    def __post_init__(self):
-        check_fields(self)
-        for name in ("rel_tol", "abs_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(name, "must be finite and positive")
-        for name in ("outer_truncation_radius", "inner_truncation_radius"):
-            value = getattr(self, name)
-            if value != AUTO and not 0 < value < math.inf:
-                raise ConfigError(name, "must be finite and positive, or 'auto'")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -143,17 +128,12 @@ class TierConfig:
     (range expansion); 1 leaves the tier unbiased.
     """
 
-    density: float
+    density: Nonnegative
     radio: TierRadioParams
     cache: TierCachePolicy
-    rho: float = 1.0
+    rho: Annotated[float, (math.nextafter(0.0, 1.0), 1.0, "must be in (0, 1]")] = 1.0
 
-    def __post_init__(self):
-        check_fields(self)
-        if not 0 <= self.density < math.inf:
-            raise ConfigError("density", "must be finite and nonnegative")
-        if not 0.0 < self.rho <= 1.0:
-            raise ConfigError("rho", "must be in (0, 1]")
+    __post_init__ = check_fields
 
     def effective_threshold(self) -> float:
         return self.radio.sir_threshold / self.rho
@@ -169,7 +149,8 @@ class ScenarioConfig:
     protocol: SimulationProtocol
     integration: IntegrationSettings
     density_unit: str = PER_KM2
-    rate_log_base: float = 2.0
+    rate_log_base: Annotated[float, (math.nextafter(1.0, 2.0), math.nextafter(math.inf, 0.0),
+                                     "must be finite and exceed 1")] = 2.0
 
     def __post_init__(self):
         check_fields(self)
@@ -177,8 +158,6 @@ class ScenarioConfig:
             raise ConfigError("tiers", "must hold at least one tier")
         if self.density_unit not in (PER_KM2, PER_M2):
             raise ConfigError("density_unit", f"must be '{PER_KM2}' or '{PER_M2}'")
-        if not 1 < self.rate_log_base < math.inf:
-            raise ConfigError("rate_log_base", "must be finite and exceed 1")
         # Across records: either field may be the one a file or a sweep set,
         # so the error names the scenario; its reason names both paths.
         for k, tier in enumerate(self.tiers):

@@ -330,6 +330,30 @@ def test_exponent_table_builds_only_requested_pieces(monkeypatch):
     assert built == [-1, 5]
 
 
+def test_failed_exponent_piece_is_built_once_per_table(monkeypatch):
+    # at this tolerance no piece can be built; a failed piece keeps its
+    # error, so neither the block's rows nor a later lookup build it again
+    built = []
+    direct = analytic.interference_laplace_exponent
+
+    def counting(t, radio, density_per_m2, settings=None):
+        built.append((radio, math.floor(math.log10(np.min(t)) / 2.0)))
+        return direct(t, radio, density_per_m2, settings)
+
+    monkeypatch.setattr(analytic, "interference_laplace_exponent", counting)
+    s = set_parameter(default_scenario(), "integration.rel_tol", 1e-15)
+    block = [set_parameter(s, "tiers[2].radio.sir_threshold", v) for v in (2.0, 4.0, 8.0)]
+    exponents = {}
+    failures = build_coverage_table(block, exponents)
+    assert all(isinstance(f, QuadratureError) for f in failures)
+    assert built and len(set(built)) == len(built)
+    tables = {table.radio: table for table in exponents.values()}
+    for radio, piece in set(built):
+        with pytest.raises(QuadratureError, match=str(failures[0])):
+            tables[radio](np.array([10.0 ** (2.0 * piece + 1.0)]))
+    assert len(built) == len(set(built))
+
+
 def test_table_rho_bit_identical_mid_sweep():
     # the macro bias comes first, so the sweep's first exponent lookups
     # differ from the fresh table's

@@ -1,15 +1,21 @@
 """Scenario defaults, validation, YAML round trips."""
 import dataclasses
 import math
+import typing
+from typing import Annotated
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetcache.content import TierCachePolicy
+from hetcache.channel import TierRadioParams
+from hetcache.content import ContentModel, TierCachePolicy
+from hetcache.metrics import UndefinedEfficiencyError, analytic_report
+from hetcache.quadrature import QuadratureError
 from hetcache.scenario import (AUTO, PER_M2, ConfigError, CostModel,
-                               IntegrationSettings, SimulationProtocol, _names,
+                               IntegrationSettings, ScenarioConfig,
+                               SimulationProtocol, TierConfig, _names,
                                _value, auto_region_radius, default_scenario,
                                desk_scale_protocol, load_config, save_config,
                                scenario_from_mapping, scenario_to_mapping,
@@ -146,6 +152,12 @@ def test_single_tier_config(tmp_path):
     # of several errors, the first in document order
     ("tiers: [{radio: {tx_power: -1}}]\ncosts: {coffee: 1}\n",
      "tiers[1].radio.tx_power: must be finite and positive"),
+    # a field's range reports before the record's orderings
+    ("tiers: [{radio: {pathloss_exp_nlos: .nan}}]\n",
+     "tiers[1].radio.pathloss_exp_nlos: must be at most 8"),
+    # within one record, the first declared field reports
+    ("tiers: [{radio: {near_field_dist: -1, pathloss_exp_los: 2.0}}]\n",
+     "tiers[1].radio.pathloss_exp_los: must be above 2"),
 ])
 def test_rejected_yaml_names_its_path(tmp_path, text, message):
     path = tmp_path / "bad.yaml"
@@ -280,3 +292,136 @@ def test_set_parameter_and_yaml_agree(path, value):
     assert outcomes[0] == outcomes[1]
     if outcomes[0] is not ValueError:
         assert reads[0] == reads[1]
+
+
+def _declared(cls, name):
+    """``(kind, (lo, hi, reason))`` of field ``name`` of ``cls`` as its
+    annotation declares it; ``(kind, None)`` for a field without a range."""
+    hint = typing.get_type_hints(cls, include_extras=True)[name]
+    return typing.get_args(hint) if typing.get_origin(hint) is Annotated else (hint, None)
+
+
+def _declared_at(path):
+    """``_declared`` of the field at a leaf ``path`` of the default scenario."""
+    *parents, name = _names(path)
+    return _declared(type(_value(default_scenario(), tuple(parents), "*")), name)
+
+
+RANGED_PATHS = [(path, *_declared_at(path)) for path in LEAF_PATHS if _declared_at(path)[1]]
+
+
+def _loaded(path, value):
+    """The default scenario with ``value`` at ``path``, from a YAML mapping
+    and from ``set_parameter``: each the scenario or the ConfigError it raised."""
+    outcomes = []
+    for build in (lambda: scenario_from_mapping(
+                      _with_leaf(scenario_to_mapping(default_scenario()), path, value)),
+                  lambda: set_parameter(default_scenario(), path, value)):
+        try:
+            outcomes.append(build())
+        except ConfigError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+@pytest.mark.parametrize("path, kind, limits", RANGED_PATHS, ids=[p for p, *_ in RANGED_PATHS])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_declared_ranges_are_enforced_everywhere(path, kind, limits, data):
+    """Inside a field's declared range only an ordering across fields may
+    reject a value; its ends and past them, the range's reason does."""
+    lo, hi, reason = limits
+    if kind is int:
+        inside = st.integers(lo, None if hi == math.inf else hi)
+        outside = [lo - 1, float(lo - 1)]
+    else:
+        inside = st.floats(lo, hi) | st.just(AUTO) if kind == float | str else st.floats(lo, hi)
+        outside = [v for v in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+                               math.nan, math.inf, -math.inf) if not lo <= v <= hi]
+    yaml_built, swept = _loaded(path, data.draw(inside))
+    if isinstance(yaml_built, ConfigError):
+        assert yaml_built.reason.startswith("must be ordered ")
+        assert isinstance(swept, ConfigError) and swept.reason == yaml_built.reason
+    else:
+        assert swept == yaml_built
+    for value in outside:
+        assert [str(exc) for exc in _loaded(path, value)] == [f"{path}: {reason}"] * 2
+
+
+# --- scenarios drawn from the declared ranges --------------------------------
+
+# A drawn float lies in its declared range and in this box of physical
+# magnitudes, far from underflow and overflow; a drawn integer is at most
+# INT_MAX, which bounds Nakagami shapes and cache and library sizes.
+FLOAT_BOX = (1e-6, 1e6)
+INT_MAX = 64
+
+
+def _inside(cls, name, lo=-math.inf, hi=math.inf):
+    """Values of the field inside its declared range, the box and [lo, hi]."""
+    kind, (range_lo, range_hi, _) = _declared(cls, name)
+    lo, hi = max(lo, range_lo), min(hi, range_hi)
+    if kind is int:
+        return st.integers(lo, min(hi, INT_MAX))
+    floats = st.floats(max(lo, FLOAT_BOX[0]), min(hi, FLOAT_BOX[1]))
+    return floats | st.just(AUTO) if kind == float | str else floats
+
+
+def _mapping(cls, **fields):
+    """The YAML mapping of a ``cls`` record: the strategies ``fields`` give,
+    each other field with a range drawn ``_inside`` it, the rest defaults."""
+    return st.fixed_dictionaries({
+        f.name: fields[f.name] if f.name in fields else
+        _inside(cls, f.name) if _declared(cls, f.name)[1] else st.just(f.default)
+        for f in dataclasses.fields(cls)})
+
+
+@st.composite
+def _radios(draw):
+    """Radio mappings, their exponents and Nakagami shapes ordered by construction."""
+    r = TierRadioParams
+    los = draw(_inside(r, "pathloss_exp_los",
+                       hi=math.nextafter(_declared(r, "pathloss_exp_nlos")[1][1], 0.0)))
+    nakagami_nlos = draw(_inside(r, "nakagami_nlos"))
+    return draw(_mapping(
+        r, pathloss_exp_los=st.just(los),
+        pathloss_exp_nlos=_inside(r, "pathloss_exp_nlos", lo=math.nextafter(los, math.inf)),
+        nakagami_los=st.integers(nakagami_nlos, INT_MAX), nakagami_nlos=st.just(nakagami_nlos)))
+
+
+@st.composite
+def scenario_mappings(draw):
+    """YAML mappings of whole scenarios of one to three tiers, every cache
+    at most the library by construction."""
+    tiers = draw(st.lists(_mapping(TierConfig, radio=_radios(), cache=_mapping(TierCachePolicy)),
+                          min_size=1, max_size=3))
+    largest_cache = max(tier["cache"]["cache_size"] for tier in tiers)
+    return draw(_mapping(
+        ScenarioConfig, tiers=st.just(tiers),
+        content=_mapping(ContentModel, library_size=_inside(ContentModel, "library_size",
+                                                            lo=largest_cache)),
+        costs=_mapping(CostModel), protocol=_mapping(SimulationProtocol),
+        integration=_mapping(IntegrationSettings)))
+
+
+@pytest.fixture(scope="module")
+def yaml_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn") / "scenario.yaml"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mapping=scenario_mappings())
+def test_drawn_scenarios_are_accepted_and_round_trip(yaml_path, mapping):
+    scenario = scenario_from_mapping(mapping)
+    assert scenario_to_mapping(scenario) == mapping
+    yaml_path.write_text(serialize_config(scenario))
+    assert load_config(yaml_path) == scenario
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(mapping=scenario_mappings())
+def test_drawn_scenarios_have_an_analytic_report_or_a_clean_failure(mapping):
+    try:
+        analytic_report(scenario_from_mapping(mapping))
+    except (QuadratureError, UndefinedEfficiencyError):
+        pass
