@@ -43,7 +43,8 @@ import numpy as np
 
 from .channel import LOS, NLOS, TierRadioParams, los_probability
 from .quadrature import QuadratureError, _ROW_ERRORS, _lockstep, _unwrapped, integrate_adaptive
-from .scenario import _EXPONENT_FIELDS, AUTO, IntegrationSettings, ScenarioConfig, _stage_key
+from .scenario import (_COVERAGE_FIELDS, _EXPONENT_FIELDS, AUTO, IntegrationSettings,
+                       ScenarioConfig, _stage_key)
 
 __all__ = [
     "CoverageTable",
@@ -276,13 +277,13 @@ class ExponentTable:
         return np.exp(log_e).reshape(shape), columns[-1, pos].reshape(shape)
 
 
-def _exponent_table(exponents: dict, scenario: ScenarioConfig, tier: int) -> ExponentTable:
-    """The table of tier ``tier`` (1-based), from ``exponents`` or new."""
+def _exponent_table(cache: dict, scenario: ScenarioConfig, tier: int) -> ExponentTable:
+    """The table of tier ``tier`` (1-based), from ``cache`` or new."""
     key = _stage_key(scenario, _EXPONENT_FIELDS, tier)
-    table = exponents.get(key)
+    table = cache.get(key)
     if table is None:
-        table = exponents[key] = ExponentTable(scenario.tiers[tier - 1].radio,
-                                               scenario.integration)
+        table = cache[key] = ExponentTable(scenario.tiers[tier - 1].radio,
+                                           scenario.integration)
     return table
 
 
@@ -386,14 +387,14 @@ def _coverage_sum(row, values, errors):
 _Row = namedtuple("_Row", "pair settings radio terms two_pi_lambda")
 
 
-def _coverage_block(pairs, exponents: dict) -> list:
+def _coverage_block(pairs, cache: dict) -> list:
     """``(value, error_estimate)`` of each ``(scenario, tier index)`` pair, or
     the error the pair raises alone.
 
     The pairs at positive density are the rows of one lockstep truncation
     probe and one lockstep quadrature, so each row's value is bit for bit
-    its value alone and a row that fails fails alone. ``exponents`` caches
-    exponent tables (keyed by ``scenario._EXPONENT_FIELDS``).
+    its value alone and a row that fails fails alone. The rows' exponent
+    tables come from ``cache``, which keeps the ones built here.
     """
     results = [(0.0, 0.0)] * len(pairs)
     rows, columns = [], {}
@@ -402,7 +403,7 @@ def _coverage_block(pairs, exponents: dict) -> list:
         if densities[i] == 0.0:
             continue
         for j in np.flatnonzero(densities).tolist():  # the rows' interferers, by tier
-            table = _exponent_table(exponents, scenario, j + 1)
+            table = _exponent_table(cache, scenario, j + 1)
             weights = columns.setdefault((j, id(table)), (table, {}))[1]
             weights[len(rows)] = 2.0 * math.pi * float(densities[j])
         tier = scenario.tiers[i]
@@ -466,19 +467,19 @@ def _coverage_block(pairs, exponents: dict) -> list:
 
 
 def tier_coverage_density(scenario: ScenarioConfig, tier_index: int,
-                          exponents: dict | None = None):
+                          cache: dict | None = None):
     """Expected number of covering tier-``tier_index`` stations, with error.
 
     Returns ``(value, error_estimate)``. The value folds the full angular
     2*pi*lambda factor, is zero for a zero-density tier, and does not depend
     on any tier's cache configuration. ``tier_index`` is 0-based. The
-    quadrature settings are ``scenario.integration``. ``exponents`` caches
-    exponent tables across calls (keyed by ``scenario._EXPONENT_FIELDS``);
-    the value does not depend on what it already holds. This is a coverage
-    block of one row.
+    quadrature settings are ``scenario.integration``. ``cache`` is a store
+    of ``build_coverage_table``'s: the exponent tables it holds serve this
+    call, and it keeps those built here; the value does not depend on what
+    it already holds. This is a coverage block of one row.
     """
     return _unwrapped(_coverage_block([(scenario, tier_index)],
-                                      {} if exponents is None else exponents)[0])
+                                      {} if cache is None else cache)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,23 +495,32 @@ class CoverageTable:
     error_estimates: tuple
 
 
-def build_coverage_table(scenarios, exponents: dict | None = None):
+def build_coverage_table(scenarios, cache: dict | None = None):
     """Evaluate every tier's coverage density of each scenario of a block.
 
     ``scenarios`` is one ScenarioConfig, whose CoverageTable is returned (or
     its error raised), or a sequence of them: then one table per scenario is
     returned, or in its place the QuadratureError or ValueError its own
-    table raises alone (that of its first failing tier). Every tier of
-    every scenario is one row of one coverage block, and each table is bit
-    for bit the one built alone. ``exponents`` caches exponent tables
-    across calls; without it the block shares one set for this call.
+    table raises alone (that of its first failing tier). ``cache`` is one
+    sweep's store of tables under their stage keys: each scenario's
+    coverage table under its ``scenario._COVERAGE_FIELDS`` key, a failed
+    key under its error, and the exponent tables they share. Every tier of
+    every key it lacks, in order of first appearance, is one row of one
+    coverage block; each table is bit for bit the one built alone, so a
+    key is built once per store. Without ``cache`` the call has its own.
     """
     block = [scenarios] if isinstance(scenarios, ScenarioConfig) else list(scenarios)
-    results = iter(_coverage_block([(s, i) for s in block for i in range(s.num_tiers)],
-                                   {} if exponents is None else exponents))
-    tables = []
-    for scenario in block:
+    cache = {} if cache is None else cache
+    keys = [_stage_key(s, _COVERAGE_FIELDS) for s in block]
+    missing = {}
+    for key, scenario in zip(keys, block):
+        if key not in cache:
+            missing.setdefault(key, scenario)
+    results = iter(_coverage_block(
+        [(s, i) for s in missing.values() for i in range(s.num_tiers)], cache))
+    for key, scenario in missing.items():
         tiers = [next(results) for _ in range(scenario.num_tiers)]
         failed = [result for result in tiers if isinstance(result, Exception)]
-        tables.append(failed[0] if failed else CoverageTable(*map(tuple, zip(*tiers))))
+        cache[key] = failed[0] if failed else CoverageTable(*map(tuple, zip(*tiers)))
+    tables = [cache[key] for key in keys]
     return _unwrapped(tables[0]) if isinstance(scenarios, ScenarioConfig) else tables

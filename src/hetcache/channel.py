@@ -67,14 +67,9 @@ class TierRadioParams:
 
 
 def _los_probability(r: np.ndarray, d0: float, d1: float) -> np.ndarray:
-    p = np.ones(r.shape)
-    far = ~(r <= d0)  # r > D0, where min(D0/r, 1) = D0/r, or NaN
-    r_far = r[far]
-    if isinstance(d0, np.ndarray):  # a distance pair per entry of r
-        d0, d1 = d0[far], d1[far]
-    decay = np.exp(-r_far / d1)
-    p[far] = d0 / r_far * (1.0 - decay) + decay
-    return p
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 lies within D0
+        decay = np.exp(-r / d1)
+        return np.where(r <= d0, 1.0, d0 / r * (1.0 - decay) + decay)
 
 
 def _path_loss(r: np.ndarray, mode: str, params: TierRadioParams) -> np.ndarray:

@@ -14,7 +14,6 @@ engine versions.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from .quadrature import QuadratureError
 # ``_set_point`` calls ``set_parameter`` by this module's name, which
 # perfbench/tracing.py wraps.
 from .scenario import (_COVERAGE_FIELDS, ConfigError, ScenarioConfig, _names, _reaches,
-                       _stage_key, set_parameter)
+                       set_parameter)
 
 __all__ = [
     "GridSearchResult",
@@ -67,19 +66,6 @@ _BLANK_CELLS = dict.fromkeys([
     *(f"se_{name}" for name in METRIC_NAMES), *(f"err_{name}" for name in METRIC_NAMES)], "")
 
 
-@dataclass
-class _SweepCache:
-    """Coverage tables of one sweep and the exponent tables they share.
-
-    Each is keyed by the fields its tables read (``scenario._stage_key``),
-    and a key whose table failed holds its error message. One lives for one
-    sweep, grid search or preset call: each builds a key at most once.
-    """
-
-    tables: dict = dataclasses.field(default_factory=dict)
-    exponents: dict = dataclasses.field(default_factory=dict)
-
-
 def _error_row(engine: str, message: str) -> dict:
     return {"engine": engine, "status": "error", "error": message, **_BLANK_CELLS}
 
@@ -96,42 +82,29 @@ _ANALYTIC_ROW = {"engine": "analytic", "status": "ok", "error": "", **_BLANK_CEL
 _BATCH_ROW_RANKS = 1 << 16
 
 
-def _analytic_rows(scenarios, cache: _SweepCache, heads, reach=None) -> list:
+def _analytic_rows(scenarios, cache: dict, heads, reach=None) -> list:
     """Analytic rows of ``scenarios``, in order, each opening with its ``heads``.
 
     ``reach`` is the name sequences of the block's paths, None if unknown;
-    ``scenario._reaches`` says which fields it can change. Each run of rows
-    with one key of ``_COVERAGE_FIELDS`` takes one coverage table from
-    ``cache``, so one batch may span several tables; the keys ``cache``
-    misses are built in one ``build_coverage_table`` block, in order of
-    first appearance. When ``reach`` reaches none of those fields, the
-    block is one run with its first row's key. Each run of rows with one
-    library size is one ``analytic_columns`` call, given ``reach``, split
-    only past ``_BATCH_ROW_RANKS``. A row whose table fails or whose cost
-    is zero gets status ``error``.
+    ``scenario._reaches`` says which fields it can change. The coverage
+    tables come from ``build_coverage_table`` on the sweep's store
+    ``cache``; when ``reach`` reaches no field of ``_COVERAGE_FIELDS``, the
+    first row's table serves the block. Each run of rows with one library
+    size is one ``analytic_columns`` call, given ``reach``, split only past
+    ``_BATCH_ROW_RANKS``. A row whose table fails or whose cost is zero
+    gets status ``error``.
     """
     if any(_reaches(reach, field) for field in _COVERAGE_FIELDS):
-        keys = [_stage_key(s, _COVERAGE_FIELDS) for s in scenarios]
+        tables = build_coverage_table(scenarios, cache)
     else:
-        keys = [_stage_key(s, _COVERAGE_FIELDS) for s in scenarios[:1]] * len(scenarios)
-    runs = [(key, list(run)) for key, run in itertools.groupby(range(len(scenarios)),
-                                                               keys.__getitem__)]
-    missing = {}
-    for key, run in runs:
-        if key not in cache.tables:
-            missing.setdefault(key, scenarios[run[0]])
-    if missing:
-        for key, table in zip(missing, build_coverage_table(missing.values(), cache.exponents)):
-            cache.tables[key] = str(table) if isinstance(table, Exception) else table
+        tables = build_coverage_table(scenarios[:1], cache) * len(scenarios)
     rows = [None] * len(scenarios)
     ready = []
-    for key, run in runs:
-        table = cache.tables[key]
-        if isinstance(table, str):
-            for b in run:
-                rows[b] = {**heads[b], **_error_row("analytic", table)}
+    for b, table in enumerate(tables):
+        if isinstance(table, Exception):
+            rows[b] = {**heads[b], **_error_row("analytic", str(table))}
         else:
-            ready += ((b, scenarios[b], table) for b in run)
+            ready.append((b, scenarios[b], table))
     batches = []
     for library_size, run in itertools.groupby(
             ready, lambda item: item[1].content.library_size):
@@ -180,7 +153,7 @@ def _set_point(scenario: ScenarioConfig, paths: tuple, values: tuple) -> Scenari
 
 
 def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
-               cache: _SweepCache | None = None, point: dict | None = None):
+               cache: dict | None = None, point: dict | None = None):
     """Yield the rows of every point of the product of ``axes``, in grid order.
 
     ``axes`` are ``_plan``'s (paths, grid) pairs; the last varies fastest,
@@ -195,10 +168,12 @@ def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
     paths reach (the rule is ``scenario._reaches``), so the batch is told
     their name sequences: it reads every other field once, and a block
     whose paths reach no field of ``scenario._COVERAGE_FIELDS`` takes one
-    coverage table. Failed rows are yielded with status ``error``; a bad
+    coverage table. Every block reads and fills one table store, ``cache``
+    (``build_coverage_table``'s; a new one if None), so a sweep builds each
+    table once. Failed rows are yielded with status ``error``; a bad
     parameter value raises where it is set, before its block is scored.
     """
-    cache = _SweepCache() if cache is None else cache
+    cache = {} if cache is None else cache
     point = {} if point is None else point
     paths, grid = axes[0] if axes else ((), ((),))
     if len(axes) > 1:
@@ -376,7 +351,7 @@ def run_preset(name: str, config: ScenarioConfig, out_path=None, workers: int = 
     preset = _PRESETS[name]
     axes, engines = _plan({path: grid(config) if callable(grid) else grid
                            for path, grid in preset.axes}, preset.engine)
-    cache = _SweepCache()
+    cache = {}
     rows = list(_grid_rows(config, axes, engines, workers, cache))
     if preset.efficiency_ratio:
         baselines = list(_grid_rows(config, axes[:-1], engines, workers, cache))

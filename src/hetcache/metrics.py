@@ -247,8 +247,12 @@ def analytic_columns(scenarios, tables, *, _reach=None) -> AnalyticColumns:
     err_cost = lam[:, 0] * uncached_files * backhaul_cost * bh_weight * errs[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):  # zero-cost rows
         efficiency = ase / cost
-        err_eff = np.abs(efficiency) * np.where(ase > 0, err_ase / ase, 0.0) + (
-            np.abs(efficiency) * (err_cost / cost))
+        # Where ase is so small that err_ase / ase overflows, |efficiency|
+        # times it is err_ase / |cost|; the branch np.where drops may overflow.
+        with np.errstate(over="ignore"):
+            rel_ase = np.where(ase > 0, err_ase / ase, 0.0)
+            err_eff = np.where(np.isfinite(rel_ase), np.abs(efficiency) * rel_ase,
+                               err_ase / np.abs(cost)) + np.abs(efficiency) * (err_cost / cost)
 
     return AnalyticColumns(
         values=dict(zip(METRIC_NAMES, (p_hit, p_bh, ase, cost, efficiency))),

@@ -347,7 +347,8 @@ def test_failed_exponent_piece_is_built_once_per_table(monkeypatch):
     failures = build_coverage_table(block, exponents)
     assert all(isinstance(f, QuadratureError) for f in failures)
     assert built and len(set(built)) == len(built)
-    tables = {table.radio: table for table in exponents.values()}
+    tables = {table.radio: table for table in exponents.values()
+              if isinstance(table, ExponentTable)}
     for radio, piece in set(built):
         with pytest.raises(QuadratureError, match=str(failures[0])):
             tables[radio](np.array([10.0 ** (2.0 * piece + 1.0)]))
@@ -425,6 +426,27 @@ def test_mixed_block_tables_equal_each_built_alone():
     assert tables[7].per_tier_density[0] == 0.0
 
 
+def test_store_serves_each_table_again_without_quadrature(monkeypatch):
+    # a second call on the same store builds nothing: it returns the very
+    # table of each key it holds, and the very error of a failed key
+    s = default_scenario()
+    failing = set_parameter(s, "integration.rel_tol", 1e-15)
+    block = [s, set_parameter(s, "tiers[2].density", 100.0), failing, s]
+    cache = {}
+    first = build_coverage_table(block, cache)
+    assert isinstance(first[2], QuadratureError) and first[3] is first[0]
+    quadratures = []
+    integrate = analytic.integrate_adaptive
+    monkeypatch.setattr(analytic, "integrate_adaptive", lambda *args, **kwargs: (
+        quadratures.append(args) or integrate(*args, **kwargs)))
+    again = build_coverage_table(block[::-1], cache)
+    with pytest.raises(QuadratureError) as raised:
+        build_coverage_table(failing, cache)
+    assert quadratures == []
+    assert all(x is y for x, y in zip(again, first[::-1]))
+    assert raised.value is first[2]
+
+
 def test_coverage_block_is_one_probe_and_one_quadrature(monkeypatch):
     # seven densities, 14 rows: each probe step looks up every unfinished
     # row at once, so the block makes as many lookups as its slowest row
@@ -446,7 +468,9 @@ def test_coverage_block_is_one_probe_and_one_quadrature(monkeypatch):
 
     monkeypatch.setattr(analytic, "_lockstep", counting_lockstep)
     monkeypatch.setattr(analytic, "integrate_adaptive", counting_integrate)
-    build_coverage_table(block, exponents)
+    # a store of the warmed exponent tables alone, so every table is built
+    build_coverage_table(block, {k: v for k, v in exponents.items()
+                                 if isinstance(v, ExponentTable)})
     in_block = list(lookups)
     alone = []
     for scenario in block:

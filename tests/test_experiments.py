@@ -10,9 +10,8 @@ import pytest
 from hetcache import analytic, experiments
 from hetcache.analytic import ExponentTable, build_coverage_table
 from hetcache.cli import main
-from hetcache.experiments import (_grid_rows, _SweepCache, grid_search,
-                                  run_experiment, run_preset, set_parameter,
-                                  write_csv)
+from hetcache.experiments import (_grid_rows, grid_search, run_experiment, run_preset,
+                                  set_parameter, write_csv)
 from hetcache.metrics import (UndefinedEfficiencyError, analytic_columns,
                               analytic_report, caching_efficiency)
 from hetcache.scenario import (_COVERAGE_FIELDS, _EXPONENT_FIELDS, ConfigError,
@@ -316,7 +315,7 @@ def _lone(scenario, cache, engines=("analytic",)):
 
 def _fig1_loops(config):
     rows = []
-    cache = _SweepCache()
+    cache = {}
     for threshold in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0):
         scenario = set_parameter(config, "tiers[2].radio.sir_threshold", threshold)
         for cells in _lone(scenario, cache, ("analytic", "mc")):
@@ -326,7 +325,7 @@ def _fig1_loops(config):
 
 def _fig3_loops(config):
     rows = []
-    cache = _SweepCache()
+    cache = {}
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     for kappa in (0.5, 1.0, 1.5):
         base = set_parameter(config, "content.popularity_exponent", kappa)
@@ -344,7 +343,7 @@ def _fig3_loops(config):
 
 def _fig4_loops(config):
     rows = []
-    cache = _SweepCache()
+    cache = {}
     s2_grid = range(1, config.content.library_size + 1, 3)
     for lam2 in (1e-1, 1e2):
         with_lam = set_parameter(config, "tiers[2].density", lam2)
@@ -365,7 +364,7 @@ def _fig4_loops(config):
 
 def _fig5_loops(config):
     rows = []
-    cache = _SweepCache()
+    cache = {}
     cost = 0.001 * config.costs.backhaul_unit_cost
     cheap = set_parameter(config, "costs.cache_unit_cost", cost)
     for lam2 in (1e-2, 1e-1, 1.0, 1e2):
@@ -461,13 +460,17 @@ def test_mc_block_bad_last_value_raises_before_any_simulation(monkeypatch):
 
 def test_failed_coverage_table_is_built_once_per_sweep(monkeypatch):
     # a tolerance the quadrature cannot meet fails the same way in every
-    # block; its key keeps the message, so each key is built once
+    # block; its key keeps the error, so each key is built once
     s = default_scenario()
-    builds = _count_calls(monkeypatch, "build_coverage_table")
+    blocks = []
+    direct = analytic._coverage_block
+    monkeypatch.setattr(analytic, "_coverage_block",
+                        lambda pairs, cache: blocks.append(pairs) or direct(pairs, cache))
     rows = run_experiment(s, {"content.popularity_exponent": (0.5, 1.0, 1.5),
                               "integration.rel_tol": (1e-6, 1e-15)})
-    # the first block builds both keys together; later blocks build none
-    assert sum(len(args[0]) for args in builds) == 2
+    # the first block builds both keys together, two tiers each; later
+    # blocks build none
+    assert sum(map(len, blocks)) == 4
     monkeypatch.undo()
     failed = set_parameter(s, "integration.rel_tol", 1e-15)
     (alone,) = _grid_rows(failed, (), ("analytic",), 1)
@@ -484,7 +487,7 @@ def _axes(variables):
 
 
 def _row_alone(scenario, tables):
-    """The analytic row of one scenario, a block of one on a new ``_SweepCache``.
+    """The analytic row of one scenario, a block of one on a new table store.
 
     The cache starts with only this radio's coverage table, built alone
     (a table does not depend on the sweep that builds it), so no content
@@ -493,7 +496,7 @@ def _row_alone(scenario, tables):
     key = _stage_key(scenario, _COVERAGE_FIELDS)
     if key not in tables:
         tables[key] = build_coverage_table(scenario)
-    (row,) = _grid_rows(scenario, (), ("analytic",), 1, _SweepCache(tables={key: tables[key]}))
+    (row,) = _grid_rows(scenario, (), ("analytic",), 1, {key: tables[key]})
     return row
 
 
@@ -519,6 +522,13 @@ def test_grid_preset_rows_equal_rows_alone(name):
     rows = run_preset(name, config)
     assert all(r["status"] == "ok" for r in rows)
     _assert_rows_alone(config, axes, rows)
+
+
+def _entries(cache):
+    """A table store's coverage entries (tables or errors) and its exponent
+    tables, as two dicts."""
+    exponents = {k: v for k, v in cache.items() if isinstance(v, ExponentTable)}
+    return {k: v for k, v in cache.items() if k not in exponents}, exponents
 
 
 # Exponent tables per block below: one per tier radio, as a threshold is no
@@ -548,11 +558,12 @@ def test_block_spanning_tables_equals_rows_alone(monkeypatch, path, grid, tables
     s = default_scenario()
     axes = _axes({"tiers[2].cache.cache_size": (3, 9), path: grid})
     batches = _count_calls(monkeypatch, "analytic_columns")
-    cache = _SweepCache()
+    cache = {}
     rows = list(_grid_rows(s, axes, ("analytic",), 1, cache))
     assert [len(args[0]) for args in batches] == [len(grid), len(grid)]
-    assert len(cache.tables) == tables
-    assert len(cache.exponents) == _BLOCK_EXPONENT_TABLES.get(path, 2)
+    coverage, exponents = _entries(cache)
+    assert len(coverage) == tables
+    assert len(exponents) == _BLOCK_EXPONENT_TABLES.get(path, 2)
     assert len({(r["rho_1"], r["rho_2"]) for r in rows}) == tables
     _assert_rows_alone(s, axes, rows)
 
@@ -614,16 +625,18 @@ def test_block_reads_only_what_its_axis_reaches(monkeypatch):
     exponents = {}  # exponent tables do not depend on the sweep
     for path, value in sorted(_LEAVES.items()):
         grid = (value, _other_value(s, path, value))
-        cache = _SweepCache(exponents=exponents)
+        cache = dict(exponents)
         calls.clear()
         rows = list(_grid_rows(s, _axes({path: grid}), ("analytic",), 1, cache))
         assert [r["status"] for r in rows] == ["ok", "ok"], path
         keys = {_stage_key(set_parameter(s, path, v), _COVERAGE_FIELDS) for v in grid}
-        assert len(cache.tables) == len(keys) and keys <= set(cache.tables), path
+        coverage, built = _entries(cache)
+        exponents.update(built)
+        assert len(coverage) == len(keys) and keys <= set(coverage), path
         assert sum(len(args[0]) for args, _ in calls) == 2, path
         for (batch, _), block in calls:
             every_field = original(
-                batch, [cache.tables[_stage_key(x, _COVERAGE_FIELDS)] for x in batch])
+                batch, [coverage[_stage_key(x, _COVERAGE_FIELDS)] for x in batch])
             assert _column_bytes(block) == _column_bytes(every_field), path
 
 
@@ -646,7 +659,9 @@ def _stage_outputs(scenario, stage, exponents):
         return [(_stage_key(scenario, fields, k),
                  np.concatenate(ExponentTable(tier.radio, scenario.integration)(_STAGE_T)))
                 for k, tier in enumerate(scenario.tiers, 1)]
-    table = build_coverage_table(scenario, exponents)
+    store = dict(exponents)  # the shared exponent tables, and no coverage table
+    table = build_coverage_table(scenario, store)
+    exponents.update(_entries(store)[1])
     return [(_stage_key(scenario, fields),
              np.array(table.per_tier_density + table.error_estimates))]
 
@@ -681,11 +696,12 @@ def test_threshold_block_shares_exponent_pieces(monkeypatch):
         return direct(*args, **kwargs)
 
     monkeypatch.setattr(analytic, "interference_laplace_exponent", counting)
-    cache = _SweepCache()
+    cache = {}
     axes = _axes({"tiers[2].radio.sir_threshold": (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)})
     rows = list(_grid_rows(default_scenario(), axes, ("analytic",), 1, cache))
     assert [r["status"] for r in rows] == ["ok"] * 7
-    assert len(cache.tables) == 7 and len(cache.exponents) == 2
+    coverage, exponents = _entries(cache)
+    assert len(coverage) == 7 and len(exponents) == 2
     assert len(builds) == 22
 
 
@@ -693,10 +709,10 @@ def test_split_block_equals_whole_block(monkeypatch):
     # a large library splits a block; here a cap of two rows forces it
     s = default_scenario()
     axes = _axes({"tiers[2].cache.cache_size": (1, 2, 3, 4, 5)})
-    whole = list(_grid_rows(s, axes, ("analytic",), 1, _SweepCache()))
+    whole = list(_grid_rows(s, axes, ("analytic",), 1, {}))
     monkeypatch.setattr(experiments, "_BATCH_ROW_RANKS", 2 * s.content.library_size)
     batches = _count_calls(monkeypatch, "analytic_columns")
-    split = list(_grid_rows(s, axes, ("analytic",), 1, _SweepCache()))
+    split = list(_grid_rows(s, axes, ("analytic",), 1, {}))
     assert [len(args[0]) for args in batches] == [2, 2, 1]
     assert [list(row) for row in split] == [list(row) for row in whole]
     assert split == whole
@@ -707,7 +723,7 @@ def test_zero_cost_row_fails_alone_in_its_block():
     s = set_parameter(default_scenario(), "costs.cache_unit_cost", 0.0)
     axes = _axes({"content.popularity_exponent": (0.8,),
                   "tiers[1].cache.cache_size": (20, 100, 50)})
-    rows = list(_grid_rows(s, axes, ("analytic",), 1, _SweepCache()))
+    rows = list(_grid_rows(s, axes, ("analytic",), 1, {}))
     with pytest.raises(UndefinedEfficiencyError) as undefined:
         caching_efficiency(1.0, 0.0)
     assert [r["status"] for r in rows] == ["ok", "error", "ok"]

@@ -1,6 +1,7 @@
 """Metric assembly: hit/backhaul split, ASE, cost, efficiency, bias factors."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hetcache.experiments import set_parameter
 from hetcache.metrics import (AnalyticColumns, UndefinedEfficiencyError,
                               analytic_columns,
                               analytic_report, caching_efficiency, tier_rates)
-from hetcache.scenario import PER_M2, CostModel, default_scenario
+from hetcache.scenario import PER_M2, CostModel, default_scenario, scenario_from_mapping
 
 CONTENT = ContentModel(library_size=100, popularity_exponent=1.0)
 
@@ -237,3 +238,34 @@ def test_shared_table_reports_equal_fresh_table_reports():
                     assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True)), f.name
                 else:
                     assert got == want, f.name
+
+
+# A drawn scenario whose ASE (3.1e-307) is so small that err_ase / ase
+# overflows, though the efficiency's first-order bound is finite.
+_TINY_ASE = {
+    "tiers": [{"density": 37273.41149410796, "rho": 1.0e-06,
+               "cache": {"cache_size": 57, "mpc_fraction": 0.3448780521269212},
+               "radio": {"tx_power": 532593.0243255695,
+                         "pathloss_exp_los": 6.545176347938337,
+                         "pathloss_exp_nlos": 7.4042709529321415,
+                         "intercept_los": 598901.2781614418, "intercept_nlos": 999999.0,
+                         "near_field_dist": 652491.3575739412,
+                         "far_field_dist": 910925.7472174908, "nakagami_los": 58,
+                         "nakagami_nlos": 21, "sir_threshold": 349982.5236179412}}],
+    "content": {"library_size": 58, "popularity_exponent": 341227.6136110766},
+    "costs": {"backhaul_unit_cost": 10.0, "cache_unit_cost": 341227.6136110766},
+    "integration": {"rel_tol": 200.0, "abs_tol": 402694.4746719413},
+    "rate_log_base": 217729.22997811233,
+}
+
+
+def test_tiny_ase_keeps_a_finite_efficiency_bound():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = analytic_report(scenario_from_mapping(_TINY_ASE))
+    err = report.error_estimates
+    assert 0.0 < report.ase < 1e-300 and err["ase"] > 1e4
+    # |efficiency| * err_ase / ase is err_ase / |cost|, about 0.0215
+    assert math.isclose(err["efficiency"], err["ase"] / abs(report.cost)
+                        + report.efficiency * err["cost"] / report.cost, rel_tol=1e-12)
+    assert 0.02 < err["efficiency"] < 0.023

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import typing
+import warnings
 from typing import Annotated
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetcache import cli
 from hetcache.channel import TierRadioParams
 from hetcache.content import ContentModel, TierCachePolicy
 from hetcache.metrics import UndefinedEfficiencyError, analytic_report
@@ -416,6 +418,19 @@ def test_drawn_scenarios_are_accepted_and_round_trip(yaml_path, mapping):
     assert scenario_to_mapping(scenario) == mapping
     yaml_path.write_text(serialize_config(scenario))
     assert load_config(yaml_path) == scenario
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(mapping=scenario_mappings())
+def test_drawn_scenarios_run_through_the_cli_without_a_warning(yaml_path, mapping):
+    # exit 0, 1 (bad input) or 2 (a row failed), and no traceback: a
+    # numerical warning would escape ``main`` as an exception here
+    yaml_path.write_text(serialize_config(scenario_from_mapping(mapping)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["run", "--config", str(yaml_path),
+                         "--out", str(yaml_path.with_suffix(".csv"))])
+    assert code in (0, 1, 2)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
