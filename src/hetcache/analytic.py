@@ -11,12 +11,14 @@ integral over the interfering Poisson field under the two-mode path loss.
 That exponent is E_j(t) = 2*pi*lambda_j * e_j(t), where e_j depends only on
 tier j's radio. ``ExponentTable`` tabulates log e_j as a piecewise Chebyshev
 interpolant in log t: a piece is built the first time a t inside it is
-needed, by one batched adaptive quadrature at its nodes, and every later
-lookup, for any density, interpolates. The coverage integrals then need a
-single adaptive quadrature per block: every (scenario, tier) pair of a
-block is one row of one lockstep quadrature, after one lockstep probe
-that sizes each row's domain. The table's relative error bound
-propagates into the reported error estimate.
+needed, by adaptive quadrature at its nodes, and every later lookup, for
+any density, interpolates. The pieces one lookup misses, in every table it
+reads, are built together: each (piece, mode) pair is one row of one
+lockstep quadrature. The coverage integrals then need a single adaptive
+quadrature per block: every (scenario, tier) pair of a block is one row of
+one lockstep quadrature, after one lockstep probe that sizes each row's
+domain. The table's relative error bound propagates into the reported
+error estimate.
 
 Weighting the per-tier values by caching probabilities and request
 popularity (``p_hit`` of ``metrics.analytic_report``) yields the
@@ -98,7 +100,7 @@ def interference_laplace_exponent(t, radio: TierRadioParams, density_per_m2: flo
     ``I`` is the total power this tier's Poisson field (spatial density
     ``density_per_m2``) delivers to the origin. E is nonnegative,
     nondecreasing, and concave in t, and vanishes at t = 0 or zero density.
-    Accepts scalar or array ``t``.
+    Accepts scalar or array ``t``. A ``_laplace_exponents`` block of one.
     """
     if settings is None:
         settings = IntegrationSettings()
@@ -109,40 +111,63 @@ def interference_laplace_exponent(t, radio: TierRadioParams, density_per_m2: flo
         raise ValueError("t must be nonnegative")
     out = np.zeros(t_arr.shape, dtype=np.float64)
     if density_per_m2 > 0 and t_arr.size and np.any(t_arr > 0):
-        two_pi_lambda = 2.0 * math.pi * density_per_m2
-        budget = settings.abs_tol / two_pi_lambda / 4.0
-        flat = t_arr.reshape(-1)
-        total = np.zeros(flat.shape)
-        # per mode (a lockstep row): integral over y of
-        # y * p_mode(y) * (1 - (1 + t P L(y)/M)^(-M)), at each t
-        modes = (LOS, NLOS)
-        alpha = np.array([radio.pathloss_exponent(mode) for mode in modes])
-        coef = np.array([radio.tx_power * radio.intercept(mode) / radio.nakagami(mode)
-                         for mode in modes])
-        m_shape = np.array([float(radio.nakagami(mode)) for mode in modes])
-        d0, d1 = radio.near_field_dist, radio.far_field_dist
-        ends = [math.log1p(
-            _inner_truncation(float(np.max(flat)) * radio.tx_power, radio.intercept(mode),
-                              radio.pathloss_exponent(mode), d0, d1, mode, budget)
-            if settings.inner_truncation_radius == AUTO
-            else float(settings.inner_truncation_radius)) for mode in modes]
-
-        def integrand(call):
-            rows, s = call
-            es = np.exp(s)
-            y = es - 1.0
-            p_los = los_probability(y, d0, d1)
-            p_mode = np.where(rows == 0, p_los, 1.0 - p_los)
-            u = coef[rows] * np.exp(-alpha[rows] * s) * flat[:, None]
-            g = -np.expm1(-m_shape[rows] * np.log1p(u))
-            return (y * p_mode * es) * g
-
-        for result in integrate_adaptive(
-                integrand, [0.0, 0.0], ends, rel_tol=0.25 * settings.rel_tol,
-                abs_tol=budget, breakpoints=[(math.log1p(d0),)] * 2):
-            total += _unwrapped(result)[0]
-        out = (two_pi_lambda * total).reshape(t_arr.shape)
+        [e] = _laplace_exponents([(t_arr.reshape(-1), radio, density_per_m2, settings)])
+        out = _unwrapped(e).reshape(t_arr.shape)
     return float(out[0]) if np.isscalar(t) else out
+
+
+def _laplace_exponents(pieces):
+    """E at t of each ``(t, radio, density_per_m2, settings)`` piece, its t
+    1-D and as long as the others', at positive density. A piece's two
+    modes are two rows of one ordered lockstep quadrature, so its E or
+    error is bit for bit its own alone; the pieces after the first to fail
+    are None."""
+    results = [None] * len(pieces)
+    rows = []  # (piece, radio, mode, end of its s domain, abs_tol)
+    for n, (t, radio, density, settings) in enumerate(pieces):
+        budget = settings.abs_tol / (2.0 * math.pi * density) / 4.0
+        try:
+            rows += [(n, radio, mode, math.log1p(
+                _inner_truncation(float(np.max(t)) * radio.tx_power, radio.intercept(mode),
+                                  radio.pathloss_exponent(mode), radio.near_field_dist,
+                                  radio.far_field_dist, mode, budget)
+                if settings.inner_truncation_radius == AUTO
+                else float(settings.inner_truncation_radius)), budget) for mode in (LOS, NLOS)]
+        except QuadratureError as exc:
+            results[n] = exc
+            break
+    if not rows:
+        return results
+    # per row: integral over y of y * p_mode(y) * (1 - (1 + t P L(y)/M)^(-M)), at each t
+    alpha, coef, m_shape, d0, d1, los = (np.array(column) for column in zip(*(
+        (radio.pathloss_exponent(mode), radio.tx_power * radio.intercept(mode) / radio.nakagami(mode),
+         float(radio.nakagami(mode)), radio.near_field_dist, radio.far_field_dist, mode == LOS)
+        for _, radio, mode, _, _ in rows)))
+    t_columns = np.column_stack([pieces[n][0] for n, *_ in rows])
+
+    def integrand(call):
+        row, s = call
+        es = np.exp(s)
+        y = es - 1.0
+        p_los = los_probability(y, d0[row], d1[row])
+        p_mode = np.where(los[row], p_los, 1.0 - p_los)
+        # np.take keeps the values C-ordered, as the stacked rule sums need
+        u = coef[row] * np.exp(-alpha[row] * s) * np.take(t_columns, row, axis=1)
+        g = -np.expm1(-m_shape[row] * np.log1p(u))
+        return (y * p_mode * es) * g
+
+    integrals = integrate_adaptive(
+        integrand, [0.0] * len(rows), [row[3] for row in rows],
+        rel_tol=[0.25 * pieces[n][3].rel_tol for n, *_ in rows],
+        abs_tol=[row[4] for row in rows],
+        breakpoints=[(math.log1p(radio.near_field_dist),) for _, radio, *_ in rows],
+        ordered=True)
+    for k in range(0, len(rows), 2):
+        n, modes = rows[k][0], integrals[k:k + 2]
+        failed = [result for result in modes if not isinstance(result, tuple)]
+        results[n] = failed[0] if failed else (
+            2.0 * math.pi * pieces[n][2] * (modes[0][0] + modes[1][0]))
+    return results
 
 
 # Exponent tables. A piece spans _PIECE_DECADES decades of t with edges at
@@ -188,11 +213,12 @@ class ExponentTable:
     """Density-free interference exponent e(t) = E(t) / (2 pi lambda) of one radio.
 
     A piecewise Chebyshev interpolant of log e in log10 t. Each piece is
-    built on first use by one batched ``interference_laplace_exponent`` call
-    at its nodes; t outside the built pieces builds the missing ones, never
-    extrapolates. Calling the table returns e(t) and a bound on its relative
-    error: the node tolerance times the Lebesgue constant plus the size of
-    the last two Chebyshev coefficients.
+    built on first use from e at its nodes; t outside the built pieces
+    builds the missing ones, never extrapolates. The pieces one lookup
+    misses, in every table it reads, are built together, each bit for bit
+    as if built alone (``_build_pieces``). Calling the table returns e(t)
+    and a bound on its relative error: the node tolerance times the
+    Lebesgue constant plus the size of the last two Chebyshev coefficients.
     """
 
     def __init__(self, radio: TierRadioParams, settings: IntegrationSettings):
@@ -209,7 +235,8 @@ class ExponentTable:
         self._columns = np.full((_PIECE_NODES + 1, 1), math.nan)
         self._failed = {}  # the error of each piece index whose build raised
 
-    def _build(self, index: int):
+    def _piece(self, index: float):
+        """The ``_laplace_exponents`` piece that builds piece ``index``."""
         t = 10.0 ** (_PIECE_DECADES * (index + 0.5 * (1.0 + _CHEB_X)))
         y_max = (math.inf if self.inner_truncation_radius == AUTO
                  else float(self.inner_truncation_radius))
@@ -223,7 +250,10 @@ class ExponentTable:
                 float(t.min()), self.radio, y_max),
             inner_truncation_radius=self.inner_truncation_radius,
         )
-        e = interference_laplace_exponent(t, self.radio, _UNIT_DENSITY, settings)
+        return t, self.radio, _UNIT_DENSITY, settings
+
+    def _column(self, e: np.ndarray) -> np.ndarray:
+        """A piece's column, from e at its nodes."""
         if not np.all((e > 0.0) & np.isfinite(e)):
             raise QuadratureError("interference exponent not positive and finite")
         coeffs = _CHEB_FIT @ np.log(e)
@@ -231,28 +261,20 @@ class ExponentTable:
         bound = math.expm1(_LEBESGUE * -math.log1p(-self.node_tol) + tail)
         return np.append(coeffs, bound)
 
+    def _unbuilt(self, index: np.ndarray) -> list:
+        """The pieces of ``index`` not built, ascending (not np.unique, which
+        imports numpy.ma, about 0.6 MB of resident memory, on first use)."""
+        return sorted(set(index[self._keys[np.searchsorted(self._keys, index)] != index].tolist()))
+
     def _positions(self, index: np.ndarray) -> np.ndarray:
         """Column of each entry's piece, building the pieces not yet built."""
         pos = np.searchsorted(self._keys, index)
-        built = self._keys[pos] == index
-        if built.all():
+        if (self._keys[pos] == index).all():
             return pos
-        # Not np.unique: without return_inverse it imports numpy.ma, about
-        # 0.6 MB of resident memory, on first use.
-        new = sorted(set(index[~built].tolist()))
-        columns = []
-        for key in new:  # a failed piece raises its first error again, unbuilt
-            if key in self._failed:
-                raise self._failed[key].with_traceback(None)
-            try:
-                columns.append(self._build(int(key)))
-            except _ROW_ERRORS as exc:
-                self._failed[key] = exc
-                raise
-        columns = np.column_stack(columns)
-        at = np.searchsorted(self._keys, new)
-        self._keys = np.insert(self._keys, at, new)
-        self._columns = np.insert(self._columns, at, columns, axis=1)
+        _build_pieces([(self, key) for key in self._unbuilt(index)])
+        unbuilt = self._unbuilt(index)
+        if unbuilt:  # the first failed: raise its first error again
+            raise self._failed[unbuilt[0]].with_traceback(None)
         return np.searchsorted(self._keys, index)
 
     def __call__(self, t: np.ndarray):
@@ -275,6 +297,24 @@ class ExponentTable:
         log_e = columns[0, pos] + x * b1 - b2
         shape = np.shape(t)
         return np.exp(log_e).reshape(shape), columns[-1, pos].reshape(shape)
+
+
+def _build_pieces(wanted):
+    """Build the ``(table, piece index)`` pairs of ``wanted`` in one block, in
+    order up to the first piece that fails, now or before: each table keeps
+    its built columns and that piece's error, as if built one by one."""
+    wanted = wanted[:next((n for n, (table, key) in enumerate(wanted) if key in table._failed),
+                          len(wanted))]
+    for (table, key), e in zip(wanted, _laplace_exponents(
+            [table._piece(key) for table, key in wanted])):
+        try:
+            column = table._column(_unwrapped(e))
+        except _ROW_ERRORS as exc:
+            table._failed[key] = exc
+            return
+        at = np.searchsorted(table._keys, key)
+        table._keys = np.insert(table._keys, at, key)
+        table._columns = np.insert(table._columns, at, column, axis=1)
 
 
 def _exponent_table(cache: dict, scenario: ScenarioConfig, tier: int) -> ExponentTable:
@@ -311,12 +351,19 @@ def _total_exponent(t: np.ndarray, rows: np.ndarray, interferers):
     ``rows`` gives the row of each entry along t's last axis, and
     ``interferers`` lists ``(exponent table, each row's 2*pi*lambda)`` in tier
     order; a row reads a table only where its 2*pi*lambda is positive.
-    Returns the exponent and a bound on its absolute error.
+    Returns the exponent and a bound on its absolute error. The pieces the
+    lookups would build one table after another are built together first
+    (a table may be any callable of t giving ``(e, rel_err)``; one without
+    ``_unbuilt`` pieces builds nothing ahead).
     """
+    lookups = [(table, two_pi_lambda[rows]) for table, two_pi_lambda in interferers]
+    if np.all((t > 0.0) & np.isfinite(t)):  # else the first table to read a bad t raises
+        index = np.floor(np.log10(t) / _PIECE_DECADES)
+        _build_pieces([(table, key) for table, weight in lookups if hasattr(table, "_unbuilt")
+                       for key in table._unbuilt(index[..., weight > 0.0])])
     total = np.zeros(t.shape)
     slack = np.zeros(t.shape)
-    for table, two_pi_lambda in interferers:
-        weight = two_pi_lambda[rows]
+    for table, weight in lookups:
         reads = weight > 0.0
         e, rel_err = table(t[..., reads])
         exponent = weight[reads] * e
@@ -523,4 +570,6 @@ def build_coverage_table(scenarios, cache: dict | None = None):
         failed = [result for result in tiers if isinstance(result, Exception)]
         cache[key] = failed[0] if failed else CoverageTable(*map(tuple, zip(*tiers)))
     tables = [cache[key] for key in keys]
-    return _unwrapped(tables[0]) if isinstance(scenarios, ScenarioConfig) else tables
+    if isinstance(scenarios, ScenarioConfig) and isinstance(tables[0], Exception):
+        raise tables[0].with_traceback(None)  # stored: its traceback must not grow
+    return tables[0] if isinstance(scenarios, ScenarioConfig) else tables

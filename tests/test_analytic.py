@@ -1,6 +1,7 @@
 """Analytic coverage engine: Alzer constant, Laplace exponent, tier densities."""
 import dataclasses
 import math
+import traceback
 import warnings
 
 import numpy as np
@@ -316,35 +317,42 @@ def test_exponent_table_batch_lookup_equals_single_lookups():
     assert np.array_equal(batch_bound.reshape(-1), [b[0] for _, b in single])
 
 
-def test_exponent_table_builds_only_requested_pieces(monkeypatch):
+def _counting_pieces(monkeypatch):
+    """Each exponent piece a block finishes building, as ``(radio, min t,
+    max t)``: one per piece's t range, wherever pieces are built together."""
     built = []
-    direct = analytic.interference_laplace_exponent
+    block = analytic._laplace_exponents
 
-    def counting(t, radio, density_per_m2, settings=None):
-        built.append(math.floor(math.log10(np.min(t)) / 2.0))
-        return direct(t, radio, density_per_m2, settings)
+    def counting(pieces):
+        results = block(pieces)
+        built.extend((radio, float(np.min(t)), float(np.max(t)))
+                     for (t, radio, _, _), e in zip(pieces, results) if e is not None)
+        return results
 
-    monkeypatch.setattr(analytic, "interference_laplace_exponent", counting)
+    monkeypatch.setattr(analytic, "_laplace_exponents", counting)
+    return built
+
+
+def _piece_index(t_min):
+    return math.floor(math.log10(t_min) / 2.0)
+
+
+def test_exponent_table_builds_only_requested_pieces(monkeypatch):
+    built = _counting_pieces(monkeypatch)
     s = default_scenario()
     ExponentTable(s.tiers[1].radio, s.integration)(np.array([1e-2, 1e10]))
-    assert built == [-1, 5]
+    assert [_piece_index(t_min) for _, t_min, _ in built] == [-1, 5]
 
 
 def test_failed_exponent_piece_is_built_once_per_table(monkeypatch):
     # at this tolerance no piece can be built; a failed piece keeps its
     # error, so neither the block's rows nor a later lookup build it again
-    built = []
-    direct = analytic.interference_laplace_exponent
-
-    def counting(t, radio, density_per_m2, settings=None):
-        built.append((radio, math.floor(math.log10(np.min(t)) / 2.0)))
-        return direct(t, radio, density_per_m2, settings)
-
-    monkeypatch.setattr(analytic, "interference_laplace_exponent", counting)
+    pieces = _counting_pieces(monkeypatch)
     s = set_parameter(default_scenario(), "integration.rel_tol", 1e-15)
     block = [set_parameter(s, "tiers[2].radio.sir_threshold", v) for v in (2.0, 4.0, 8.0)]
     exponents = {}
     failures = build_coverage_table(block, exponents)
+    built = [(radio, _piece_index(t_min)) for radio, t_min, _ in pieces]
     assert all(isinstance(f, QuadratureError) for f in failures)
     assert built and len(set(built)) == len(built)
     tables = {table.radio: table for table in exponents.values()
@@ -352,7 +360,30 @@ def test_failed_exponent_piece_is_built_once_per_table(monkeypatch):
     for radio, piece in set(built):
         with pytest.raises(QuadratureError, match=str(failures[0])):
             tables[radio](np.array([10.0 ** (2.0 * piece + 1.0)]))
-    assert len(built) == len(set(built))
+    assert len(pieces) == len(built)
+
+
+def test_exponent_pieces_built_together_equal_each_built_alone():
+    # pieces of both default radios and of a table no piece of which can be
+    # built, in one block: each built piece has the bits of the one-radio
+    # call alone, the failed piece its error, and the piece after it stays
+    # unbuilt
+    s = default_scenario()
+    tables = [ExponentTable(tier.radio, s.integration) for tier in s.tiers]
+    tight = ExponentTable(s.tiers[1].radio, IntegrationSettings(rel_tol=1e-15))
+    keys = [-2.0, 0.0, 3.0, 9.0]
+    analytic._build_pieces([(table, key) for table in tables for key in keys]
+                           + [(tight, 1.0), (tight, 2.0)])
+    for table in tables:
+        assert table._keys[:-1].tolist() == keys
+        for n, key in enumerate(keys):
+            alone = table._column(interference_laplace_exponent(*table._piece(key)))
+            assert table._columns[:, n].tobytes() == alone.tobytes()
+    with pytest.raises(QuadratureError) as alone:
+        interference_laplace_exponent(*tight._piece(1.0))
+    assert list(tight._failed) == [1.0] and tight._keys.tolist() == [math.inf]
+    assert str(tight._failed[1.0]) == str(alone.value) == "no convergence within 4000 panels"
+    assert tight._failed[1.0].error_estimate.tobytes() == alone.value.error_estimate.tobytes()
 
 
 def test_table_rho_bit_identical_mid_sweep():
@@ -368,14 +399,7 @@ def test_table_rho_bit_identical_mid_sweep():
 
 
 def test_each_exponent_piece_built_once_per_sweep(monkeypatch):
-    builds = []
-    direct = analytic.interference_laplace_exponent
-
-    def counting(t, radio, density_per_m2, settings=None):
-        builds.append((radio, float(np.min(t)), float(np.max(t))))
-        return direct(t, radio, density_per_m2, settings)
-
-    monkeypatch.setattr(analytic, "interference_laplace_exponent", counting)
+    builds = _counting_pieces(monkeypatch)
     variables = {"content.popularity_exponent": (0.5, 1.0),
                  "tiers[2].density": (1e-3, 1.0, 100.0)}
     grid_search(default_scenario(), variables)
@@ -445,6 +469,19 @@ def test_store_serves_each_table_again_without_quadrature(monkeypatch):
     assert quadratures == []
     assert all(x is y for x, y in zip(again, first[::-1]))
     assert raised.value is first[2]
+
+
+def test_stored_error_keeps_its_traceback_length():
+    # each call on the store raises the failed key's one error again; its
+    # traceback must not gather the frames of every earlier raise
+    failing = set_parameter(default_scenario(), "integration.rel_tol", 1e-15)
+    cache = {}
+    lengths = []
+    for _ in range(3):
+        with pytest.raises(QuadratureError) as raised:
+            build_coverage_table(failing, cache)
+        lengths.append(len(traceback.extract_tb(raised.value.__traceback__)))
+    assert lengths[0] == lengths[1] == lengths[2]
 
 
 def test_coverage_block_is_one_probe_and_one_quadrature(monkeypatch):

@@ -689,20 +689,22 @@ def test_threshold_block_shares_exponent_pieces(monkeypatch):
     # threshold, so the block builds each piece of the two tiers' tables
     # once, 22 pieces, not once per threshold (88)
     builds = []
-    direct = analytic.interference_laplace_exponent
+    block = analytic._laplace_exponents
 
-    def counting(*args, **kwargs):
-        builds.append(args)
-        return direct(*args, **kwargs)
+    def counting(pieces):
+        results = block(pieces)
+        builds.extend((radio, float(np.min(t)), float(np.max(t)))
+                      for (t, radio, _, _), e in zip(pieces, results) if e is not None)
+        return results
 
-    monkeypatch.setattr(analytic, "interference_laplace_exponent", counting)
+    monkeypatch.setattr(analytic, "_laplace_exponents", counting)
     cache = {}
     axes = _axes({"tiers[2].radio.sir_threshold": (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)})
     rows = list(_grid_rows(default_scenario(), axes, ("analytic",), 1, cache))
     assert [r["status"] for r in rows] == ["ok"] * 7
     coverage, exponents = _entries(cache)
     assert len(coverage) == 7 and len(exponents) == 2
-    assert len(builds) == 22
+    assert len(builds) == len(set(builds)) == 22
 
 
 def test_split_block_equals_whole_block(monkeypatch):

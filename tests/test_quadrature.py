@@ -121,6 +121,53 @@ def test_one_integrand_call_per_split(f, a, b, breakpoints):
     assert calls[0] == 1 + splits
 
 
+def _one_product_per_panel(values, half, requests, components):
+    # the rule sums as one product per panel: the reference for _panels
+    out, k, n_nodes, n_hi = [], 0, len(quadrature._NODES), len(quadrature._HI_NODES)
+    for r, edges in requests:
+        out.append([])
+        for h in half[k:k + len(edges) - 1].tolist():
+            block = values[:components[r]][..., k * n_nodes:(k + 1) * n_nodes]
+            q_hi = h * (block[..., :n_hi] @ quadrature._HI_WEIGHTS)
+            q_lo = h * (block[..., n_hi:] @ quadrature._LO_WEIGHTS)
+            out[-1].append((q_hi, np.abs(q_hi - q_lo)))
+            k += 1
+    return out
+
+
+@pytest.mark.parametrize("lead, components", [
+    ((), [None] * 3), ((6,), [6, 2, 5]), ((6,), [None, 1, 6]), ((2, 3), [None] * 3)])
+def test_stacked_rule_sums_equal_one_product_per_panel(monkeypatch, lead, components):
+    # three requests of 8, 2 and 40 panels, in one call and, past a cap of
+    # 16 panels, in two
+    requests = [(0, np.linspace(0.0, 1.0, 9)), (1, [2.0, 2.5, 3.0]), (2, np.linspace(-4.0, 9.0, 41))]
+    seen = []
+
+    def f(call):
+        rows, x = call
+        seen.append(x)
+        scale = np.arange(1.0, 1.0 + np.prod(lead, dtype=int)).reshape(*lead, 1)
+        return np.sin(1e3 * x + rows) * np.exp(x) * scale
+
+    lo = np.concatenate([np.asarray(e, dtype=float)[:-1] for _, e in requests])
+    hi = np.concatenate([np.asarray(e, dtype=float)[1:] for _, e in requests])
+    for cap in (100, 16):
+        monkeypatch.setattr(quadrature, "_CALL_PANELS", cap)
+        seen.clear()
+        stacked = quadrature._panels(f, requests, components)
+        x = np.concatenate(seen)
+        rows = np.repeat([0, 1, 2], [8 * 22, 2 * 22, 40 * 22])
+        expected = _one_product_per_panel(
+            f((rows, x)), 0.5 * (hi - lo), requests, components)
+        assert len(seen) == (1 if cap == 100 else 2) + 1
+        for got, want in zip(stacked, expected):
+            assert len(got) == len(want)
+            for (q, e), (q_ref, e_ref) in zip(got, want):
+                assert type(q) is type(q_ref) and np.shape(q) == np.shape(q_ref)
+                assert np.asarray(q).tobytes() == np.asarray(q_ref).tobytes()
+                assert np.asarray(e).tobytes() == np.asarray(e_ref).tobytes()
+
+
 def _raises_past_five(x):
     if np.any(x > 5.0):
         raise QuadratureError("integrand undefined past 5")
@@ -200,3 +247,26 @@ def test_lockstep_of_one_row_is_the_row_alone():
     alone_values, alone_errors = _alone(f, a, b, breakpoints, rel_tol, abs_tol, max_panels)
     assert values.tobytes() == alone_values.tobytes()
     assert errors.tobytes() == alone_errors.tobytes()
+
+
+def test_ordered_lockstep_runs_long_rows_one_by_one_to_the_first_failure():
+    # rows 0 and 2 run out of their 200 panels, row 1 converges in a few
+    # steps: past _ORDERED_STEPS only row 0 refines, and when it fails,
+    # row 2, after it, ends unfinished
+    calls = []
+
+    def f(call):
+        rows, x = call
+        calls.append(sorted(set(rows.tolist())))
+        return np.where(rows == 1, np.exp(-x), np.sin(1000.0 * x))[None]
+
+    results = integrate_adaptive(f, [0.0] * 3, [20.0, 3.0, 20.0], rel_tol=1e-12,
+                                 abs_tol=1e-14, max_panels=200, ordered=True)
+    assert str(results[0]) == "no convergence within 200 panels"
+    alone = integrate_adaptive(lambda x: np.exp(-x)[None], 0.0, 3.0, rel_tol=1e-12,
+                               abs_tol=1e-14)
+    assert [v.tobytes() for v in results[1]] == [v.tobytes() for v in alone]
+    assert results[2] is None
+    steps = quadrature._ORDERED_STEPS
+    assert all(2 in rows for rows in calls[:steps])
+    assert calls[steps:] and all(rows == [0] for rows in calls[steps:])
