@@ -352,14 +352,12 @@ def _total_exponent(t: np.ndarray, rows: np.ndarray, interferers):
     ``interferers`` lists ``(exponent table, each row's 2*pi*lambda)`` in tier
     order; a row reads a table only where its 2*pi*lambda is positive.
     Returns the exponent and a bound on its absolute error. The pieces the
-    lookups would build one table after another are built together first
-    (a table may be any callable of t giving ``(e, rel_err)``; one without
-    ``_unbuilt`` pieces builds nothing ahead).
+    lookups would build one table after another are built together first.
     """
     lookups = [(table, two_pi_lambda[rows]) for table, two_pi_lambda in interferers]
     if np.all((t > 0.0) & np.isfinite(t)):  # else the first table to read a bad t raises
         index = np.floor(np.log10(t) / _PIECE_DECADES)
-        _build_pieces([(table, key) for table, weight in lookups if hasattr(table, "_unbuilt")
+        _build_pieces([(table, key) for table, weight in lookups
                        for key in table._unbuilt(index[..., weight > 0.0])])
     total = np.zeros(t.shape)
     slack = np.zeros(t.shape)

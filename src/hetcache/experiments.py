@@ -5,7 +5,10 @@ tuple of paths set together such as ``("tiers[1].rho", "tiers[2].rho")``,
 to its values.
 
 One driver, ``_grid_rows``, turns every run, sweep, grid search and
-canned experiment into rows: one per grid point per engine. The canned
+canned experiment into rows: one per grid point per engine. The points of
+an innermost grid are one block (``scenario.Block``), a base scenario and
+one checked column of values per path, scored together; a point's
+scenario is built only where it is read. The canned
 experiments (``PRESET_NAMES``) are data, a table of axes and an engine.
 Result rows are flattened metric reports; float cells are printed with 17
 significant digits so a fixed config and seed reproduce byte-identical CSV
@@ -30,8 +33,7 @@ from .montecarlo import run_simulation
 from .quadrature import QuadratureError
 # ``_set_point`` calls ``set_parameter`` by this module's name, which
 # perfbench/tracing.py wraps.
-from .scenario import (_COVERAGE_FIELDS, ConfigError, ScenarioConfig, _names, _reaches,
-                       set_parameter)
+from .scenario import _COVERAGE_FIELDS, Block, ConfigError, ScenarioConfig, _reaches, set_parameter
 
 __all__ = [
     "GridSearchResult",
@@ -82,42 +84,42 @@ _ANALYTIC_ROW = {"engine": "analytic", "status": "ok", "error": "", **_BLANK_CEL
 _BATCH_ROW_RANKS = 1 << 16
 
 
-def _analytic_rows(scenarios, cache: dict, heads, reach=None) -> list:
-    """Analytic rows of ``scenarios``, in order, each opening with its ``heads``.
+def _analytic_rows(block, cache: dict, heads) -> list:
+    """Analytic rows of the points of ``block`` (a ``scenario.Block``), in
+    order, each opening with its ``heads``.
 
-    ``reach`` is the name sequences of the block's paths, None if unknown;
-    ``scenario._reaches`` says which fields it can change. The coverage
-    tables come from ``build_coverage_table`` on the sweep's store
-    ``cache``; when ``reach`` reaches no field of ``_COVERAGE_FIELDS``, the
-    first row's table serves the block. Each run of rows with one library
-    size is one ``analytic_columns`` call, given ``reach``, split only past
-    ``_BATCH_ROW_RANKS``. A row whose table fails or whose cost is zero
-    gets status ``error``.
+    The coverage tables come from ``build_coverage_table`` on the sweep's
+    store ``cache``: one per point when the block's paths reach a field of
+    ``_COVERAGE_FIELDS``, else the base scenario's, which has the points'
+    key, for all. Each run of rows with one library size is one
+    ``analytic_columns`` call on the block of its points, split only past
+    ``_BATCH_ROW_RANKS``. A row whose table fails or whose cost is zero gets
+    status ``error``.
     """
-    if any(_reaches(reach, field) for field in _COVERAGE_FIELDS):
-        tables = build_coverage_table(scenarios, cache)
+    if any(_reaches(block.reach, field) for field in _COVERAGE_FIELDS):
+        tables = build_coverage_table(block.points, cache)
     else:
-        tables = build_coverage_table(scenarios[:1], cache) * len(scenarios)
-    rows = [None] * len(scenarios)
+        tables = build_coverage_table([block.base], cache) * len(block)
+    rows = [None] * len(block)
     ready = []
     for b, table in enumerate(tables):
         if isinstance(table, Exception):
             rows[b] = {**heads[b], **_error_row("analytic", str(table))}
         else:
-            ready.append((b, scenarios[b], table))
+            ready.append(b)
+    sizes = block.column(("content", "library_size"))  # the base's alone, or each point's
     batches = []
-    for library_size, run in itertools.groupby(
-            ready, lambda item: item[1].content.library_size):
+    for library_size, run in itertools.groupby(ready, lambda b: sizes[min(b, len(sizes) - 1)]):
         run = list(run)
         step = max(1, _BATCH_ROW_RANKS // library_size)
         batches += (run[lo:lo + step] for lo in range(0, len(run), step))
-    for batch_rows in batches:
-        index, batch, tables = zip(*batch_rows)
-        columns = analytic_columns(batch, tables, _reach=reach)
+    for index in batches:
+        batch = block.take(index)
+        columns = analytic_columns(batch, [tables[b] for b in index])
         values, errors = columns.values, columns.error_estimates
         names = [*values, "cost_over_backhaul_unit", *(f"err_{k}" for k in errors),
                  *(f"rho_{i}" for i in range(1, columns.rho.shape[1] + 1))]
-        cost_per_unit = values["cost"] / [s.costs.backhaul_unit_cost for s in batch]
+        cost_per_unit = values["cost"] / batch.column(("costs", "backhaul_unit_cost"))
         cells = np.column_stack([*values.values(), cost_per_unit, *errors.values(),
                                  columns.rho]).tolist()
         template = {**heads[index[0]], **_ANALYTIC_ROW}  # a block's heads share their keys
@@ -159,19 +161,22 @@ def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
     ``axes`` are ``_plan``'s (paths, grid) pairs; the last varies fastest,
     and no axes means the one point ``scenario``. Each point yields one row
     per engine of ``engines``, in that order; a row's first cells are the
-    point's values, one per path. Each point is built from the deepest
-    prefix it shares with the previous one, as nested loops would:
-    ``set_parameter`` runs once per changed value, in path order. The
-    points of one innermost grid form a block: all are set before any is
-    scored, and its analytic rows are scored in one batch. A block's points
-    differ from the scenario they are built from only in the fields their
-    paths reach (the rule is ``scenario._reaches``), so the batch is told
-    their name sequences: it reads every other field once, and a block
-    whose paths reach no field of ``scenario._COVERAGE_FIELDS`` takes one
-    coverage table. Every block reads and fills one table store, ``cache``
-    (``build_coverage_table``'s; a new one if None), so a sweep builds each
-    table once. Failed rows are yielded with status ``error``; a bad
-    parameter value raises where it is set, before its block is scored.
+    point's values, one per path. Each point of an outer axis is built from
+    the deepest prefix it shares with the previous one, as nested loops
+    would: ``set_parameter`` runs once per changed value, in path order.
+    The points of one innermost grid form a block (``scenario.Block``): the
+    scenario they are built from, and per path one column of values, each
+    checked as ``set_parameter`` would check it before any point is scored.
+    A point's scenario is built only where it is read: by the Monte Carlo
+    engine, by ``build_coverage_table`` when the paths reach a field of
+    ``scenario._COVERAGE_FIELDS`` (else the block takes one coverage table),
+    and by ``metrics._gather`` for a reached field that is no column. A
+    column that cannot be checked so builds every point with
+    ``set_parameter`` at once. Every block reads and fills one table store,
+    ``cache`` (``build_coverage_table``'s; a new one if None), so a sweep
+    builds each table once. Failed rows are yielded with status ``error``;
+    a bad parameter value raises with ``set_parameter``'s own error, before
+    its block is scored.
     """
     cache = {} if cache is None else cache
     point = {} if point is None else point
@@ -181,11 +186,10 @@ def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
             yield from _grid_rows(_set_point(scenario, paths, values), axes[1:], engines,
                                   workers, cache, {**point, **dict(zip(paths, values))})
         return
-    scenarios = [_set_point(scenario, paths, values) for values in grid]
+    block = Block(scenario, paths, grid, _set_point)
     heads = [{**point, **dict(zip(paths, values))} for values in grid]
-    reach = tuple(map(_names, paths))
-    blocks = [_analytic_rows(scenarios, cache, heads, reach) if engine == "analytic"
-              else [{**h, **_mc_row(s, workers)} for h, s in zip(heads, scenarios)]
+    blocks = [_analytic_rows(block, cache, heads) if engine == "analytic"
+              else [{**h, **_mc_row(s, workers)} for h, s in zip(heads, block.points)]
               for engine in engines]
     for rows in zip(*blocks):
         yield from rows

@@ -24,14 +24,13 @@ Range expansion rescales each tier's association threshold to
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analytic import CoverageTable, build_coverage_table
 from .content import cache_probability_vector
-from .scenario import ScenarioConfig, _reaches
+from .scenario import Block, ScenarioConfig, _reaches
 
 __all__ = [
     "UndefinedEfficiencyError",
@@ -95,7 +94,7 @@ def tier_rates(scenario: ScenarioConfig) -> tuple:
     )
 
 
-def _gather(scenarios, reach=None):
+def _gather(scenarios):
     """The per-rank vectors and constants of B scenarios, read in one pass.
 
     Returns ``(a, q, constants)``: (B, F) request probabilities; (B, K, F)
@@ -105,39 +104,41 @@ def _gather(scenarios, reach=None):
     does not cache, cache slots per m^2 and two unit costs. All scenarios
     share their tier count and library size.
 
-    ``reach`` holds the name sequences a grid block's axis sets. A field it
-    does not reach (``scenario._reaches``) is equal in every row, so it is
-    read once, from the first scenario, and so is a tier's caching vector.
-    None, for scenarios that are not a grid block, reads every field of
-    every row.
+    ``scenarios`` is a ``scenario.Block``, or a list of scenarios, read as
+    a block of given points. A field the block's paths do not reach
+    (``scenario._reaches``) is equal in every row, so it is read once, from
+    the base, and so is a tier's caching vector. A reached leaf field is
+    read from its column (``Block.column``), and the other reached fields
+    from the points.
     """
-    B, first = len(scenarios), scenarios[0]
-    K, F = first.num_tiers, first.content.library_size
+    block = scenarios if isinstance(scenarios, Block) else Block.of(scenarios)
+    B, base = len(block), block.base
+    K, F = base.num_tiers, block.column(("content", "library_size"))[0]
+
+    def reached(*fields):
+        return any(_reaches(block.reach, field) for field in fields)
 
     def rows(*fields):
-        """Every scenario if the axis reaches one of ``fields``, else the first alone."""
-        return scenarios if any(_reaches(reach, field) for field in fields) else scenarios[:1]
+        """Every point if the block's paths reach one of ``fields``, else the base alone."""
+        return block.points if reached(*fields) else [base]
 
     def per_tier(name):
         """Field ``name`` of each tier as an (n, K) array: n = B when the
-        axis reaches it at some tier, else 1."""
-        get = operator.attrgetter(name)
-        columns = [[get(s.tiers[k]) for s in rows(("tiers", k + 1, *name.split(".")))]
-                   for k in range(K)]
+        block's paths reach it at some tier, else 1."""
+        columns = [block.column(("tiers", k + 1, *name.split("."))) for k in range(K)]
         n = max(map(len, columns))
         return np.column_stack([column * (n // len(column)) for column in columns])
 
     density, size, fraction = map(per_tier, ("density", "cache.cache_size", "cache.mpc_fraction"))
     scale = np.array([s.density_scale for s in rows(("density_unit",))])
-    backhaul_cost = np.array([s.costs.backhaul_unit_cost
-                              for s in rows(("costs", "backhaul_unit_cost"))])
-    cache_cost = np.array([s.costs.cache_unit_cost for s in rows(("costs", "cache_unit_cost"))])
+    backhaul_cost = np.array(block.column(("costs", "backhaul_unit_cost")))
+    cache_cost = np.array(block.column(("costs", "cache_unit_cost")))
     rates = np.array([tier_rates(s) for s in rows(
         ("rate_log_base",), ("tiers", "*", "radio", "sir_threshold"))])
     a = np.array([s.content.request_probabilities() for s in rows(("content",))])
     q = np.empty((B, K, F))
     for k in range(K):
-        n = len(rows(("tiers", k + 1, "cache")))
+        n = B if reached(("tiers", k + 1, "cache")) else 1
         q[:, k] = cache_probability_vector((size[:n, k], fraction[:n, k]), F)
     lam = density * scale[:, None]
 
@@ -219,16 +220,15 @@ class AnalyticColumns:
     failures: tuple
 
 
-def analytic_columns(scenarios, tables, *, _reach=None) -> AnalyticColumns:
+def analytic_columns(scenarios, tables) -> AnalyticColumns:
     """Evaluate every metric of B scenarios with the quadrature engine at once.
 
-    ``tables[b]`` is the coverage table of ``scenarios[b]``'s radio side;
-    every scenario must have the same library size. The fields of every
-    row are read in one pass (``_gather``). Each row equals the batch of one.
-    ``_reach`` is private to the grid driver: it tells ``_gather`` what the
-    block's axis sets.
+    ``scenarios`` is a list of scenarios or a grid's ``scenario.Block``, and
+    ``tables[b]`` is the coverage table of scenario b's radio side; every
+    scenario must have the same library size. The fields of every row are
+    read in one pass (``_gather``). Each row equals the batch of one.
     """
-    a, q, constants = _gather(scenarios, _reach)
+    a, q, constants = _gather(scenarios)
     lam, lam_rate, uncached_files, _, backhaul_cost, _ = constants
     rho = np.array([t.per_tier_density for t in tables])
     errs = np.array([t.error_estimates for t in tables])

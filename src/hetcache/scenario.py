@@ -29,6 +29,8 @@ compares. ``set_parameter`` copies the records on one path (``_replaced``)
 and YAML loading merges a file onto the default scenario's records
 (``_merged``); in both walks each record's ``__post_init__`` checks it, so
 every YAML field is a path, checked the same way, and a rejection names it.
+A grid block (``Block``) checks a column of values at one path at once
+(``_column``), against the same declarations and orderings.
 
 The default scenario: a sparse 40 W macro tier (density 1e-3 per km^2,
 threshold 2, 20-slot caches) over a denser 4 W small-cell tier (density 10
@@ -41,6 +43,7 @@ automatically instead (see ``auto_region_radius``).
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -53,7 +56,7 @@ import numpy as np
 import yaml
 
 from ._config import (AUTO, ConfigError, Nonnegative, NonnegativeInt, Positive, PositiveInt,
-                      PositiveOrAuto, check_fields)
+                      PositiveOrAuto, _field_table, check_fields)
 from .channel import TierRadioParams
 from .content import ContentModel, TierCachePolicy
 
@@ -158,13 +161,7 @@ class ScenarioConfig:
             raise ConfigError("tiers", "must hold at least one tier")
         if self.density_unit not in (PER_KM2, PER_M2):
             raise ConfigError("density_unit", f"must be '{PER_KM2}' or '{PER_M2}'")
-        # Across records: either field may be the one a file or a sweep set,
-        # so the error names the scenario; its reason names both paths.
-        for k, tier in enumerate(self.tiers):
-            if tier.cache.cache_size > self.content.library_size:
-                path = f"tiers[{k + 1}].cache.cache_size"
-                raise ConfigError("", f"must be ordered {path} <= content.library_size "
-                                  f"({tier.cache.cache_size} > {self.content.library_size})")
+        _check_caches([tier.cache.cache_size for tier in self.tiers], self.content.library_size)
 
     @property
     def num_tiers(self) -> int:
@@ -187,6 +184,16 @@ class ScenarioConfig:
     def fingerprint(self) -> str:
         """Stable hash of the full scenario (canonical YAML form)."""
         return hashlib.sha256(serialize_config(self).encode()).hexdigest()
+
+
+def _check_caches(sizes, library_size) -> None:
+    """Across records, tier k's cache size ``sizes[k - 1]`` is at most
+    ``library_size``. Either may be the one set, so the error names the
+    scenario and its reason names both paths."""
+    for k, size in enumerate(sizes, 1):
+        if size > library_size:
+            raise ConfigError("", f"must be ordered tiers[{k}].cache.cache_size <= "
+                              f"content.library_size ({size} > {library_size})")
 
 
 # --- parameter paths ---------------------------------------------------------
@@ -259,11 +266,9 @@ def _reaches(reach, field) -> bool:
     A field and a set path are name sequences, a tier's fields under
     ``("tiers", k)`` with k 1-based. A path reaches a field when one
     sequence is a prefix of the other and the tier matches; ``"*"`` matches
-    every tier. ``reach`` None stands for an unknown axis and reaches every
+    every tier. So the empty sequence, the whole scenario, reaches every
     field.
     """
-    if reach is None:
-        return True
     for path in reach:
         for a, b in zip(path, field):
             if a != b and a != "*" and b != "*":
@@ -271,6 +276,103 @@ def _reaches(reach, field) -> bool:
         else:
             return True
     return False
+
+
+def _column(base: ScenarioConfig, names: tuple, values, others) -> list | None:
+    """``values`` at the leaf ``names`` of ``base``, as ``set_parameter``
+    stores them (``2.0`` in an integer field as ``2``), or None. The check is
+    sound, not complete: None where a value fails the leaf's declared type or
+    range, its record's own ``__post_init__`` (the orderings) or
+    ``_check_caches``, the one check above the leaf's record that reads a
+    leaf; and where it cannot tell: a path that is no leaf, or a check that
+    reads a field that ``others``, the other paths set at these points,
+    reach."""
+    *heads, leaf = names
+    if 0 in heads:  # no tier, though ``_value`` would read the last
+        return None
+    try:  # the leaf's record, or each tier's for ``tiers[*]``
+        nodes = _value(base, heads, "*")
+    except (AttributeError, IndexError, TypeError):
+        return None
+    nodes = nodes if "*" in heads else (nodes,)
+    cls = type(nodes[0])
+    entry = [e for e in _field_table(cls) if e[0] == leaf and e[1] in (float, int, str)
+             ] if dataclasses.is_dataclass(cls) else ()
+    more = getattr(cls, "__post_init__", None) is not check_fields
+    # what the check reads besides the leaf
+    reads = [names[:-1]] if more else []
+    reads += {"cache_size": [("content", "library_size")],
+              "library_size": [("tiers", "*", "cache", "cache_size")]}.get(leaf, [])
+    if not entry or any(_reaches(others, field) for field in reads):
+        return None
+    ((_, exact, check, limits),) = entry
+    try:
+        column = [value if type(value) is exact else check(leaf, value) for value in values]
+        if limits and not all(v is AUTO or limits[0] <= v <= limits[1] for v in column):
+            return None
+        for node in nodes if more else ():
+            for value in column:
+                _replaced(node, (leaf,), value)
+        if leaf == "cache_size":
+            _check_caches([max(column)], base.content.library_size)
+        elif leaf == "library_size":
+            _check_caches([tier.cache.cache_size for tier in base.tiers], min(column))
+    except ConfigError:
+        return None
+    return column
+
+
+class Block:
+    """The points of one grid block: ``base`` with ``paths`` (``reach``: their
+    name sequences) set to each entry of ``grid``; ``len`` counts them. If
+    ``_column`` takes every path's column, ``grid`` holds the values as
+    stored, and the point scenarios, ``points``, are built by ``build`` when
+    first read. Else they are built at once, so a bad value raises
+    ``set_parameter``'s own error, and the first point is the base.
+    ``Block.of`` wraps given points, which may differ anywhere: its one path
+    is the whole scenario, ``()``."""
+
+    def __init__(self, base: ScenarioConfig, paths: tuple, grid, build):
+        self.base, self.paths, self._build = base, paths, build
+        self.reach = tuple(map(_names, paths))
+        columns = [_column(base, names, column, self.reach[:j] + self.reach[j + 1:])
+                   for j, (names, column) in enumerate(zip(self.reach, zip(*grid)))]
+        self.checked = None not in columns
+        self.grid = list(zip(*columns)) if columns and self.checked else grid
+        if not self.checked:  # build every point now: a bad value raises here
+            self.base = self.points[0]
+
+    @classmethod
+    def of(cls, scenarios):
+        """The block of the given point scenarios."""
+        block = cls(scenarios[0], (), [()] * len(scenarios), None)
+        block.reach, block.checked, block.points = ((),), False, list(scenarios)
+        return block
+
+    @functools.cached_property
+    def points(self) -> list:
+        return [self._build(self.base, self.paths, values) for values in self.grid]
+
+    def __len__(self):
+        return len(self.grid)
+
+    def column(self, field) -> list:
+        """The values of the leaf ``field`` (a name sequence with its tier):
+        one per point where a path reaches it, else the base's alone."""
+        if not _reaches(self.reach, field):
+            return [_value(self.base, field, None)]
+        if self.checked:  # checked paths are leaves: the last that reaches it set it
+            j = max(j for j, names in enumerate(self.reach) if _reaches((names,), field))
+            return [values[j] for values in self.grid]
+        return [_value(point, field, None) for point in self.points]
+
+    def take(self, index):
+        """The block of the points at ``index``, in order."""
+        block = copy.copy(self)
+        block.grid = [self.grid[b] for b in index]
+        if "points" in vars(self):
+            block.points = [self.points[b] for b in index]
+        return block
 
 
 # What each tabulated analytic stage reads, as name sequences for

@@ -284,6 +284,9 @@ class _DirectExponent:
             t.reshape(-1), self.radio, 0.5 / math.pi, self.settings)
         return e.reshape(t.shape)
 
+    def _unbuilt(self, index):
+        return []  # nothing is tabulated, so nothing is built ahead
+
     def __call__(self, t):
         n = len(quadrature._NODES)
         blocks = np.split(t, range(n, t.shape[-1], n), axis=-1)

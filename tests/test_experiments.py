@@ -15,8 +15,8 @@ from hetcache.experiments import (_grid_rows, grid_search, run_experiment, run_p
 from hetcache.metrics import (UndefinedEfficiencyError, analytic_columns,
                               analytic_report, caching_efficiency)
 from hetcache.scenario import (_COVERAGE_FIELDS, _EXPONENT_FIELDS, ConfigError,
-                               SimulationProtocol, _names, _reaches, _stage_key,
-                               default_scenario, scenario_to_mapping)
+                               SimulationProtocol, _column, _names, _reaches, _stage_key,
+                               _value, default_scenario, scenario_to_mapping)
 
 
 def desk_config(snapshots=150, radius=5000.0, seed=7):
@@ -278,8 +278,9 @@ def test_grid_search_rows_equal_naive_evaluation(monkeypatch):
                  "tiers[1].cache.cache_size": (5, 20, 5)}
     calls = _count_calls(monkeypatch, "set_parameter")
     res = grid_search(s, variables)
-    # one call per changed value: 2 + 2*2 + 2*2*3, not 3 per row
-    assert len(calls) == 2 + 4 + 12
+    # one call per changed value of the outer axes, 2 + 2*2; the innermost
+    # cache-size column is checked as a column and builds no point
+    assert len(calls) == 2 + 4
     monkeypatch.undo()
     assert len(res.surface) == 12
     assert len({(r["rho_1"], r["rho_2"]) for r in res.surface}) == 2
@@ -420,20 +421,35 @@ def test_fig5_records_each_bias():
         assert row["rho_2"] == analytic_report(scenario).per_tier_coverage_density[1]
 
 
+# The good values around a bad one in the innermost column of the test
+# below, by the path its message names.
+_AROUND_BAD = {"tiers[2].cache.cache_size": (5, 7), "tiers[2].cache.mpc_fraction": (0.5, 0.7),
+               "tiers[2].radio.pathloss_exp_los": (3.5, 4.5),
+               "content.library_size": (100, 200)}
+
+
 @pytest.mark.parametrize("bad, error, message", [
     (101, ValueError, "tiers[2].cache.cache_size: must be ordered "
      "tiers[2].cache.cache_size <= content.library_size (101 > 100)"),
     (2.5, ConfigError, "tiers[2].cache.cache_size: expected an integer value"),
+    (-1, ConfigError, "tiers[2].cache.cache_size: must be a nonnegative integer"),
+    (math.nan, ConfigError, "tiers[2].cache.mpc_fraction: must be in [0, 1]"),
+    # the column crosses pathloss_exp_nlos, 4, midway: 3.5, 4.0, 4.5
+    (4.0, ConfigError, "tiers[2].radio.pathloss_exp_los: must be ordered "
+     "pathloss_exp_los < pathloss_exp_nlos"),
+    (10, ConfigError, "content.library_size: must be ordered "
+     "tiers[1].cache.cache_size <= content.library_size (20 > 10)"),
 ])
 def test_grid_search_bad_value_raises_where_set(monkeypatch, bad, error, message):
     s = default_scenario()
-    variables = {"content.popularity_exponent": (0.5, 1.0),
-                 "tiers[2].cache.cache_size": (5, bad, 7)}
+    path = message.split(": ")[0]
+    first, last = _AROUND_BAD[path]
+    variables = {"content.popularity_exponent": (0.5, 1.0), path: (first, bad, last)}
     with pytest.raises(error) as naive:
-        set_parameter(set_parameter(s, "content.popularity_exponent", 0.5),
-                      "tiers[2].cache.cache_size", bad)
+        set_parameter(set_parameter(s, "content.popularity_exponent", 0.5), path, bad)
     assert str(naive.value) == message
     batches = _count_calls(monkeypatch, "analytic_columns")
+    tables = _count_calls(monkeypatch, "build_coverage_table")
     calls = _count_calls(monkeypatch, "set_parameter")
     with pytest.raises(error) as raised:
         grid_search(s, variables)
@@ -441,10 +457,11 @@ def test_grid_search_bad_value_raises_where_set(monkeypatch, bad, error, message
     assert str(raised.value) == message
     # the second point fails at its own value, before its block is scored
     assert sum(len(args[0]) for args in batches) == 0
+    assert tables == []
     assert [args[1:] for args in calls] == [
         ("content.popularity_exponent", 0.5),
-        ("tiers[2].cache.cache_size", 5),
-        ("tiers[2].cache.cache_size", bad)]
+        (path, first),
+        (path, bad)]
 
 
 def test_mc_block_bad_last_value_raises_before_any_simulation(monkeypatch):
@@ -524,6 +541,49 @@ def test_grid_preset_rows_equal_rows_alone(name):
     _assert_rows_alone(config, axes, rows)
 
 
+@pytest.mark.parametrize("variables, built", [
+    # a cache-size column builds no point; a radio path builds each point
+    # for its coverage tables, once per value
+    ({"tiers[1].cache.cache_size": (10, 50), "tiers[2].cache.cache_size": (1, 2, 5, 8, 100)}, 0),
+    ({("tiers[1].rho", "tiers[2].rho"): ((1.0, 1.0), (0.9, 0.1), (0.5, 0.5))}, 3 * 2),
+    ({"tiers[*].rho": (1.0, 0.5, 0.8)}, 3),
+    ({"content.popularity_exponent": (0.8,), "tiers[*].cache.mpc_fraction": (0.0, 0.3, 1.0)}, 0),
+])
+def test_column_block_rows_equal_rows_alone(monkeypatch, variables, built):
+    s = default_scenario()
+    axes = _axes(variables)
+    calls = _count_calls(monkeypatch, "set_parameter")
+    rows = list(_grid_rows(s, axes, ("analytic",), 1))
+    outer = sum(len(grid) for _, grid in axes[:-1])
+    assert len(calls) == outer + built
+    monkeypatch.undo()
+    assert all(r["status"] == "ok" for r in rows)
+    _assert_rows_alone(s, axes, rows)
+
+
+@pytest.mark.parametrize("path, grid, stored", [
+    ("tiers[2].cache.cache_size", (5.0, np.int64(5), 7), [5, 5, 7]),
+    ("tiers[2].cache.mpc_fraction", (np.float64(0.25), 0.5, np.float64(1)), [0.25, 0.5, 1.0]),
+])
+def test_column_stores_the_normal_form(monkeypatch, path, grid, stored):
+    # the head cell keeps the grid value; the block holds the value
+    # set_parameter stores, of its type
+    s = default_scenario()
+    axes = _axes({path: grid})
+    batches = _count_calls(monkeypatch, "analytic_columns")
+    calls = _count_calls(monkeypatch, "set_parameter")
+    rows = list(_grid_rows(s, axes, ("analytic",), 1))
+    assert calls == []
+    ((block, _),) = batches
+    column = block.column(_names(path))
+    assert column == stored and list(map(type, column)) == list(map(type, stored))
+    assert block.points == [set_parameter(s, path, value) for value in grid]
+    monkeypatch.undo()
+    assert [row[path] for row in rows] == list(grid)
+    assert [type(row[path]) for row in rows] == list(map(type, grid))
+    _assert_rows_alone(s, axes, rows)
+
+
 def _entries(cache):
     """A table store's coverage entries (tables or errors) and its exponent
     tables, as two dicts."""
@@ -585,6 +645,45 @@ _LEAVES.update({"tiers[*]" + path[8:]: value for path, value in _LEAVES.items()
                 if path.startswith("tiers[1].")})
 
 
+_CANDIDATES = (-1, 0, 1, 2, 0.5, 2.5, 4.0, 9.0, 150, 10 ** 400, math.nan, math.inf, True, "auto",
+               "per-m2", np.int64(3), np.float64(0.3), None)
+
+
+@pytest.mark.parametrize("path", sorted(_LEAVES))
+def test_column_check_takes_no_value_set_parameter_rejects(path):
+    # where the column check takes a value, set_parameter takes it too and
+    # stores the same value, of the same type
+    s = default_scenario()
+    names = _names(path)
+    for value in _CANDIDATES:
+        column = _column(s, names, [value], ())
+        try:
+            stored = _value(set_parameter(s, path, value), names, 1)
+        except ValueError:
+            assert column is None, value
+        else:
+            assert column is None or (column == [stored] and type(column[0]) is type(stored))
+
+
+@pytest.mark.parametrize("paths, grid, message", [
+    # each value of the second point passes alone against the base
+    # scenario, not after the other
+    (("content.library_size", "tiers[2].cache.cache_size"), ((100, 5), (50, 70)),
+     "tiers[2].cache.cache_size: must be ordered tiers[2].cache.cache_size "
+     "<= content.library_size (70 > 50)"),
+    (("tiers[2].radio.pathloss_exp_nlos", "tiers[2].radio.pathloss_exp_los"),
+     ((4.0, 2.5), (3.0, 3.5)),
+     "tiers[2].radio.pathloss_exp_los: must be ordered pathloss_exp_los < pathloss_exp_nlos"),
+])
+def test_paths_set_together_are_checked_together(monkeypatch, paths, grid, message):
+    batches = _count_calls(monkeypatch, "analytic_columns")
+    tables = _count_calls(monkeypatch, "build_coverage_table")
+    with pytest.raises(ConfigError) as raised:
+        run_experiment(default_scenario(), {paths: grid})
+    assert str(raised.value) == message
+    assert batches == tables == []  # raised before the block is scored
+
+
 def _other_value(scenario, path, value):
     """A value other than ``value`` that ``set_parameter`` takes at ``path``,
     else ``value`` itself (a field with one valid value)."""
@@ -635,8 +734,8 @@ def test_block_reads_only_what_its_axis_reaches(monkeypatch):
         assert len(coverage) == len(keys) and keys <= set(coverage), path
         assert sum(len(args[0]) for args, _ in calls) == 2, path
         for (batch, _), block in calls:
-            every_field = original(
-                batch, [coverage[_stage_key(x, _COVERAGE_FIELDS)] for x in batch])
+            every_field = original(batch.points, [coverage[_stage_key(x, _COVERAGE_FIELDS)]
+                                                  for x in batch.points])
             assert _column_bytes(block) == _column_bytes(every_field), path
 
 
