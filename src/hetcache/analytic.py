@@ -37,6 +37,7 @@ values.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -389,20 +390,21 @@ def _outer_truncation(terms, radio_i: TierRadioParams, settings: IntegrationSett
         if mode not in probes or prefactor < probes[mode][0]:
             probes[mode] = (prefactor, alpha)
     x = max(d0, d1, 1.0)
-    for _ in range(70):
-        done = True
-        for mode, (prefactor, alpha) in probes.items():
-            exponent = yield prefactor * (1.0 + x) ** alpha
-            if mode == LOS:
-                log_p = math.log(min(1.0, d0 / x + math.exp(-x / d1)))
-            else:
-                log_p = 0.0
-            if 2.0 * math.log1p(x) + log_p - exponent > log_thresh:
-                done = False
-                break
-        if done:
-            return 2.0 * x
-        x *= 2.0
+    with contextlib.suppress(OverflowError):  # past the largest float t, no radius is finite
+        for _ in range(70):
+            done = True
+            for mode, (prefactor, alpha) in probes.items():
+                exponent = yield prefactor * (1.0 + x) ** alpha
+                if mode == LOS:
+                    log_p = math.log(min(1.0, d0 / x + math.exp(-x / d1)))
+                else:
+                    log_p = 0.0
+                if 2.0 * math.log1p(x) + log_p - exponent > log_thresh:
+                    done = False
+                    break
+            if done:
+                return 2.0 * x
+            x *= 2.0
     raise QuadratureError("no finite truncation radius for the coverage integral")
 
 
@@ -447,13 +449,17 @@ def _coverage_block(pairs, cache: dict) -> list:
         densities = scenario.densities_per_m2()
         if densities[i] == 0.0:
             continue
+        tier = scenario.tiers[i]
+        try:
+            terms = _coverage_terms(tier.radio, tier.effective_threshold())
+        except OverflowError:  # a binomial coefficient past the largest float
+            results[n] = QuadratureError("alternating fading sum lost significance")
+            continue
         for j in np.flatnonzero(densities).tolist():  # the rows' interferers, by tier
             table = _exponent_table(cache, scenario, j + 1)
             weights = columns.setdefault((j, id(table)), (table, {}))[1]
             weights[len(rows)] = 2.0 * math.pi * float(densities[j])
-        tier = scenario.tiers[i]
-        rows.append(_Row(n, scenario.integration, tier.radio,
-                         _coverage_terms(tier.radio, tier.effective_threshold()),
+        rows.append(_Row(n, scenario.integration, tier.radio, terms,
                          2.0 * math.pi * float(densities[i])))
     interferers = [(table, np.array([weights.get(r, 0.0) for r in range(len(rows))]))
                    for _, (table, weights) in sorted(columns.items(), key=lambda c: c[0][0])]

@@ -4,16 +4,16 @@ A grid maps each axis, a parameter path (``scenario.set_parameter``) or a
 tuple of paths set together such as ``("tiers[1].rho", "tiers[2].rho")``,
 to its values.
 
-One driver, ``_grid_rows``, turns every run, sweep, grid search and
-canned experiment into rows: one per grid point per engine. The points of
-an innermost grid are one block (``scenario.Block``), a base scenario and
-one checked column of values per path, scored together; a point's
-scenario is built only where it is read. The canned
-experiments (``PRESET_NAMES``) are data, a table of axes and an engine.
-Result rows are flattened metric reports; float cells are printed with 17
-significant digits so a fixed config and seed reproduce byte-identical CSV
-files. A sidecar ``<out>.meta.json`` records the config hash, seed, and
-engine versions.
+One driver, ``_grid_rows``, turns every run, sweep, grid search and canned
+experiment into rows: one per grid point per engine. The points of an
+innermost grid are one block (``scenario.Block``), scored together. Where
+``scenario._column`` checks every path's values, a block is a base scenario
+and a column per path, and a point is built only where read; any other
+block sets its points at once. The canned experiments (``PRESET_NAMES``)
+are data, a table of axes and an engine. Result rows are flattened metric
+reports; float cells are printed with 17 significant digits so a fixed
+config and seed reproduce byte-identical CSV files. A sidecar
+``<out>.meta.json`` records the config hash, seed, and engine versions.
 """
 from __future__ import annotations
 
@@ -164,14 +164,14 @@ def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
     point's values, one per path. Each point of an outer axis is built from
     the deepest prefix it shares with the previous one, as nested loops
     would: ``set_parameter`` runs once per changed value, in path order.
-    The points of one innermost grid form a block (``scenario.Block``): the
-    scenario they are built from, and per path one column of values, each
-    checked as ``set_parameter`` would check it before any point is scored.
-    A point's scenario is built only where it is read: by the Monte Carlo
-    engine, by ``build_coverage_table`` when the paths reach a field of
-    ``scenario._COVERAGE_FIELDS`` (else the block takes one coverage table),
-    and by ``metrics._gather`` for a reached field that is no column. A
-    column that cannot be checked so builds every point with
+    The points of one innermost grid form a block (``scenario.Block``).
+    Where ``scenario._column`` checks each path's values (a number leaf of a
+    record that ``check_fields`` alone checks), it is their base scenario
+    and one column of values per path, and a point's scenario is built only
+    where it is read: by the Monte Carlo engine, by ``build_coverage_table``
+    when the paths reach a field of ``scenario._COVERAGE_FIELDS`` (else the
+    block takes one coverage table), and by ``metrics._gather`` for a
+    reached field that is no column. Any other block sets its points with
     ``set_parameter`` at once. Every block reads and fills one table store,
     ``cache`` (``build_coverage_table``'s; a new one if None), so a sweep
     builds each table once. Failed rows are yielded with status ``error``;

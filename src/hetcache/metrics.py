@@ -94,24 +94,21 @@ def tier_rates(scenario: ScenarioConfig) -> tuple:
     )
 
 
-def _gather(scenarios):
-    """The per-rank vectors and constants of B scenarios, read in one pass.
+def _gather(block):
+    """The per-rank vectors and constants of a ``scenario.Block``'s B points.
 
     Returns ``(a, q, constants)``: (B, F) request probabilities; (B, K, F)
     caching probabilities, one broadcast ``cache_probability_vector`` call
     per tier; and for ``_delivery_metrics`` the (B, K) densities per m^2
     and those times the rates, and the (B,) F - S_1 files the macro tier
-    does not cache, cache slots per m^2 and two unit costs. All scenarios
+    does not cache, cache slots per m^2 and two unit costs. All points
     share their tier count and library size.
 
-    ``scenarios`` is a ``scenario.Block``, or a list of scenarios, read as
-    a block of given points. A field the block's paths do not reach
-    (``scenario._reaches``) is equal in every row, so it is read once, from
-    the base, and so is a tier's caching vector. A reached leaf field is
-    read from its column (``Block.column``), and the other reached fields
-    from the points.
+    A field the block's paths do not reach (``scenario._reaches``) is equal
+    in every row, so it is read once, from the base, and so is a tier's
+    caching vector. A reached leaf field is read from its column
+    (``Block.column``), and the other reached fields from the points.
     """
-    block = scenarios if isinstance(scenarios, Block) else Block.of(scenarios)
     B, base = len(block), block.base
     K, F = base.num_tiers, block.column(("content", "library_size"))[0]
 
@@ -220,15 +217,14 @@ class AnalyticColumns:
     failures: tuple
 
 
-def analytic_columns(scenarios, tables) -> AnalyticColumns:
-    """Evaluate every metric of B scenarios with the quadrature engine at once.
+def analytic_columns(block, tables) -> AnalyticColumns:
+    """Evaluate every metric of a ``scenario.Block``'s B points at once.
 
-    ``scenarios`` is a list of scenarios or a grid's ``scenario.Block``, and
-    ``tables[b]`` is the coverage table of scenario b's radio side; every
-    scenario must have the same library size. The fields of every row are
-    read in one pass (``_gather``). Each row equals the batch of one.
+    ``tables[b]`` is the coverage table of point b's radio side; every
+    point must have the same library size. The fields of every row are read
+    in one pass (``_gather``). Each row equals its point's block of one.
     """
-    a, q, constants = _gather(scenarios)
+    a, q, constants = _gather(block)
     lam, lam_rate, uncached_files, _, backhaul_cost, _ = constants
     rho = np.array([t.per_tier_density for t in tables])
     errs = np.array([t.error_estimates for t in tables])
@@ -275,7 +271,7 @@ def analytic_report(scenario: ScenarioConfig,
     """
     if table is None:
         table = build_coverage_table(scenario)
-    columns = analytic_columns([scenario], [table])
+    columns = analytic_columns(Block(scenario), [table])
     fields = {name: column.tolist()[0] for name, column in columns.values.items()}
     fields["efficiency"] = caching_efficiency(fields["ase"], fields["cost"])
     hit_c, bh_c, ase_c = (x[0] for x in columns.per_rank)

@@ -39,7 +39,7 @@ from .channel import link_path_loss, sample_links
 from .content import sample_placement_fields
 from .metrics import (MONTE_CARLO, MetricReport, _delivery_metrics, _dot,
                       _gather, caching_efficiency)
-from .scenario import ScenarioConfig, SimulationProtocol
+from .scenario import Block, ScenarioConfig, SimulationProtocol
 
 __all__ = [
     "Snapshot",
@@ -262,7 +262,7 @@ def run_simulation(scenario: ScenarioConfig,
     proto = scenario.protocol if protocol is None else protocol
     radius = scenario.region_radius_m(proto)
     n = proto.num_snapshots
-    a, q, constants = _gather([scenario])
+    a, q, constants = _gather(Block(scenario))
     chunks = [(scenario, proto, radius, s, min(s + CHUNK_SNAPSHOTS, n), a, q[:, 0], constants)
               for s in range(0, n, CHUNK_SNAPSHOTS)]
     if workers > 1 and len(chunks) > 1:

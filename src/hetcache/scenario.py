@@ -29,8 +29,8 @@ compares. ``set_parameter`` copies the records on one path (``_replaced``)
 and YAML loading merges a file onto the default scenario's records
 (``_merged``); in both walks each record's ``__post_init__`` checks it, so
 every YAML field is a path, checked the same way, and a rejection names it.
-A grid block (``Block``) checks a column of values at one path at once
-(``_column``), against the same declarations and orderings.
+A grid block (``Block``) checks a column of values at one leaf at once
+(``_column``) where no point need be built; any other block sets its points.
 
 The default scenario: a sparse 40 W macro tier (density 1e-3 per km^2,
 threshold 2, 20-slot caches) over a denser 4 W small-cell tier (density 10
@@ -278,45 +278,33 @@ def _reaches(reach, field) -> bool:
     return False
 
 
-def _column(base: ScenarioConfig, names: tuple, values, others) -> list | None:
+def _column(base: ScenarioConfig, names: tuple, values) -> list | None:
     """``values`` at the leaf ``names`` of ``base``, as ``set_parameter``
-    stores them (``2.0`` in an integer field as ``2``), or None. The check is
-    sound, not complete: None where a value fails the leaf's declared type or
-    range, its record's own ``__post_init__`` (the orderings) or
-    ``_check_caches``, the one check above the leaf's record that reads a
-    leaf; and where it cannot tell: a path that is no leaf, or a check that
-    reads a field that ``others``, the other paths set at these points,
-    reach."""
+    stores them (``2.0`` in an integer field as ``2``), or None. It checks a
+    number leaf of a record that ``check_fields`` alone checks, other than
+    ``content.library_size``, by its declared type and range, and a cache
+    size also by ``_check_caches`` on the base's library size, which no
+    checked block sets. It returns None where a value fails, and for any
+    other path: those points are built anyway, for coverage tables,
+    ``metrics._gather``'s reads or Monte Carlo."""
     *heads, leaf = names
-    if 0 in heads:  # no tier, though ``_value`` would read the last
+    if 0 in heads or leaf == "library_size":  # no tier 0, though ``_value`` would read the last
         return None
-    try:  # the leaf's record, or each tier's for ``tiers[*]``
-        nodes = _value(base, heads, "*")
+    try:  # the leaf's record; for ``tiers[*]`` tier 1's, as every tier's has its type
+        cls = type(_value(base, heads, 1))
     except (AttributeError, IndexError, TypeError):
         return None
-    nodes = nodes if "*" in heads else (nodes,)
-    cls = type(nodes[0])
-    entry = [e for e in _field_table(cls) if e[0] == leaf and e[1] in (float, int, str)
-             ] if dataclasses.is_dataclass(cls) else ()
-    more = getattr(cls, "__post_init__", None) is not check_fields
-    # what the check reads besides the leaf
-    reads = [names[:-1]] if more else []
-    reads += {"cache_size": [("content", "library_size")],
-              "library_size": [("tiers", "*", "cache", "cache_size")]}.get(leaf, [])
-    if not entry or any(_reaches(others, field) for field in reads):
+    entry = [e for e in _field_table(cls) if e[0] == leaf and e[1] in (float, int)
+             ] if getattr(cls, "__post_init__", None) is check_fields else ()
+    if not entry:
         return None
     ((_, exact, check, limits),) = entry
     try:
         column = [value if type(value) is exact else check(leaf, value) for value in values]
         if limits and not all(v is AUTO or limits[0] <= v <= limits[1] for v in column):
             return None
-        for node in nodes if more else ():
-            for value in column:
-                _replaced(node, (leaf,), value)
         if leaf == "cache_size":
             _check_caches([max(column)], base.content.library_size)
-        elif leaf == "library_size":
-            _check_caches([tier.cache.cache_size for tier in base.tiers], min(column))
     except ConfigError:
         return None
     return column
@@ -325,29 +313,20 @@ def _column(base: ScenarioConfig, names: tuple, values, others) -> list | None:
 class Block:
     """The points of one grid block: ``base`` with ``paths`` (``reach``: their
     name sequences) set to each entry of ``grid``; ``len`` counts them. If
-    ``_column`` takes every path's column, ``grid`` holds the values as
+    ``_column`` checks every path's column, ``grid`` holds the values as
     stored, and the point scenarios, ``points``, are built by ``build`` when
-    first read. Else they are built at once, so a bad value raises
-    ``set_parameter``'s own error, and the first point is the base.
-    ``Block.of`` wraps given points, which may differ anywhere: its one path
-    is the whole scenario, ``()``."""
+    first read. Any other block builds its points at once, so a bad value
+    raises ``set_parameter``'s own error, and the first point is the base.
+    ``Block(scenario)``, the block of no paths, is the one point ``scenario``."""
 
-    def __init__(self, base: ScenarioConfig, paths: tuple, grid, build):
+    def __init__(self, base: ScenarioConfig, paths: tuple = (), grid=((),), build=None):
         self.base, self.paths, self._build = base, paths, build
         self.reach = tuple(map(_names, paths))
-        columns = [_column(base, names, column, self.reach[:j] + self.reach[j + 1:])
-                   for j, (names, column) in enumerate(zip(self.reach, zip(*grid)))]
+        columns = [_column(base, names, column) for names, column in zip(self.reach, zip(*grid))]
         self.checked = None not in columns
         self.grid = list(zip(*columns)) if columns and self.checked else grid
         if not self.checked:  # build every point now: a bad value raises here
             self.base = self.points[0]
-
-    @classmethod
-    def of(cls, scenarios):
-        """The block of the given point scenarios."""
-        block = cls(scenarios[0], (), [()] * len(scenarios), None)
-        block.reach, block.checked, block.points = ((),), False, list(scenarios)
-        return block
 
     @functools.cached_property
     def points(self) -> list:

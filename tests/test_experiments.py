@@ -3,18 +3,20 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from hetcache import analytic, experiments
 from hetcache.analytic import ExponentTable, build_coverage_table
+from hetcache.channel import TierRadioParams
 from hetcache.cli import main
 from hetcache.experiments import (_grid_rows, grid_search, run_experiment, run_preset,
                                   set_parameter, write_csv)
 from hetcache.metrics import (UndefinedEfficiencyError, analytic_columns,
                               analytic_report, caching_efficiency)
-from hetcache.scenario import (_COVERAGE_FIELDS, _EXPONENT_FIELDS, ConfigError,
+from hetcache.scenario import (_COVERAGE_FIELDS, _EXPONENT_FIELDS, Block, ConfigError,
                                SimulationProtocol, _column, _names, _reaches, _stage_key,
                                _value, default_scenario, scenario_to_mapping)
 
@@ -296,11 +298,11 @@ def test_columns_are_not_aliased_across_calls():
     # writing into one call's arrays leaves the next call's values alone
     s = default_scenario()
     table = build_coverage_table(s)
-    fresh = analytic_columns([s], [table])
-    first = analytic_columns([s], [table])
+    fresh = analytic_columns(Block(s), [table])
+    first = analytic_columns(Block(s), [table])
     for array in first.per_rank:  # per-rank hit, backhaul and ASE
         array[:] = -1.0
-    later = analytic_columns([s], [table])
+    later = analytic_columns(Block(s), [table])
     for got, want in zip(later.per_rank, fresh.per_rank, strict=True):
         assert np.array_equal(got, want)
     for name in ("p_hit", "p_bh", "ase", "cost", "efficiency"):
@@ -656,7 +658,7 @@ def test_column_check_takes_no_value_set_parameter_rejects(path):
     s = default_scenario()
     names = _names(path)
     for value in _CANDIDATES:
-        column = _column(s, names, [value], ())
+        column = _column(s, names, [value])
         try:
             stored = _value(set_parameter(s, path, value), names, 1)
         except ValueError:
@@ -702,16 +704,19 @@ def _other_value(scenario, path, value):
     return value
 
 
-def _column_bytes(columns):
-    arrays = [*columns.values.values(), *columns.error_estimates.values(), columns.rho,
-              *columns.per_rank]
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], columns.failures
+def _column_bytes(*columns):
+    """dtype, shape and bytes of each array of ``columns`` with their rows
+    stacked in order, and the rows' failures."""
+    arrays = [np.concatenate(parts) for parts in zip(*(
+        [*c.values.values(), *c.error_estimates.values(), c.rho, *c.per_rank] for c in columns))]
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+            sum((c.failures for c in columns), ()))
 
 
 def test_block_reads_only_what_its_axis_reaches(monkeypatch):
     # a two-value block over every leaf path, and each tier leaf for every
-    # tier: the block's columns equal the read of every field of every row,
-    # with every row scored on the coverage table of its own key
+    # tier: the block's columns equal its points' own blocks of one,
+    # stacked, with every row scored on the coverage table of its own key
     s = default_scenario()
     calls = []
     original = experiments.analytic_columns
@@ -734,9 +739,9 @@ def test_block_reads_only_what_its_axis_reaches(monkeypatch):
         assert len(coverage) == len(keys) and keys <= set(coverage), path
         assert sum(len(args[0]) for args, _ in calls) == 2, path
         for (batch, _), block in calls:
-            every_field = original(batch.points, [coverage[_stage_key(x, _COVERAGE_FIELDS)]
-                                                  for x in batch.points])
-            assert _column_bytes(block) == _column_bytes(every_field), path
+            alone = [original(Block(x), [coverage[_stage_key(x, _COVERAGE_FIELDS)]])
+                     for x in batch.points]
+            assert _column_bytes(block) == _column_bytes(*alone), path
 
 
 _STAGES = {"exponent": _EXPONENT_FIELDS, "coverage": _COVERAGE_FIELDS}
@@ -804,6 +809,41 @@ def test_threshold_block_shares_exponent_pieces(monkeypatch):
     coverage, exponents = _entries(cache)
     assert len(coverage) == 7 and len(exponents) == 2
     assert len(builds) == len(set(builds)) == 22
+
+
+def test_threshold_block_builds_each_radio_record_once(monkeypatch):
+    # fig1's seven thresholds: a radio path is no column, so the block sets
+    # its points at once, and builds one radio record per point, no other
+    s = default_scenario()
+    built = []
+    check = TierRadioParams.__post_init__
+    monkeypatch.setattr(TierRadioParams, "__post_init__",
+                        lambda radio: built.append(radio) or check(radio))
+    axes = _axes({"tiers[2].radio.sir_threshold": (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)})
+    rows = list(_grid_rows(s, axes, ("analytic",), 1))
+    assert [r["status"] for r in rows] == ["ok"] * 7
+    assert [radio.sir_threshold for radio in built] == [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0]
+
+
+@pytest.mark.parametrize("path, good, bad, message", [
+    # the first probe radius, 1e200 m, puts t past the largest float: tier
+    # 1's row, which reads tier 2's exponent table, fails first
+    ("tiers[2].radio.far_field_dist", 36.0, 1e200,
+     "no finite truncation radius for the interference integral"),
+    # the closed-form lower bound on e(t) underflows to 0, and with it the
+    # tolerance of the piece it sets
+    ("tiers[2].radio.near_field_dist", 16.0, 1e200, "abs_tol: must be finite and positive"),
+    # binomial coefficients of the fading sum past the largest float
+    ("tiers[2].radio.nakagami_los", 2, 2000, "alternating fading sum lost significance"),
+])
+def test_overflowing_value_fails_its_row_alone(path, good, bad, message):
+    s = default_scenario()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = list(_grid_rows(s, _axes({path: (good, bad)}), ("analytic",), 1))
+    assert [r["status"] for r in rows] == ["ok", "error"]
+    assert rows[1]["error"] == message
+    _assert_rows_alone(s, _axes({path: (good,)}), rows[:1])
 
 
 def test_split_block_equals_whole_block(monkeypatch):

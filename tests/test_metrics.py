@@ -13,7 +13,8 @@ from hetcache.experiments import set_parameter
 from hetcache.metrics import (AnalyticColumns, UndefinedEfficiencyError,
                               analytic_columns,
                               analytic_report, caching_efficiency, tier_rates)
-from hetcache.scenario import PER_M2, CostModel, default_scenario, scenario_from_mapping
+from hetcache.scenario import (PER_M2, Block, CostModel, default_scenario,
+                               scenario_from_mapping)
 
 CONTENT = ContentModel(library_size=100, popularity_exponent=1.0)
 
@@ -225,8 +226,8 @@ def test_shared_table_reports_equal_fresh_table_reports():
         for kappa in (1.0, 0.6):
             row = set_parameter(s, "tiers[2].cache.cache_size", cache_size)
             row = set_parameter(row, "content.popularity_exponent", kappa)
-            shared = analytic_columns([row], [table])
-            fresh = analytic_columns([row], [build_coverage_table(row)])
+            shared = analytic_columns(Block(row), [table])
+            fresh = analytic_columns(Block(row), [build_coverage_table(row)])
             for f in dataclasses.fields(AnalyticColumns):
                 got, want = getattr(shared, f.name), getattr(fresh, f.name)
                 if isinstance(want, dict):

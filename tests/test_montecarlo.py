@@ -17,7 +17,7 @@ from hetcache.montecarlo import (CHUNK_SNAPSHOTS, Snapshot, TierSnapshot,
                                  _hit_backhaul, _ratio_stderr, _sir_per_tier, _stack,
                                  evaluate_snapshot, run_simulation,
                                  sample_network, snapshot_rng)
-from hetcache.scenario import (CostModel, IntegrationSettings, ScenarioConfig,
+from hetcache.scenario import (Block, CostModel, IntegrationSettings, ScenarioConfig,
                                SimulationProtocol, TierConfig, default_scenario)
 
 
@@ -362,7 +362,7 @@ def test_chunked_metrics_equal_snapshot_rows(mode):
     F = s.content.library_size
     a = s.content.request_probabilities()
     q1 = cache_probability_vector(s.tiers[0].cache, F)
-    constants = _gather([s])[2]
+    constants = _gather(Block(s))[2]
     rows = np.empty((70, 5))
     for k in range(70):
         est = evaluate_snapshot([sample_network(snapshot_rng(23, k), s,
