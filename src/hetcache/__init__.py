@@ -3,8 +3,8 @@
 Two engines evaluate the same scenario description: an analytic engine
 (adaptive quadrature over a per-radio table of each tier's interference
 Laplace exponent) and a snapshot Monte Carlo engine. Both reduce the
-scenario to per-rank delivery components, and one metric path turns those
-into a MetricReport with cache-hit (content-aware coverage),
+scenario to deliveries averaged over request popularity, and one metric
+path turns those into a MetricReport with cache-hit (content-aware coverage),
 backhaul-usage, area-spectral-efficiency, cost, and caching-efficiency
 metrics.
 """

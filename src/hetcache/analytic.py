@@ -186,6 +186,10 @@ _PIECE_NODES = 16
 # the Lebesgue constant below (2.8 at 16 nodes) the table's error bound is
 # then about 0.18 rel_tol, under the rel_tol |rho| already reported.
 _NODE_TOL_FRACTION = 1.0 / 16.0
+# A coverage value whose error estimate exceeds this fraction of it (or 10
+# rel_tol, the padding its row asked for) plus its abs_tol floor is an error:
+# its fading sum lost significance. Reference outputs stay below 1.6e-5.
+_SIGNIFICANCE = 1e-2
 _UNIT_DENSITY = 0.5 / math.pi  # 2*pi*lambda = 1: the call returns e_j itself
 _CHEB_X = np.cos(math.pi * (np.arange(_PIECE_NODES) + 0.5) / _PIECE_NODES)
 # Node values -> Chebyshev coefficients (discrete cosine transform).
@@ -245,12 +249,11 @@ class ExponentTable:
         # abs_tol (truncation and quadrature budgets of both modes). Each
         # of the two is held to node_tol/2 of e, so every node value is
         # within node_tol relative.
-        settings = IntegrationSettings(
-            rel_tol=2.0 * self.node_tol,
-            abs_tol=0.5 * self.node_tol * _exponent_lower_bound(
-                float(t.min()), self.radio, y_max),
-            inner_truncation_radius=self.inner_truncation_radius,
-        )
+        abs_tol = 0.5 * self.node_tol * _exponent_lower_bound(float(t.min()), self.radio, y_max)
+        if not 0.0 < abs_tol < math.inf:
+            raise QuadratureError("interference exponent lower bound out of float range")
+        settings = IntegrationSettings(rel_tol=2.0 * self.node_tol, abs_tol=abs_tol,
+                                       inner_truncation_radius=self.inner_truncation_radius)
         return t, self.radio, _UNIT_DENSITY, settings
 
     def _column(self, e: np.ndarray) -> np.ndarray:
@@ -421,13 +424,12 @@ def _coverage_sum(row, values, errors):
     err += row.two_pi_lambda * math.fsum(
         abs(c) * (v + e)
         for c, v, e in zip(coeffs, values[n_terms:], errors[n_terms:]))
-    if rho < 0.0:
-        # the alternating sum over fading terms must stay nonnegative
-        if -rho > err:
-            return QuadratureError(
-                "alternating fading sum lost significance", error_estimate=err)
-        rho = 0.0
-    return rho, err
+    floor = 2.0 * row.settings.abs_tol  # its own and its quadrature's
+    limit = max(_SIGNIFICANCE, 10.0 * row.settings.rel_tol) * abs(rho) + floor
+    if err > limit or rho < -floor:  # a density is nonnegative: clamp only within the floor
+        return QuadratureError(f"fading sum lost significance: value {rho:.3g}, error "
+                               f"{err:.3g}, limit {limit:.3g}", error_estimate=err)
+    return max(rho, 0.0), err
 
 
 # One (scenario, tier) pair of a coverage block, at positive density.
@@ -452,8 +454,10 @@ def _coverage_block(pairs, cache: dict) -> list:
         tier = scenario.tiers[i]
         try:
             terms = _coverage_terms(tier.radio, tier.effective_threshold())
-        except OverflowError:  # a binomial coefficient past the largest float
-            results[n] = QuadratureError("alternating fading sum lost significance")
+            if math.isinf(sum(abs(t[1]) for t in terms)):  # the quadrature's abs_tol scale
+                raise OverflowError
+        except OverflowError:  # a binomial coefficient, or their sum, past the largest float
+            results[n] = QuadratureError("fading sum coefficients overflow the float range")
             continue
         for j in np.flatnonzero(densities).tolist():  # the rows' interferers, by tier
             table = _exponent_table(cache, scenario, j + 1)

@@ -17,7 +17,6 @@ config and seed reproduce byte-identical CSV files. A sidecar
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .analytic import build_coverage_table
+from .analytic import CoverageTable, build_coverage_table
 from .metrics import METRIC_NAMES, analytic_columns
 # Grid rows do not call it; perfbench/tracing.py wraps it at this lookup site.
 from .metrics import analytic_report  # noqa: F401
@@ -77,13 +76,6 @@ _ANALYTIC_ROW = {"engine": "analytic", "status": "ok", "error": "", **_BLANK_CEL
                  "p_bh_operational": None, "coverage_all_bs": None}
 
 
-# Most rows x ranks in one ``analytic_columns`` call. A block of a cache-size
-# axis has up to F rows, so its (rows, tiers, ranks) arrays would otherwise
-# grow as F^2; this keeps each near 1 MB at two tiers, and leaves blocks of
-# a 100-file library whole. Rows do not depend on the split.
-_BATCH_ROW_RANKS = 1 << 16
-
-
 def _analytic_rows(block, cache: dict, heads) -> list:
     """Analytic rows of the points of ``block`` (a ``scenario.Block``), in
     order, each opening with its ``heads``.
@@ -91,45 +83,32 @@ def _analytic_rows(block, cache: dict, heads) -> list:
     The coverage tables come from ``build_coverage_table`` on the sweep's
     store ``cache``: one per point when the block's paths reach a field of
     ``_COVERAGE_FIELDS``, else the base scenario's, which has the points'
-    key, for all. Each run of rows with one library size is one
-    ``analytic_columns`` call on the block of its points, split only past
-    ``_BATCH_ROW_RANKS``. A row whose table fails or whose cost is zero gets
-    status ``error``.
-    """
+    key, for all. The block, even a whole cache axis, is one
+    ``analytic_columns`` call on the store. A row whose table fails (scored
+    on zero densities, its cells dropped) or whose cost is zero is an error."""
     if any(_reaches(block.reach, field) for field in _COVERAGE_FIELDS):
         tables = build_coverage_table(block.points, cache)
     else:
         tables = build_coverage_table([block.base], cache) * len(block)
-    rows = [None] * len(block)
-    ready = []
-    for b, table in enumerate(tables):
-        if isinstance(table, Exception):
-            rows[b] = {**heads[b], **_error_row("analytic", str(table))}
+    zero = CoverageTable(*[(0.0,) * block.base.num_tiers] * 2)
+    columns = analytic_columns(block, [zero if isinstance(t, Exception) else t for t in tables],
+                               store=cache)
+    values, errors = columns.values, columns.error_estimates
+    names = [*values, "cost_over_backhaul_unit", *(f"err_{k}" for k in errors),
+             *(f"rho_{i}" for i in range(1, columns.rho.shape[1] + 1))]
+    cost_per_unit = values["cost"] / block.column(("costs", "backhaul_unit_cost"))
+    cells = np.column_stack([*values.values(), cost_per_unit, *errors.values(),
+                             columns.rho]).tolist()
+    template = {**heads[0], **_ANALYTIC_ROW}  # a block's heads share their keys
+    rows = []
+    for head, table, failure, row_cells in zip(heads, tables, columns.failures, cells):
+        error = str(table) if isinstance(table, Exception) else failure
+        if error is None:
+            rows.append(row := template.copy())
+            row.update(head)
+            row.update(zip(names, row_cells))
         else:
-            ready.append(b)
-    sizes = block.column(("content", "library_size"))  # the base's alone, or each point's
-    batches = []
-    for library_size, run in itertools.groupby(ready, lambda b: sizes[min(b, len(sizes) - 1)]):
-        run = list(run)
-        step = max(1, _BATCH_ROW_RANKS // library_size)
-        batches += (run[lo:lo + step] for lo in range(0, len(run), step))
-    for index in batches:
-        batch = block.take(index)
-        columns = analytic_columns(batch, [tables[b] for b in index])
-        values, errors = columns.values, columns.error_estimates
-        names = [*values, "cost_over_backhaul_unit", *(f"err_{k}" for k in errors),
-                 *(f"rho_{i}" for i in range(1, columns.rho.shape[1] + 1))]
-        cost_per_unit = values["cost"] / batch.column(("costs", "backhaul_unit_cost"))
-        cells = np.column_stack([*values.values(), cost_per_unit, *errors.values(),
-                                 columns.rho]).tolist()
-        template = {**heads[index[0]], **_ANALYTIC_ROW}  # a block's heads share their keys
-        for b, failure, row_cells in zip(index, columns.failures, cells):
-            if failure is None:
-                rows[b] = row = template.copy()
-                row.update(heads[b])
-                row.update(zip(names, row_cells))
-            else:
-                rows[b] = {**heads[b], **_error_row("analytic", failure)}
+            rows.append({**head, **_error_row("analytic", error)})
     return rows
 
 
@@ -173,10 +152,10 @@ def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
     block takes one coverage table), and by ``metrics._gather`` for a
     reached field that is no column. Any other block sets its points with
     ``set_parameter`` at once. Every block reads and fills one table store,
-    ``cache`` (``build_coverage_table``'s; a new one if None), so a sweep
-    builds each table once. Failed rows are yielded with status ``error``;
-    a bad parameter value raises with ``set_parameter``'s own error, before
-    its block is scored.
+    ``cache`` (``build_coverage_table``'s and ``metrics._gather``'s; a new
+    one if None), so a sweep builds each table once. Failed rows are
+    yielded with status ``error``; a bad parameter value raises with
+    ``set_parameter``'s own error, before its block is scored.
     """
     cache = {} if cache is None else cache
     point = {} if point is None else point

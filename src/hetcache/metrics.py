@@ -1,19 +1,21 @@
-"""Network-level metrics assembled from per-rank delivery components.
+"""Network-level metrics assembled from popularity-weighted deliveries.
 
-Either engine reduces a scenario to per-rank delivery components: the
-cache-hit component ``hit[c]``, the cached deliveries ``cached[i, c]`` of
-each tier and the macro backhaul deliveries ``backhaul[c]``. One function,
-``_delivery_metrics``, weights them by request popularity into the
-cache-hit and backhaul-usage probabilities, the area spectral efficiency
-(ASE) and the cost per unit area; ``caching_efficiency`` divides the last
-two.
+Either engine reduces a scenario to deliveries averaged over request
+popularity: the cache-hit probability, and the expected stations of each
+tier delivering a request from cache and of the macro tier delivering it
+over the backhaul. ``_delivery_metrics`` turns the last two into the area
+spectral efficiency (ASE) and cost per unit area; ``caching_efficiency``
+divides them. The analytic engine reads caching probabilities only through
+each tier's popularity mass (``_gather``); Monte Carlo weights its per-rank
+counts by popularity (``_dot``).
 
 Every input of ``_delivery_metrics`` carries a leading batch axis, one row
 per evaluation: ``analytic_columns`` evaluates B scenarios (a block of
-grid rows) in one call, ``analytic_report`` is its batch of one, the Monte
-Carlo engine makes one call per chunk of snapshots and one on the pooled
-per-rank means. Each row's reductions run in the order of the unbatched
-vector products, so a row's figures do not depend on the batch it is in.
+grid rows) in one call, ``analytic_report`` is its batch of one and a
+stack of per-rank rows for its per-content figures, the Monte Carlo engine
+makes one call per chunk of snapshots and one on the pooled per-rank
+means. Each row's reductions run in the order of the unbatched vector
+products, so a row's figures do not depend on the batch it is in.
 Backhaul is attributed solely to tier 1, the macro tier: lower tiers
 without the requested content simply do not serve.
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import CoverageTable, build_coverage_table
-from .content import cache_probability_vector
+from .content import cache_probability_vector, popularity_mass_tables, popularity_masses
 from .scenario import Block, ScenarioConfig, _reaches
 
 __all__ = [
@@ -94,30 +96,25 @@ def tier_rates(scenario: ScenarioConfig) -> tuple:
     )
 
 
-def _gather(block):
-    """The per-rank vectors and constants of a ``scenario.Block``'s B points.
+def _gather(block, store: dict):
+    """The popularity masses and constants of a ``scenario.Block``'s B points.
 
-    Returns ``(a, q, constants)``: (B, F) request probabilities; (B, K, F)
-    caching probabilities, one broadcast ``cache_probability_vector`` call
-    per tier; and for ``_delivery_metrics`` the (B, K) densities per m^2
-    and those times the rates, and the (B,) F - S_1 files the macro tier
-    does not cache, cache slots per m^2 and two unit costs. All points
-    share their tier count and library size.
-
-    A field the block's paths do not reach (``scenario._reaches``) is equal
-    in every row, so it is read once, from the base, and so is a tier's
-    caching vector. A reached leaf field is read from its column
-    (``Block.column``), and the other reached fields from the points.
+    Returns the (B, K) masses m_k = sum_c a_c q_k(c) that each tier's
+    caches hold, the (B,) 1 - m_1 (``content.popularity_masses``, from the
+    tables ``store`` keeps under each content model) and, for
+    ``_delivery_metrics``, the (B, K) densities per m^2 and those times the
+    rates, and the (B,) F - S_1 files the macro tier does not cache, cache
+    slots per m^2 and two unit costs. A field the block's paths do not reach
+    (``scenario._reaches``) is read once, from the base; a reached leaf
+    field from its column (``Block.column``), other reached fields from the
+    points. All points share their tier count.
     """
     B, base = len(block), block.base
-    K, F = base.num_tiers, block.column(("content", "library_size"))[0]
-
-    def reached(*fields):
-        return any(_reaches(block.reach, field) for field in fields)
+    K = base.num_tiers
 
     def rows(*fields):
         """Every point if the block's paths reach one of ``fields``, else the base alone."""
-        return block.points if reached(*fields) else [base]
+        return block.points if any(_reaches(block.reach, f) for f in fields) else [base]
 
     def per_tier(name):
         """Field ``name`` of each tier as an (n, K) array: n = B when the
@@ -126,26 +123,31 @@ def _gather(block):
         n = max(map(len, columns))
         return np.column_stack([column * (n // len(column)) for column in columns])
 
-    density, size, fraction = map(per_tier, ("density", "cache.cache_size", "cache.mpc_fraction"))
-    scale = np.array([s.density_scale for s in rows(("density_unit",))])
-    backhaul_cost = np.array(block.column(("costs", "backhaul_unit_cost")))
-    cache_cost = np.array(block.column(("costs", "cache_unit_cost")))
-    rates = np.array([tier_rates(s) for s in rows(
-        ("rate_log_base",), ("tiers", "*", "radio", "sir_threshold"))])
-    a = np.array([s.content.request_probabilities() for s in rows(("content",))])
-    q = np.empty((B, K, F))
-    for k in range(K):
-        n = B if reached(("tiers", k + 1, "cache")) else 1
-        q[:, k] = cache_probability_vector((size[:n, k], fraction[:n, k]), F)
-    lam = density * scale[:, None]
-
     def every_row(x):
         # copied rows, not a broadcast view: the batched products see the
         # same contiguous (B, ...) arrays as when every row is read
         return x if len(x) == B else np.repeat(x, B, axis=0)
 
-    return every_row(a), q, tuple(map(every_row, (
-        lam, lam * rates, F - size[:, 0], np.sum(lam * size, axis=1), backhaul_cost,
+    density, size, fraction = map(per_tier, ("density", "cache.cache_size", "cache.mpc_fraction"))
+    scale = np.array([s.density_scale for s in rows(("density_unit",))])
+    backhaul_cost = np.array(block.column(("costs", "backhaul_unit_cost")))
+    cache_cost = np.array(block.column(("costs", "cache_unit_cost")))
+    library_size = np.array(block.column(("content", "library_size")))
+    rates = np.array([tier_rates(s) for s in rows(
+        ("rate_log_base",), ("tiers", "*", "radio", "sir_threshold"))])
+    tables = []
+    for s in rows(("content",)):
+        if s.content not in store:
+            store[s.content] = popularity_mass_tables(s.content.request_probabilities())
+        tables.append(store[s.content])
+    if len(tables) == 1:
+        masses, uncached = popularity_masses(tables[0], size, fraction)
+    else:  # each point's own content model
+        masses, uncached = map(np.array, zip(*map(
+            popularity_masses, tables, every_row(size), every_row(fraction))))
+    lam = density * scale[:, None]
+    return every_row(masses), every_row(uncached[:, 0]), tuple(map(every_row, (
+        lam, lam * rates, library_size - size[:, 0], np.sum(lam * size, axis=1), backhaul_cost,
         cache_cost)))
 
 
@@ -160,31 +162,21 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _delivery_metrics(w: np.ndarray, hit: np.ndarray, cached: np.ndarray,
-                      backhaul: np.ndarray, constants):
-    """Hit, backhaul, ASE and cost from per-rank delivery components.
+def _delivery_metrics(cached: np.ndarray, backhaul: np.ndarray, constants):
+    """ASE and cost, (B,) arrays, from deliveries averaged over popularity.
 
-    Row b of every argument is one evaluation. ``w[b, c]`` weights rank
-    c+1 by its request popularity;
-    ``hit[b, c]`` is its cache-hit component, ``cached[b, i, c]`` the
-    expected number of tier-(i+1) stations delivering it from cache and
-    ``backhaul[b, c]`` the expected number of macro stations delivering it
-    over the backhaul. ``constants`` comes from ``_gather``;
-    a batch of one scenario broadcasts over every row. Returns ``(p_hit,
-    p_bh, ase_per_rank, ase, cost)``, (B,) arrays and the (B, F) ASE per
-    rank: ASE in bit/s/Hz/m^2 counts cached deliveries at every tier plus
-    macro backhaul deliveries; cost per m^2 is the backhaul term (macro
-    density times the non-cached files times ``p_bh``) plus a storage
-    charge for every deployed cache slot.
+    Row b of every argument is one evaluation: ``cached[b, i]`` expected
+    tier-(i+1) stations delivering from cache, ``backhaul[b]`` expected
+    macro stations delivering over the backhaul (``p_bh``), ``constants``
+    from ``_gather`` (a batch of one broadcasts). ASE in bit/s/Hz/m^2 counts
+    both; cost per m^2 is macro density times non-cached files times
+    ``p_bh`` times the backhaul unit cost, plus every cache slot's charge.
     """
     lam, lam_rate, uncached_files, slots_per_m2, backhaul_cost, cache_cost = constants
-    p_hit = _dot(w, hit)
-    p_bh = _dot(w, backhaul)
-    ase_per_rank = (lam_rate[:, None, :] @ cached)[:, 0] + lam_rate[:, :1] * backhaul
-    ase = _dot(w, ase_per_rank)
-    cost = (lam[:, 0] * uncached_files * backhaul_cost * p_bh
+    ase = _dot(lam_rate, cached) + lam_rate[:, 0] * backhaul
+    cost = (lam[:, 0] * uncached_files * backhaul_cost * backhaul
             + cache_cost * slots_per_m2)
-    return p_hit, p_bh, ase_per_rank, ase, cost
+    return ase, cost
 
 
 _ZERO_COST = "cost per area is zero (empty network); efficiency is undefined"
@@ -203,44 +195,43 @@ class AnalyticColumns:
 
     ``values`` maps each of ``METRIC_NAMES`` to a (B,) array, and
     ``error_estimates`` maps each of them to its first-order error bound,
-    also (B,) arrays. ``rho`` holds the (B, K) coverage densities,
-    ``per_rank`` the (B, F) per-rank hit, backhaul and ASE components.
+    also (B,) arrays. ``rho`` holds the (B, K) coverage densities, and
+    ``masses`` and ``uncached_mass`` ``_gather``'s (B, K) m_k and (B,) 1 - m_1.
     ``failures[b]`` is the ``UndefinedEfficiencyError`` message of a row
-    whose cost is 0, whose efficiency and its error are then meaningless,
-    else None.
+    whose cost is 0 (its efficiency is then meaningless), else None.
     """
 
     values: dict
     error_estimates: dict
     rho: np.ndarray
-    per_rank: tuple
+    masses: np.ndarray
+    uncached_mass: np.ndarray
     failures: tuple
 
 
-def analytic_columns(block, tables) -> AnalyticColumns:
+def analytic_columns(block, tables, store: dict | None = None) -> AnalyticColumns:
     """Evaluate every metric of a ``scenario.Block``'s B points at once.
 
-    ``tables[b]`` is the coverage table of point b's radio side; every
-    point must have the same library size. The fields of every row are read
-    in one pass (``_gather``). Each row equals its point's block of one.
+    ``tables[b]`` is the coverage table of point b's radio side, ``store``
+    a sweep's store for ``_gather``. With coverage densities rho_k, p_hit =
+    sum_k rho_k m_k and p_bh = rho_1 (1 - m_1), and ASE, cost and every
+    error bar follow from the masses too: no per-rank array is built. Each
+    row equals its point's block of one.
     """
-    a, q, constants = _gather(block)
+    masses, uncached, constants = _gather(block, {} if store is None else store)
     lam, lam_rate, uncached_files, _, backhaul_cost, _ = constants
     rho = np.array([t.per_tier_density for t in tables])
     errs = np.array([t.error_estimates for t in tables])
 
-    hit_c = (q.transpose(0, 2, 1) @ rho[:, :, None])[:, :, 0]
-    bh_c = (1.0 - q[:, 0]) * rho[:, :1]
-    p_hit, p_bh, ase_c, ase, cost = _delivery_metrics(
-        a, hit_c, q * rho[:, :, None], bh_c, constants)
+    p_hit = _dot(rho, masses)
+    p_bh = rho[:, 0] * uncached
+    ase, cost = _delivery_metrics(rho * masses, p_bh, constants)
 
     # First-order propagation of the per-tier quadrature error bounds.
-    q_weights = (q @ a[:, :, None])[:, :, 0]  # popularity mass cached per tier
-    bh_weight = _dot(a, 1.0 - q[:, 0])
-    err_hit = _dot(q_weights, errs)
-    err_bh = bh_weight * errs[:, 0]
-    err_ase = _dot(q_weights * lam_rate, errs) + lam_rate[:, 0] * bh_weight * errs[:, 0]
-    err_cost = lam[:, 0] * uncached_files * backhaul_cost * bh_weight * errs[:, 0]
+    err_hit = _dot(masses, errs)
+    err_bh = uncached * errs[:, 0]
+    err_ase = _delivery_metrics(masses * errs, err_bh, constants)[0]
+    err_cost = lam[:, 0] * uncached_files * backhaul_cost * err_bh
     with np.errstate(divide="ignore", invalid="ignore"):  # zero-cost rows
         efficiency = ase / cost
         # Where ase is so small that err_ase / ase overflows, |efficiency|
@@ -254,7 +245,8 @@ def analytic_columns(block, tables) -> AnalyticColumns:
         values=dict(zip(METRIC_NAMES, (p_hit, p_bh, ase, cost, efficiency))),
         error_estimates=dict(zip(METRIC_NAMES, (err_hit, err_bh, err_ase, err_cost, err_eff))),
         rho=rho,
-        per_rank=(hit_c, bh_c, ase_c),
+        masses=masses,
+        uncached_mass=uncached,
         failures=tuple(_ZERO_COST if c == 0.0 else None for c in cost.tolist()),
     )
 
@@ -264,25 +256,30 @@ def analytic_report(scenario: ScenarioConfig,
     """Evaluate every metric with the quadrature engine.
 
     The report is ``analytic_columns``'s batch of one, with quadrature
-    settings from ``scenario.integration``. A precomputed ``table`` may be
+    settings from ``scenario.integration``, plus the per-rank components
+    from ``cache_probability_vector``. A precomputed ``table`` may be
     supplied when only cache, content, or cost parameters changed since it
-    was built (coverage densities do not depend on those). Raises
-    ``UndefinedEfficiencyError`` at zero cost.
+    was built. Raises ``UndefinedEfficiencyError`` at zero cost.
     """
     if table is None:
         table = build_coverage_table(scenario)
-    columns = analytic_columns(Block(scenario), [table])
+    block, store = Block(scenario), {}
+    columns = analytic_columns(block, [table], store)
     fields = {name: column.tolist()[0] for name, column in columns.values.items()}
     fields["efficiency"] = caching_efficiency(fields["ase"], fields["cost"])
-    hit_c, bh_c, ase_c = (x[0] for x in columns.per_rank)
+    rho = columns.rho[0]
+    q = np.array([cache_probability_vector(t.cache, scenario.content.library_size)
+                  for t in scenario.tiers])
+    backhaul = (1.0 - q[0]) * rho[0]
     return MetricReport(
         provenance=ANALYTIC,
         coverage_is_bound=True,
         **fields,
-        per_tier_coverage_density=tuple(columns.rho[0].tolist()),
-        per_content_hit=hit_c,
-        per_content_backhaul=bh_c,
-        per_content_ase=ase_c,
+        per_tier_coverage_density=tuple(rho.tolist()),
+        per_content_hit=rho @ q,
+        per_content_backhaul=backhaul,
+        per_content_ase=_delivery_metrics((q * rho[:, None]).T, backhaul,
+                                          _gather(block, store)[2])[0],
         error_estimates={name: column.tolist()[0]
                          for name, column in columns.error_estimates.items()},
     )

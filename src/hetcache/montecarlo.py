@@ -36,7 +36,7 @@ from itertools import accumulate
 import numpy as np
 
 from .channel import link_path_loss, sample_links
-from .content import sample_placement_fields
+from .content import cache_probability_vector, sample_placement_fields
 from .metrics import (MONTE_CARLO, MetricReport, _delivery_metrics, _dot,
                       _gather, caching_efficiency)
 from .scenario import Block, ScenarioConfig, SimulationProtocol
@@ -201,16 +201,15 @@ def _chunk_stats(args):
     """Accumulate one chunk of snapshots (worker function).
 
     Snapshots are drawn one by one and scored in groups; the groups'
-    passes, concatenated on a leading snapshot axis, score every rank by
-    popularity in one ``_delivery_metrics`` call with the run's request
-    probabilities ``a``, macro caching probabilities ``q1`` and constants
-    (each (1, ...), from ``_gather``). Returns the (S, K) covering counts,
-    (S, 5) metric rows (columns ``_SNAPSHOT_METRICS``) and per-rank integer
-    sums (hits, caching coverage): sums are exactly order-independent, and
-    per-snapshot arrays come in snapshot order, so the final reduction is
-    the same for any worker count.
+    passes, concatenated on a leading snapshot axis, are weighted by the
+    request probabilities ``a`` (``_dot``) and scored in one
+    ``_delivery_metrics`` call with the run's 1 - m_1 and constants (each
+    (1, ...), from ``_gather``). Returns the (S, K) covering counts, (S, 5)
+    metric rows (columns ``_SNAPSHOT_METRICS``) and per-rank integer sums
+    (hits, caching coverage), exactly order-independent; per-snapshot arrays
+    keep snapshot order, so the reduction is the same for any worker count.
     """
-    scenario, protocol, radius, start, stop, a, q1, constants = args
+    scenario, protocol, radius, start, stop, a, uncached, constants = args
     estimates, group, stations = [], [], 0
     for k in range(start, stop):
         group.append(sample_network(snapshot_rng(protocol.master_seed, k), scenario, radius))
@@ -222,9 +221,9 @@ def _chunk_stats(args):
     covering, caching_covering = (np.concatenate([getattr(est, name) for est in estimates])
                                   for name in ("covering", "caching_covering"))
     hit, backhaul = _hit_backhaul(covering, caching_covering)
-    p_hit, p_bh, _, ase, cost = _delivery_metrics(
-        a, hit, caching_covering, (1.0 - q1) * covering[:, :1], constants)
-    metrics = np.column_stack((p_hit, p_bh, _dot(a, backhaul), ase, cost))
+    p_bh = uncached * covering[:, 0]
+    ase, cost = _delivery_metrics(_dot(a, caching_covering), p_bh, constants)
+    metrics = np.column_stack((_dot(a, hit), p_bh, _dot(a, backhaul), ase, cost))
     return covering, metrics, (hit.sum(axis=0), caching_covering.sum(axis=0))
 
 
@@ -262,8 +261,9 @@ def run_simulation(scenario: ScenarioConfig,
     proto = scenario.protocol if protocol is None else protocol
     radius = scenario.region_radius_m(proto)
     n = proto.num_snapshots
-    a, q, constants = _gather(Block(scenario))
-    chunks = [(scenario, proto, radius, s, min(s + CHUNK_SNAPSHOTS, n), a, q[:, 0], constants)
+    _, uncached, constants = _gather(Block(scenario), {})
+    a = scenario.content.request_probabilities()
+    chunks = [(scenario, proto, radius, s, min(s + CHUNK_SNAPSHOTS, n), a, uncached, constants)
               for s in range(0, n, CHUNK_SNAPSHOTS)]
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
@@ -281,9 +281,8 @@ def run_simulation(scenario: ScenarioConfig,
     stderr["efficiency"] = _ratio_stderr(metrics["ase"], metrics["cost"])
 
     rho_mean = covering.sum(axis=0) / n
-    per_bh = (1.0 - q[:, 0]) * float(rho_mean[0])
-    per_ase = _delivery_metrics(a, per_hit[None], cachcov_mean[None], per_bh,
-                                constants)[2][0]
+    q1 = cache_probability_vector(scenario.tiers[0].cache, scenario.content.library_size)
+    per_bh = (1.0 - q1) * float(rho_mean[0])
 
     return MetricReport(
         provenance=MONTE_CARLO,
@@ -294,7 +293,7 @@ def run_simulation(scenario: ScenarioConfig,
         per_tier_coverage_density=tuple(float(x) for x in rho_mean),
         per_tier_coverage_density_stderr=tuple(_stderr(col) for col in covering.T),
         per_content_hit=per_hit,
-        per_content_backhaul=per_bh[0],
-        per_content_ase=per_ase,
+        per_content_backhaul=per_bh,
+        per_content_ase=_delivery_metrics(cachcov_mean.T, per_bh, constants)[0],
         stderr=stderr,
     )

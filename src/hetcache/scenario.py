@@ -43,7 +43,6 @@ automatically instead (see ``auto_region_radius``).
 """
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import hashlib
@@ -344,14 +343,6 @@ class Block:
             j = max(j for j, names in enumerate(self.reach) if _reaches((names,), field))
             return [values[j] for values in self.grid]
         return [_value(point, field, None) for point in self.points]
-
-    def take(self, index):
-        """The block of the points at ``index``, in order."""
-        block = copy.copy(self)
-        block.grid = [self.grid[b] for b in index]
-        if "points" in vars(self):
-            block.points = [self.points[b] for b in index]
-        return block
 
 
 # What each tabulated analytic stage reads, as name sequences for

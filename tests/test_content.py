@@ -1,9 +1,12 @@
 """Zipf popularity and cache-placement probabilities."""
+import math
+
 import numpy as np
 import pytest
 
-from hetcache.content import (ContentModel, TierCachePolicy,
-                              cache_probability_vector, sample_placement_fields)
+from hetcache.content import (ContentModel, TierCachePolicy, cache_probability_vector,
+                              popularity_mass_tables, popularity_masses,
+                              sample_placement_fields)
 
 
 # Scalar oracles for ``cache_probability_vector`` and
@@ -135,21 +138,38 @@ def test_cache_probability_matches_vector():
 
 
 @pytest.mark.parametrize("library_size", [1, 7, 100])
-def test_broadcast_vectors_equal_each_policy_alone(library_size):
-    # sizes down a column, fractions along a row: one (S, phi, F) array
-    sizes = sorted({0, 1, library_size - 1, library_size})
-    fractions = (0.0, 0.3, 1.0)
-    q = cache_probability_vector((np.array(sizes)[:, None], np.array(fractions)),
-                                 library_size)
-    assert q.shape == (len(sizes), len(fractions), library_size)
-    for i, size in enumerate(sizes):
-        for j, phi in enumerate(fractions):
+def test_vectors_equal_scalar_oracle_at_edge_sizes(library_size):
+    for size in sorted({0, 1, library_size - 1, library_size}):
+        for phi in (0.0, 0.3, 1.0):
             policy = TierCachePolicy(size, phi)
-            alone = cache_probability_vector(policy, library_size)
-            assert q[i, j].tobytes() == alone.tobytes(), (size, phi)
+            q = cache_probability_vector(policy, library_size)
             for c in range(1, library_size + 1):
                 assert cache_probability(c, policy, library_size) == pytest.approx(
-                    alone[c - 1], abs=1e-15)
+                    q[c - 1], abs=1e-15)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 1.5])
+@pytest.mark.parametrize("library_size", [1, 2, 3, 100, 1001])
+def test_popularity_masses_equal_exact_sums(library_size, kappa):
+    # m = sum_c a_c q(c) against math.fsum of the vector products, and 1 - m
+    # against the exact complement per rank: 1 - q(c) in floats loses the
+    # digits of q(c) (1e-13 relative where q(c) = 0.3 + 0.7 (n - 1) / n,
+    # n = 500), so the reference takes phi [c > S] + (1 - phi) (n - k_c) / n,
+    # its window counts k_c read back from the RCS vector
+    F = library_size
+    a = ContentModel(F, kappa).request_probabilities()
+    tables = popularity_mass_tables(a)
+    sizes = np.arange(F + 1)
+    ranks = np.arange(1, F + 1)
+    for phi in (0.0, 0.3, 1.0):
+        masses, rest = popularity_masses(tables, sizes, np.full(F + 1, phi))
+        for s in range(F + 1):
+            n = F - s + 1
+            counts = np.rint(cache_probability_vector(TierCachePolicy(s, 0.0), F) * n)
+            complement = phi * (ranks > s) + (1.0 - phi) * (n - counts) / n
+            q = cache_probability_vector(TierCachePolicy(s, phi), F)
+            for got, want in ((masses[s], math.fsum(a * q)), (rest[s], math.fsum(a * complement))):
+                assert math.isclose(got, want, rel_tol=1e-14, abs_tol=0.0), (s, phi)
 
 
 def test_sample_placement_mpc_deterministic():

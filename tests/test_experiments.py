@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from hetcache import analytic, experiments
-from hetcache.analytic import ExponentTable, build_coverage_table
+from hetcache.analytic import CoverageTable, ExponentTable, build_coverage_table
 from hetcache.channel import TierRadioParams
 from hetcache.cli import main
 from hetcache.experiments import (_grid_rows, grid_search, run_experiment, run_preset,
                                   set_parameter, write_csv)
 from hetcache.metrics import (UndefinedEfficiencyError, analytic_columns,
                               analytic_report, caching_efficiency)
+from hetcache.quadrature import QuadratureError
 from hetcache.scenario import (_COVERAGE_FIELDS, _EXPONENT_FIELDS, Block, ConfigError,
                                SimulationProtocol, _column, _names, _reaches, _stage_key,
                                _value, default_scenario, scenario_to_mapping)
@@ -298,13 +299,14 @@ def test_columns_are_not_aliased_across_calls():
     # writing into one call's arrays leaves the next call's values alone
     s = default_scenario()
     table = build_coverage_table(s)
-    fresh = analytic_columns(Block(s), [table])
-    first = analytic_columns(Block(s), [table])
-    for array in first.per_rank:  # per-rank hit, backhaul and ASE
+    store = {}  # the popularity-mass tables every call reads
+    fresh = analytic_columns(Block(s), [table], store)
+    first = analytic_columns(Block(s), [table], store)
+    for array in (first.masses, first.uncached_mass):
         array[:] = -1.0
-    later = analytic_columns(Block(s), [table])
-    for got, want in zip(later.per_rank, fresh.per_rank, strict=True):
-        assert np.array_equal(got, want)
+    later = analytic_columns(Block(s), [table], store)
+    for name in ("masses", "uncached_mass"):
+        assert np.array_equal(getattr(later, name), getattr(fresh, name))
     for name in ("p_hit", "p_bh", "ase", "cost", "efficiency"):
         assert later.values[name].tolist() == fresh.values[name].tolist()
     assert ({k: v.tolist() for k, v in later.error_estimates.items()}
@@ -588,9 +590,10 @@ def test_column_stores_the_normal_form(monkeypatch, path, grid, stored):
 
 def _entries(cache):
     """A table store's coverage entries (tables or errors) and its exponent
-    tables, as two dicts."""
+    tables, as two dicts; its popularity-mass tables are neither."""
     exponents = {k: v for k, v in cache.items() if isinstance(v, ExponentTable)}
-    return {k: v for k, v in cache.items() if k not in exponents}, exponents
+    return {k: v for k, v in cache.items()
+            if isinstance(v, CoverageTable | Exception)}, exponents
 
 
 # Exponent tables per block below: one per tier radio, as a threshold is no
@@ -708,7 +711,8 @@ def _column_bytes(*columns):
     """dtype, shape and bytes of each array of ``columns`` with their rows
     stacked in order, and the rows' failures."""
     arrays = [np.concatenate(parts) for parts in zip(*(
-        [*c.values.values(), *c.error_estimates.values(), c.rho, *c.per_rank] for c in columns))]
+        [*c.values.values(), *c.error_estimates.values(), c.rho, c.masses, c.uncached_mass]
+        for c in columns))]
     return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
             sum((c.failures for c in columns), ()))
 
@@ -830,11 +834,14 @@ def test_threshold_block_builds_each_radio_record_once(monkeypatch):
     # 1's row, which reads tier 2's exponent table, fails first
     ("tiers[2].radio.far_field_dist", 36.0, 1e200,
      "no finite truncation radius for the interference integral"),
-    # the closed-form lower bound on e(t) underflows to 0, and with it the
-    # tolerance of the piece it sets
-    ("tiers[2].radio.near_field_dist", 16.0, 1e200, "abs_tol: must be finite and positive"),
+    # the closed-form lower bound on e(t), which sets the tolerance of the
+    # piece, leaves the float range (u underflows to 0, r^2 overflows)
+    ("tiers[2].radio.near_field_dist", 16.0, 1e200,
+     "interference exponent lower bound out of float range"),
     # binomial coefficients of the fading sum past the largest float
-    ("tiers[2].radio.nakagami_los", 2, 2000, "alternating fading sum lost significance"),
+    ("tiers[2].radio.nakagami_los", 2, 2000, "fading sum coefficients overflow the float range"),
+    # the coefficients fit, but the sum of their magnitudes does not
+    ("tiers[2].radio.nakagami_los", 2, 1029, "fading sum coefficients overflow the float range"),
 ])
 def test_overflowing_value_fails_its_row_alone(path, good, bad, message):
     s = default_scenario()
@@ -846,17 +853,40 @@ def test_overflowing_value_fails_its_row_alone(path, good, bad, message):
     _assert_rows_alone(s, _axes({path: (good,)}), rows[:1])
 
 
-def test_split_block_equals_whole_block(monkeypatch):
-    # a large library splits a block; here a cap of two rows forces it
-    s = default_scenario()
-    axes = _axes({"tiers[2].cache.cache_size": (1, 2, 3, 4, 5)})
-    whole = list(_grid_rows(s, axes, ("analytic",), 1, {}))
-    monkeypatch.setattr(experiments, "_BATCH_ROW_RANKS", 2 * s.content.library_size)
+def test_whole_cache_axis_is_one_block_equal_to_rows_alone(monkeypatch):
+    # S_2 = 0 ... F at F = 1,001: one analytic_columns call scores the
+    # whole axis, and each row equals its point run alone
+    s = set_parameter(default_scenario(), "content.library_size", 1001)
+    s = set_parameter(s, "tiers[2].cache.mpc_fraction", 0.3)
+    axes = _axes({"tiers[2].cache.cache_size": range(1002)})
     batches = _count_calls(monkeypatch, "analytic_columns")
-    split = list(_grid_rows(s, axes, ("analytic",), 1, {}))
-    assert [len(args[0]) for args in batches] == [2, 2, 1]
-    assert [list(row) for row in split] == [list(row) for row in whole]
-    assert split == whole
+    rows = list(_grid_rows(s, axes, ("analytic",), 1, {}))
+    assert [len(args[0]) for args in batches] == [1002]
+    assert [r["status"] for r in rows] == ["ok"] * 1002
+    _assert_rows_alone(s, axes, rows)
+
+
+def test_rows_whose_error_swamps_their_value_are_errors():
+    # the alternating fading sum loses significance as the LOS shape grows:
+    # p_hit read 0.186, 0.212, 0.218, 4.7e-4, 2.9e13 and 1.5e73, every row
+    # ok. Now every ok row's error bar is within the limit, the others are
+    # errors, and a search over them raises rather than pick noise.
+    s = default_scenario()
+    shapes = (2, 20, 30, 60, 100, 300)
+    rows = run_experiment(s, {"tiers[2].radio.nakagami_los": shapes})
+    assert [r["status"] for r in rows] == ["ok"] + ["error"] * 5
+    settings = s.integration
+    fraction = max(analytic._SIGNIFICANCE, 10.0 * settings.rel_tol)
+    for shape, row in zip(shapes, rows):
+        if row["status"] == "ok":
+            table = build_coverage_table(set_parameter(s, "tiers[2].radio.nakagami_los", shape))
+            for rho, err in zip(table.per_tier_density, table.error_estimates):
+                assert err <= fraction * abs(rho) + 2.0 * settings.abs_tol
+            assert row["err_p_hit"] < row["p_hit"]
+        else:
+            assert row["error"].startswith("fading sum lost significance: value "), shape
+    with pytest.raises(QuadratureError, match="fading sum lost significance"):
+        grid_search(s, {"tiers[2].radio.nakagami_los": shapes[:2]})
 
 
 def test_zero_cost_row_fails_alone_in_its_block():

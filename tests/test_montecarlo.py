@@ -11,7 +11,7 @@ from hetcache.channel import TierRadioParams, link_path_loss
 from hetcache.content import (ContentModel, TierCachePolicy,
                               cache_probability_vector)
 from hetcache.experiments import set_parameter
-from hetcache.metrics import (MetricReport, _delivery_metrics, _gather,
+from hetcache.metrics import (MetricReport, _delivery_metrics, _dot, _gather,
                               tier_rates)
 from hetcache.montecarlo import (CHUNK_SNAPSHOTS, Snapshot, TierSnapshot,
                                  _hit_backhaul, _ratio_stderr, _sir_per_tier, _stack,
@@ -359,19 +359,16 @@ def test_chunked_metrics_equal_snapshot_rows(mode):
                                master_seed=23, content_evaluation=mode)
     report = run_simulation(s, protocol=proto)
 
-    F = s.content.library_size
     a = s.content.request_probabilities()
-    q1 = cache_probability_vector(s.tiers[0].cache, F)
-    constants = _gather(Block(s))[2]
+    _, uncached, constants = _gather(Block(s), {})
     rows = np.empty((70, 5))
     for k in range(70):
         est = evaluate_snapshot([sample_network(snapshot_rng(23, k), s,
                                                 region_radius=2500.0)], s)
         hit, backhaul, caching_covering = chunk_of_one(est)
-        p_hit, p_bh, _, ase, cost = _delivery_metrics(
-            a[None], hit[None], caching_covering[None],
-            ((1.0 - q1) * est.covering[0, 0])[None], constants)
-        rows[k] = (p_hit[0], p_bh[0], float(a @ backhaul), ase[0], cost[0])
+        p_bh = uncached * est.covering[0, 0]
+        ase, cost = _delivery_metrics(_dot(a, caching_covering[None]), p_bh, constants)
+        rows[k] = (_dot(a, hit[None])[0], p_bh[0], float(a @ backhaul), ase[0], cost[0])
     for j, name in enumerate(("p_hit", "p_bh", "p_bh_operational", "ase", "cost")):
         assert getattr(report, name) == float(np.mean(rows[:, j])), name
         assert report.stderr[name] == np.std(rows[:, j], ddof=1) / math.sqrt(70), name
