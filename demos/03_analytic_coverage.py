@@ -28,7 +28,7 @@ for t in (1e2, 1e4, 1e6, 1e8):
 
 print()
 print("=== Per-tier covering-station expectations ===")
-table = build_coverage_table(scenario)
+[table] = build_coverage_table([scenario])
 for i, (rho, err) in enumerate(zip(table.per_tier_density, table.error_estimates), 1):
     print(f"tier {i}: rho = {rho:.6f}  (error estimate {err:.1e})")
 
@@ -50,5 +50,5 @@ print()
 print("=== Threshold dependence (cache-independence of rho) ===")
 for beta2 in (1.0, 2.0, 4.0, 8.0):
     s = set_parameter(scenario, "tiers[2].radio.sir_threshold", beta2)
-    t = build_coverage_table(s)
+    [t] = build_coverage_table([s])
     print(f"beta_2={beta2}: rho_2 = {t.per_tier_density[1]:.5f}")

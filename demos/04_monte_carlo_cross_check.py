@@ -24,7 +24,7 @@ unit_tiers = tuple(
     for t in scenario.tiers)
 scenario = dataclasses.replace(scenario, tiers=unit_tiers)
 
-table = build_coverage_table(scenario)
+[table] = build_coverage_table([scenario])
 print("analytic per-tier covering expectations:",
       [f"{v:.5f}" for v in table.per_tier_density])
 

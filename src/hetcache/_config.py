@@ -111,14 +111,17 @@ def _field_table(cls):
     return tuple(table)
 
 
+def _checked(name, value, exact, check, limits):
+    """Field ``name``'s ``value`` in its normal form, checked by type, then range."""
+    value = value if type(value) is exact else check(name, value)
+    if limits and value is not AUTO and not limits[0] <= value <= limits[1]:
+        raise ConfigError(name, limits[2])
+    return value
+
+
 def check_fields(record) -> None:
     """Check every field of ``record`` by its annotation, storing the normal form."""
     for name, exact, check, limits in _field_table(type(record)):
         value = getattr(record, name)
-        if type(value) is not exact:
-            value = check(name, value)
-            object.__setattr__(record, name, value)
-            if value is AUTO:  # only a ``float | str`` check returns it
-                continue
-        if limits is not None and not limits[0] <= value <= limits[1]:
-            raise ConfigError(name, limits[2])
+        if (stored := _checked(name, value, exact, check, limits)) is not value:
+            object.__setattr__(record, name, stored)

@@ -550,25 +550,24 @@ class CoverageTable:
     error_estimates: tuple
 
 
-def build_coverage_table(scenarios, cache: dict | None = None):
+def build_coverage_table(scenarios, cache: dict | None = None) -> list:
     """Evaluate every tier's coverage density of each scenario of a block.
 
-    ``scenarios`` is one ScenarioConfig, whose CoverageTable is returned (or
-    its error raised), or a sequence of them: then one table per scenario is
-    returned, or in its place the QuadratureError or ValueError its own
-    table raises alone (that of its first failing tier). ``cache`` is one
-    sweep's store of tables under their stage keys: each scenario's
-    coverage table under its ``scenario._COVERAGE_FIELDS`` key, a failed
-    key under its error, and the exponent tables they share. Every tier of
-    every key it lacks, in order of first appearance, is one row of one
-    coverage block; each table is bit for bit the one built alone, so a
-    key is built once per store. Without ``cache`` the call has its own.
+    ``scenarios`` is an iterable of ScenarioConfig, read once. A list of one
+    CoverageTable per scenario is returned, or in its place the
+    QuadratureError or ValueError its own table raises alone (that of its
+    first failing tier). ``cache`` is one sweep's store of tables under
+    their stage keys: each scenario's coverage table under its
+    ``scenario._COVERAGE_FIELDS`` key, a failed key under its error, and
+    the exponent tables they share. Every tier of every key it lacks, in
+    order of first appearance, is one row of one coverage block; each table
+    is bit for bit the one built alone, so a key is built once per store.
+    Without ``cache`` the call has its own.
     """
-    block = [scenarios] if isinstance(scenarios, ScenarioConfig) else list(scenarios)
     cache = {} if cache is None else cache
-    keys = [_stage_key(s, _COVERAGE_FIELDS) for s in block]
+    keyed = [(_stage_key(s, _COVERAGE_FIELDS), s) for s in scenarios]
     missing = {}
-    for key, scenario in zip(keys, block):
+    for key, scenario in keyed:
         if key not in cache:
             missing.setdefault(key, scenario)
     results = iter(_coverage_block(
@@ -577,7 +576,4 @@ def build_coverage_table(scenarios, cache: dict | None = None):
         tiers = [next(results) for _ in range(scenario.num_tiers)]
         failed = [result for result in tiers if isinstance(result, Exception)]
         cache[key] = failed[0] if failed else CoverageTable(*map(tuple, zip(*tiers)))
-    tables = [cache[key] for key in keys]
-    if isinstance(scenarios, ScenarioConfig) and isinstance(tables[0], Exception):
-        raise tables[0].with_traceback(None)  # stored: its traceback must not grow
-    return tables[0] if isinstance(scenarios, ScenarioConfig) else tables
+    return [cache[key] for key, _ in keyed]

@@ -32,7 +32,7 @@ from .montecarlo import run_simulation
 from .quadrature import QuadratureError
 # ``_set_point`` calls ``set_parameter`` by this module's name, which
 # perfbench/tracing.py wraps.
-from .scenario import _COVERAGE_FIELDS, Block, ConfigError, ScenarioConfig, _reaches, set_parameter
+from .scenario import _COVERAGE_FIELDS, Block, ConfigError, ScenarioConfig, set_parameter
 
 __all__ = [
     "GridSearchResult",
@@ -80,16 +80,14 @@ def _analytic_rows(block, cache: dict, heads) -> list:
     """Analytic rows of the points of ``block`` (a ``scenario.Block``), in
     order, each opening with its ``heads``.
 
-    The coverage tables come from ``build_coverage_table`` on the sweep's
-    store ``cache``: one per point when the block's paths reach a field of
-    ``_COVERAGE_FIELDS``, else the base scenario's, which has the points'
-    key, for all. The block, even a whole cache axis, is one
+    The coverage tables are ``build_coverage_table``'s, on the sweep's store
+    ``cache``, of the scenarios ``block.scenarios`` gives for
+    ``_COVERAGE_FIELDS``: one per point, or the base's alone, which has the
+    points' key, for all. The block, even a whole cache axis, is one
     ``analytic_columns`` call on the store. A row whose table fails (scored
     on zero densities, its cells dropped) or whose cost is zero is an error."""
-    if any(_reaches(block.reach, field) for field in _COVERAGE_FIELDS):
-        tables = build_coverage_table(block.points, cache)
-    else:
-        tables = build_coverage_table([block.base], cache) * len(block)
+    tables = build_coverage_table(block.scenarios(_COVERAGE_FIELDS), cache)
+    tables *= len(block) // len(tables)
     zero = CoverageTable(*[(0.0,) * block.base.num_tiers] * 2)
     columns = analytic_columns(block, [zero if isinstance(t, Exception) else t for t in tables],
                                store=cache)
@@ -147,10 +145,10 @@ def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
     Where ``scenario._column`` checks each path's values (a number leaf of a
     record that ``check_fields`` alone checks), it is their base scenario
     and one column of values per path, and a point's scenario is built only
-    where it is read: by the Monte Carlo engine, by ``build_coverage_table``
-    when the paths reach a field of ``scenario._COVERAGE_FIELDS`` (else the
-    block takes one coverage table), and by ``metrics._gather`` for a
-    reached field that is no column. Any other block sets its points with
+    where it is read: by the Monte Carlo engine, and by the stages whose
+    fields the paths reach (``Block.scenarios``), the coverage tables (else
+    the block takes one) and ``metrics._gather``'s density unit, rates and
+    content models. Any other block sets its points with
     ``set_parameter`` at once. Every block reads and fills one table store,
     ``cache`` (``build_coverage_table``'s and ``metrics._gather``'s; a new
     one if None), so a sweep builds each table once. Failed rows are

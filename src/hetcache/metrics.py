@@ -30,9 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# ``analytic_report`` looks ``build_coverage_table`` up here; perfbench/tracing.py wraps it.
 from .analytic import CoverageTable, build_coverage_table
 from .content import cache_probability_vector, popularity_mass_tables, popularity_masses
-from .scenario import Block, ScenarioConfig, _reaches
+from .quadrature import _unwrapped
+from .scenario import Block, ScenarioConfig
 
 __all__ = [
     "UndefinedEfficiencyError",
@@ -104,17 +106,12 @@ def _gather(block, store: dict):
     tables ``store`` keeps under each content model) and, for
     ``_delivery_metrics``, the (B, K) densities per m^2 and those times the
     rates, and the (B,) F - S_1 files the macro tier does not cache, cache
-    slots per m^2 and two unit costs. A field the block's paths do not reach
-    (``scenario._reaches``) is read once, from the base; a reached leaf
-    field from its column (``Block.column``), other reached fields from the
-    points. All points share their tier count.
+    slots per m^2 and two unit costs. A leaf field is read by
+    ``Block.column``, the density unit, rates and content models from
+    ``Block.scenarios``: each once, from the base, where the block's paths
+    do not reach it. All points share their tier count.
     """
-    B, base = len(block), block.base
-    K = base.num_tiers
-
-    def rows(*fields):
-        """Every point if the block's paths reach one of ``fields``, else the base alone."""
-        return block.points if any(_reaches(block.reach, f) for f in fields) else [base]
+    B, K = len(block), block.base.num_tiers
 
     def per_tier(name):
         """Field ``name`` of each tier as an (n, K) array: n = B when the
@@ -129,14 +126,14 @@ def _gather(block, store: dict):
         return x if len(x) == B else np.repeat(x, B, axis=0)
 
     density, size, fraction = map(per_tier, ("density", "cache.cache_size", "cache.mpc_fraction"))
-    scale = np.array([s.density_scale for s in rows(("density_unit",))])
+    scale = np.array([s.density_scale for s in block.scenarios([("density_unit",)])])
     backhaul_cost = np.array(block.column(("costs", "backhaul_unit_cost")))
     cache_cost = np.array(block.column(("costs", "cache_unit_cost")))
     library_size = np.array(block.column(("content", "library_size")))
-    rates = np.array([tier_rates(s) for s in rows(
-        ("rate_log_base",), ("tiers", "*", "radio", "sir_threshold"))])
+    rates = np.array([tier_rates(s) for s in block.scenarios(
+        [("rate_log_base",), ("tiers", "*", "radio", "sir_threshold")])])
     tables = []
-    for s in rows(("content",)):
+    for s in block.scenarios([("content",)]):
         if s.content not in store:
             store[s.content] = popularity_mass_tables(s.content.request_probabilities())
         tables.append(store[s.content])
@@ -262,7 +259,7 @@ def analytic_report(scenario: ScenarioConfig,
     was built. Raises ``UndefinedEfficiencyError`` at zero cost.
     """
     if table is None:
-        table = build_coverage_table(scenario)
+        table = _unwrapped(build_coverage_table([scenario])[0])
     block, store = Block(scenario), {}
     columns = analytic_columns(block, [table], store)
     fields = {name: column.tolist()[0] for name, column in columns.values.items()}

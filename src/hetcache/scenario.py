@@ -29,8 +29,11 @@ compares. ``set_parameter`` copies the records on one path (``_replaced``)
 and YAML loading merges a file onto the default scenario's records
 (``_merged``); in both walks each record's ``__post_init__`` checks it, so
 every YAML field is a path, checked the same way, and a rejection names it.
-A grid block (``Block``) checks a column of values at one leaf at once
-(``_column``) where no point need be built; any other block sets its points.
+A grid block (``Block``) checks a column of values at a number leaf by
+``check_fields``' own check (``_column``) and builds a point only where a
+stage reads it (``Block.scenarios``): a cost or cache column builds none, a
+density, bias, integration or popularity-exponent column each, for coverage
+tables or content models. Any other block sets its points at once.
 
 The default scenario: a sparse 40 W macro tier (density 1e-3 per km^2,
 threshold 2, 20-slot caches) over a denser 4 W small-cell tier (density 10
@@ -55,7 +58,7 @@ import numpy as np
 import yaml
 
 from ._config import (AUTO, ConfigError, Nonnegative, NonnegativeInt, Positive, PositiveInt,
-                      PositiveOrAuto, _field_table, check_fields)
+                      PositiveOrAuto, _checked, _field_table, check_fields)
 from .channel import TierRadioParams
 from .content import ContentModel, TierCachePolicy
 
@@ -279,13 +282,11 @@ def _reaches(reach, field) -> bool:
 
 def _column(base: ScenarioConfig, names: tuple, values) -> list | None:
     """``values`` at the leaf ``names`` of ``base``, as ``set_parameter``
-    stores them (``2.0`` in an integer field as ``2``), or None. It checks a
-    number leaf of a record that ``check_fields`` alone checks, other than
-    ``content.library_size``, by its declared type and range, and a cache
-    size also by ``_check_caches`` on the base's library size, which no
-    checked block sets. It returns None where a value fails, and for any
-    other path: those points are built anyway, for coverage tables,
-    ``metrics._gather``'s reads or Monte Carlo."""
+    stores them (``2.0`` in an integer field as ``2``), or None. Each value at
+    a number leaf of a record that ``check_fields`` alone checks, other than
+    ``content.library_size``, gets that field's check (``_config._checked``),
+    and a cache size also ``_check_caches`` on the base's library size, which
+    no checked block sets. Any other path, or a value that fails, gives None."""
     *heads, leaf = names
     if 0 in heads or leaf == "library_size":  # no tier 0, though ``_value`` would read the last
         return None
@@ -299,9 +300,7 @@ def _column(base: ScenarioConfig, names: tuple, values) -> list | None:
         return None
     ((_, exact, check, limits),) = entry
     try:
-        column = [value if type(value) is exact else check(leaf, value) for value in values]
-        if limits and not all(v is AUTO or limits[0] <= v <= limits[1] for v in column):
-            return None
+        column = [_checked(leaf, value, exact, check, limits) for value in values]
         if leaf == "cache_size":
             _check_caches([max(column)], base.content.library_size)
     except ConfigError:
@@ -314,9 +313,10 @@ class Block:
     name sequences) set to each entry of ``grid``; ``len`` counts them. If
     ``_column`` checks every path's column, ``grid`` holds the values as
     stored, and the point scenarios, ``points``, are built by ``build`` when
-    first read. Any other block builds its points at once, so a bad value
-    raises ``set_parameter``'s own error, and the first point is the base.
-    ``Block(scenario)``, the block of no paths, is the one point ``scenario``."""
+    first read; ``scenarios`` tells a stage whether it reads them. Any other
+    block builds its points at once, so a bad value raises ``set_parameter``'s
+    own error, and the first point is the base. ``Block(scenario)``, the block
+    of no paths, is the one point ``scenario``."""
 
     def __init__(self, base: ScenarioConfig, paths: tuple = (), grid=((),), build=None):
         self.base, self.paths, self._build = base, paths, build
@@ -333,6 +333,10 @@ class Block:
 
     def __len__(self):
         return len(self.grid)
+
+    def scenarios(self, fields) -> list:
+        """Every point if a path reaches one of ``fields``, else the base alone."""
+        return self.points if any(_reaches(self.reach, f) for f in fields) else [self.base]
 
     def column(self, field) -> list:
         """The values of the leaf ``field`` (a name sequence with its tier):

@@ -92,7 +92,7 @@ def test_criterion_03_unit_shape_exactness():
     ok = True
     for i, beta2 in enumerate((1.0, 2.0, 4.0)):
         s = set_parameter(base, "tiers[2].radio.sir_threshold", beta2)
-        table = build_coverage_table(s)
+        [table] = build_coverage_table([s])
         mc = run_simulation(s, agreement_protocol(300 + i, 3000),
                             workers=WORKERS)
         n = 3000
@@ -181,7 +181,7 @@ def test_criterion_07_popular_prefix_dominates():
     for kappa in (0.5, 1.0, 1.5):
         s = set_parameter(default_scenario(), "content.popularity_exponent",
                           kappa)
-        table = build_coverage_table(s)
+        [table] = build_coverage_table([s])
 
         def eta(phi1, phi2, scenario=s, tbl=table):
             mod = set_parameter(scenario, "tiers[1].cache.mpc_fraction", phi1)

@@ -129,8 +129,8 @@ def test_coverage_independent_of_cache_configuration():
     other = set_parameter(
         set_parameter(base, "tiers[2].cache.cache_size", 77),
         "tiers[1].cache.mpc_fraction", 0.0)
-    t_base = build_coverage_table(base)
-    t_other = build_coverage_table(other)
+    [t_base] = build_coverage_table([base])
+    [t_other] = build_coverage_table([other])
     assert t_base.per_tier_density == t_other.per_tier_density
 
 
@@ -154,7 +154,7 @@ def test_explicit_truncation_matches_auto():
 
 def test_coverage_probability_weight_collapse():
     s = default_scenario()
-    table = build_coverage_table(s)
+    [table] = build_coverage_table([s])
     full = set_parameter(s, "tiers[*].cache", TierCachePolicy(100, 1.0))
     total = analytic_report(full, table=table).p_hit
     assert total == pytest.approx(sum(table.per_tier_density), rel=1e-12)
@@ -164,7 +164,7 @@ def test_coverage_probability_weight_collapse():
 
 def test_report_per_rank_hit_split():
     s = default_scenario()
-    table = build_coverage_table(s)
+    [table] = build_coverage_table([s])
     hit = analytic_report(s, table=table).per_content_hit
     rho1, rho2 = table.per_tier_density
     assert hit.shape == (100,)
@@ -397,7 +397,7 @@ def test_table_rho_bit_identical_mid_sweep():
                                 "tiers[2].density": (1e-3, 1.0, 100.0)})
     middle = result.surface[4]
     assert (middle["tiers[1].rho"], middle["tiers[2].density"]) == (1.0, 1.0)
-    fresh = build_coverage_table(set_parameter(base, "tiers[2].density", 1.0))
+    [fresh] = build_coverage_table([set_parameter(base, "tiers[2].density", 1.0)])
     assert (middle["rho_1"], middle["rho_2"]) == fresh.per_tier_density
 
 
@@ -438,10 +438,7 @@ def test_mixed_block_tables_equal_each_built_alone():
     tables = build_coverage_table(block, {})
     assert len(tables) == len(block)
     for scenario, table in zip(block, tables):
-        try:
-            alone = build_coverage_table(scenario)
-        except QuadratureError as exc:
-            alone = exc
+        [alone] = build_coverage_table([scenario])
         assert type(table) is type(alone)
         if isinstance(alone, QuadratureError):
             assert str(table) == str(alone) == "no convergence within 4000 panels"
@@ -467,22 +464,21 @@ def test_store_serves_each_table_again_without_quadrature(monkeypatch):
     monkeypatch.setattr(analytic, "integrate_adaptive", lambda *args, **kwargs: (
         quadratures.append(args) or integrate(*args, **kwargs)))
     again = build_coverage_table(block[::-1], cache)
-    with pytest.raises(QuadratureError) as raised:
-        build_coverage_table(failing, cache)
+    [alone] = build_coverage_table([failing], cache)
     assert quadratures == []
     assert all(x is y for x, y in zip(again, first[::-1]))
-    assert raised.value is first[2]
+    assert alone is first[2]
 
 
 def test_stored_error_keeps_its_traceback_length():
-    # each call on the store raises the failed key's one error again; its
-    # traceback must not gather the frames of every earlier raise
-    failing = set_parameter(default_scenario(), "integration.rel_tol", 1e-15)
-    cache = {}
+    # each lookup of a failed piece raises the piece's one stored error
+    # again; its traceback must not gather the frames of every earlier raise
+    s = set_parameter(default_scenario(), "integration.rel_tol", 1e-15)
+    table = ExponentTable(s.tiers[1].radio, s.integration)
     lengths = []
     for _ in range(3):
         with pytest.raises(QuadratureError) as raised:
-            build_coverage_table(failing, cache)
+            table(np.array([10.0]))
         lengths.append(len(traceback.extract_tb(raised.value.__traceback__)))
     assert lengths[0] == lengths[1] == lengths[2]
 

@@ -298,7 +298,7 @@ def test_grid_search_rows_equal_naive_evaluation(monkeypatch):
 def test_columns_are_not_aliased_across_calls():
     # writing into one call's arrays leaves the next call's values alone
     s = default_scenario()
-    table = build_coverage_table(s)
+    [table] = build_coverage_table([s])
     store = {}  # the popularity-mass tables every call reads
     fresh = analytic_columns(Block(s), [table], store)
     first = analytic_columns(Block(s), [table], store)
@@ -516,7 +516,7 @@ def _row_alone(scenario, tables):
     """
     key = _stage_key(scenario, _COVERAGE_FIELDS)
     if key not in tables:
-        tables[key] = build_coverage_table(scenario)
+        [tables[key]] = build_coverage_table([scenario])
     (row,) = _grid_rows(scenario, (), ("analytic",), 1, {key: tables[key]})
     return row
 
@@ -568,11 +568,14 @@ def test_column_block_rows_equal_rows_alone(monkeypatch, variables, built):
 @pytest.mark.parametrize("path, grid, stored", [
     ("tiers[2].cache.cache_size", (5.0, np.int64(5), 7), [5, 5, 7]),
     ("tiers[2].cache.mpc_fraction", (np.float64(0.25), 0.5, np.float64(1)), [0.25, 0.5, 1.0]),
+    ("costs.backhaul_unit_cost", (2, np.float64(0.5), 1.0), [2.0, 0.5, 1.0]),
+    ("costs.cache_unit_cost", (0, np.int64(1), 0.02), [0.0, 1.0, 0.02]),
 ])
 def test_column_stores_the_normal_form(monkeypatch, path, grid, stored):
     # the head cell keeps the grid value; the block holds the value
-    # set_parameter stores, of its type
+    # set_parameter stores, of its type, and builds no point
     s = default_scenario()
+    assert Block(s).scenarios(_COVERAGE_FIELDS) == [s]
     axes = _axes({path: grid})
     batches = _count_calls(monkeypatch, "analytic_columns")
     calls = _count_calls(monkeypatch, "set_parameter")
@@ -768,7 +771,7 @@ def _stage_outputs(scenario, stage, exponents):
                  np.concatenate(ExponentTable(tier.radio, scenario.integration)(_STAGE_T)))
                 for k, tier in enumerate(scenario.tiers, 1)]
     store = dict(exponents)  # the shared exponent tables, and no coverage table
-    table = build_coverage_table(scenario, store)
+    [table] = build_coverage_table([scenario], store)
     exponents.update(_entries(store)[1])
     return [(_stage_key(scenario, fields),
              np.array(table.per_tier_density + table.error_estimates))]
@@ -879,7 +882,8 @@ def test_rows_whose_error_swamps_their_value_are_errors():
     fraction = max(analytic._SIGNIFICANCE, 10.0 * settings.rel_tol)
     for shape, row in zip(shapes, rows):
         if row["status"] == "ok":
-            table = build_coverage_table(set_parameter(s, "tiers[2].radio.nakagami_los", shape))
+            point = set_parameter(s, "tiers[2].radio.nakagami_los", shape)
+            [table] = build_coverage_table([point])
             for rho, err in zip(table.per_tier_density, table.error_estimates):
                 assert err <= fraction * abs(rho) + 2.0 * settings.abs_tol
             assert row["err_p_hit"] < row["p_hit"]

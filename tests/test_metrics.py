@@ -75,7 +75,7 @@ def test_hit_backhaul_decomposition_identity():
 
 def test_backhaul_decreases_with_popularity_exponent():
     s = default_scenario()
-    table = build_coverage_table(s)
+    [table] = build_coverage_table([s])
     values = []
     for kappa in (0.5, 1.0, 1.5):
         content = ContentModel(library_size=100, popularity_exponent=kappa)
@@ -128,7 +128,7 @@ def test_efficiency_trivials_and_homogeneity():
         caching_efficiency(1.0, 0.0)
     # doubling both unit costs halves the efficiency at fixed ASE
     s = default_scenario()
-    table = build_coverage_table(s)
+    [table] = build_coverage_table([s])
     r1 = analytic_report(s, table=table)
     doubled = dataclasses.replace(s, costs=CostModel(2.0, 0.02))
     r2 = analytic_report(doubled, table=table)
@@ -180,7 +180,7 @@ def test_analytic_report_fields():
 
 def test_analytic_report_decomposition_against_table():
     s = default_scenario()
-    table = build_coverage_table(s)
+    [table] = build_coverage_table([s])
     report = analytic_report(s, table=table)
     a = s.content.request_probabilities()
     q1 = np.array([1.0] * 20 + [0.0] * 80)  # full-MPC macro with 20 slots
@@ -221,13 +221,13 @@ def test_shared_table_reports_equal_fresh_table_reports():
     # one table serves every row of a cache x content grid, as in a sweep;
     # each row's report must be the one its own scenario's table gives
     s = default_scenario()
-    table = build_coverage_table(s)
+    [table] = build_coverage_table([s])
     for cache_size in (5, 9):
         for kappa in (1.0, 0.6):
             row = set_parameter(s, "tiers[2].cache.cache_size", cache_size)
             row = set_parameter(row, "content.popularity_exponent", kappa)
             shared = analytic_columns(Block(row), [table])
-            fresh = analytic_columns(Block(row), [build_coverage_table(row)])
+            fresh = analytic_columns(Block(row), build_coverage_table([row]))
             for f in dataclasses.fields(AnalyticColumns):
                 got, want = getattr(shared, f.name), getattr(fresh, f.name)
                 if isinstance(want, dict):
