@@ -120,9 +120,8 @@ def interference_laplace_exponent(t, radio: TierRadioParams, density_per_m2: flo
 def _laplace_exponents(pieces):
     """E at t of each ``(t, radio, density_per_m2, settings)`` piece, its t
     1-D and as long as the others', at positive density. A piece's two
-    modes are two rows of one ordered lockstep quadrature, so its E or
-    error is bit for bit its own alone; the pieces after the first to fail
-    are None."""
+    modes are two rows of one lockstep quadrature, so its E or error is bit
+    for bit its own alone."""
     results = [None] * len(pieces)
     rows = []  # (piece, radio, mode, end of its s domain, abs_tol)
     for n, (t, radio, density, settings) in enumerate(pieces):
@@ -136,7 +135,6 @@ def _laplace_exponents(pieces):
                 else float(settings.inner_truncation_radius)), budget) for mode in (LOS, NLOS)]
         except QuadratureError as exc:
             results[n] = exc
-            break
     if not rows:
         return results
     # per row: integral over y of y * p_mode(y) * (1 - (1 + t P L(y)/M)^(-M)), at each t
@@ -161,8 +159,7 @@ def _laplace_exponents(pieces):
         integrand, [0.0] * len(rows), [row[3] for row in rows],
         rel_tol=[0.25 * pieces[n][3].rel_tol for n, *_ in rows],
         abs_tol=[row[4] for row in rows],
-        breakpoints=[(math.log1p(radio.near_field_dist),) for _, radio, *_ in rows],
-        ordered=True)
+        breakpoints=[(math.log1p(radio.near_field_dist),) for _, radio, *_ in rows])
     for k in range(0, len(rows), 2):
         n, modes = rows[k][0], integrals[k:k + 2]
         failed = [result for result in modes if not isinstance(result, tuple)]
@@ -221,9 +218,11 @@ class ExponentTable:
     built on first use from e at its nodes; t outside the built pieces
     builds the missing ones, never extrapolates. The pieces one lookup
     misses, in every table it reads, are built together, each bit for bit
-    as if built alone (``_build_pieces``). Calling the table returns e(t)
-    and a bound on its relative error: the node tolerance times the
-    Lebesgue constant plus the size of the last two Chebyshev coefficients.
+    as if built alone (``_build_pieces``); a piece that fails keeps its
+    error, and a lookup that needs it raises the error of its lowest failed
+    piece. Calling the table returns e(t) and a bound on its relative
+    error: the node tolerance times the Lebesgue constant plus the size of
+    the last two Chebyshev coefficients.
     """
 
     def __init__(self, radio: TierRadioParams, settings: IntegrationSettings):
@@ -277,7 +276,7 @@ class ExponentTable:
             return pos
         _build_pieces([(self, key) for key in self._unbuilt(index)])
         unbuilt = self._unbuilt(index)
-        if unbuilt:  # the first failed: raise its first error again
+        if unbuilt:  # raise the lowest failed piece's first error again
             raise self._failed[unbuilt[0]].with_traceback(None)
         return np.searchsorted(self._keys, index)
 
@@ -304,18 +303,24 @@ class ExponentTable:
 
 
 def _build_pieces(wanted):
-    """Build the ``(table, piece index)`` pairs of ``wanted`` in one block, in
-    order up to the first piece that fails, now or before: each table keeps
-    its built columns and that piece's error, as if built one by one."""
-    wanted = wanted[:next((n for n, (table, key) in enumerate(wanted) if key in table._failed),
-                          len(wanted))]
-    for (table, key), e in zip(wanted, _laplace_exponents(
-            [table._piece(key) for table, key in wanted])):
+    """Build the ``(table, piece index)`` pairs of ``wanted``, each once, but
+    those that failed before, in one block: each piece is built or fails on
+    its own, so its table keeps its column or its error, as if built alone.
+    Tiers of one radio share a table, so a pair may be wanted twice."""
+    pieces = []
+    for table, key in dict.fromkeys(wanted):
+        if key in table._failed:
+            continue
+        try:
+            pieces.append((table, key, table._piece(key)))
+        except _ROW_ERRORS as exc:
+            table._failed[key] = exc
+    for (table, key, _), e in zip(pieces, _laplace_exponents([p for *_, p in pieces])):
         try:
             column = table._column(_unwrapped(e))
         except _ROW_ERRORS as exc:
             table._failed[key] = exc
-            return
+            continue
         at = np.searchsorted(table._keys, key)
         table._keys = np.insert(table._keys, at, key)
         table._columns = np.insert(table._columns, at, column, axis=1)

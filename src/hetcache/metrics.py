@@ -107,23 +107,14 @@ def _gather(block, store: dict):
     ``_delivery_metrics``, the (B, K) densities per m^2 and those times the
     rates, and the (B,) F - S_1 files the macro tier does not cache, cache
     slots per m^2 and two unit costs. A leaf field is read by
-    ``Block.column``, the density unit, rates and content models from
-    ``Block.scenarios``: each once, from the base, where the block's paths
-    do not reach it. All points share their tier count.
+    ``Block.column``, one value per point, the density unit, rates and
+    content models from ``Block.scenarios``: once, from the base, where the
+    block's paths do not reach them. All points share their tier count.
     """
-    B, K = len(block), block.base.num_tiers
-
     def per_tier(name):
-        """Field ``name`` of each tier as an (n, K) array: n = B when the
-        block's paths reach it at some tier, else 1."""
-        columns = [block.column(("tiers", k + 1, *name.split("."))) for k in range(K)]
-        n = max(map(len, columns))
-        return np.column_stack([column * (n // len(column)) for column in columns])
-
-    def every_row(x):
-        # copied rows, not a broadcast view: the batched products see the
-        # same contiguous (B, ...) arrays as when every row is read
-        return x if len(x) == B else np.repeat(x, B, axis=0)
+        """Field ``name`` of each tier as a (B, K) array."""
+        return np.column_stack([block.column(("tiers", k + 1, *name.split(".")))
+                                for k in range(block.base.num_tiers)])
 
     density, size, fraction = map(per_tier, ("density", "cache.cache_size", "cache.mpc_fraction"))
     scale = np.array([s.density_scale for s in block.scenarios([("density_unit",)])])
@@ -140,12 +131,10 @@ def _gather(block, store: dict):
     if len(tables) == 1:
         masses, uncached = popularity_masses(tables[0], size, fraction)
     else:  # each point's own content model
-        masses, uncached = map(np.array, zip(*map(
-            popularity_masses, tables, every_row(size), every_row(fraction))))
+        masses, uncached = map(np.array, zip(*map(popularity_masses, tables, size, fraction)))
     lam = density * scale[:, None]
-    return every_row(masses), every_row(uncached[:, 0]), tuple(map(every_row, (
-        lam, lam * rates, library_size - size[:, 0], np.sum(lam * size, axis=1), backhaul_cost,
-        cache_cost)))
+    return masses, uncached[:, 0], (lam, lam * rates, library_size - size[:, 0],
+                                    np.sum(lam * size, axis=1), backhaul_cost, cache_cost)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -56,10 +56,6 @@ _INITIAL_PANELS = 4
 # Most panels one integrand call evaluates, which bounds the memory it holds
 # (a density-sweep round peaks at 0.84 MB, 1.77 MB uncapped, in equal time).
 _CALL_PANELS = 48
-# Steps an ordered lockstep advances every row, then only its first unfinished
-# one: converging rows take at most 37 steps down to rel_tol 1e-13, while a
-# row that runs out of panels takes max_panels / 2.
-_ORDERED_STEPS = 64
 # What one row's own work may raise without failing the other rows.
 _ROW_ERRORS = (QuadratureError, ValueError)
 
@@ -82,18 +78,17 @@ def _answers(evaluate, requests):
     return [answer for request in requests for answer in _answers(evaluate, [request])]
 
 
-def _lockstep(steps, evaluate, ordered=False):
+def _lockstep(steps, evaluate):
     """Run the generators ``steps`` in lockstep. Each yields a request and is
     sent its answer; one ``evaluate`` call answers the ``(row, request)``
     pairs of every unfinished generator. Returns what each generator
-    returns, or the row error it or its answer raised. With ``ordered``, the
-    first row to fail ends every later unfinished row (result None), and
-    rows that need many steps, as failing ones do, run one after another.
+    returns, or the row error it or its answer raised: a row that fails
+    ends no other row.
     """
     results = [None] * len(steps)
-    end, step, pending = len(steps), 0, []
-    answers = [(r, None) for r in range(end)]
+    answers = [(r, None) for r in range(len(steps))]
     while answers:
+        pending = []
         for r, answer in answers:
             try:
                 pending.append((r, steps[r].send(_unwrapped(answer))))
@@ -101,12 +96,7 @@ def _lockstep(steps, evaluate, ordered=False):
                 results[r] = stop.value
             except _ROW_ERRORS as exc:
                 results[r] = exc
-                end = min(end, r) if ordered else end
-        pending = sorted((p for p in pending if p[0] < end), key=lambda p: p[0])
-        step += 1
-        now, pending = ((pending[:1], pending[1:]) if ordered and step > _ORDERED_STEPS
-                        else (pending, []))
-        answers = list(zip([r for r, _ in now], _answers(evaluate, now)))
+        answers = list(zip([r for r, _ in pending], _answers(evaluate, pending)))
     return results
 
 
@@ -154,8 +144,7 @@ def _panels(f, requests, components):
 
 
 def integrate_adaptive(f, a, b, *, rel_tol: float = 1e-6, abs_tol: float = 1e-10,
-                       breakpoints=(), max_panels: int = 4000, components=None,
-                       ordered: bool = False):
+                       breakpoints=(), max_panels: int = 4000, components=None):
     """Integrate ``f`` over ``[a, b]`` with a global-adaptive panel scheme.
 
     ``f`` maps a node array of shape (n,) to values of shape (..., n); each
@@ -175,8 +164,7 @@ def integrate_adaptive(f, a, b, *, rel_tol: float = 1e-6, abs_tol: float = 1e-10
     pair ``(rows, nodes)``, each node's row and the nodes, to values of
     shape (C, n), of which row r integrates the first ``components[r]``
     (all if None). Returns each row's ``(values, error_estimates)`` or the
-    QuadratureError or ValueError it raises alone; ``ordered`` is
-    ``_lockstep``'s, for callers that need no row after the first to fail.
+    QuadratureError or ValueError it raises alone.
     """
     if np.ndim(a):
         n = len(a)
@@ -187,7 +175,7 @@ def integrate_adaptive(f, a, b, *, rel_tol: float = 1e-6, abs_tol: float = 1e-10
         components = per_row(components)
         return _lockstep([_refine(*spec) for spec in zip(
             a, b, per_row(rel_tol), per_row(abs_tol), breakpoints or [()] * n,
-            per_row(max_panels))], lambda requests: _panels(f, requests, components), ordered)
+            per_row(max_panels))], lambda requests: _panels(f, requests, components))
     return _unwrapped(_lockstep([_refine(a, b, rel_tol, abs_tol, breakpoints, max_panels)], (
         lambda requests: _panels(lambda call: f(call[1]), requests, [None])))[0])
 

@@ -339,10 +339,10 @@ class Block:
         return self.points if any(_reaches(self.reach, f) for f in fields) else [self.base]
 
     def column(self, field) -> list:
-        """The values of the leaf ``field`` (a name sequence with its tier):
-        one per point where a path reaches it, else the base's alone."""
+        """The values of the leaf ``field`` (a name sequence with its tier),
+        one per point: the base's, repeated, where no path reaches it."""
         if not _reaches(self.reach, field):
-            return [_value(self.base, field, None)]
+            return [_value(self.base, field, None)] * len(self)
         if self.checked:  # checked paths are leaves: the last that reaches it set it
             j = max(j for j, names in enumerate(self.reach) if _reaches((names,), field))
             return [values[j] for values in self.grid]

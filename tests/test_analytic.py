@@ -321,16 +321,14 @@ def test_exponent_table_batch_lookup_equals_single_lookups():
 
 
 def _counting_pieces(monkeypatch):
-    """Each exponent piece a block finishes building, as ``(radio, min t,
+    """Each exponent piece a block builds or fails, as ``(radio, min t,
     max t)``: one per piece's t range, wherever pieces are built together."""
     built = []
     block = analytic._laplace_exponents
 
     def counting(pieces):
-        results = block(pieces)
-        built.extend((radio, float(np.min(t)), float(np.max(t)))
-                     for (t, radio, _, _), e in zip(pieces, results) if e is not None)
-        return results
+        built.extend((radio, float(np.min(t)), float(np.max(t))) for t, radio, _, _ in pieces)
+        return block(pieces)
 
     monkeypatch.setattr(analytic, "_laplace_exponents", counting)
     return built
@@ -366,11 +364,24 @@ def test_failed_exponent_piece_is_built_once_per_table(monkeypatch):
     assert len(pieces) == len(built)
 
 
+def test_tiers_of_one_radio_build_each_piece_once(monkeypatch):
+    # tiers 2 and 3 share one radio, so their lookups share one table
+    pieces = _counting_pieces(monkeypatch)
+    s = default_scenario()
+    s = dataclasses.replace(s, tiers=(*s.tiers, s.tiers[1]))
+    exponents = {}
+    [table] = build_coverage_table([s], exponents)
+    assert table.per_tier_density[1] == table.per_tier_density[2]
+    assert pieces and len(set(pieces)) == len(pieces)
+    for shared in exponents.values():
+        if isinstance(shared, ExponentTable):
+            assert len(set(shared._keys.tolist())) == len(shared._keys)
+
+
 def test_exponent_pieces_built_together_equal_each_built_alone():
     # pieces of both default radios and of a table no piece of which can be
     # built, in one block: each built piece has the bits of the one-radio
-    # call alone, the failed piece its error, and the piece after it stays
-    # unbuilt
+    # call alone, and each failed piece the error of its own call alone
     s = default_scenario()
     tables = [ExponentTable(tier.radio, s.integration) for tier in s.tiers]
     tight = ExponentTable(s.tiers[1].radio, IntegrationSettings(rel_tol=1e-15))
@@ -382,11 +393,29 @@ def test_exponent_pieces_built_together_equal_each_built_alone():
         for n, key in enumerate(keys):
             alone = table._column(interference_laplace_exponent(*table._piece(key)))
             assert table._columns[:, n].tobytes() == alone.tobytes()
-    with pytest.raises(QuadratureError) as alone:
-        interference_laplace_exponent(*tight._piece(1.0))
-    assert list(tight._failed) == [1.0] and tight._keys.tolist() == [math.inf]
-    assert str(tight._failed[1.0]) == str(alone.value) == "no convergence within 4000 panels"
-    assert tight._failed[1.0].error_estimate.tobytes() == alone.value.error_estimate.tobytes()
+    assert sorted(tight._failed) == [1.0, 2.0] and tight._keys.tolist() == [math.inf]
+    for key in (1.0, 2.0):
+        with pytest.raises(QuadratureError) as alone:
+            interference_laplace_exponent(*tight._piece(key))
+        failed = tight._failed[key]
+        assert str(failed) == str(alone.value) == "no convergence within 4000 panels"
+        assert failed.error_estimate.tobytes() == alone.value.error_estimate.tobytes()
+
+
+def test_exponent_piece_whose_settings_raise_fails_alone():
+    # a near field of 1e200 m puts the piece's lower bound on e(t) past the
+    # float range, so the piece has no tolerance: it keeps that error, and
+    # the macro piece of the same block is built as if alone
+    s = default_scenario()
+    radio = set_parameter(s, "tiers[2].radio.near_field_dist", 1e200).tiers[1].radio
+    bad, macro = (ExponentTable(r, s.integration) for r in (radio, s.tiers[0].radio))
+    analytic._build_pieces([(bad, 0.0), (macro, 0.0)])
+    assert list(bad._failed) == [0.0] and bad._keys.tolist() == [math.inf]
+    assert str(bad._failed[0.0]) == "interference exponent lower bound out of float range"
+    with pytest.raises(QuadratureError, match="lower bound out of float range"):
+        bad(np.array([10.0]))
+    alone = macro._column(interference_laplace_exponent(*macro._piece(0.0)))
+    assert macro._keys[:-1].tolist() == [0.0] and macro._columns[:, 0].tobytes() == alone.tobytes()
 
 
 def test_table_rho_bit_identical_mid_sweep():

@@ -247,26 +247,3 @@ def test_lockstep_of_one_row_is_the_row_alone():
     alone_values, alone_errors = _alone(f, a, b, breakpoints, rel_tol, abs_tol, max_panels)
     assert values.tobytes() == alone_values.tobytes()
     assert errors.tobytes() == alone_errors.tobytes()
-
-
-def test_ordered_lockstep_runs_long_rows_one_by_one_to_the_first_failure():
-    # rows 0 and 2 run out of their 200 panels, row 1 converges in a few
-    # steps: past _ORDERED_STEPS only row 0 refines, and when it fails,
-    # row 2, after it, ends unfinished
-    calls = []
-
-    def f(call):
-        rows, x = call
-        calls.append(sorted(set(rows.tolist())))
-        return np.where(rows == 1, np.exp(-x), np.sin(1000.0 * x))[None]
-
-    results = integrate_adaptive(f, [0.0] * 3, [20.0, 3.0, 20.0], rel_tol=1e-12,
-                                 abs_tol=1e-14, max_panels=200, ordered=True)
-    assert str(results[0]) == "no convergence within 200 panels"
-    alone = integrate_adaptive(lambda x: np.exp(-x)[None], 0.0, 3.0, rel_tol=1e-12,
-                               abs_tol=1e-14)
-    assert [v.tobytes() for v in results[1]] == [v.tobytes() for v in alone]
-    assert results[2] is None
-    steps = quadrature._ORDERED_STEPS
-    assert all(2 in rows for rows in calls[:steps])
-    assert calls[steps:] and all(rows == [0] for rows in calls[steps:])
