@@ -14,11 +14,11 @@ interpolant in log t: a piece is built the first time a t inside it is
 needed, by adaptive quadrature at its nodes, and every later lookup, for
 any density, interpolates. The pieces one lookup misses, in every table it
 reads, are built together: each (piece, mode) pair is one row of one
-lockstep quadrature. The coverage integrals then need a single adaptive
-quadrature per block: every (scenario, tier) pair of a block is one row of
-one lockstep quadrature, after one lockstep probe that sizes each row's
-domain. The table's relative error bound propagates into the reported
-error estimate.
+lockstep quadrature. The coverage integrals then need one adaptive
+quadrature per block and term count: every (scenario, tier) pair of a block
+is one row of one lockstep probe that sizes its domain, then one row of the
+lockstep quadrature of the pairs with its number of fading-sum terms. The
+table's relative error bound propagates into the reported error estimate.
 
 Weighting the per-tier values by caching probabilities and request
 popularity (``p_hit`` of ``metrics.analytic_report``) yields the
@@ -446,9 +446,10 @@ def _coverage_block(pairs, cache: dict) -> list:
     the error the pair raises alone.
 
     The pairs at positive density are the rows of one lockstep truncation
-    probe and one lockstep quadrature, so each row's value is bit for bit
-    its value alone and a row that fails fails alone. The rows' exponent
-    tables come from ``cache``, which keeps the ones built here.
+    probe, then of one lockstep quadrature per term count, so each row's
+    value is bit for bit its value alone and a row that fails fails alone.
+    The rows' exponent tables come from ``cache``, which keeps the ones
+    built here.
     """
     results = [(0.0, 0.0)] * len(pairs)
     rows, columns = [], {}
@@ -478,21 +479,28 @@ def _coverage_block(pairs, cache: dict) -> list:
             [r for r, _ in requests]), interferers)[0].tolist())
     for row, radius in zip(rows, radii):
         results[row.pair] = radius  # an error stays; a radius is replaced below
-    ok = [r for r, radius in enumerate(radii) if not isinstance(radius, Exception)]
-    if not ok:
-        return results
+    by_count = {}  # the rows the probe sized, by term count
+    for r, radius in enumerate(radii):
+        if not isinstance(radius, Exception):
+            by_count.setdefault(len(rows[r].terms), []).append(r)
+    for group in by_count.values():
+        integrals = _coverage_integrals([rows[r] for r in group], [radii[r] for r in group],
+                                        np.array(group), interferers)
+        for r, integral in zip(group, integrals):
+            results[rows[r].pair] = (integral if isinstance(integral, Exception)
+                                     else _coverage_sum(rows[r], *integral))
+    return results
 
-    # Term tables, one column per row; a row of fewer terms than the widest
-    # repeats its first term, so the padding reads no new exponent piece.
-    terms = [rows[r].terms for r in ok]
-    width = max(map(len, terms))
+
+def _coverage_integrals(rows, radii, block_row, interferers) -> list:
+    """One lockstep quadrature of ``rows``, all of one term count, out to
+    ``radii``: each row's term integrals then their exponent-error bounds,
+    or the error the row raises alone. ``block_row`` gives each row's index
+    into ``interferers``' weights."""
     modes, _, prefactors, alphas = (
-        np.array([[t[k] for t in ts] + [ts[0][k]] * (width - len(ts)) for ts in terms]).T
-        for k in range(4))
-    n_terms = np.array([len(ts) for ts in terms])
-    d0 = np.array([rows[r].radio.near_field_dist for r in ok])
-    d1 = np.array([rows[r].radio.far_field_dist for r in ok])
-    block_row = np.array(ok)
+        np.array([[t[k] for t in row.terms] for row in rows]).T for k in range(4))
+    d0 = np.array([row.radio.near_field_dist for row in rows])
+    d1 = np.array([row.radio.far_field_dist for row in rows])
 
     def integrand(call):
         k, s = call
@@ -508,22 +516,14 @@ def _coverage_block(pairs, cache: dict) -> list:
         # Where e^(-E) underflows to 0, so does e^(-E + slack) (slack << E),
         # and expm1(slack) may overflow: there the bound is left at 0.
         bound = value * np.expm1(slack, out=np.zeros(slack.shape), where=value > 0.0)
-        out = np.concatenate((value, bound))
-        out[n_terms[k] + np.arange(width)[:, None], np.arange(len(s))] = bound
-        return out  # each row's bounds right after its own terms' values
+        return np.concatenate((value, bound))
 
-    integrals = integrate_adaptive(
-        integrand, [0.0] * len(ok), [math.log1p(radii[r]) for r in ok],
-        rel_tol=[rows[r].settings.rel_tol for r in ok],
-        abs_tol=[rows[r].settings.abs_tol
-                 / (rows[r].two_pi_lambda * sum(abs(t[1]) for t in rows[r].terms)) for r in ok],
-        breakpoints=[(math.log1p(rows[r].radio.near_field_dist),) for r in ok],
-        components=list(2 * n_terms),
-    )
-    for r, integral in zip(ok, integrals):
-        results[rows[r].pair] = (integral if isinstance(integral, Exception)
-                                 else _coverage_sum(rows[r], *integral))
-    return results
+    return integrate_adaptive(
+        integrand, [0.0] * len(rows), [math.log1p(radius) for radius in radii],
+        rel_tol=[row.settings.rel_tol for row in rows],
+        abs_tol=[row.settings.abs_tol / (row.two_pi_lambda * sum(abs(t[1]) for t in row.terms))
+                 for row in rows],
+        breakpoints=[(math.log1p(row.radio.near_field_dist),) for row in rows])
 
 
 def tier_coverage_density(scenario: ScenarioConfig, tier_index: int,

@@ -339,7 +339,7 @@ def run_preset(name: str, config: ScenarioConfig, out_path=None, workers: int = 
         width, last = len(engines), len(axes[-1][1])
         for k, row in enumerate(rows):
             base = baselines[k // (last * width) * width + k % width]
-            ok = row["status"] == "ok" and base["status"] == "ok"
+            ok = row["status"] == "ok" and base["status"] == "ok" and base["efficiency"] != 0.0
             row["efficiency_ratio"] = row["efficiency"] / base["efficiency"] if ok else ""
     if out_path is not None:
         write_csv(rows, out_path, config)

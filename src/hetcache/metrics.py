@@ -181,8 +181,7 @@ class AnalyticColumns:
 
     ``values`` maps each of ``METRIC_NAMES`` to a (B,) array, and
     ``error_estimates`` maps each of them to its first-order error bound,
-    also (B,) arrays. ``rho`` holds the (B, K) coverage densities, and
-    ``masses`` and ``uncached_mass`` ``_gather``'s (B, K) m_k and (B,) 1 - m_1.
+    also (B,) arrays. ``rho`` holds the (B, K) coverage densities.
     ``failures[b]`` is the ``UndefinedEfficiencyError`` message of a row
     whose cost is 0 (its efficiency is then meaningless), else None.
     """
@@ -190,8 +189,6 @@ class AnalyticColumns:
     values: dict
     error_estimates: dict
     rho: np.ndarray
-    masses: np.ndarray
-    uncached_mass: np.ndarray
     failures: tuple
 
 
@@ -231,8 +228,6 @@ def analytic_columns(block, tables, store: dict | None = None) -> AnalyticColumn
         values=dict(zip(METRIC_NAMES, (p_hit, p_bh, ase, cost, efficiency))),
         error_estimates=dict(zip(METRIC_NAMES, (err_hit, err_bh, err_ase, err_cost, err_eff))),
         rho=rho,
-        masses=masses,
-        uncached_mass=uncached,
         failures=tuple(_ZERO_COST if c == 0.0 else None for c in cost.tolist()),
     )
 

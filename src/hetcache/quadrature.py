@@ -1,19 +1,21 @@
 """Global-adaptive Gauss-Legendre quadrature for array-valued integrands.
 
-The integrand is evaluated on whole batches of nodes at once (last axis =
-nodes), so a single pass can integrate a family of related integrands that
-share the same domain -- e.g. one interference exponent per fading term.
-The subdivision is shared across components: a panel is refined until every
-component meets its own tolerance.
+One call integrates rows: row r integrates over ``[a[r], b[r]]``, and the
+integrand, evaluated on whole batches of nodes at once, returns C
+components per node (shape (C, n), last axis = nodes), so a single pass can
+integrate a family of related integrands that share the same domain --
+e.g. one coverage term per fading order. Each row integrates all C
+components, and its subdivision is shared across them: a panel is refined
+until every component meets its own tolerance.
 
 One call evaluates many panels (at most ``_CALL_PANELS``): all initial
 panels at once, then both halves of each split. Each panel's nodes form
 one contiguous block of the call's node array. The integrand contract that
 batching relies on: the value at a node must not depend on the other nodes
 in the same call, so a result is the same however the nodes are batched.
-The rule products of a call are one stacked product per component count,
-in which each panel keeps the block, and so the BLAS call and the bits, of
-one product per panel. So R integrals can also refine in lockstep: each
+The rule products of a call are one stacked product over a (panel, C,
+node) view, in which each panel keeps the block, and so the BLAS call and
+the bits, of one product per panel. So the rows refine in lockstep: each
 row keeps its own panel heap, insertion sequence, tolerance test, budget
 and final re-sum, one call of the one-argument integrand serves every
 row's splits, and each row's result or error is bit for bit its own alone
@@ -100,11 +102,10 @@ def _lockstep(steps, evaluate):
     return results
 
 
-def _panels(f, requests, components):
+def _panels(f, requests):
     """For each ``(row, edges)`` request, ``(value, error)`` of each panel
     between consecutive edges, from one integrand call ``f((rows, nodes))``
-    per ``_CALL_PANELS`` panels, over the row's first ``components[row]``
-    components."""
+    per ``_CALL_PANELS`` panels."""
     runs, panels = [[]], 0  # runs of at most _CALL_PANELS panels, or of one request
     for request in requests:
         panels += len(request[1]) - 1
@@ -113,7 +114,7 @@ def _panels(f, requests, components):
             panels = len(request[1]) - 1
         runs[-1].append(request)
     if len(runs) > 1:
-        return [out for run in runs for out in _panels(f, run, components)]
+        return [out for run in runs for out in _panels(f, run)]
     edges = [np.asarray(e, dtype=np.float64) for _, e in requests]
     lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
     half = 0.5 * (hi - lo)
@@ -122,62 +123,43 @@ def _panels(f, requests, components):
     counts = [len(e) - 1 for e in edges]
     rows = np.repeat([r for r, _ in requests], np.multiply(counts, _N_NODES))
     values = np.asarray(f((rows, nodes)), dtype=np.float64)
-    sums = {}
-    for c in {components[r] for r, _ in requests}:
-        # A (panel, ..., node) view: each panel's block has the width and
-        # strides of its slice of values[:c] (a 1-D integrand gets a unit
-        # axis, for one dot per panel), not a copy and not all C components.
-        own = values[:c]
-        lead = own.shape[:-1] or (1,)
-        blocks = np.moveaxis(own.reshape(*lead, len(half), _N_NODES), -2, 0)
-        h = half.reshape(-1, *[1] * len(lead))
-        q_hi = h * (blocks[..., :_N_HI] @ _HI_WEIGHTS)
-        q_lo = h * (blocks[..., _N_HI:] @ _LO_WEIGHTS)
-        sums[c] = [q.reshape(len(half), *own.shape[:-1]) for q in (q_hi, np.abs(q_hi - q_lo))]
-    out = []
-    k = 0
-    for (r, _), n in zip(requests, counts):
-        q, e = sums[components[r]]
-        out.append(list(zip(q[k:k + n], e[k:k + n])))
-        k += n
-    return out
+    # A (panel, C, node) view: each panel's block has the width and strides
+    # of its slice of values, not a copy.
+    blocks = values.reshape(len(values), len(half), _N_NODES).swapaxes(0, 1)
+    q_hi = half[:, None] * (blocks[..., :_N_HI] @ _HI_WEIGHTS)
+    q_lo = half[:, None] * (blocks[..., _N_HI:] @ _LO_WEIGHTS)
+    errors = np.abs(q_hi - q_lo)
+    starts = np.cumsum([0, *counts]).tolist()
+    return [list(zip(q_hi[k:k + n], errors[k:k + n])) for k, n in zip(starts, counts)]
 
 
 def integrate_adaptive(f, a, b, *, rel_tol: float = 1e-6, abs_tol: float = 1e-10,
-                       breakpoints=(), max_panels: int = 4000, components=None):
-    """Integrate ``f`` over ``[a, b]`` with a global-adaptive panel scheme.
+                       breakpoints=(), max_panels: int = 4000):
+    """Integrate each row r of ``f`` over ``[a[r], b[r]]`` with a
+    global-adaptive panel scheme, all rows in lockstep.
 
-    ``f`` maps a node array of shape (n,) to values of shape (..., n); each
-    leading component is integrated independently. The integrand must be
-    smooth between ``breakpoints``: pass every known kink or narrow feature
-    there so no panel straddles it. Each interval starts from
-    ``_INITIAL_PANELS`` equal panels. Returns ``(values, error_estimates)``
-    of shape (...,).
+    ``f`` maps the pair ``(rows, nodes)``, each node's row and the nodes
+    (both of shape (n,)), to values of shape (C, n); each row integrates
+    every one of the C components independently. Row r's integrand must be
+    smooth between ``breakpoints[r]``: pass every known kink or narrow
+    feature there so no panel straddles it. Each interval starts from
+    ``_INITIAL_PANELS`` equal panels. The tolerances and ``max_panels``
+    are shared or given one per row.
 
-    Raises QuadratureError when ``max(abs_tol, rel_tol * |value|)`` cannot be
-    met for every component within ``max_panels`` refinements; the exception
-    carries the achieved error estimate.
-
-    With sequences ``a`` and ``b``, row r integrates over ``[a[r], b[r]]``
-    with ``breakpoints[r]``; the tolerances, ``max_panels`` and
-    ``components`` are shared or given one per row. ``f`` then maps the
-    pair ``(rows, nodes)``, each node's row and the nodes, to values of
-    shape (C, n), of which row r integrates the first ``components[r]``
-    (all if None). Returns each row's ``(values, error_estimates)`` or the
-    QuadratureError or ValueError it raises alone.
+    Returns each row's ``(values, error_estimates)``, of shape (C,), or the
+    error it raises alone: a ValueError for bad bounds or tolerances, a
+    QuadratureError when ``max(abs_tol, rel_tol * |value|)`` cannot be met
+    for every component within ``max_panels`` refinements (it carries the
+    achieved error estimate), or either one the integrand raises.
     """
-    if np.ndim(a):
-        n = len(a)
+    n = len(a)
 
-        def per_row(value):
-            return value if np.ndim(value) else [value] * n
+    def per_row(value):
+        return value if np.ndim(value) else [value] * n
 
-        components = per_row(components)
-        return _lockstep([_refine(*spec) for spec in zip(
-            a, b, per_row(rel_tol), per_row(abs_tol), breakpoints or [()] * n,
-            per_row(max_panels))], lambda requests: _panels(f, requests, components))
-    return _unwrapped(_lockstep([_refine(a, b, rel_tol, abs_tol, breakpoints, max_panels)], (
-        lambda requests: _panels(lambda call: f(call[1]), requests, [None])))[0])
+    return _lockstep([_refine(*spec) for spec in zip(
+        a, b, per_row(rel_tol), per_row(abs_tol), breakpoints or [()] * n,
+        per_row(max_panels))], lambda requests: _panels(f, requests))
 
 
 def _refine(a, b, rel_tol, abs_tol, breakpoints, max_panels):

@@ -465,18 +465,57 @@ def test_mixed_block_tables_equal_each_built_alone():
         ("integration.outer_truncation_radius", 2000.0), ("tiers[1].density", 0.0),
         ("integration.rel_tol", 1e-15), ("tiers[2].radio.sir_threshold", 3.0)))]
     tables = build_coverage_table(block, {})
+    _assert_each_built_alone(block, tables)
+    assert [isinstance(t, QuadratureError) for t in tables] == [False] * 8 + [True, False]
+    assert str(tables[8]) == "no convergence within 4000 panels"
+    assert tables[7].per_tier_density[0] == 0.0
+
+
+def _assert_each_built_alone(block, tables):
+    """Each of ``tables`` has the bytes, or the error, of its scenario's
+    table built alone."""
     assert len(tables) == len(block)
     for scenario, table in zip(block, tables):
         [alone] = build_coverage_table([scenario])
         assert type(table) is type(alone)
         if isinstance(alone, QuadratureError):
-            assert str(table) == str(alone) == "no convergence within 4000 panels"
-            assert table.error_estimate.tobytes() == alone.error_estimate.tobytes()
+            assert str(table) == str(alone)
+            assert (np.asarray(table.error_estimate).tobytes()
+                    == np.asarray(alone.error_estimate).tobytes())
         else:
             assert np.array(table.per_tier_density + table.error_estimates).tobytes() == (
                 np.array(alone.per_tier_density + alone.error_estimates).tobytes())
-    assert [isinstance(t, QuadratureError) for t in tables] == [False] * 8 + [True, False]
-    assert tables[7].per_tier_density[0] == 0.0
+
+
+def test_block_of_mixed_term_counts_is_one_quadrature_per_count(monkeypatch):
+    # tier 1 has 3 fading-sum terms (shapes 2 and 1), tier 2 2, 3, 4 and 101:
+    # its 3-term row joins the four tier-1 rows, and each other count is a
+    # quadrature of its own rows, in order of first appearance
+    s = default_scenario()
+    block = [set_parameter(s, "tiers[2].radio.nakagami_los", m) for m in (1, 2, 3, 100)]
+    exponents = {}
+    build_coverage_table(block, exponents)  # every exponent piece is built
+    quadratures = []
+    integrate = analytic.integrate_adaptive
+
+    def counting_integrate(f, a, *args, **kwargs):
+        widths = set()
+        quadratures.append((len(a), widths))
+
+        def integrand(call):
+            values = f(call)
+            widths.add(len(values))
+            return values
+        return integrate(integrand, a, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, "integrate_adaptive", counting_integrate)
+    tables = build_coverage_table(block, {k: v for k, v in exponents.items()
+                                          if isinstance(v, ExponentTable)})
+    assert quadratures == [(5, {6}), (1, {4}), (1, {8}), (1, {202})]
+    monkeypatch.undo()
+    _assert_each_built_alone(block, tables)
+    assert [isinstance(t, QuadratureError) for t in tables] == [False] * 3 + [True]
+    assert str(tables[3]).startswith("fading sum lost significance")
 
 
 def test_store_serves_each_table_again_without_quadrature(monkeypatch):

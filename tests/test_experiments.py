@@ -302,11 +302,10 @@ def test_columns_are_not_aliased_across_calls():
     store = {}  # the popularity-mass tables every call reads
     fresh = analytic_columns(Block(s), [table], store)
     first = analytic_columns(Block(s), [table], store)
-    for array in (first.masses, first.uncached_mass):
+    for array in (*first.values.values(), *first.error_estimates.values(), first.rho):
         array[:] = -1.0
     later = analytic_columns(Block(s), [table], store)
-    for name in ("masses", "uncached_mass"):
-        assert np.array_equal(getattr(later, name), getattr(fresh, name))
+    assert later.rho.tolist() == fresh.rho.tolist()
     for name in ("p_hit", "p_bh", "ase", "cost", "efficiency"):
         assert later.values[name].tolist() == fresh.values[name].tolist()
     assert ({k: v.tolist() for k, v in later.error_estimates.items()}
@@ -381,7 +380,7 @@ def _fig5_loops(config):
             row = {"costs.cache_unit_cost": cost, "tiers[2].density": lam2,
                    "tiers[1].rho": 1.0 - rho2, "tiers[2].rho": rho2}
             row.update(*_lone(scenario, cache))
-            if row["status"] == "ok" and baseline["status"] == "ok":
+            if row["status"] == baseline["status"] == "ok" and baseline["efficiency"] != 0.0:
                 row["efficiency_ratio"] = row["efficiency"] / baseline["efficiency"]
             else:
                 row["efficiency_ratio"] = ""
@@ -423,6 +422,20 @@ def test_fig5_records_each_bias():
                      "tiers[2].rho"):
             scenario = set_parameter(scenario, path, row[path])
         assert row["rho_2"] == analytic_report(scenario).per_tier_coverage_density[1]
+
+
+def test_fig5_ratio_is_blank_over_a_zero_efficiency():
+    # at a threshold of 1e15 on both tiers no station covers at a small-cell
+    # density of 100 per km2: those rows are ok with efficiency 0, their
+    # baseline's too, so they have no ratio; the sparser rows keep theirs
+    config = default_scenario()
+    for path in ("tiers[1].radio.sir_threshold", "tiers[2].radio.sir_threshold"):
+        config = set_parameter(config, path, 1e15)
+    rows = run_preset("fig5", config)
+    assert len(rows) == 4 * 19
+    assert {(r["status"], r["efficiency"], r["efficiency_ratio"]) for r in rows[3 * 19:]} == {
+        ("ok", 0.0, "")}
+    assert all(r["efficiency_ratio"] > 0.0 for r in rows[:3 * 19])
 
 
 # The good values around a bad one in the innermost column of the test
@@ -714,7 +727,7 @@ def _column_bytes(*columns):
     """dtype, shape and bytes of each array of ``columns`` with their rows
     stacked in order, and the rows' failures."""
     arrays = [np.concatenate(parts) for parts in zip(*(
-        [*c.values.values(), *c.error_estimates.values(), c.rho, c.masses, c.uncached_mass]
+        [*c.values.values(), *c.error_estimates.values(), c.rho]
         for c in columns))]
     return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
             sum((c.failures for c in columns), ()))
