@@ -81,6 +81,29 @@ def test_budget_exhaustion_raises_with_estimate():
     assert exc.value.error_estimate is not None
 
 
+def test_one_row_returns_its_error_in_the_list():
+    # a failing row is an entry of the result, not a raise, whatever fails:
+    # its bounds, its budget or its integrand (called once, not retried)
+    calls = []
+
+    def raising(call):
+        calls.append(call)
+        raise QuadratureError("integrand undefined")
+
+    def oscillating(call):
+        return np.sin(1000.0 * call[1])[None]
+
+    [bounds] = integrate_adaptive(oscillating, [0.0], [np.inf])
+    [budget] = integrate_adaptive(oscillating, [0.0], [20.0], rel_tol=1e-14,
+                                  abs_tol=1e-16, max_panels=8)
+    [raised] = integrate_adaptive(raising, [0.0], [1.0])
+    assert type(bounds) is ValueError and "bounds" in str(bounds)
+    assert type(budget) is QuadratureError and str(budget) == "no convergence within 8 panels"
+    assert budget.error_estimate.shape == (1,)
+    assert type(raised) is QuadratureError and str(raised) == "integrand undefined"
+    assert len(calls) == 1
+
+
 def test_deterministic_repeat():
     f = lambda x: np.log1p(x) * np.cos(3.0 * x)
     v1, e1 = _integrate(f, 0.0, 7.0)
@@ -144,7 +167,8 @@ def _one_product_per_panel(values, half, requests):
     return out
 
 
-@pytest.mark.parametrize("components", [1, 6])
+# 2 components is a coverage row of one fading term: its value and its bound
+@pytest.mark.parametrize("components", [1, 2, 6])
 def test_stacked_rule_sums_equal_one_product_per_panel(monkeypatch, components):
     # three requests of 8, 2 and 40 panels, in one call and, past a cap of
     # 16 panels, in two
