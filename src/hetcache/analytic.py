@@ -10,15 +10,16 @@ integral over the interfering Poisson field under the two-mode path loss.
 
 That exponent is E_j(t) = 2*pi*lambda_j * e_j(t), where e_j depends only on
 tier j's radio. ``ExponentTable`` tabulates log e_j as a piecewise Chebyshev
-interpolant in log t: a piece is built the first time a t inside it is
-needed, by adaptive quadrature at its nodes, and every later lookup, for
-any density, interpolates. The pieces one lookup misses, in every table it
-reads, are built together: each (piece, mode) pair is one row of one
-lockstep quadrature. The coverage integrals then need one adaptive
-quadrature per block and term count: every (scenario, tier) pair of a block
-is one row of one lockstep probe that sizes its domain, then one row of the
-lockstep quadrature of the pairs with its number of fading-sum terms. The
-table's relative error bound propagates into the reported error estimate.
+interpolant in log t, a column per two decades of t: a piece is built the
+first time a t inside it is needed, by adaptive quadrature of e_j at its
+nodes, and every later lookup, for any density, interpolates. The pieces one
+lookup misses, in every table it reads, are built together: each (piece,
+mode) pair is one row of one lockstep quadrature. The coverage integrals
+then need one adaptive quadrature per block and term count: every (scenario,
+tier) pair of a block is one row of one lockstep probe that sizes its
+domain, then one row of the lockstep quadrature of the pairs with its number
+of fading-sum terms. The table's relative error bound propagates into the
+reported error estimate.
 
 Weighting the per-tier values by caching probabilities and request
 popularity (``p_hit`` of ``metrics.analytic_report``) yields the
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -101,7 +103,8 @@ def interference_laplace_exponent(t, radio: TierRadioParams, density_per_m2: flo
     ``I`` is the total power this tier's Poisson field (spatial density
     ``density_per_m2``) delivers to the origin. E is nonnegative,
     nondecreasing, and concave in t, and vanishes at t = 0 or zero density.
-    Accepts scalar or array ``t``. A ``_laplace_exponents`` block of one.
+    Accepts scalar or array ``t``. 2*pi*lambda times the e of a
+    ``_laplace_exponents`` block of one at abs_tol / (2*pi*lambda).
     """
     if settings is None:
         settings = IntegrationSettings()
@@ -112,27 +115,33 @@ def interference_laplace_exponent(t, radio: TierRadioParams, density_per_m2: flo
         raise ValueError("t must be nonnegative")
     out = np.zeros(t_arr.shape, dtype=np.float64)
     if density_per_m2 > 0 and t_arr.size and np.any(t_arr > 0):
-        [e] = _laplace_exponents([(t_arr.reshape(-1), radio, density_per_m2, settings)])
-        out = _unwrapped(e).reshape(t_arr.shape)
+        two_pi_lambda = 2.0 * math.pi * density_per_m2
+        abs_tol = settings.abs_tol / two_pi_lambda
+        [e] = _laplace_exponents([(t_arr.reshape(-1), radio, settings.rel_tol, abs_tol,
+                                   settings.inner_truncation_radius)])
+        out = (two_pi_lambda * _unwrapped(e)).reshape(t_arr.shape)
     return float(out[0]) if np.isscalar(t) else out
 
 
 def _laplace_exponents(pieces):
-    """E at t of each ``(t, radio, density_per_m2, settings)`` piece, its t
-    1-D and as long as the others', at positive density. A piece's two
-    modes are two rows of one lockstep quadrature, so its E or error is bit
-    for bit its own alone."""
+    """e(t) = E(t) / (2 pi lambda) at t of each ``(t, radio, rel_tol, abs_tol,
+    inner_truncation_radius)`` piece, its t 1-D and as long as the others',
+    to within rel_tol/4 * e plus abs_tol (the truncation and quadrature
+    budgets of both modes). A piece's two modes are two rows of one lockstep
+    quadrature, so its e or error is bit for bit its own alone."""
     results = [None] * len(pieces)
-    rows = []  # (piece, radio, mode, end of its s domain, abs_tol)
-    for n, (t, radio, density, settings) in enumerate(pieces):
-        budget = settings.abs_tol / (2.0 * math.pi * density) / 4.0
+    rows = []  # (piece, radio, mode, end of its s domain)
+    for n, (t, radio, _, abs_tol, inner_truncation_radius) in enumerate(pieces):
+        tp = float(np.max(t)) * radio.tx_power  # t P L(0) bounds u = t P L(y) / M
         try:
+            if not all(math.isfinite(tp * radio.intercept(mode)) for mode in (LOS, NLOS)):
+                raise QuadratureError("interference exponent t past the float range")
             rows += [(n, radio, mode, math.log1p(
-                _inner_truncation(float(np.max(t)) * radio.tx_power, radio.intercept(mode),
+                _inner_truncation(tp, radio.intercept(mode),
                                   radio.pathloss_exponent(mode), radio.near_field_dist,
-                                  radio.far_field_dist, mode, budget)
-                if settings.inner_truncation_radius == AUTO
-                else float(settings.inner_truncation_radius)), budget) for mode in (LOS, NLOS)]
+                                  radio.far_field_dist, mode, abs_tol / 4.0)
+                if inner_truncation_radius == AUTO
+                else float(inner_truncation_radius))) for mode in (LOS, NLOS)]
         except QuadratureError as exc:
             results[n] = exc
     if not rows:
@@ -141,7 +150,7 @@ def _laplace_exponents(pieces):
     alpha, coef, m_shape, d0, d1, los = (np.array(column) for column in zip(*(
         (radio.pathloss_exponent(mode), radio.tx_power * radio.intercept(mode) / radio.nakagami(mode),
          float(radio.nakagami(mode)), radio.near_field_dist, radio.far_field_dist, mode == LOS)
-        for _, radio, mode, _, _ in rows)))
+        for _, radio, mode, _ in rows)))
     t_columns = np.column_stack([pieces[n][0] for n, *_ in rows])
 
     def integrand(call):
@@ -157,20 +166,19 @@ def _laplace_exponents(pieces):
 
     integrals = integrate_adaptive(
         integrand, [0.0] * len(rows), [row[3] for row in rows],
-        rel_tol=[0.25 * pieces[n][3].rel_tol for n, *_ in rows],
-        abs_tol=[row[4] for row in rows],
+        rel_tol=[0.25 * pieces[n][2] for n, *_ in rows],
+        abs_tol=[pieces[n][3] / 4.0 for n, *_ in rows],
         breakpoints=[(math.log1p(radio.near_field_dist),) for _, radio, *_ in rows])
     for k in range(0, len(rows), 2):
         n, modes = rows[k][0], integrals[k:k + 2]
         failed = [result for result in modes if not isinstance(result, tuple)]
-        results[n] = failed[0] if failed else (
-            2.0 * math.pi * pieces[n][2] * (modes[0][0] + modes[1][0]))
+        results[n] = failed[0] if failed else modes[0][0] + modes[1][0]
     return results
 
 
 # Exponent tables. A piece spans _PIECE_DECADES decades of t with edges at
 # multiples of it in log10 t, so a piece's content depends only on its
-# radio, its settings and its index, never on the order of requests. log e
+# radio, its tolerances and its index, never on the order of requests. log e
 # is smooth in log t (slope 1 for small t, 2/alpha for large t); on both
 # default radios over t in [1e-3, 1e31], 16 first-kind Chebyshev nodes per
 # 2-decade piece leave the last two Chebyshev coefficients below 2e-9 and
@@ -187,7 +195,9 @@ _NODE_TOL_FRACTION = 1.0 / 16.0
 # rel_tol, the padding its row asked for) plus its abs_tol floor is an error:
 # its fading sum lost significance. Reference outputs stay below 1.6e-5.
 _SIGNIFICANCE = 1e-2
-_UNIT_DENSITY = 0.5 / math.pi  # 2*pi*lambda = 1: the call returns e_j itself
+# Every positive finite t is in one of the pieces -162 ... 154, a column each.
+_FIRST_PIECE = math.floor(math.log10(math.ulp(0.0)) / _PIECE_DECADES)
+_PIECES = math.floor(math.log10(sys.float_info.max) / _PIECE_DECADES) - _FIRST_PIECE + 1
 _CHEB_X = np.cos(math.pi * (np.arange(_PIECE_NODES) + 0.5) / _PIECE_NODES)
 # Node values -> Chebyshev coefficients (discrete cosine transform).
 _CHEB_FIT = (2.0 / _PIECE_NODES) * np.cos(
@@ -214,15 +224,15 @@ def _exponent_lower_bound(t: float, radio: TierRadioParams, y_max: float) -> flo
 class ExponentTable:
     """Density-free interference exponent e(t) = E(t) / (2 pi lambda) of one radio.
 
-    A piecewise Chebyshev interpolant of log e in log10 t. Each piece is
-    built on first use from e at its nodes; t outside the built pieces
-    builds the missing ones, never extrapolates. The pieces one lookup
-    misses, in every table it reads, are built together, each bit for bit
-    as if built alone (``_build_pieces``); a piece that fails keeps its
-    error, and a lookup that needs it raises the error of its lowest failed
-    piece. Calling the table returns e(t) and a bound on its relative
-    error: the node tolerance times the Lebesgue constant plus the size of
-    the last two Chebyshev coefficients.
+    A piecewise Chebyshev interpolant of log e in log10 t. Piece k, t in
+    [10^(2k), 10^(2k + 2)), is column k - ``_FIRST_PIECE``: its Chebyshev
+    coefficients then its relative error bound, NaN until a lookup needs it
+    (never extrapolated). The pieces one lookup misses, in every table it
+    reads, are built together, each bit for bit as if built alone
+    (``_build_pieces``); a piece that fails keeps its error, and a lookup
+    that needs it raises the error of its lowest failed piece. Calling the
+    table returns e(t) and a bound on its relative error: the node
+    tolerance times the Lebesgue constant plus the last two coefficients.
     """
 
     def __init__(self, radio: TierRadioParams, settings: IntegrationSettings):
@@ -231,29 +241,21 @@ class ExponentTable:
         # piece costs milliseconds) and would void the log-error bound.
         self.node_tol = _NODE_TOL_FRACTION * min(settings.rel_tol, 1e-2)
         self.inner_truncation_radius = settings.inner_truncation_radius
-        # Built pieces in ascending index order: their indices, and one
-        # column per piece holding its Chebyshev coefficients then its
-        # relative error bound. A last key of +inf, past every piece index,
-        # keeps each searchsorted position inside the arrays.
-        self._keys = np.array([math.inf])
-        self._columns = np.full((_PIECE_NODES + 1, 1), math.nan)
-        self._failed = {}  # the error of each piece index whose build raised
+        self._columns = np.full((_PIECE_NODES + 1, _PIECES), math.nan)
+        self._failed = {}  # the error of each column whose build raised
 
-    def _piece(self, index: float):
-        """The ``_laplace_exponents`` piece that builds piece ``index``."""
-        t = 10.0 ** (_PIECE_DECADES * (index + 0.5 * (1.0 + _CHEB_X)))
+    def _piece(self, pos: int):
+        """The ``_laplace_exponents`` piece that builds column ``pos``."""
+        with np.errstate(over="ignore"):  # the last piece's top nodes are inf
+            t = 10.0 ** (_PIECE_DECADES * (pos + _FIRST_PIECE + 0.5 * (1.0 + _CHEB_X)))
         y_max = (math.inf if self.inner_truncation_radius == AUTO
                  else float(self.inner_truncation_radius))
-        # At 2*pi*lambda = 1 the call's error is at most rel_tol/4 * e plus
-        # abs_tol (truncation and quadrature budgets of both modes). Each
-        # of the two is held to node_tol/2 of e, so every node value is
-        # within node_tol relative.
+        # The block's error terms, rel_tol/4 * e and abs_tol, are each held to
+        # node_tol/2 of e, so every node value is within node_tol relative.
         abs_tol = 0.5 * self.node_tol * _exponent_lower_bound(float(t.min()), self.radio, y_max)
         if not 0.0 < abs_tol < math.inf:
             raise QuadratureError("interference exponent lower bound out of float range")
-        settings = IntegrationSettings(rel_tol=2.0 * self.node_tol, abs_tol=abs_tol,
-                                       inner_truncation_radius=self.inner_truncation_radius)
-        return t, self.radio, _UNIT_DENSITY, settings
+        return t, self.radio, 2.0 * self.node_tol, abs_tol, self.inner_truncation_radius
 
     def _column(self, e: np.ndarray) -> np.ndarray:
         """A piece's column, from e at its nodes."""
@@ -264,21 +266,10 @@ class ExponentTable:
         bound = math.expm1(_LEBESGUE * -math.log1p(-self.node_tol) + tail)
         return np.append(coeffs, bound)
 
-    def _unbuilt(self, index: np.ndarray) -> list:
-        """The pieces of ``index`` not built, ascending (not np.unique, which
+    def _unbuilt(self, pos: np.ndarray) -> list:
+        """The columns of ``pos`` not built, ascending (not np.unique, which
         imports numpy.ma, about 0.6 MB of resident memory, on first use)."""
-        return sorted(set(index[self._keys[np.searchsorted(self._keys, index)] != index].tolist()))
-
-    def _positions(self, index: np.ndarray) -> np.ndarray:
-        """Column of each entry's piece, building the pieces not yet built."""
-        pos = np.searchsorted(self._keys, index)
-        if (self._keys[pos] == index).all():
-            return pos
-        _build_pieces([(self, key) for key in self._unbuilt(index)])
-        unbuilt = self._unbuilt(index)
-        if unbuilt:  # raise the lowest failed piece's first error again
-            raise self._failed[unbuilt[0]].with_traceback(None)
-        return np.searchsorted(self._keys, index)
+        return sorted(set(pos[np.isnan(self._columns[0, pos])].tolist()))
 
     def __call__(self, t: np.ndarray):
         """``(e, rel_err)`` at every entry of ``t`` (positive and finite)."""
@@ -287,7 +278,11 @@ class ExponentTable:
             raise QuadratureError("exponent table needs positive, finite t")
         u = np.log10(flat) / _PIECE_DECADES
         index = np.floor(u)
-        pos = self._positions(index)  # may build pieces, replacing _columns
+        pos = index.astype(np.intp) - _FIRST_PIECE
+        _build_pieces([(self, column) for column in self._unbuilt(pos)])
+        unbuilt = self._unbuilt(pos)
+        if unbuilt:  # raise the lowest failed piece's first error again
+            raise self._failed[unbuilt[0]].with_traceback(None)
         columns = self._columns
         x = 2.0 * (u - index) - 1.0
         two_x = 2.0 * x
@@ -303,27 +298,23 @@ class ExponentTable:
 
 
 def _build_pieces(wanted):
-    """Build the ``(table, piece index)`` pairs of ``wanted``, each once, but
+    """Build the ``(table, column)`` pairs of ``wanted``, each once, but
     those that failed before, in one block: each piece is built or fails on
     its own, so its table keeps its column or its error, as if built alone.
     Tiers of one radio share a table, so a pair may be wanted twice."""
     pieces = []
-    for table, key in dict.fromkeys(wanted):
-        if key in table._failed:
+    for table, pos in dict.fromkeys(wanted):
+        if pos in table._failed:
             continue
         try:
-            pieces.append((table, key, table._piece(key)))
+            pieces.append((table, pos, table._piece(pos)))
         except _ROW_ERRORS as exc:
-            table._failed[key] = exc
-    for (table, key, _), e in zip(pieces, _laplace_exponents([p for *_, p in pieces])):
+            table._failed[pos] = exc
+    for (table, pos, _), e in zip(pieces, _laplace_exponents([p for *_, p in pieces])):
         try:
-            column = table._column(_unwrapped(e))
+            table._columns[:, pos] = table._column(_unwrapped(e))
         except _ROW_ERRORS as exc:
-            table._failed[key] = exc
-            continue
-        at = np.searchsorted(table._keys, key)
-        table._keys = np.insert(table._keys, at, key)
-        table._columns = np.insert(table._columns, at, column, axis=1)
+            table._failed[pos] = exc
 
 
 def _exponent_table(cache: dict, scenario: ScenarioConfig, tier: int) -> ExponentTable:
@@ -365,9 +356,9 @@ def _total_exponent(t: np.ndarray, rows: np.ndarray, interferers):
     """
     lookups = [(table, two_pi_lambda[rows]) for table, two_pi_lambda in interferers]
     if np.all((t > 0.0) & np.isfinite(t)):  # else the first table to read a bad t raises
-        index = np.floor(np.log10(t) / _PIECE_DECADES)
-        _build_pieces([(table, key) for table, weight in lookups
-                       for key in table._unbuilt(index[..., weight > 0.0])])
+        pos = np.floor(np.log10(t) / _PIECE_DECADES).astype(np.intp) - _FIRST_PIECE
+        _build_pieces([(table, column) for table, weight in lookups
+                       for column in table._unbuilt(pos[..., weight > 0.0])])
     total = np.zeros(t.shape)
     slack = np.zeros(t.shape)
     for table, weight in lookups:

@@ -58,6 +58,7 @@ _INITIAL_PANELS = 4
 # Most panels one integrand call evaluates, which bounds the memory it holds
 # (a density-sweep round peaks at 0.84 MB, 1.77 MB uncapped, in equal time).
 _CALL_PANELS = 48
+_MAX_PANELS = 4000  # most panels one row may refine to before it fails
 # What one row's own work may raise without failing the other rows.
 _ROW_ERRORS = (QuadratureError, ValueError)
 
@@ -134,7 +135,7 @@ def _panels(f, requests):
 
 
 def integrate_adaptive(f, a, b, *, rel_tol: float = 1e-6, abs_tol: float = 1e-10,
-                       breakpoints=(), max_panels: int = 4000):
+                       breakpoints=()):
     """Integrate each row r of ``f`` over ``[a[r], b[r]]`` with a
     global-adaptive panel scheme, all rows in lockstep.
 
@@ -143,13 +144,13 @@ def integrate_adaptive(f, a, b, *, rel_tol: float = 1e-6, abs_tol: float = 1e-10
     every one of the C components independently. Row r's integrand must be
     smooth between ``breakpoints[r]``: pass every known kink or narrow
     feature there so no panel straddles it. Each interval starts from
-    ``_INITIAL_PANELS`` equal panels. The tolerances and ``max_panels``
-    are shared or given one per row.
+    ``_INITIAL_PANELS`` equal panels. The tolerances are shared or given
+    one per row.
 
     Returns each row's ``(values, error_estimates)``, of shape (C,), or the
     error it raises alone: a ValueError for bad bounds or tolerances, a
     QuadratureError when ``max(abs_tol, rel_tol * |value|)`` cannot be met
-    for every component within ``max_panels`` refinements (it carries the
+    for every component within ``_MAX_PANELS`` panels (it carries the
     achieved error estimate), or either one the integrand raises.
     """
     n = len(a)
@@ -158,11 +159,11 @@ def integrate_adaptive(f, a, b, *, rel_tol: float = 1e-6, abs_tol: float = 1e-10
         return value if np.ndim(value) else [value] * n
 
     return _lockstep([_refine(*spec) for spec in zip(
-        a, b, per_row(rel_tol), per_row(abs_tol), breakpoints or [()] * n,
-        per_row(max_panels))], lambda requests: _panels(f, requests))
+        a, b, per_row(rel_tol), per_row(abs_tol), breakpoints or [()] * n)],
+        lambda requests: _panels(f, requests))
 
 
-def _refine(a, b, rel_tol, abs_tol, breakpoints, max_panels):
+def _refine(a, b, rel_tol, abs_tol, breakpoints):
     """One integral's refinement: yields the edges of the panels it needs,
     is sent their ``(value, error)`` pairs, and returns its result."""
     if not (rel_tol > 0 and abs_tol > 0):
@@ -192,9 +193,9 @@ def _refine(a, b, rel_tol, abs_tol, breakpoints, max_panels):
     total_e = np.sum(np.stack([e for _, e in initial]), axis=0)
 
     while not (total_e <= np.maximum(abs_tol, rel_tol * np.abs(total_q))).all():
-        if len(heap) >= max_panels:
+        if len(heap) >= _MAX_PANELS:
             raise QuadratureError(
-                f"no convergence within {max_panels} panels",
+                f"no convergence within {_MAX_PANELS} panels",
                 error_estimate=total_e,
             )
         _, _, lo, hi, q, e = heapq.heappop(heap)

@@ -1,6 +1,7 @@
 """Analytic coverage engine: Alzer constant, Laplace exponent, tier densities."""
 import dataclasses
 import math
+import sys
 import traceback
 import warnings
 
@@ -107,6 +108,17 @@ def test_laplace_exponent_rejects_bad_input():
         interference_laplace_exponent(np.array([0.5, math.nan]), TIER2_RADIO_M1, 1e-5)
     with pytest.raises(ValueError, match="density"):
         interference_laplace_exponent(1.0, TIER2_RADIO_M1, math.nan)
+
+
+@pytest.mark.parametrize("inner", ["auto", 2000.0])
+def test_laplace_exponent_past_the_float_range_fails_without_a_warning(inner):
+    # t P past the largest float: the tail bound has no finite radius, and a
+    # fixed radius would overflow u in the integrand
+    settings = IntegrationSettings(inner_truncation_radius=inner)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QuadratureError, match="^interference exponent t past the float range"):
+            interference_laplace_exponent(1e308, TIER2_RADIO_M1, 1e-5, settings)
 
 
 def test_zero_density_tier_has_zero_coverage():
@@ -284,7 +296,7 @@ class _DirectExponent:
             t.reshape(-1), self.radio, 0.5 / math.pi, self.settings)
         return e.reshape(t.shape)
 
-    def _unbuilt(self, index):
+    def _unbuilt(self, pos):
         return []  # nothing is tabulated, so nothing is built ahead
 
     def __call__(self, t):
@@ -327,7 +339,7 @@ def _counting_pieces(monkeypatch):
     block = analytic._laplace_exponents
 
     def counting(pieces):
-        built.extend((radio, float(np.min(t)), float(np.max(t))) for t, radio, _, _ in pieces)
+        built.extend((radio, float(np.min(t)), float(np.max(t))) for t, radio, *_ in pieces)
         return block(pieces)
 
     monkeypatch.setattr(analytic, "_laplace_exponents", counting)
@@ -336,6 +348,25 @@ def _counting_pieces(monkeypatch):
 
 def _piece_index(t_min):
     return math.floor(math.log10(t_min) / 2.0)
+
+
+def _columns(pieces):
+    """The table columns of piece indices ``pieces``."""
+    return [k - analytic._FIRST_PIECE for k in pieces]
+
+
+def _built(table):
+    """The columns ``table`` has built, ascending."""
+    return np.flatnonzero(~np.isnan(table._columns[0])).tolist()
+
+
+def _built_alone(table, pos):
+    """Column ``pos`` of ``table`` from the public path alone: E at unit
+    2*pi*lambda is e, under the piece's own tolerances."""
+    t, radio, rel_tol, abs_tol, inner = table._piece(pos)
+    settings = IntegrationSettings(rel_tol=rel_tol, abs_tol=abs_tol,
+                                   inner_truncation_radius=inner)
+    return table._column(interference_laplace_exponent(t, radio, 0.5 / math.pi, settings))
 
 
 def test_exponent_table_builds_only_requested_pieces(monkeypatch):
@@ -373,9 +404,8 @@ def test_tiers_of_one_radio_build_each_piece_once(monkeypatch):
     [table] = build_coverage_table([s], exponents)
     assert table.per_tier_density[1] == table.per_tier_density[2]
     assert pieces and len(set(pieces)) == len(pieces)
-    for shared in exponents.values():
-        if isinstance(shared, ExponentTable):
-            assert len(set(shared._keys.tolist())) == len(shared._keys)
+    tables = [t for t in exponents.values() if isinstance(t, ExponentTable)]
+    assert sum(len(_built(t)) for t in tables) == len(pieces)
 
 
 def test_exponent_pieces_built_together_equal_each_built_alone():
@@ -385,19 +415,18 @@ def test_exponent_pieces_built_together_equal_each_built_alone():
     s = default_scenario()
     tables = [ExponentTable(tier.radio, s.integration) for tier in s.tiers]
     tight = ExponentTable(s.tiers[1].radio, IntegrationSettings(rel_tol=1e-15))
-    keys = [-2.0, 0.0, 3.0, 9.0]
-    analytic._build_pieces([(table, key) for table in tables for key in keys]
-                           + [(tight, 1.0), (tight, 2.0)])
+    columns, failing = _columns([-2, 0, 3, 9]), _columns([1, 2])
+    analytic._build_pieces([(table, pos) for table in tables for pos in columns]
+                           + [(tight, pos) for pos in failing])
     for table in tables:
-        assert table._keys[:-1].tolist() == keys
-        for n, key in enumerate(keys):
-            alone = table._column(interference_laplace_exponent(*table._piece(key)))
-            assert table._columns[:, n].tobytes() == alone.tobytes()
-    assert sorted(tight._failed) == [1.0, 2.0] and tight._keys.tolist() == [math.inf]
-    for key in (1.0, 2.0):
+        assert _built(table) == columns
+        for pos in columns:
+            assert table._columns[:, pos].tobytes() == _built_alone(table, pos).tobytes()
+    assert sorted(tight._failed) == failing and _built(tight) == []
+    for pos in failing:
         with pytest.raises(QuadratureError) as alone:
-            interference_laplace_exponent(*tight._piece(key))
-        failed = tight._failed[key]
+            _built_alone(tight, pos)
+        failed = tight._failed[pos]
         assert str(failed) == str(alone.value) == "no convergence within 4000 panels"
         assert failed.error_estimate.tobytes() == alone.value.error_estimate.tobytes()
 
@@ -409,13 +438,30 @@ def test_exponent_piece_whose_settings_raise_fails_alone():
     s = default_scenario()
     radio = set_parameter(s, "tiers[2].radio.near_field_dist", 1e200).tiers[1].radio
     bad, macro = (ExponentTable(r, s.integration) for r in (radio, s.tiers[0].radio))
-    analytic._build_pieces([(bad, 0.0), (macro, 0.0)])
-    assert list(bad._failed) == [0.0] and bad._keys.tolist() == [math.inf]
-    assert str(bad._failed[0.0]) == "interference exponent lower bound out of float range"
+    [pos] = _columns([0])
+    analytic._build_pieces([(bad, pos), (macro, pos)])
+    assert list(bad._failed) == [pos] and _built(bad) == []
+    assert str(bad._failed[pos]) == "interference exponent lower bound out of float range"
     with pytest.raises(QuadratureError, match="lower bound out of float range"):
         bad(np.array([10.0]))
-    alone = macro._column(interference_laplace_exponent(*macro._piece(0.0)))
-    assert macro._keys[:-1].tolist() == [0.0] and macro._columns[:, 0].tobytes() == alone.tobytes()
+    assert _built(macro) == [pos]
+    assert macro._columns[:, pos].tobytes() == _built_alone(macro, pos).tobytes()
+
+
+def test_lookups_at_the_float_range_ends_fail_cleanly():
+    # the largest float lies in the last piece, whose top nodes pass the
+    # float range, and the smallest in the first, whose nodes underflow:
+    # each lookup raises its piece's error, never a warning or an IndexError
+    s = default_scenario()
+    table = ExponentTable(s.tiers[1].radio, s.integration)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for t in (sys.float_info.max, math.ulp(0.0)):
+            with pytest.raises(QuadratureError):
+                table(np.array([t]))
+    last = analytic._PIECES - 1
+    assert sorted(table._failed) == [0, last] and _built(table) == []
+    assert all("float range" in str(error) for error in table._failed.values())
 
 
 def test_table_rho_bit_identical_mid_sweep():

@@ -818,7 +818,7 @@ def test_threshold_block_shares_exponent_pieces(monkeypatch):
     def counting(pieces):
         results = block(pieces)
         builds.extend((radio, float(np.min(t)), float(np.max(t)))
-                      for (t, radio, _, _), e in zip(pieces, results) if e is not None)
+                      for (t, radio, *_), e in zip(pieces, results) if e is not None)
         return results
 
     monkeypatch.setattr(analytic, "_laplace_exponents", counting)

@@ -76,8 +76,7 @@ def test_rejects_nan_and_infinite_arguments():
 def test_budget_exhaustion_raises_with_estimate():
     f = lambda x: np.sin(1000.0 * x)
     with pytest.raises(QuadratureError) as exc:
-        _integrate(f, 0.0, 20.0, rel_tol=1e-14, abs_tol=1e-16,
-                           max_panels=8)
+        _integrate(f, 0.0, 20.0, rel_tol=1e-14, abs_tol=1e-16)
     assert exc.value.error_estimate is not None
 
 
@@ -94,11 +93,10 @@ def test_one_row_returns_its_error_in_the_list():
         return np.sin(1000.0 * call[1])[None]
 
     [bounds] = integrate_adaptive(oscillating, [0.0], [np.inf])
-    [budget] = integrate_adaptive(oscillating, [0.0], [20.0], rel_tol=1e-14,
-                                  abs_tol=1e-16, max_panels=8)
+    [budget] = integrate_adaptive(oscillating, [0.0], [20.0], rel_tol=1e-14, abs_tol=1e-16)
     [raised] = integrate_adaptive(raising, [0.0], [1.0])
     assert type(bounds) is ValueError and "bounds" in str(bounds)
-    assert type(budget) is QuadratureError and str(budget) == "no convergence within 8 panels"
+    assert type(budget) is QuadratureError and str(budget) == "no convergence within 4000 panels"
     assert budget.error_estimate.shape == (1,)
     assert type(raised) is QuadratureError and str(raised) == "integrand undefined"
     assert len(calls) == 1
@@ -213,29 +211,27 @@ def _raises_past_five(x):
     return np.stack((np.exp(x), np.exp(-x)))
 
 
-# (integrand of shape (2, n), a, b, breakpoints, rel_tol, abs_tol, max_panels)
+# (integrand of shape (2, n), a, b, breakpoints, rel_tol, abs_tol)
 _LOCKSTEP_ROWS = [
-    (_with_square(lambda x: np.log1p(x) * np.cos(30.0 * x)), 0.0, 7.0, (), 1e-10, 1e-14, 4000),
-    (lambda x: np.exp(-np.array([1.0, 5.0])[:, None] * x), -1.0, 4.0, (), 1e-8, 1e-12, 4000),
-    (_with_square(lambda x: np.abs(x - 1.3) ** 0.5), 0.0, 3.0, (1.3,), 1e-9, 1e-14, 4000),
-    (_with_square(lambda x: np.exp(-((x - 4.0) / 1e-2) ** 2)), 0.0, 10.0, (4.0,), 1e-10, 1e-16,
-     4000),
-    (_with_square(lambda x: np.sin(1000.0 * x)), 0.0, 20.0, (), 1e-14, 1e-16, 8),  # runs out
-    (lambda x: np.stack((np.sin(x), np.cos(x))), 2.0, 2.0, (), 1e-6, 1e-10, 4000),  # empty
-    (_raises_past_five, 0.0, 6.0, (), 1e-6, 1e-10, 4000),  # its integrand raises
+    (_with_square(lambda x: np.log1p(x) * np.cos(30.0 * x)), 0.0, 7.0, (), 1e-10, 1e-14),
+    (lambda x: np.exp(-np.array([1.0, 5.0])[:, None] * x), -1.0, 4.0, (), 1e-8, 1e-12),
+    (_with_square(lambda x: np.abs(x - 1.3) ** 0.5), 0.0, 3.0, (1.3,), 1e-9, 1e-14),
+    (_with_square(lambda x: np.exp(-((x - 4.0) / 1e-2) ** 2)), 0.0, 10.0, (4.0,), 1e-10, 1e-16),
+    (_with_square(lambda x: np.sin(1000.0 * x)), 0.0, 20.0, (), 1e-14, 1e-16),  # runs out
+    (lambda x: np.stack((np.sin(x), np.cos(x))), 2.0, 2.0, (), 1e-6, 1e-10),  # empty
+    (_raises_past_five, 0.0, 6.0, (), 1e-6, 1e-10),  # its integrand raises
 ]
 
 
-def _alone(f, a, b, breakpoints, rel_tol, abs_tol, max_panels):
+def _alone(f, a, b, breakpoints, rel_tol, abs_tol):
     try:
-        return _integrate(f, a, b, rel_tol=rel_tol, abs_tol=abs_tol,
-                          breakpoints=breakpoints, max_panels=max_panels)
+        return _integrate(f, a, b, rel_tol=rel_tol, abs_tol=abs_tol, breakpoints=breakpoints)
     except QuadratureError as exc:
         return exc
 
 
 def test_lockstep_rows_equal_each_row_alone():
-    # rows of different domains, breakpoints, tolerances and budgets; two
+    # rows of different domains, breakpoints and tolerances; two
     # fail, each with its own error, and the others keep the bits they
     # have alone
     calls = []
@@ -250,10 +246,10 @@ def test_lockstep_rows_equal_each_row_alone():
                 out[:, own] = f(x[own])
         return out
 
-    a, b, breakpoints, rel_tol, abs_tol, max_panels = (list(col) for col in zip(
+    a, b, breakpoints, rel_tol, abs_tol = (list(col) for col in zip(
         *(spec for _, *spec in _LOCKSTEP_ROWS)))
     results = integrate_adaptive(lockstep, a, b, rel_tol=rel_tol, abs_tol=abs_tol,
-                                 breakpoints=breakpoints, max_panels=max_panels)
+                                 breakpoints=breakpoints)
     assert len(results) == len(_LOCKSTEP_ROWS)
     for row, result in zip(_LOCKSTEP_ROWS, results):
         alone = _alone(*row)
@@ -266,7 +262,7 @@ def test_lockstep_rows_equal_each_row_alone():
             assert values.tobytes() == alone_values.tobytes()
             assert errors.tobytes() == alone_errors.tobytes()
     assert str(results[-1]) == "integrand undefined past 5"
-    assert str(results[4]) == "no convergence within 8 panels"
+    assert str(results[4]) == "no convergence within 4000 panels"
     # the first call fails at the raising row, then each row is tried alone;
     # after that every call serves every row still refining
     assert calls[:1 + len(_LOCKSTEP_ROWS)] == [

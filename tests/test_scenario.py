@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetcache import cli
+from hetcache import analytic, cli
+from hetcache.analytic import build_coverage_table
 from hetcache.channel import TierRadioParams
 from hetcache.content import ContentModel, TierCachePolicy
 from hetcache.metrics import UndefinedEfficiencyError, analytic_report
@@ -440,3 +441,35 @@ def test_drawn_scenarios_have_an_analytic_report_or_a_clean_failure(mapping):
         analytic_report(scenario_from_mapping(mapping))
     except (QuadratureError, UndefinedEfficiencyError):
         pass
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(mapping=scenario_mappings())
+def test_drawn_coverage_does_not_rise_with_the_threshold(mapping):
+    # e(t) reads no threshold, so doubling every tier's threshold leaves each
+    # tier's interference as it was: its density may only fall, up to the
+    # error bars of both values
+    s = scenario_from_mapping(mapping)
+    doubled = dataclasses.replace(s, tiers=tuple(
+        dataclasses.replace(tier, radio=dataclasses.replace(
+            tier.radio, sir_threshold=2.0 * tier.radio.sir_threshold))
+        for tier in s.tiers))
+    at, twice = build_coverage_table([s, doubled])
+    if isinstance(at, Exception) or isinstance(twice, Exception):
+        return
+    for rho, err, rho_twice, err_twice in zip(at.per_tier_density, at.error_estimates,
+                                              twice.per_tier_density, twice.error_estimates):
+        assert rho_twice <= rho + err + err_twice
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(mapping=scenario_mappings())
+def test_drawn_ok_tables_keep_each_error_bar_within_the_limit(mapping):
+    s = scenario_from_mapping(mapping)
+    [table] = build_coverage_table([s])
+    if isinstance(table, Exception):
+        return
+    settings = s.integration
+    fraction = max(analytic._SIGNIFICANCE, 10.0 * settings.rel_tol)
+    for rho, err in zip(table.per_tier_density, table.error_estimates):
+        assert err <= fraction * abs(rho) + 2.0 * settings.abs_tol
