@@ -10,16 +10,15 @@ integral over the interfering Poisson field under the two-mode path loss.
 
 That exponent is E_j(t) = 2*pi*lambda_j * e_j(t), where e_j depends only on
 tier j's radio. ``ExponentTable`` tabulates log e_j as a piecewise Chebyshev
-interpolant in log t, a column per two decades of t: a piece is built the
-first time a t inside it is needed, by adaptive quadrature of e_j at its
-nodes, and every later lookup, for any density, interpolates. The pieces one
-lookup misses, in every table it reads, are built together: each (piece,
-mode) pair is one row of one lockstep quadrature. The coverage integrals
-then need one adaptive quadrature per block and term count: every (scenario,
-tier) pair of a block is one row of one lockstep probe that sizes its
-domain, then one row of the lockstep quadrature of the pairs with its number
-of fading-sum terms. The table's relative error bound propagates into the
-reported error estimate.
+interpolant in log t, a column per two decades: a piece is built the first
+time a t inside it is needed, by adaptive quadrature of e_j at its nodes, and
+every later lookup, for any density, interpolates. The pieces one lookup
+misses, in every table it reads, are built together: each (piece, mode) pair
+is one row of one lockstep quadrature. The coverage integrals then need one
+adaptive quadrature per block and term count: every (scenario, tier) pair of a
+block is one row of one lockstep probe that sizes its domain, then one row of
+the lockstep quadrature of the pairs with its number of fading-sum terms. The
+table's relative error bound propagates into the reported error estimate.
 
 Weighting the per-tier values by caching probabilities and request
 popularity (``p_hit`` of ``metrics.analytic_report``) yields the
@@ -81,6 +80,8 @@ def _inner_truncation(tp: float, phi: float, alpha: float, d0: float, d1: float,
     y * p_mode(y) * t P phi (1+y)^(-alpha); for the LOS mode the extra
     p_los(y) <= D0/y + e^(-y/D1) suppression is exploited.
     """
+    if not math.isfinite(tp * phi):  # nor, then, is any tail bound
+        raise QuadratureError("interference exponent t past the float range")
     y = max(4.0 * d1, 2.0 * d0, 1.0)
     for _ in range(200):
         if mode == NLOS:
@@ -125,19 +126,15 @@ def interference_laplace_exponent(t, radio: TierRadioParams, density_per_m2: flo
 
 def _laplace_exponents(pieces):
     """e(t) = E(t) / (2 pi lambda) at t of each ``(t, radio, rel_tol, abs_tol,
-    inner_truncation_radius)`` piece, its t 1-D and as long as the others',
-    to within rel_tol/4 * e plus abs_tol (the truncation and quadrature
-    budgets of both modes). A piece's two modes are two rows of one lockstep
+    inner_truncation_radius)`` piece (t 1-D, as long as the others'), within
+    rel_tol/4 * e + abs_tol. A piece's two modes are two rows of one lockstep
     quadrature, so its e or error is bit for bit its own alone."""
     results = [None] * len(pieces)
     rows = []  # (piece, radio, mode, end of its s domain)
     for n, (t, radio, _, abs_tol, inner_truncation_radius) in enumerate(pieces):
-        tp = float(np.max(t)) * radio.tx_power  # t P L(0) bounds u = t P L(y) / M
         try:
-            if not all(math.isfinite(tp * radio.intercept(mode)) for mode in (LOS, NLOS)):
-                raise QuadratureError("interference exponent t past the float range")
             rows += [(n, radio, mode, math.log1p(
-                _inner_truncation(tp, radio.intercept(mode),
+                _inner_truncation(float(np.max(t)) * radio.tx_power, radio.intercept(mode),
                                   radio.pathloss_exponent(mode), radio.near_field_dist,
                                   radio.far_field_dist, mode, abs_tol / 4.0)
                 if inner_truncation_radius == AUTO
@@ -160,7 +157,8 @@ def _laplace_exponents(pieces):
         p_los = los_probability(y, d0[row], d1[row])
         p_mode = np.where(los[row], p_los, 1.0 - p_los)
         # np.take keeps the values C-ordered, as the stacked rule sums need
-        u = coef[row] * np.exp(-alpha[row] * s) * np.take(t_columns, row, axis=1)
+        with np.errstate(over="ignore"):  # where u overflows to inf, g is 1 all the same
+            u = coef[row] * np.exp(-alpha[row] * s) * np.take(t_columns, row, axis=1)
         g = -np.expm1(-m_shape[row] * np.log1p(u))
         return (y * p_mode * es) * g
 
@@ -226,13 +224,13 @@ class ExponentTable:
 
     A piecewise Chebyshev interpolant of log e in log10 t. Piece k, t in
     [10^(2k), 10^(2k + 2)), is column k - ``_FIRST_PIECE``: its Chebyshev
-    coefficients then its relative error bound, NaN until a lookup needs it
-    (never extrapolated). The pieces one lookup misses, in every table it
-    reads, are built together, each bit for bit as if built alone
-    (``_build_pieces``); a piece that fails keeps its error, and a lookup
-    that needs it raises the error of its lowest failed piece. Calling the
-    table returns e(t) and a bound on its relative error: the node
-    tolerance times the Lebesgue constant plus the last two coefficients.
+    coefficients then its relative error bound, built when a lookup first
+    needs it (never extrapolated). The pieces one lookup misses, in every
+    table it reads, are built together, each bit for bit as if built alone
+    (``_build_pieces``); a failed piece keeps its error, and a lookup that
+    needs it raises the error of its lowest failed piece. Calling the table
+    returns e(t) and a bound on its relative error: the node tolerance times
+    the Lebesgue constant plus the last two coefficients.
     """
 
     def __init__(self, radio: TierRadioParams, settings: IntegrationSettings):
@@ -241,13 +239,14 @@ class ExponentTable:
         # piece costs milliseconds) and would void the log-error bound.
         self.node_tol = _NODE_TOL_FRACTION * min(settings.rel_tol, 1e-2)
         self.inner_truncation_radius = settings.inner_truncation_radius
-        self._columns = np.full((_PIECE_NODES + 1, _PIECES), math.nan)
-        self._failed = {}  # the error of each column whose build raised
+        self._columns = {}  # column index -> the column, or the error its build raised
 
     def _piece(self, pos: int):
         """The ``_laplace_exponents`` piece that builds column ``pos``."""
         with np.errstate(over="ignore"):  # the last piece's top nodes are inf
             t = 10.0 ** (_PIECE_DECADES * (pos + _FIRST_PIECE + 0.5 * (1.0 + _CHEB_X)))
+        if not np.all(np.isfinite(t)):
+            raise QuadratureError("interference exponent t past the float range")
         y_max = (math.inf if self.inner_truncation_radius == AUTO
                  else float(self.inner_truncation_radius))
         # The block's error terms, rel_tol/4 * e and abs_tol, are each held to
@@ -266,11 +265,6 @@ class ExponentTable:
         bound = math.expm1(_LEBESGUE * -math.log1p(-self.node_tol) + tail)
         return np.append(coeffs, bound)
 
-    def _unbuilt(self, pos: np.ndarray) -> list:
-        """The columns of ``pos`` not built, ascending (not np.unique, which
-        imports numpy.ma, about 0.6 MB of resident memory, on first use)."""
-        return sorted(set(pos[np.isnan(self._columns[0, pos])].tolist()))
-
     def __call__(self, t: np.ndarray):
         """``(e, rel_err)`` at every entry of ``t`` (positive and finite)."""
         flat = np.asarray(t, dtype=np.float64).reshape(-1)
@@ -279,11 +273,14 @@ class ExponentTable:
         u = np.log10(flat) / _PIECE_DECADES
         index = np.floor(u)
         pos = index.astype(np.intp) - _FIRST_PIECE
-        _build_pieces([(self, column) for column in self._unbuilt(pos)])
-        unbuilt = self._unbuilt(pos)
-        if unbuilt:  # raise the lowest failed piece's first error again
-            raise self._failed[unbuilt[0]].with_traceback(None)
-        columns = self._columns
+        reached = _reached(pos)
+        _build_pieces([(self, column) for column in reached if column not in self._columns])
+        built = [self._columns[column] for column in reached]
+        failed = [column for column in built if isinstance(column, Exception)]
+        if failed:  # raise the lowest failed piece's first error again
+            raise failed[0].with_traceback(None)
+        columns = np.zeros((_PIECE_NODES + 1, _PIECES))  # the reached columns, in place
+        columns[:, reached] = np.transpose(built)
         x = 2.0 * (u - index) - 1.0
         two_x = 2.0 * x
         # Clenshaw recurrence, elementwise so a value never depends on the
@@ -297,24 +294,27 @@ class ExponentTable:
         return np.exp(log_e).reshape(shape), columns[-1, pos].reshape(shape)
 
 
+def _reached(pos: np.ndarray) -> list:
+    """The columns ``pos`` holds, ascending (np.unique imports numpy.ma: 0.6 MB)."""
+    return np.flatnonzero(np.bincount(pos.reshape(-1), minlength=_PIECES)).tolist()
+
+
 def _build_pieces(wanted):
-    """Build the ``(table, column)`` pairs of ``wanted``, each once, but
-    those that failed before, in one block: each piece is built or fails on
-    its own, so its table keeps its column or its error, as if built alone.
-    Tiers of one radio share a table, so a pair may be wanted twice."""
+    """Build the ``(table, column)`` pairs of ``wanted``, each once, in one
+    block: each piece is built or fails on its own, so its table keeps its
+    column or its error, as if built alone. Tiers of one radio share a
+    table, so a pair may be wanted twice."""
     pieces = []
     for table, pos in dict.fromkeys(wanted):
-        if pos in table._failed:
-            continue
         try:
             pieces.append((table, pos, table._piece(pos)))
         except _ROW_ERRORS as exc:
-            table._failed[pos] = exc
+            table._columns[pos] = exc
     for (table, pos, _), e in zip(pieces, _laplace_exponents([p for *_, p in pieces])):
         try:
-            table._columns[:, pos] = table._column(_unwrapped(e))
+            table._columns[pos] = table._column(_unwrapped(e))
         except _ROW_ERRORS as exc:
-            table._failed[pos] = exc
+            table._columns[pos] = exc
 
 
 def _exponent_table(cache: dict, scenario: ScenarioConfig, tier: int) -> ExponentTable:
@@ -357,8 +357,8 @@ def _total_exponent(t: np.ndarray, rows: np.ndarray, interferers):
     lookups = [(table, two_pi_lambda[rows]) for table, two_pi_lambda in interferers]
     if np.all((t > 0.0) & np.isfinite(t)):  # else the first table to read a bad t raises
         pos = np.floor(np.log10(t) / _PIECE_DECADES).astype(np.intp) - _FIRST_PIECE
-        _build_pieces([(table, column) for table, weight in lookups
-                       for column in table._unbuilt(pos[..., weight > 0.0])])
+        _build_pieces([(table, column) for table, weight in lookups for column in _reached(
+            pos[..., weight > 0.0]) if column not in table._columns])
     total = np.zeros(t.shape)
     slack = np.zeros(t.shape)
     for table, weight in lookups:

@@ -110,15 +110,17 @@ def test_laplace_exponent_rejects_bad_input():
         interference_laplace_exponent(1.0, TIER2_RADIO_M1, math.nan)
 
 
-@pytest.mark.parametrize("inner", ["auto", 2000.0])
-def test_laplace_exponent_past_the_float_range_fails_without_a_warning(inner):
-    # t P past the largest float: the tail bound has no finite radius, and a
-    # fixed radius would overflow u in the integrand
-    settings = IntegrationSettings(inner_truncation_radius=inner)
+def test_laplace_exponent_past_the_float_range_raises_no_warning():
+    # t P past the largest float: the automatic tail bound has no float
+    # value, while out to a fixed radius R u overflows to inf, where
+    # 1 - (1 + u)^(-M) is 1, so E = 2 pi lambda R^2 / 2
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(QuadratureError, match="^interference exponent t past the float range"):
-            interference_laplace_exponent(1e308, TIER2_RADIO_M1, 1e-5, settings)
+            interference_laplace_exponent(1e308, TIER2_RADIO_M1, 1e-5)
+        settings = IntegrationSettings(inner_truncation_radius=2000.0)
+        e = interference_laplace_exponent(1e308, TIER2_RADIO_M1, 1e-5, settings)
+    assert e == pytest.approx(math.pi * 1e-5 * 2000.0 ** 2, rel=1e-6)
 
 
 def test_zero_density_tier_has_zero_coverage():
@@ -296,8 +298,8 @@ class _DirectExponent:
             t.reshape(-1), self.radio, 0.5 / math.pi, self.settings)
         return e.reshape(t.shape)
 
-    def _unbuilt(self, pos):
-        return []  # nothing is tabulated, so nothing is built ahead
+    # nothing is tabulated, so every column counts as built and none is built ahead
+    _columns = range(analytic._PIECES)
 
     def __call__(self, t):
         n = len(quadrature._NODES)
@@ -357,7 +359,14 @@ def _columns(pieces):
 
 def _built(table):
     """The columns ``table`` has built, ascending."""
-    return np.flatnonzero(~np.isnan(table._columns[0])).tolist()
+    return sorted(pos for pos, column in table._columns.items()
+                  if not isinstance(column, Exception))
+
+
+def _failed(table):
+    """The error of each column whose build failed in ``table``."""
+    return {pos: column for pos, column in table._columns.items()
+            if isinstance(column, Exception)}
 
 
 def _built_alone(table, pos):
@@ -421,12 +430,12 @@ def test_exponent_pieces_built_together_equal_each_built_alone():
     for table in tables:
         assert _built(table) == columns
         for pos in columns:
-            assert table._columns[:, pos].tobytes() == _built_alone(table, pos).tobytes()
-    assert sorted(tight._failed) == failing and _built(tight) == []
+            assert table._columns[pos].tobytes() == _built_alone(table, pos).tobytes()
+    assert sorted(_failed(tight)) == failing and _built(tight) == []
     for pos in failing:
         with pytest.raises(QuadratureError) as alone:
             _built_alone(tight, pos)
-        failed = tight._failed[pos]
+        failed = _failed(tight)[pos]
         assert str(failed) == str(alone.value) == "no convergence within 4000 panels"
         assert failed.error_estimate.tobytes() == alone.value.error_estimate.tobytes()
 
@@ -440,12 +449,12 @@ def test_exponent_piece_whose_settings_raise_fails_alone():
     bad, macro = (ExponentTable(r, s.integration) for r in (radio, s.tiers[0].radio))
     [pos] = _columns([0])
     analytic._build_pieces([(bad, pos), (macro, pos)])
-    assert list(bad._failed) == [pos] and _built(bad) == []
-    assert str(bad._failed[pos]) == "interference exponent lower bound out of float range"
+    assert list(_failed(bad)) == [pos] and _built(bad) == []
+    assert str(_failed(bad)[pos]) == "interference exponent lower bound out of float range"
     with pytest.raises(QuadratureError, match="lower bound out of float range"):
         bad(np.array([10.0]))
     assert _built(macro) == [pos]
-    assert macro._columns[:, pos].tobytes() == _built_alone(macro, pos).tobytes()
+    assert macro._columns[pos].tobytes() == _built_alone(macro, pos).tobytes()
 
 
 def test_lookups_at_the_float_range_ends_fail_cleanly():
@@ -460,8 +469,8 @@ def test_lookups_at_the_float_range_ends_fail_cleanly():
             with pytest.raises(QuadratureError):
                 table(np.array([t]))
     last = analytic._PIECES - 1
-    assert sorted(table._failed) == [0, last] and _built(table) == []
-    assert all("float range" in str(error) for error in table._failed.values())
+    assert sorted(_failed(table)) == [0, last] and _built(table) == []
+    assert all("float range" in str(error) for error in _failed(table).values())
 
 
 def test_table_rho_bit_identical_mid_sweep():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetcache import analytic, cli
+from hetcache import cli
 from hetcache.analytic import build_coverage_table
 from hetcache.channel import TierRadioParams
 from hetcache.content import ContentModel, TierCachePolicy
@@ -464,12 +464,14 @@ def test_drawn_coverage_does_not_rise_with_the_threshold(mapping):
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(mapping=scenario_mappings())
-def test_drawn_ok_tables_keep_each_error_bar_within_the_limit(mapping):
+def test_drawn_ok_tables_agree_with_a_tighter_rebuild_within_their_error_bars(mapping):
+    # each error bar bounds how far its value is from the one at a tenth of
+    # the tolerance, up to that value's own bar
     s = scenario_from_mapping(mapping)
-    [table] = build_coverage_table([s])
-    if isinstance(table, Exception):
+    tighter = set_parameter(s, "integration.rel_tol", s.integration.rel_tol / 10.0)
+    table, tight = build_coverage_table([s, tighter])
+    if isinstance(table, Exception) or isinstance(tight, Exception):
         return
-    settings = s.integration
-    fraction = max(analytic._SIGNIFICANCE, 10.0 * settings.rel_tol)
-    for rho, err in zip(table.per_tier_density, table.error_estimates):
-        assert err <= fraction * abs(rho) + 2.0 * settings.abs_tol
+    for rho, err, rho_tight, err_tight in zip(table.per_tier_density, table.error_estimates,
+                                              tight.per_tier_density, tight.error_estimates):
+        assert abs(rho - rho_tight) <= err + err_tight
