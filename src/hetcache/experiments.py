@@ -5,15 +5,16 @@ tuple of paths set together such as ``("tiers[1].rho", "tiers[2].rho")``,
 to its values.
 
 One driver, ``_grid_rows``, turns every run, sweep, grid search and canned
-experiment into rows: one per grid point per engine. The points of an
-innermost grid are one block (``scenario.Block``), scored together. Where
-``scenario._column`` checks every path's values, a block is a base scenario
-and a column per path, and a point is built only where read; any other
-block sets its points at once. The canned experiments (``PRESET_NAMES``)
-are data, a table of axes and an engine. Result rows are flattened metric
-reports; float cells are printed with 17 significant digits so a fixed
-config and seed reproduce byte-identical CSV files. A sidecar
-``<out>.meta.json`` records the config hash, seed, and engine versions.
+experiment into rows: one per grid point per engine. The longest run of
+trailing axes whose values ``scenario._column`` checks, or else the last
+axis, is one block (``scenario.Block``), scored together, inside nested
+loops over the axes before it. A checked block builds a point only where
+read; any other block sets its points at once. The canned experiments
+(``PRESET_NAMES``) are data, a table of axes and an engine. Result rows are
+flattened metric reports; float cells are printed with 17 significant
+digits so a fixed config and seed reproduce byte-identical CSV files. A
+sidecar ``<out>.meta.json`` records the config hash, seed, and engine
+versions.
 """
 from __future__ import annotations
 
@@ -76,37 +77,38 @@ _ANALYTIC_ROW = {"engine": "analytic", "status": "ok", "error": "", **_BLANK_CEL
                  "p_bh_operational": None, "coverage_all_bs": None}
 
 
-def _analytic_rows(block, cache: dict, heads) -> list:
+def _analytic_rows(block, cache: dict, point: dict) -> list:
     """Analytic rows of the points of ``block`` (a ``scenario.Block``), in
-    order, each opening with its ``heads``.
+    order, each opening with the cells of ``point`` and its grid values.
 
     The coverage tables are ``build_coverage_table``'s, on the sweep's store
     ``cache``, of the scenarios ``block.scenarios`` gives for
-    ``_COVERAGE_FIELDS``: one per point, or the base's alone, which has the
-    points' key, for all. The block, even a whole cache axis, is one
-    ``analytic_columns`` call on the store. A row whose table fails (scored
-    on zero densities, its cells dropped) or whose cost is zero is an error."""
-    tables = build_coverage_table(block.scenarios(_COVERAGE_FIELDS), cache)
-    tables *= len(block) // len(tables)
+    ``_COVERAGE_FIELDS``. The block, even a whole cache-size search, is one
+    ``analytic_columns`` call, its cells converted a slice at a time. A row
+    whose table fails (scored on zero densities, its cells dropped) or
+    whose cost is zero is an error."""
+    scenarios, index = block.scenarios(_COVERAGE_FIELDS)
+    tables = build_coverage_table(scenarios, cache)
     zero = CoverageTable(*[(0.0,) * block.base.num_tiers] * 2)
     columns = analytic_columns(block, [zero if isinstance(t, Exception) else t for t in tables],
-                               store=cache)
+                               cache, index)
     values, errors = columns.values, columns.error_estimates
     names = [*values, "cost_over_backhaul_unit", *(f"err_{k}" for k in errors),
              *(f"rho_{i}" for i in range(1, columns.rho.shape[1] + 1))]
     cost_per_unit = values["cost"] / block.column(("costs", "backhaul_unit_cost"))
-    cells = np.column_stack([*values.values(), cost_per_unit, *errors.values(),
-                             columns.rho]).tolist()
-    template = {**heads[0], **_ANALYTIC_ROW}  # a block's heads share their keys
+    stack = [*values.values(), cost_per_unit, *errors.values(), *columns.rho.T]
+    cells = (row for lo in range(0, len(block), 256)
+             for row in np.column_stack([c[lo:lo + 256] for c in stack]).tolist())
+    template = {**point, **dict.fromkeys(block.paths), **_ANALYTIC_ROW}
     rows = []
-    for head, table, failure, row_cells in zip(heads, tables, columns.failures, cells):
-        error = str(table) if isinstance(table, Exception) else failure
+    for head, i, failure, row_cells in zip(block.heads(), index.tolist(), columns.failures, cells):
+        error = str(tables[i]) if isinstance(tables[i], Exception) else failure
         if error is None:
             rows.append(row := template.copy())
-            row.update(head)
+            row.update(zip(block.paths, head))
             row.update(zip(names, row_cells))
         else:
-            rows.append({**head, **_error_row("analytic", error)})
+            rows.append({**point, **dict(zip(block.paths, head)), **_error_row("analytic", error)})
     return rows
 
 
@@ -138,35 +140,32 @@ def _grid_rows(scenario: ScenarioConfig, axes, engines: tuple, workers: int,
     ``axes`` are ``_plan``'s (paths, grid) pairs; the last varies fastest,
     and no axes means the one point ``scenario``. Each point yields one row
     per engine of ``engines``, in that order; a row's first cells are the
-    point's values, one per path. Each point of an outer axis is built from
-    the deepest prefix it shares with the previous one, as nested loops
-    would: ``set_parameter`` runs once per changed value, in path order.
-    The points of one innermost grid form a block (``scenario.Block``).
-    Where ``scenario._column`` checks each path's values (a number leaf of a
-    record that ``check_fields`` alone checks), it is their base scenario
-    and one column of values per path, and a point's scenario is built only
-    where it is read: by the Monte Carlo engine, and by the stages whose
-    fields the paths reach (``Block.scenarios``), the coverage tables (else
-    the block takes one) and ``metrics._gather``'s density unit, rates and
-    content models. Any other block sets its points with
-    ``set_parameter`` at once. Every block reads and fills one table store,
-    ``cache`` (``build_coverage_table``'s and ``metrics._gather``'s; a new
-    one if None), so a sweep builds each table once. Failed rows are
-    yielded with status ``error``; a bad parameter value raises with
-    ``set_parameter``'s own error, before its block is scored.
+    point's values, one per path. The longest run of trailing axes that
+    ``scenario._column`` checks, or else the last axis, is one block
+    (``scenario.Block``), scored together inside loops over the axes before
+    it. Points are built as nested loops would, each from the deepest prefix
+    it shares with the previous one: ``set_parameter`` runs once per changed
+    value, in path order. A checked block builds a point's scenario only
+    where read: by the Monte Carlo engine, and by the stages whose fields its
+    paths reach (``Block.scenarios``). Any other block sets its points at
+    once. Every block reads and fills one table store, ``cache``
+    (``build_coverage_table``'s and ``metrics._gather``'s; a new one if
+    None), so a sweep builds each table once. Failed rows are yielded with
+    status ``error``; a bad parameter value raises with ``set_parameter``'s
+    own error, before its block is scored.
     """
     cache = {} if cache is None else cache
     point = {} if point is None else point
-    paths, grid = axes[0] if axes else ((), ((),))
-    if len(axes) > 1:
+    block = Block(scenario, axes, _set_point)
+    if block.outer:  # the first axis is outside the block: nest over it
+        paths, grid = axes[0]
         for values in grid:
             yield from _grid_rows(_set_point(scenario, paths, values), axes[1:], engines,
                                   workers, cache, {**point, **dict(zip(paths, values))})
         return
-    block = Block(scenario, paths, grid, _set_point)
-    heads = [{**point, **dict(zip(paths, values))} for values in grid]
-    blocks = [_analytic_rows(block, cache, heads) if engine == "analytic"
-              else [{**h, **_mc_row(s, workers)} for h, s in zip(heads, block.points)]
+    blocks = [_analytic_rows(block, cache, point) if engine == "analytic"
+              else [{**point, **dict(zip(block.paths, head)), **_mc_row(s, workers)}
+                    for head, s in zip(block.heads(), block.points)]
               for engine in engines]
     for rows in zip(*blocks):
         yield from rows

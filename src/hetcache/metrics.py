@@ -108,8 +108,8 @@ def _gather(block, store: dict):
     rates, and the (B,) F - S_1 files the macro tier does not cache, cache
     slots per m^2 and two unit costs. A leaf field is read by
     ``Block.column``, one value per point, the density unit, rates and
-    content models from ``Block.scenarios``: once, from the base, where the
-    block's paths do not reach them. All points share their tier count.
+    content models from ``Block.scenarios``, through its index, and the
+    masses in one call per content model. All points share a tier count.
     """
     def per_tier(name):
         """Field ``name`` of each tier as a (B, K) array."""
@@ -117,21 +117,21 @@ def _gather(block, store: dict):
                                 for k in range(block.base.num_tiers)])
 
     density, size, fraction = map(per_tier, ("density", "cache.cache_size", "cache.mpc_fraction"))
-    scale = np.array([s.density_scale for s in block.scenarios([("density_unit",)])])
+    scenarios, index = block.scenarios([("density_unit",)])
+    scale = np.array([s.density_scale for s in scenarios])[index]
     backhaul_cost = np.array(block.column(("costs", "backhaul_unit_cost")))
     cache_cost = np.array(block.column(("costs", "cache_unit_cost")))
     library_size = np.array(block.column(("content", "library_size")))
-    rates = np.array([tier_rates(s) for s in block.scenarios(
-        [("rate_log_base",), ("tiers", "*", "radio", "sir_threshold")])])
-    tables = []
-    for s in block.scenarios([("content",)]):
+    scenarios, index = block.scenarios([("rate_log_base",),
+                                        ("tiers", "*", "radio", "sir_threshold")])
+    rates = np.array([tier_rates(s) for s in scenarios])[index]
+    masses, uncached = np.empty(size.shape), np.empty(size.shape)
+    scenarios, index = block.scenarios([("content",)])
+    for j, s in enumerate(scenarios):
         if s.content not in store:
             store[s.content] = popularity_mass_tables(s.content.request_probabilities())
-        tables.append(store[s.content])
-    if len(tables) == 1:
-        masses, uncached = popularity_masses(tables[0], size, fraction)
-    else:  # each point's own content model
-        masses, uncached = map(np.array, zip(*map(popularity_masses, tables, size, fraction)))
+        at = index == j
+        masses[at], uncached[at] = popularity_masses(store[s.content], size[at], fraction[at])
     lam = density * scale[:, None]
     return masses, uncached[:, 0], (lam, lam * rates, library_size - size[:, 0],
                                     np.sum(lam * size, axis=1), backhaul_cost, cache_cost)
@@ -192,19 +192,20 @@ class AnalyticColumns:
     failures: tuple
 
 
-def analytic_columns(block, tables, store: dict | None = None) -> AnalyticColumns:
+def analytic_columns(block, tables, store: dict | None = None,
+                     index=slice(None)) -> AnalyticColumns:
     """Evaluate every metric of a ``scenario.Block``'s B points at once.
 
-    ``tables[b]`` is the coverage table of point b's radio side, ``store``
-    a sweep's store for ``_gather``. With coverage densities rho_k, p_hit =
-    sum_k rho_k m_k and p_bh = rho_1 (1 - m_1), and ASE, cost and every
-    error bar follow from the masses too: no per-rank array is built. Each
-    row equals its point's block of one.
+    ``tables[index[b]]`` (by default ``tables[b]``) is the coverage table of
+    point b's radio side, ``store`` a sweep's store for ``_gather``. With
+    coverage densities rho_k, p_hit = sum_k rho_k m_k and p_bh = rho_1 (1 -
+    m_1), and ASE, cost and every error bar follow from the masses too: no
+    per-rank array is built. Each row equals its point's block of one.
     """
     masses, uncached, constants = _gather(block, {} if store is None else store)
     lam, lam_rate, uncached_files, _, backhaul_cost, _ = constants
-    rho = np.array([t.per_tier_density for t in tables])
-    errs = np.array([t.error_estimates for t in tables])
+    rho = np.array([t.per_tier_density for t in tables])[index]
+    errs = np.array([t.error_estimates for t in tables])[index]
 
     p_hit = _dot(rho, masses)
     p_bh = rho[:, 0] * uncached

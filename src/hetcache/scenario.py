@@ -29,11 +29,11 @@ compares. ``set_parameter`` copies the records on one path (``_replaced``)
 and YAML loading merges a file onto the default scenario's records
 (``_merged``); in both walks each record's ``__post_init__`` checks it, so
 every YAML field is a path, checked the same way, and a rejection names it.
-A grid block (``Block``) checks a column of values at a number leaf by
-``check_fields``' own check (``_column``) and builds a point only where a
-stage reads it (``Block.scenarios``): a cost or cache column builds none, a
-density, bias, integration or popularity-exponent column each, for coverage
-tables or content models. Any other block sets its points at once.
+A grid block (``Block``) spans the trailing axes whose columns of values
+at number leaves pass ``check_fields``' own check (``_column``), and builds
+a scenario only where a stage reads it (``Block.scenarios``): a cost or
+cache axis builds none, a density, bias, integration or popularity-exponent
+axis one per value. Any other block is one axis and sets its points at once.
 
 The default scenario: a sparse 40 W macro tier (density 1e-3 per km^2,
 threshold 2, 20-slot caches) over a denser 4 W small-cell tier (density 10
@@ -49,6 +49,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -309,43 +310,82 @@ def _column(base: ScenarioConfig, names: tuple, values) -> list | None:
 
 
 class Block:
-    """The points of one grid block: ``base`` with ``paths`` (``reach``: their
-    name sequences) set to each entry of ``grid``; ``len`` counts them. If
-    ``_column`` checks every path's column, ``grid`` holds the values as
-    stored, and the point scenarios, ``points``, are built by ``build`` when
-    first read; ``scenarios`` tells a stage whether it reads them. Any other
-    block builds its points at once, so a bad value raises ``set_parameter``'s
-    own error, and the first point is the base. ``Block(scenario)``, the block
-    of no paths, is the one point ``scenario``."""
+    """The points of one grid block: the product of the grids of ``axes``,
+    ``(paths, grid)`` pairs, the last fastest, set on ``base``. Of the axes
+    given, a block takes the longest trailing run whose every column
+    ``_column`` checks, else the last alone, and leaves the rest, ``outer``,
+    to be set around it. A checked block keeps the values as stored and
+    builds point scenarios, by ``build``, only where read (``points``,
+    ``scenarios``); any other block that takes every axis builds them at
+    once, so a bad value raises ``set_parameter``'s own error, and its first
+    point is the base. ``Block(scenario)`` is the one point ``scenario``."""
 
-    def __init__(self, base: ScenarioConfig, paths: tuple = (), grid=((),), build=None):
-        self.base, self.paths, self._build = base, paths, build
-        self.reach = tuple(map(_names, paths))
-        columns = [_column(base, names, column) for names, column in zip(self.reach, zip(*grid))]
-        self.checked = None not in columns
-        self.grid = list(zip(*columns)) if columns and self.checked else grid
-        if not self.checked:  # build every point now: a bad value raises here
+    def __init__(self, base: ScenarioConfig, axes=(), build=None):
+        self.base, self._build, self._levels = base, build, {}
+        run = []  # each checked axis's values as stored, innermost first
+        for paths, grid in reversed(axes):
+            columns = [_column(base, _names(p), column) for p, column in zip(paths, zip(*grid))]
+            if None in columns:
+                break
+            run.append(list(zip(*columns)) if columns else grid)
+        self.checked = bool(run) or not axes
+        k = len(axes) - max(len(run), 1)
+        self.outer, self.axes = axes[:k], axes[k:]
+        self.paths = tuple(path for paths, _ in self.axes for path in paths)
+        self._sizes = [len(grid) for _, grid in self.axes]
+        self._stored = run[::-1] if self.checked else [grid for _, grid in self.axes]
+        if not self.checked and not self.outer:  # build every point now: a bad value raises here
             self.base = self.points[0]
 
     @functools.cached_property
     def points(self) -> list:
-        return [self._build(self.base, self.paths, values) for values in self.grid]
+        return self.scenarios([()])[0]
 
     def __len__(self):
-        return len(self.grid)
+        return math.prod(self._sizes)
 
-    def scenarios(self, fields) -> list:
-        """Every point if a path reaches one of ``fields``, else the base alone."""
-        return self.points if any(_reaches(self.reach, f) for f in fields) else [self.base]
+    def _expand(self, a, column):
+        """``column``, a value per entry of axis ``a``, as one per point."""
+        inner, outer = math.prod(self._sizes[a + 1:]), range(math.prod(self._sizes[:a]))
+        return itertools.chain.from_iterable(itertools.repeat(value, inner)
+                                             for _ in outer for value in column)
+
+    def heads(self):
+        """Each point's grid values, as given, one per path."""
+        columns = [self._expand(a, column) for a, (_, grid) in enumerate(self.axes)
+                   for column in zip(*grid)]
+        return zip(*columns) if columns else [()] * len(self)
+
+    def scenarios(self, fields):
+        """``(scenarios, index)``: the scenarios a stage reading ``fields``
+        sees, each point's at ``index``, a (B,) array: the product of the
+        values of the paths that reach ``fields`` (an unchecked block's: of
+        all its paths), built prefix by prefix as nested loops would, once."""
+        level, shape, key = [self.base], [], ()
+        for a, (paths, _) in enumerate(self.axes):
+            js = tuple(j for j, p in enumerate(paths)
+                       if any(_reaches((_names(p),), field) for field in fields))
+            js = tuple(range(len(paths))) if js and not self.checked else js
+            shape.append(self._sizes[a] if js else 1)
+            if js:
+                key += ((a, js),)
+                if key not in self._levels:
+                    self._levels[key] = [
+                        self._build(s, tuple(paths[j] for j in js), tuple(values[j] for j in js))
+                        for s in level for values in self._stored[a]]
+                level = self._levels[key]
+        return level, np.broadcast_to(np.arange(len(level)).reshape(shape), self._sizes).ravel()
 
     def column(self, field) -> list:
         """The values of the leaf ``field`` (a name sequence with its tier),
         one per point: the base's, repeated, where no path reaches it."""
-        if not _reaches(self.reach, field):
+        setters = [(a, k) for a, (paths, _) in enumerate(self.axes)
+                   for k, path in enumerate(paths) if _reaches((_names(path),), field)]
+        if not setters:
             return [_value(self.base, field, None)] * len(self)
         if self.checked:  # checked paths are leaves: the last that reaches it set it
-            j = max(j for j, names in enumerate(self.reach) if _reaches((names,), field))
-            return [values[j] for values in self.grid]
+            a, k = setters[-1]
+            return list(self._expand(a, [values[k] for values in self._stored[a]]))
         return [_value(point, field, None) for point in self.points]
 
 

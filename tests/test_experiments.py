@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -281,9 +282,10 @@ def test_grid_search_rows_equal_naive_evaluation(monkeypatch):
                  "tiers[1].cache.cache_size": (5, 20, 5)}
     calls = _count_calls(monkeypatch, "set_parameter")
     res = grid_search(s, variables)
-    # one call per changed value of the outer axes, 2 + 2*2; the innermost
-    # cache-size column is checked as a column and builds no point
-    assert len(calls) == 2 + 4
+    # every axis is checked, so the grid is one block: it builds the two
+    # content models and, for the coverage tables, the two densities; the
+    # cache-size column builds no point
+    assert len(calls) == 2 + 2
     monkeypatch.undo()
     assert len(res.surface) == 12
     assert len({(r["rho_1"], r["rho_2"]) for r in res.surface}) == 2
@@ -560,19 +562,19 @@ def test_grid_preset_rows_equal_rows_alone(name):
 
 @pytest.mark.parametrize("variables, built", [
     # a cache-size column builds no point; a radio path builds each point
-    # for its coverage tables, once per value
+    # for its coverage tables, once per value, and a popularity exponent
+    # each content model
     ({"tiers[1].cache.cache_size": (10, 50), "tiers[2].cache.cache_size": (1, 2, 5, 8, 100)}, 0),
     ({("tiers[1].rho", "tiers[2].rho"): ((1.0, 1.0), (0.9, 0.1), (0.5, 0.5))}, 3 * 2),
     ({"tiers[*].rho": (1.0, 0.5, 0.8)}, 3),
-    ({"content.popularity_exponent": (0.8,), "tiers[*].cache.mpc_fraction": (0.0, 0.3, 1.0)}, 0),
+    ({"content.popularity_exponent": (0.8,), "tiers[*].cache.mpc_fraction": (0.0, 0.3, 1.0)}, 1),
 ])
 def test_column_block_rows_equal_rows_alone(monkeypatch, variables, built):
     s = default_scenario()
     axes = _axes(variables)
     calls = _count_calls(monkeypatch, "set_parameter")
     rows = list(_grid_rows(s, axes, ("analytic",), 1))
-    outer = sum(len(grid) for _, grid in axes[:-1])
-    assert len(calls) == outer + built
+    assert len(calls) == built
     monkeypatch.undo()
     assert all(r["status"] == "ok" for r in rows)
     _assert_rows_alone(s, axes, rows)
@@ -588,13 +590,14 @@ def test_column_stores_the_normal_form(monkeypatch, path, grid, stored):
     # the head cell keeps the grid value; the block holds the value
     # set_parameter stores, of its type, and builds no point
     s = default_scenario()
-    assert Block(s).scenarios(_COVERAGE_FIELDS) == [s]
+    scenarios, index = Block(s).scenarios(_COVERAGE_FIELDS)
+    assert scenarios == [s] and index.tolist() == [0]
     axes = _axes({path: grid})
     batches = _count_calls(monkeypatch, "analytic_columns")
     calls = _count_calls(monkeypatch, "set_parameter")
     rows = list(_grid_rows(s, axes, ("analytic",), 1))
     assert calls == []
-    ((block, _),) = batches
+    ((block, *_),) = batches
     column = block.column(_names(path))
     assert column == stored and list(map(type, column)) == list(map(type, stored))
     assert block.points == [set_parameter(s, path, value) for value in grid]
@@ -615,6 +618,12 @@ def _entries(cache):
 # Exponent tables per block below: one per tier radio, as a threshold is no
 # field of e(t), and more only where the axis sets a tolerance or a shape.
 _BLOCK_EXPONENT_TABLES = {"integration.rel_tol": 4, "tiers[2].radio.nakagami_los": 3}
+# Paths of the test below that ``_column`` does not check: a radio record
+# checks orderings across its fields, and the scenario a string and a
+# bound across records. Under them each cache-size value is its own block;
+# any other path joins the cache-size axis in one block.
+_UNCHECKED = {"tiers[1].radio.sir_threshold", "density_unit", "rate_log_base",
+              "tiers[2].radio.nakagami_los"}
 
 
 @pytest.mark.parametrize("path, grid, tables", [
@@ -641,7 +650,8 @@ def test_block_spanning_tables_equals_rows_alone(monkeypatch, path, grid, tables
     batches = _count_calls(monkeypatch, "analytic_columns")
     cache = {}
     rows = list(_grid_rows(s, axes, ("analytic",), 1, cache))
-    assert [len(args[0]) for args in batches] == [len(grid), len(grid)]
+    sizes = [len(grid)] * 2 if path in _UNCHECKED else [2 * len(grid)]
+    assert [len(args[0]) for args in batches] == sizes
     coverage, exponents = _entries(cache)
     assert len(coverage) == tables
     assert len(exponents) == _BLOCK_EXPONENT_TABLES.get(path, 2)
@@ -758,7 +768,7 @@ def test_block_reads_only_what_its_axis_reaches(monkeypatch):
         exponents.update(built)
         assert len(coverage) == len(keys) and keys <= set(coverage), path
         assert sum(len(args[0]) for args, _ in calls) == 2, path
-        for (batch, _), block in calls:
+        for (batch, *_), block in calls:
             alone = [original(Block(x), [coverage[_stage_key(x, _COVERAGE_FIELDS)]])
                      for x in batch.points]
             assert _column_bytes(block) == _column_bytes(*alone), path
@@ -919,3 +929,122 @@ def test_zero_cost_row_fails_alone_in_its_block():
     assert rows[1]["efficiency"] == "" and "rho_1" not in rows[1]
     assert rows[0]["efficiency"] > 0 and rows[2]["efficiency"] > 0
     _assert_rows_alone(s, axes, rows)
+
+
+def _assert_engine_rows_alone(config, axes, engines, rows):
+    """Every row of ``engines`` equals, cell for cell and in key order, its
+    point run alone: analytic rows as ``_assert_rows_alone`` checks them,
+    Monte Carlo rows as a lone ``_grid_rows`` call."""
+    tables = {}
+    assert len(rows) == len(engines) * int(np.prod([len(grid) for _, grid in axes]))
+    for row, engine in zip(rows, engines * (len(rows) // len(engines))):
+        alone = {path: row[path] for paths, _ in axes for path in paths}
+        scenario = config
+        for path, value in alone.items():
+            scenario = set_parameter(scenario, path, value)
+        if engine == "analytic":
+            alone.update(_row_alone(scenario, tables))
+        else:
+            alone.update(*_grid_rows(scenario, (), (engine,), 1))
+        assert list(row) == list(alone)
+        assert row == alone
+
+
+@pytest.mark.parametrize("base, variables, engines, batches, calls", [
+    # three checked axes: one block, and no point built
+    ({}, {"tiers[1].cache.cache_size": (10, 50), "tiers[2].cache.mpc_fraction": (0.0, 0.6),
+          "tiers[2].cache.cache_size": (1, 4, 9)}, ("analytic",), [12], 0),
+    # an unchecked radio axis outside a checked cache axis: a block per threshold
+    ({}, {"tiers[2].radio.sir_threshold": (2.0, 4.0), "tiers[2].cache.cache_size": (1, 5, 9)},
+     ("analytic",), [3, 3], 2),
+    # a checked axis outside an unchecked one: a block per density
+    ({}, {"tiers[2].density": (1.0, 50.0), "tiers[2].radio.nakagami_los": (2, 3)},
+     ("analytic",), [2, 2], 2 + 4),
+    # fig5's pair of biases, inside and outside a checked axis
+    ({}, {"tiers[2].density": (1.0, 100.0),
+          ("tiers[1].rho", "tiers[2].rho"): ((1.0, 1.0), (0.9, 0.1), (0.5, 0.5))},
+     ("analytic",), [6], 2 + 6 * 2),
+    ({}, {("tiers[1].rho", "tiers[2].rho"): ((1.0, 1.0), (0.9, 0.1), (0.5, 0.5)),
+          "content.popularity_exponent": (0.8, 1.2)}, ("analytic",), [6], 3 * 2 + 2),
+    # free cache slots: a macro cache of the whole library costs nothing (an
+    # error row), and a tolerance the quadrature cannot meet fails its table
+    ({"costs.cache_unit_cost": 0.0},
+     {"integration.rel_tol": (1e-6, 1e-15), "tiers[1].cache.cache_size": (20, 100, 50)},
+     ("analytic",), [6], 2),
+    # both engines: the Monte Carlo points share the densities the coverage
+    # tables built, as nested loops would
+    ({"protocol.num_snapshots": 40, "protocol.region_radius": 3000.0},
+     {"tiers[2].density": (1.0, 10.0), "tiers[2].cache.cache_size": (2, 5)},
+     ("analytic", "mc"), [4], 2 + 4),
+])
+def test_merged_block_rows_equal_rows_alone(monkeypatch, base, variables, engines, batches,
+                                            calls):
+    s = default_scenario()
+    for path, value in base.items():
+        s = set_parameter(s, path, value)
+    axes = _axes(variables)
+    scored = _count_calls(monkeypatch, "analytic_columns")
+    built = _count_calls(monkeypatch, "set_parameter")
+    rows = list(_grid_rows(s, axes, engines, 1, {}))
+    assert [len(args[0]) for args in scored] == batches
+    assert len(built) == calls
+    monkeypatch.undo()
+    if "integration.rel_tol" in variables:
+        assert [r["status"] for r in rows] == ["ok", "error", "ok"] + ["error"] * 3
+        assert rows[1]["error"] == ("cost per area is zero (empty network); "
+                                    "efficiency is undefined")
+        assert {r["error"] for r in rows[3:]} == {"no convergence within 4000 panels"}
+    else:
+        assert all(r["status"] == "ok" for r in rows)
+    _assert_engine_rows_alone(s, axes, engines, rows)
+
+
+def _cache_search_grid():
+    """The axes of the ``analytic-cache-search`` benchmark workload: 8 macro
+    cache sizes, 11 MPC fractions and every small-cell cache size."""
+    return {"tiers[1].cache.cache_size": tuple(range(5, 45, 5)),
+            "tiers[2].cache.mpc_fraction": tuple(np.linspace(0.0, 1.0, 11)),
+            "tiers[2].cache.cache_size": tuple(range(1, 101))}
+
+
+@pytest.mark.parametrize("grid, calls, parent", [
+    ("fig2", 16, 42),
+    ("fig3", 3, 18),
+    ("fig4", 4, 22),
+    ("fig5", 160, 162),
+    # the benchmark's analytic workloads, on their grids' shapes
+    (_cache_search_grid(), 0, 96),
+    ({"content.popularity_exponent": (0.5, 1.0, 1.5),
+      "tiers[2].density": tuple(np.logspace(-4, 2, 7))}, 10, 24),
+])
+def test_grids_set_no_more_parameters_than_nested_blocks(monkeypatch, grid, calls, parent):
+    # ``parent`` is the count when only the innermost axis was one block: a
+    # grid that spans more axes builds each value's scenario once, where a
+    # stage reads it, and never more often than nested loops
+    built = _count_calls(monkeypatch, "set_parameter")
+    if isinstance(grid, str):
+        run_preset(grid, default_scenario())
+    else:
+        grid_search(default_scenario(), grid)
+    assert len(built) == calls <= parent
+
+
+def test_cache_search_block_transient_memory():
+    # one 8,800-row block on a built coverage table: what it holds while it
+    # scores, beyond the rows it returns, is its columns (a dozen (B,) float
+    # arrays of 70 kB) and one slice of 256 rows of cells, never all cells
+    # at once. Measured 1.15 MB (CPython 3.11, numpy 2.4), where blocks of
+    # one cache-size axis held 0.05 MB; pinned with 0.2 MB to spare
+    s = set_parameter(default_scenario(), "tiers[2].density", 100.0)
+    axes = _axes(_cache_search_grid())
+    cache = {}
+    build_coverage_table([s], cache)
+    list(_grid_rows(s, axes, ("analytic",), 1, cache))  # the content tables too
+    tracemalloc.start()
+    try:
+        rows = list(_grid_rows(s, axes, ("analytic",), 1, cache))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 8800 and all(r["status"] == "ok" for r in rows)
+    assert peak - held < 1.35e6
